@@ -8,7 +8,8 @@ generators for the families the benchmarks sweep over:
 
 * deterministic shapes — paths, cycles, grids, stars, complete binary
   trees — that yield one canonical instance per size;
-* seeded random shapes — uniform random trees (Prüfer decode),
+* seeded random shapes — uniform random trees (a numpy-drawn Prüfer
+  sequence through a linear-time decode),
   bounded-degree random trees, caterpillars, spiders, random regular
   graphs (configuration model) — that yield many instances per
   ``(n, seed)``;
@@ -30,11 +31,12 @@ register their lower-bound constructions this way).
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .constructions.trees import random_tree as _random_attachment_tree
 from .parallel import stable_seed
@@ -55,6 +57,8 @@ __all__ = [
     "register_family",
     "union_family",
     "prufer_tree",
+    "prufer_sequence",
+    "prufer_decode",
     "bounded_degree_tree",
     "caterpillar_tree",
     "spider_tree",
@@ -109,32 +113,59 @@ class Family:
 # ----------------------------------------------------------------------
 # random generators
 # ----------------------------------------------------------------------
+def prufer_sequence(n: int, rng: random.Random) -> np.ndarray:
+    """A uniform Prüfer sequence for ``n >= 2`` nodes: ``n - 2`` draws
+    from ``range(n)`` by a ``numpy.random.Generator`` seeded with one
+    ``rng.getrandbits(128)`` draw (so callers sharing ``rng`` can keep
+    drawing from it)."""
+    if n < 2:
+        raise ValueError("a Prüfer sequence needs n >= 2")
+    gen = np.random.default_rng(rng.getrandbits(128))
+    return gen.integers(0, n, size=n - 2)
+
+
+def prufer_decode(seq: Sequence[int]) -> Graph:
+    """The labeled tree on ``len(seq) + 2`` nodes with Prüfer sequence
+    ``seq``.
+
+    Linear-time pointer decode: ``ptr`` only moves up, scanning for the
+    next leaf, and a node that becomes a leaf below ``ptr`` is used at
+    once, so each step joins the *smallest* current leaf to ``seq[i]``
+    and the last edge joins the final leaf to ``n - 1`` — the same edges
+    in the same order as the textbook min-heap decode, hence the same
+    CSR layout.
+    """
+    code = np.asarray(seq, dtype=np.int64)
+    n = code.size + 2
+    if code.size and (code.min() < 0 or code.max() >= n):
+        raise ValueError(f"Prüfer sequence entries must lie in range({n})")
+    degree = (np.bincount(code, minlength=n) + 1).tolist()
+    ptr = degree.index(1)
+    leaf = ptr
+    leaves: List[int] = []
+    for v in code.tolist():
+        leaves.append(leaf)
+        d = degree[v] - 1
+        degree[v] = d
+        if d == 1 and v < ptr:
+            leaf = v
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    leaves.append(leaf)
+    return Graph.from_arrays(n, leaves, np.append(code, n - 1))
+
+
 def prufer_tree(n: int, rng: random.Random) -> Graph:
-    """A uniformly random labeled tree on ``n`` nodes via Prüfer decode."""
+    """A uniformly random labeled tree on ``n`` nodes: a
+    :func:`prufer_sequence` draw through :func:`prufer_decode`."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges: List[Tuple[int, int]] = []
-    # min-heap of current leaves gives the canonical O(n log n) decode
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((u, w))
-    return Graph(n, edges)
+    return prufer_decode(prufer_sequence(n, rng))
 
 
 def bounded_degree_tree(n: int, rng: random.Random, delta: int = 3) -> Graph:

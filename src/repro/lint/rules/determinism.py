@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core import Rule
 
 __all__ = [
+    "unseeded_entropy",
     "UnseededRandomRule",
     "BuiltinHashRule",
     "WallClockRule",
@@ -29,43 +30,79 @@ __all__ = [
 ]
 
 
+#: ``random`` module functions that draw from the process-global RNG
+_GLOBAL_DRAWS = {
+    "random", "randint", "randrange", "choice", "choices", "shuffle",
+    "sample", "uniform", "gauss", "seed", "getrandbits", "betavariate",
+    "expovariate", "triangular",
+}
+#: ``numpy.random`` constructors whose first argument is the seed
+_NUMPY_SEEDABLE = {"default_rng", "Generator", "PCG64", "SeedSequence"}
+
+
+def _unseeded(call: ast.Call) -> bool:
+    """No argument at all, or a literal ``None`` as the only one — the
+    cases where a seedable constructor falls back to OS entropy."""
+    args = list(call.args) + [kw.value for kw in call.keywords]
+    return not args or (len(args) == 1 and isinstance(args[0], ast.Constant)
+                        and args[0].value is None)
+
+
+def unseeded_entropy(qual: Optional[str],
+                     call: ast.Call) -> Optional[Tuple[str, str]]:
+    """``(evidence, advice)`` when ``call`` — whose callee resolves to
+    ``qual`` — draws unseeded entropy, else ``None``.
+
+    The one predicate behind DET001 and the IPD001 evidence pass
+    (:mod:`repro.lint.summaries`), so the two cannot disagree:
+
+    * ``random.Random`` and numpy's ``default_rng``/``Generator``/
+      ``PCG64``/``SeedSequence`` only with no argument or a literal
+      ``None`` (a seeded constructor is the sanctioned pattern);
+    * ``random.<draw>()`` on the process-global RNG;
+    * every other ``numpy.random.*`` call (``rand``, ``seed``,
+      ``shuffle``, ...), which uses numpy's global RNG.
+    """
+    if qual is None:
+        return None
+    module, _, attr = qual.rpartition(".")
+    numpy_random = qual.startswith(("numpy.random.", "np.random."))
+    if qual == "random.Random" or (numpy_random and attr in _NUMPY_SEEDABLE):
+        if _unseeded(call):
+            return (f"unseeded {qual}()",
+                    "draws from OS entropy; seed it (e.g. from "
+                    "repro.parallel.stable_seed)")
+        return None
+    if module == "random" and attr in _GLOBAL_DRAWS:
+        return (f"{qual}()", "uses the process-global RNG; thread an "
+                             "explicit seeded random.Random instead")
+    if numpy_random:
+        return (f"{qual}()", "uses numpy's global RNG; draw from a seeded "
+                             "numpy.random.default_rng(seed) instead")
+    return None
+
+
 class UnseededRandomRule(Rule):
     """DET001: module-level or unseeded randomness.
 
     ``random.<draw>()`` uses the process-global, process-seeded RNG, and
-    ``random.Random()`` with no arguments seeds from OS entropy — both
-    make results irreproducible across runs and workers.  Library code
-    must thread an explicit ``rng`` or derive one from
-    ``repro.parallel.stable_seed``.
+    ``random.Random()`` with no seed draws from OS entropy — both make
+    results irreproducible across runs and workers; numpy's global RNG
+    (``np.random.rand`` and friends) and unseeded numpy generators
+    (``np.random.default_rng()``) likewise.  Library code must thread an
+    explicit ``rng`` or derive a seed from ``repro.parallel.stable_seed``;
+    a numpy Generator seeded from such an ``rng``
+    (``np.random.default_rng(rng.getrandbits(128))``) is clean.
     """
 
     id = "DET001"
     summary = ("module-level/unseeded random draws (thread an rng or "
                "derive a seed via stable_seed)")
 
-    _GLOBAL_DRAWS = {
-        "random", "randint", "randrange", "choice", "choices", "shuffle",
-        "sample", "uniform", "gauss", "seed", "getrandbits", "betavariate",
-        "expovariate", "triangular",
-    }
-
     def visit_Call(self, node: ast.Call) -> None:
-        qual = self.ctx.qualname(node.func)
-        if qual == "random.Random" and not node.args and not node.keywords:
-            self.report(node, "unseeded random.Random() draws from OS "
-                              "entropy; seed it (e.g. from "
-                              "repro.parallel.stable_seed)")
-        elif qual is not None and qual.startswith("random."):
-            attr = qual.split(".", 1)[1]
-            if attr in self._GLOBAL_DRAWS:
-                self.report(node, f"random.{attr}() uses the process-"
-                                  "global RNG; thread an explicit seeded "
-                                  "random.Random instead")
-        elif qual is not None and (qual.startswith("numpy.random.")
-                                   or qual.startswith("np.random.")):
-            self.report(node, "numpy global RNG call; use a seeded "
-                              "numpy.random.Generator (or stay off numpy "
-                              "randomness)")
+        entropy = unseeded_entropy(self.ctx.qualname(node.func), node)
+        if entropy is not None:
+            self.report(node, " ".join(entropy))
         self.generic_visit(node)
 
 

@@ -421,20 +421,10 @@ class _Extractor:
     def _note_entropy(self, unit: FunctionFacts, node: ast.Call) -> None:
         if unit.entropy is not None:
             return
-        qual = self._qual_of(node.func)
-        detail = None
-        if qual == "random.Random" and not node.args and not node.keywords:
-            detail = "unseeded random.Random()"
-        elif qual is not None and qual.startswith("random."):
-            from .rules.determinism import UnseededRandomRule
-            attr = qual.split(".", 1)[1]
-            if attr in UnseededRandomRule._GLOBAL_DRAWS:
-                detail = f"random.{attr}()"
-        elif qual is not None and (qual.startswith("numpy.random.")
-                                   or qual.startswith("np.random.")):
-            detail = f"{qual}()"
-        if detail is not None:
-            ev = self._evidence("entropy", node.lineno, detail)
+        from .rules.determinism import unseeded_entropy
+        entropy = unseeded_entropy(self._qual_of(node.func), node)
+        if entropy is not None:
+            ev = self._evidence("entropy", node.lineno, entropy[0])
             if ev is not None:
                 unit.entropy = ev
 

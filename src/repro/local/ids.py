@@ -8,7 +8,12 @@ assignment is part of the experiment design:
 * :func:`sequential_ids` — IDs ``1..n`` in node-handle order (best case for
   symmetry breaking, useful as a sanity baseline);
 * :func:`random_ids` — uniformly random injection into ``{1..n^c}`` (the
-  standard adversarial-free setting for measuring upper bounds);
+  standard adversarial-free setting for measuring upper bounds), drawn in
+  numpy batches from a Generator seeded by one ``rng.getrandbits(128)``
+  draw: the assignment is the first ``n`` distinct values of that draw
+  stream, in draw order.  Spaces beyond int64 (``n > 2 097 151`` at
+  ``c = 3``), which numpy cannot draw from, fall back to a sequential
+  ``rng.randint`` rejection loop;
 * adversarial assignments — the node-averaged measure is a sup over ID
   assignments as well as topology, so sweeps probe structured worst cases:
   :func:`descending_ids` (IDs strictly decreasing in handle order — on
@@ -30,6 +35,8 @@ from __future__ import annotations
 
 import random
 from typing import Callable, Dict, List, NamedTuple, Optional
+
+import numpy as np
 
 from ..parallel import stable_seed
 
@@ -64,6 +71,18 @@ def sequential_ids(n: int) -> IdAssignment:
     return list(range(1, n + 1))
 
 
+#: the largest value numpy's int64 ``Generator.integers`` can draw
+_INT64_MAX = 2**63 - 1
+
+
+def _topup_size(n: int, kept: int, space: int) -> int:
+    """Draws for the next batch of :func:`random_ids` once ``kept`` of
+    the ``n`` distinct IDs are in hand: the missing count scaled by the
+    expected draws per fresh value, ``space / (space - kept)`` (rounded
+    up).  The first batch is exactly ``n``."""
+    return -(-(n - kept) * space // (space - kept))
+
+
 def random_ids(
     n: int,
     c: int = 3,
@@ -71,23 +90,49 @@ def random_ids(
 ) -> IdAssignment:
     """A uniformly random injective ID assignment from ``{1..n^c}``.
 
-    Uses rejection sampling without materialising the ID space: draws are
-    retried on collision, which is cheap because the space is ``n^c >= n^3``
-    times larger than the sample (expected extra draws are ``O(1/n)``).
+    Rejection sampling without materialising the ID space, vectorized:
+    ``rng`` yields one ``getrandbits(128)`` draw that seeds a
+    ``numpy.random.Generator``, whose stream of uniform draws from
+    ``[1, n^c]`` is consumed in batches, and the assignment is the first
+    ``n`` distinct values of that stream in draw order — exactly what a
+    sequential draw-and-retry-on-collision loop returns on the same
+    stream, so it is a uniform random injection.  The first batch draws
+    ``n`` values; each top-up draws the expected number of draws needed
+    for the missing ones (:func:`_topup_size`), so even ``c = 1``
+    (space ``n``) finishes in ``O(log n)`` batches.  For ``c >= 2`` a
+    top-up is rare (expected collisions are about ``n^2 / 2n^c``).
 
-    Without an explicit ``rng`` the assignment is a deterministic function
-    of ``(n, c)`` (DET001: unseeded entropy is banned in library code).
+    Spaces beyond int64 (``n^c >= 2^63``, i.e. ``n > 2 097 151`` at
+    ``c = 3``) cannot be drawn by numpy; there the same rule runs as a
+    sequential ``rng.randint`` loop on the caller's ``rng``.
+
+    Only one draw is taken from ``rng`` (on the numpy path), so callers
+    can draw several assignments from one shared ``rng``.  Without an
+    explicit ``rng`` the assignment is a deterministic function of
+    ``(n, c)`` (DET001: unseeded entropy is banned in library code).
     """
     rng = rng or random.Random(stable_seed("repro.local.ids.random_ids", n, c))
     space = id_space_size(n, c)
-    chosen: set = set()
-    ids: List[int] = []
-    while len(ids) < n:
-        x = rng.randint(1, space)
-        if x not in chosen:
-            chosen.add(x)
-            ids.append(x)
-    return ids
+    if space > _INT64_MAX:
+        chosen: set = set()
+        ids: List[int] = []
+        while len(ids) < n:
+            x = rng.randint(1, space)
+            if x not in chosen:
+                chosen.add(x)
+                ids.append(x)
+        return ids
+    gen = np.random.default_rng(rng.getrandbits(128))
+    kept = np.empty(0, dtype=np.int64)
+    while kept.size < n:
+        batch = gen.integers(1, space, size=_topup_size(n, kept.size, space),
+                             endpoint=True)
+        values, first = np.unique(batch, return_index=True)
+        if kept.size:
+            first = first[~np.isin(values, kept, assume_unique=True)]
+        first.sort()
+        kept = np.concatenate((kept, batch[first[:n - kept.size]]))
+    return kept.tolist()
 
 
 def descending_ids(n: int) -> IdAssignment:

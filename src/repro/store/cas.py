@@ -72,7 +72,7 @@ __all__ = [
 #: of a keyed computation change: old entries then never hit (the salt
 #: is part of the digest) and are dropped on the next open (the manifest
 #: no longer matches).
-CODE_SALT = "store-v1"
+CODE_SALT = "store-v2"
 
 #: on-disk wrapper format version (independent of the salt: the salt
 #: names *payload* semantics, the format names the wrapper envelope)

@@ -5,7 +5,9 @@ pass ``Graph`` validation, respect their declared degree bound, and are
 reproducible from ``(name, n, seed)`` alone.
 """
 
+import heapq
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +17,8 @@ from repro.families import (
     caterpillar_tree,
     get_family,
     hypercube_graph,
+    prufer_decode,
+    prufer_sequence,
     prufer_tree,
     random_regular,
     register_family,
@@ -33,6 +37,31 @@ FOREST_FAMILIES = ("random_forest", "fragmented_forest")
 
 def _edge_set(g: Graph):
     return (g.n, sorted(g.edges()))
+
+
+def _heap_decode(seq) -> Graph:
+    """Reference Prüfer decode: a min-heap of current leaves, the
+    textbook O(n log n) form of the smallest-leaf rule that
+    :func:`repro.families.prufer_decode` replaces."""
+    n = len(seq) + 2
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Graph(n, edges)
+
+
+def _chi_square(counts: Counter, cells: int, draws: int) -> float:
+    expected = draws / cells
+    return sum((counts[c] - expected) ** 2 / expected for c in counts)
 
 
 class TestRegistry:
@@ -114,6 +143,47 @@ class TestGenerators:
         assert list(prufer_tree(2, rng).edges()) == [(0, 1)]
         for _ in range(20):
             assert prufer_tree(12, rng).is_tree()
+        # Cayley: 4^2 = 16 labeled trees on 4 nodes, each equally likely.
+        # 3200 seeded draws, chi-square with 15 degrees of freedom below
+        # its 0.1% critical value 37.70
+        draws = 3200
+        counts = Counter(tuple(sorted(prufer_tree(4, rng).edges()))
+                         for _ in range(draws))
+        assert len(counts) == 16
+        assert _chi_square(counts, 16, draws) < 37.70
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_prufer_decode_matches_heap_decode(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            seq = prufer_sequence(n, rng)
+            assert prufer_decode(seq).adjacency() == \
+                _heap_decode(seq.tolist()).adjacency()
+
+    def test_prufer_decode_matches_heap_decode_large(self):
+        seq = prufer_sequence(10_000, random.Random(7))
+        assert prufer_decode(seq).adjacency() == \
+            _heap_decode(seq.tolist()).adjacency()
+
+    def test_prufer_decode_edge_cases(self):
+        assert list(prufer_decode([]).edges()) == [(0, 1)]
+        # a star's sequence repeats its centre; a path's walks its spine
+        assert prufer_decode([2, 2, 2]).degree(2) == 4
+        assert sorted(prufer_decode([1, 2, 3]).edges()) == [
+            (0, 1), (1, 2), (2, 3), (3, 4)]
+        for bad in ([4, 0], [-1, 0]):
+            with pytest.raises(ValueError):
+                prufer_decode(bad)
+        with pytest.raises(ValueError):
+            prufer_sequence(1, random.Random(0))
+
+    def test_prufer_sequence_takes_one_draw_from_rng(self):
+        # callers that share one rng across instances (union families)
+        # see exactly one getrandbits(128) consumed per tree
+        rng, twin = random.Random(5), random.Random(5)
+        prufer_sequence(50, rng)
+        twin.getrandbits(128)
+        assert rng.random() == twin.random()
 
     def test_bounded_degree_respects_delta(self):
         rng = random.Random(3)

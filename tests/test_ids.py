@@ -1,0 +1,80 @@
+"""``random_ids``: the vectorized first-n-distinct sampler against its
+sequential oracle, the beyond-int64 fallback, and uniformity."""
+
+import random
+from collections import Counter
+from itertools import permutations
+
+import numpy as np
+import pytest
+
+from repro.local.ids import _topup_size, random_ids, validate_ids
+
+
+def _sequential_first_distinct(n, c, seed):
+    """Reference: walk the same Generator batches one draw at a time,
+    keeping each value not seen before, until ``n`` are kept."""
+    rng = random.Random(seed)
+    gen = np.random.default_rng(rng.getrandbits(128))
+    space = n**c
+    seen, ids = set(), []
+    while len(ids) < n:
+        size = _topup_size(n, len(ids), space)
+        for x in gen.integers(1, space, size=size, endpoint=True).tolist():
+            if x not in seen:
+                seen.add(x)
+                ids.append(x)
+                if len(ids) == n:
+                    break
+    return ids
+
+
+class TestRandomIdsOracle:
+    @pytest.mark.parametrize("c", (1, 2, 3))
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 16, 33, 100, 2000))
+    def test_matches_sequential_first_distinct(self, n, c):
+        for seed in range(4):
+            ids = random_ids(n, c=c, rng=random.Random(seed))
+            assert ids == _sequential_first_distinct(n, c, seed)
+            validate_ids(ids, space=n**c)
+
+    def test_takes_one_draw_from_shared_rng(self):
+        rng, twin = random.Random(11), random.Random(11)
+        random_ids(40, rng=rng)
+        twin.getrandbits(128)
+        assert rng.random() == twin.random()
+
+
+class TestBeyondInt64:
+    def test_randint_loop_beyond_int64(self):
+        space = 50**12
+        assert space > 2**63 - 1
+        ids = random_ids(50, c=12, rng=random.Random(1))
+        assert len(ids) == 50
+        validate_ids(ids, space=space)
+        assert max(ids) > 2**63  # drawn from the whole space
+        assert ids == random_ids(50, c=12, rng=random.Random(1))
+        assert ids != random_ids(50, c=12, rng=random.Random(2))
+
+    def test_int64_boundary(self):
+        # 2^62 is numpy-drawable, 2^63 is one past int64 and must not be
+        for c in (62, 63):
+            ids = random_ids(2, c=c, rng=random.Random(3))
+            validate_ids(ids, space=2**c)
+        assert random_ids(2, c=62, rng=random.Random(3)) == \
+            _sequential_first_distinct(2, 62, 3)
+
+
+class TestUniformity:
+    def test_all_orders_of_four_equally_likely(self):
+        # c=1 draws a uniform permutation of {1..4} through the top-up
+        # loop: 2400 seeded draws over the 24 orders, chi-square with 23
+        # degrees of freedom below its 0.1% critical value 49.73
+        rng = random.Random(0)
+        draws = 2400
+        counts = Counter(tuple(random_ids(4, c=1, rng=rng))
+                         for _ in range(draws))
+        assert set(counts) == set(permutations(range(1, 5)))
+        expected = draws / 24
+        chi2 = sum((k - expected) ** 2 / expected for k in counts.values())
+        assert chi2 < 49.73

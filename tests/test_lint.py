@@ -65,6 +65,62 @@ class TestDET001UnseededRandom:
                "y = r.randint(1, 5)\n")
         assert rule_ids(src) == []
 
+    def test_seeded_numpy_generators_are_clean(self):
+        src = ("import random\n"
+               "import numpy as np\n"
+               "from numpy.random import default_rng\n"
+               "rng = random.Random(7)\n"
+               "a = np.random.default_rng(rng.getrandbits(128))\n"
+               "b = np.random.Generator(np.random.PCG64(3))\n"
+               "c = np.random.SeedSequence(entropy=5)\n"
+               "d = default_rng(seed=1)\n"
+               "x = a.integers(0, 10, size=4)\n")
+        assert rule_ids(src) == []
+
+    def test_unseeded_numpy_generators_fire(self):
+        src = ("import numpy as np\n"
+               "a = np.random.default_rng()\n"
+               "b = np.random.default_rng(None)\n"
+               "c = np.random.SeedSequence(entropy=None)\n"
+               "d = np.random.Generator(np.random.PCG64())\n")
+        findings = analyze_source(src, SRC)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("DET001", 2), ("DET001", 3), ("DET001", 4), ("DET001", 5)]
+        assert "OS entropy" in findings[-1].message
+
+    def test_numpy_global_draws_fire_even_with_arguments(self):
+        src = ("import numpy as np\n"
+               "np.random.seed(7)\n"
+               "np.random.shuffle([1, 2])\n"
+               "x = np.random.randint(0, 5, size=3)\n")
+        assert rule_ids(src) == ["DET001"] * 3
+
+    def test_random_random_with_literal_none_fires(self):
+        src = ("import random\n"
+               "r = random.Random(None)\n")
+        assert rule_ids(src) == ["DET001"]
+
+    def test_interprocedural_evidence_shares_the_predicate(self):
+        from repro.lint.summaries import extract_module_facts
+
+        facts = extract_module_facts(
+            "src/repro/g.py",
+            "import numpy as np\n"
+            "\n"
+            "def seeded(rng):\n"
+            "    return np.random.default_rng(rng.getrandbits(128))\n"
+            "\n"
+            "def unseeded():\n"
+            "    return np.random.default_rng()\n"
+            "\n"
+            "def global_draw():\n"
+            "    return np.random.rand(3)\n",
+        )
+        entropy = {f.qualname: f.entropy for f in facts.functions}
+        assert entropy["repro.g.seeded"] is None
+        assert entropy["repro.g.unseeded"] is not None
+        assert entropy["repro.g.global_draw"] is not None
+
 
 class TestDET002BuiltinHash:
     def test_hash_call_fires(self):
