@@ -70,7 +70,7 @@ class WaitForWholeGraph(LocalAlgorithm):
         n = views.n
         ready = views.ready(live)
         if not len(ready):
-            return []
+            return (), ()
         if self._comp_of is None:
             self._comp_of = [0] * n
             for comp in views.graph.connected_components():
@@ -79,14 +79,14 @@ class WaitForWholeGraph(LocalAlgorithm):
                 for u in comp:
                     self._comp_of[u] = comp[0]
         comp_of, ids = self._comp_of, views.ids
-        decided = []
+        labels = []
         for v in ready.tolist():
             key = comp_of[v]
             if key not in self._cache:
                 masked = [ids[u] if comp_of[u] == key else 0 for u in range(n)]
                 self._cache[key] = self._solve(views.graph, masked)
-            decided.append((v, self._cache[key][v]))
-        return decided
+            labels.append(self._cache[key][v])
+        return ready, labels
 
     def max_rounds_hint(self, n: int) -> int:
         return n + 2

@@ -207,9 +207,9 @@ class DFreeAlgorithmA(LocalAlgorithm):
         """Batched form: one centralized solve, then the whole live set
         commits at once when the schedule fires."""
         if t < self._R:
-            return []
+            return (), ()
         outputs = self._solve(views.graph, views.n).outputs
-        return [(v, outputs[v]) for v in live]
+        return live, [outputs[v] for v in live.tolist()]
 
     def max_rounds_hint(self, n: int) -> int:
         return dfree_radius(n, self.d)[1] + 4

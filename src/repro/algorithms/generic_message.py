@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lcl.hierarchical import B, COLORS_3, D, E, W
-from ..local.algorithm import CONTINUE
+from ..local.algorithm import CONTINUE, CommitSchedule
 from ..local.graph import Graph
 from ..local.ids import id_space_size
 from ..local.message import MessageAlgorithm, NodeInfo
@@ -80,7 +80,7 @@ class GenericPhaseColoring(MessageAlgorithm):
         self.name = f"generic-phases-{variant}-message"
         self._starts = phase_schedule(k, gammas)
         self._cv_iters = 0
-        self._replay: Optional[Dict[int, List[Tuple[int, str]]]] = None
+        self._replay: Optional[CommitSchedule] = None
 
     def setup(self, graph: Graph, n: int) -> None:
         self._cv_iters = cv_iterations(id_space_size(max(2, n), self.id_exponent))
@@ -113,16 +113,17 @@ class GenericPhaseColoring(MessageAlgorithm):
 
     def decide_batch(self, views, live, t: int):
         """Batched form: the whole-graph commit schedule is computed once
-        and then emitted round by round from a ``round -> [(node, label)]``
-        table.  On forests the schedule comes from the centralized
-        fast-forward (which replays exactly this state machine — the two
-        executors are differentially tested), replacing per-node chain
-        gathering for every node and round.  On graphs with cycle
-        components the fast-forward's level-path walk is undefined, but
-        the state machine itself is not — there the schedule is derived
-        from one global run of the message dynamics, exactly what the
-        incremental engine executes, so the engines stay observationally
-        identical on the algorithm's full input domain."""
+        and then streamed round by round from a
+        :class:`~repro.local.algorithm.CommitSchedule`.  On forests the
+        schedule comes from the centralized fast-forward (which replays
+        exactly this state machine — the two executors are
+        differentially tested), replacing per-node chain gathering for
+        every node and round.  On graphs with cycle components the
+        fast-forward's level-path walk is undefined, but the state
+        machine itself is not — there the schedule is derived from one
+        global run of the message dynamics, exactly what the incremental
+        engine executes, so the engines stay observationally identical
+        on the algorithm's full input domain."""
         if self._replay is None:
             graph, ids = views.graph, views.ids
             if graph.is_forest():
@@ -140,11 +141,8 @@ class GenericPhaseColoring(MessageAlgorithm):
                     graph, self, list(ids), views.budget,
                     neighbor_lists=views.neighbor_lists(),
                 )
-            by_round: Dict[int, List[Tuple[int, str]]] = {}
-            for v, (r, out) in enumerate(zip(rounds, outs)):
-                by_round.setdefault(r, []).append((v, out))
-            self._replay = by_round
-        return self._replay.get(t, [])
+            self._replay = CommitSchedule(rounds, outs)
+        return self._replay.due(t)
 
     # ------------------------------------------------------------------
     def transition(self, state: _State, incoming: Sequence, t: int) -> _State:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..local import vec
-from ..local.algorithm import CONTINUE, LocalAlgorithm, View
+from ..local.algorithm import CONTINUE, CommitSchedule, LocalAlgorithm, View
 from ..local.graph import Graph
 
 __all__ = [
@@ -434,6 +434,7 @@ class RakeCompressLayering(LocalAlgorithm):
         self.gamma = gamma
         self.ell = ell
         self._schedule: Optional[Tuple[List[int], List[str]]] = None
+        self._due: Optional[CommitSchedule] = None
         self._schedule_graph: Optional[Graph] = None
 
     def setup(self, graph: Graph, n: int) -> None:
@@ -442,6 +443,7 @@ class RakeCompressLayering(LocalAlgorithm):
         # drops when the graph changes
         if self._schedule_graph is not graph:
             self._schedule = None
+            self._due = None
             self._schedule_graph = graph
 
     def _rounds(self, graph: Graph) -> Tuple[List[int], List[str]]:
@@ -472,10 +474,11 @@ class RakeCompressLayering(LocalAlgorithm):
         return labels[view.center]
 
     def decide_batch(self, views, live, t: int):
-        """Batched form: one schedule computation, commits streamed out
-        per round over the live list."""
-        rounds, labels = self._rounds(views.graph)
-        return [(v, labels[v]) for v in live if rounds[v] <= t]
+        """Batched form: the schedule, bucketed by round once per graph,
+        streams out each round's commits."""
+        if self._due is None:
+            self._due = CommitSchedule(*self._rounds(views.graph))
+        return self._due.due(t)
 
     def max_rounds_hint(self, n: int) -> int:
         return (self.gamma + 1) * (n + 2) + 4

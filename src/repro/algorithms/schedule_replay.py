@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from ..local.algorithm import BatchedAlgorithm
+from ..local.algorithm import BatchedAlgorithm, CommitSchedule
 from ..local.graph import Graph
 from ..local.metrics import ExecutionTrace
 
@@ -51,29 +51,29 @@ class ScheduleReplay(BatchedAlgorithm):
     the first ``decide_batch`` of each execution (``setup`` clears the
     cache, and the ids-identity check guards ``run_batch``'s
     one-instance-many-samples reuse); each round then commits exactly the
-    nodes whose scheduled round has arrived.
+    nodes whose scheduled round has arrived, streamed from a
+    :class:`~repro.local.algorithm.CommitSchedule`.
     """
 
     def __init__(self, name: str, fast_forward: FastForward) -> None:
         self.name = name
         self._fast_forward = fast_forward
         self._ids: Optional[List[int]] = None
-        self._trace: Optional[ExecutionTrace] = None
+        self._schedule: Optional[CommitSchedule] = None
 
     def setup(self, graph: Graph, n: int) -> None:
         self._ids = None
-        self._trace = None
+        self._schedule = None
 
-    def _ensure(self, views) -> ExecutionTrace:
-        if self._trace is None or self._ids is not views.ids:
-            self._trace = self._fast_forward(views.graph, list(views.ids))
+    def _ensure(self, views) -> CommitSchedule:
+        if self._schedule is None or self._ids is not views.ids:
+            trace = self._fast_forward(views.graph, list(views.ids))
+            self._schedule = CommitSchedule(trace.rounds, trace.outputs)
             self._ids = views.ids
-        return self._trace
+        return self._schedule
 
     def decide_batch(self, views, live, t: int):
-        trace = self._ensure(views)
-        rounds, outputs = trace.rounds, trace.outputs
-        return [(v, outputs[v]) for v in live if rounds[v] <= t]
+        return self._ensure(views).due(t)
 
     def max_rounds_hint(self, n: int) -> int:
         # worst-case commit rounds of the wrapped solvers are O(n); leave

@@ -281,12 +281,11 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         state machine becomes five int64 arrays (two forest labels, two
         parent pointers, the composite) advanced by whole-array bit
         tricks, one round per call — same schedule, same labels, all
-        nodes commit together at ``cv_total_rounds``.  Never touches the
-        frontier scheduler (the CV schedule needs no ball facts), so a
-        batched run does zero BFS work."""
+        nodes commit together at ``cv_total_rounds`` as one array pair.
+        Never touches the frontier scheduler (the CV schedule needs no
+        ball facts), so a batched run does zero BFS work."""
         if t >= self._total:
-            comp = self._bstate["comp"]
-            return [(v, int(comp[v])) for v in live]
+            return live, self._bstate["comp"][live]
         st = self._bstate
         if st is None:
             st = self._bstate = self._batch_init(views)
@@ -302,7 +301,7 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         else:
             color = 8 - (t - iters - 3)
             st["comp"] = self._batch_shed_composite(st, color)
-        return []
+        return (), ()
 
     @staticmethod
     def _batch_init(views) -> dict:
@@ -390,7 +389,7 @@ class CanonicalTwoColoring(LocalAlgorithm):
     name = "canonical-2coloring"
 
     def __init__(self) -> None:
-        self._colors: Optional[List[int]] = None
+        self._colors: Optional[np.ndarray] = None
 
     def setup(self, graph: Graph, n: int) -> None:
         self._colors = None  # per-execution memo (IDs change across runs)
@@ -410,7 +409,7 @@ class CanonicalTwoColoring(LocalAlgorithm):
         parity computation returns exactly these colours."""
         ready = views.ready(live)
         if not len(ready):
-            return []
+            return (), ()
         if self._colors is None:
             graph, ids = views.graph, views.ids
             colors = [0] * views.n
@@ -419,9 +418,8 @@ class CanonicalTwoColoring(LocalAlgorithm):
             ):
                 for w, d in dist_root.items():
                     colors[w] = d % 2
-            self._colors = colors
-        colors = self._colors
-        return [(v, colors[v]) for v in ready.tolist()]
+            self._colors = np.array(colors, dtype=np.int64)
+        return ready, self._colors[ready]
 
     def max_rounds_hint(self, n: int) -> int:
         return n + 2

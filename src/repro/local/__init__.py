@@ -1,6 +1,13 @@
 """LOCAL model substrate: graphs, identifiers, views, simulator, metrics."""
 
-from .algorithm import BatchedAlgorithm, CONTINUE, BallStore, LocalAlgorithm, View
+from .algorithm import (
+    CONTINUE,
+    BallStore,
+    BatchedAlgorithm,
+    CommitSchedule,
+    LocalAlgorithm,
+    View,
+)
 from .frontier import BatchedViews, FrontierScheduler
 from .graph import (
     Graph,
@@ -34,6 +41,7 @@ __all__ = [
     "BallStore",
     "BatchedAlgorithm",
     "BatchedViews",
+    "CommitSchedule",
     "FrontierScheduler",
     "LocalAlgorithm",
     "View",

@@ -17,11 +17,14 @@ that and nothing more.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .graph import Graph
 
-__all__ = ["CONTINUE", "BallStore", "View", "LocalAlgorithm", "BatchedAlgorithm"]
+__all__ = ["CONTINUE", "BallStore", "View", "LocalAlgorithm", "BatchedAlgorithm",
+           "CommitSchedule"]
 
 
 class _Continue:
@@ -292,16 +295,55 @@ class BatchedAlgorithm:
         instance across many ID samples)."""
 
     def decide_batch(self, views, live, t: int):
-        """Return this round's commits as an iterable of ``(node, label)``.
+        """Return this round's commits as one aligned pair
+        ``(nodes, labels)``.
 
         ``views`` is a :class:`repro.local.frontier.BatchedViews` exposing
         the shared ball facts and per-node view materialization; ``live``
-        is the sorted list of not-yet-committed nodes.  Must only commit
-        live nodes, and each at most once.  Returning an empty iterable
-        means every live node continues.
+        is the sorted, read-only int64 array of not-yet-committed nodes.
+        ``nodes`` holds integer handles (an integer numpy array or a
+        sequence of ints) and ``labels[i]`` is the output of
+        ``nodes[i]`` (any sequence; a numpy array is converted with
+        ``tolist``, so outputs are plain Python scalars).  Must only
+        commit live nodes, and each at most once; the engine raises
+        :class:`~repro.local.simulator.SimulationError` on a non-integer
+        or out-of-range handle, misaligned labels or a repeated commit.
+        Returning ``((), ())`` means every live node continues.  A
+        precomputed schedule streams through :class:`CommitSchedule`.
         """
         raise NotImplementedError
 
     def max_rounds_hint(self, n: int) -> int:
         """Upper bound on rounds; the simulator errors beyond this."""
         return 4 * n + 64
+
+
+class CommitSchedule:
+    """A precomputed commit schedule, streamed one round at a time.
+
+    Node ``v`` commits ``labels[v]`` at round ``rounds[v]``.
+    :meth:`due` returns round ``t``'s bucket in the ``decide_batch``
+    return form, so an algorithm that knows its whole schedule up front
+    (a replayed fast-forward, a centrally computed decomposition) emits
+    each round with one slice instead of filtering the live set.  Rounds
+    below 0 fall due at round 0, the engine's first round.
+    """
+
+    __slots__ = ("_rounds", "_nodes", "_labels")
+
+    def __init__(self, rounds: Sequence[int], labels: Sequence) -> None:
+        r = np.maximum(np.asarray(rounds, dtype=np.int64), 0)
+        if r.ndim != 1 or len(r) != len(labels):
+            raise ValueError("rounds and labels must be aligned sequences")
+        order = np.argsort(r, kind="stable")
+        order.flags.writeable = False
+        self._rounds = r[order]
+        self._nodes = order
+        self._labels = [labels[v] for v in order.tolist()]
+
+    def due(self, t: int) -> Tuple[np.ndarray, List]:
+        """``(nodes, labels)`` committing at round ``t``: the nodes as an
+        ascending read-only int64 array, their labels as a list."""
+        lo = int(np.searchsorted(self._rounds, t, side="left"))
+        hi = int(np.searchsorted(self._rounds, t, side="right"))
+        return self._nodes[lo:hi], self._labels[lo:hi]

@@ -249,7 +249,7 @@ class BatchedViews:
     """
 
     __slots__ = ("graph", "n", "ids", "round", "budget", "commit_round",
-                 "outputs", "_scheduler", "_stores")
+                 "outputs", "stores", "_scheduler")
 
     def __init__(
         self,
@@ -272,7 +272,9 @@ class BatchedViews:
         self.commit_round = commit_round
         self.outputs = outputs
         self._scheduler = scheduler
-        self._stores: Dict[int, BallStore] = {}
+        #: the ball stores :meth:`view_of` materialized, by centre; the
+        #: engine releases a centre's store when it commits
+        self.stores: Dict[int, BallStore] = {}
 
     # -- flat ball facts ----------------------------------------------
     def _grown(self) -> FrontierScheduler:
@@ -312,7 +314,7 @@ class BatchedViews:
         ``len(view.nodes()) == n or view.sees_whole_component()``, in one
         array expression over the whole live set."""
         scheduler = self._grown()
-        la = np.fromiter(live, dtype=np.int64, count=len(live))
+        la = np.asarray(live, dtype=np.int64)
         return la[(scheduler.ball_size[la] == self.n)
                   | scheduler.complete[la]]
 
@@ -321,14 +323,10 @@ class BatchedViews:
         """The ordinary radius-``t`` :class:`View` of live node ``v``,
         windowed over the shared layer pool."""
         scheduler = self._grown()
-        store = self._stores.get(v)
+        store = self.stores.get(v)
         if store is None:
             store = BallStore(self.graph, v, layers=scheduler.pool(v))
-            self._stores[v] = store
+            self.stores[v] = store
         store.grow_to(self.round)
         return View(self.graph, v, self.round, self.ids, self.commit_round,
                     self.outputs, store=store)
-
-    def drop(self, v: int) -> None:
-        """Release node ``v``'s materialized store after it commits."""
-        self._stores.pop(v, None)

@@ -27,8 +27,8 @@ assignment is part of the experiment design:
 * :data:`ID_MODES` / :func:`make_ids` — the named registry sweeps expose
   as an axis (``python -m repro.sweep --id-mode ...``);
 * :func:`id_space_size` — the canonical ID space size ``n^c``;
-* :func:`validate_ids` — the uniqueness/positivity check every simulator
-  entry point applies to caller-supplied assignments.
+* :func:`validate_ids` — the integer/uniqueness/positivity check every
+  simulator entry point applies to caller-supplied assignments.
 """
 
 from __future__ import annotations
@@ -231,11 +231,22 @@ def make_ids(
     return get_id_mode(mode).fn(n, rng)
 
 
+#: what :func:`validate_ids` accepts as an ID: Python and numpy integers
+_INTEGER_TYPES = (int, np.integer)
+
+
 def validate_ids(ids: IdAssignment, space: Optional[int] = None) -> None:
-    """Raise ``ValueError`` unless ``ids`` are positive, unique, in range."""
+    """Raise ``ValueError`` unless ``ids`` are unique positive integers in
+    range.  Python and numpy integers are accepted.  Anything else
+    (floats, strings) is rejected up front, so every engine fails the
+    same way instead of the batched engine's int64 arrays silently
+    truncating a float ID.
+    """
     if len(set(ids)) != len(ids):
         raise ValueError("IDs must be unique")
     for x in ids:
+        if not isinstance(x, _INTEGER_TYPES):
+            raise ValueError(f"IDs must be integers, got {x!r}")
         if x < 1:
             raise ValueError("IDs must be >= 1")
         if space is not None and x > space:

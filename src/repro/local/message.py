@@ -107,9 +107,9 @@ def run_message_dynamics(
     ]
     commit_round: List[Optional[int]] = [None] * n
     outputs: List = [None] * n
-    # commit-flag array + sorted live list, same shape as the view engines'
-    # _apply_commits: flag writes during the decide scan, one flag-filter
-    # rebuild per deciding round — no per-round set churn
+    # commit-flag array + sorted live list: flag writes during the decide
+    # scan, one flag-filter rebuild per deciding round — no per-round set
+    # churn
     committed = bytearray(n)
     live = list(range(n))
 

@@ -35,11 +35,19 @@ algorithms and ID assignments — but they trade transparency for speed:
   together (one flat CSR sweep per round instead of ``n`` dict BFS loops)
   and algorithms implementing ``decide_batch(views, live, t)`` (see
   :class:`repro.local.algorithm.BatchedAlgorithm`) decide over the whole
-  live set at once with array-level operations.  Algorithms without
+  live set at once with array-level operations: ``live`` is a sorted
+  int64 array, and each round's commits come back as one aligned
+  ``(nodes, labels)`` pair.  Algorithms without
   ``decide_batch`` still run unmodified: view algorithms through a
   per-node adapter over the shared scheduler, message algorithms through
   the same global dynamics as ``incremental`` (one shared state machine
   *is* the batched execution of a message algorithm).
+
+Every view engine applies a round's commits through one shared
+:func:`_apply_commits`: the ``(nodes, labels)`` pair is validated
+(integer handles, alignment, range, repeated commits) and applied with
+array operations — one scatter into the commit flags, one mask over the
+live array.
 
 The structured algorithms in :mod:`repro.algorithms` additionally ship
 "fast-forward" executors that compute the same ``(T_v, output)`` map
@@ -50,6 +58,8 @@ simulator.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from .algorithm import CONTINUE, BallStore, LocalAlgorithm, View
 from .graph import Graph
@@ -232,26 +242,78 @@ def _budget_check(algorithm, t: int, budget: int, live) -> None:
 # ----------------------------------------------------------------------
 # view-based engines
 # ----------------------------------------------------------------------
-def _apply_commits(decided, t, commit_round, outputs, live, committed):
-    """Simultaneous commits: record them in the shared commit-flag array,
-    then drop committed nodes from the (sorted) live list with one flag
-    scan — no per-round set construction, no re-sort (commits only ever
-    remove).  ``committed`` is a ``bytearray`` the batched engine's
-    frontier scheduler shares zero-copy, so flagged centres drop out of
-    the flat frontier on its next sweep."""
-    n = len(committed)
-    for v, label in decided:
-        if not 0 <= v < n:
-            # guard against negative indices silently aliasing node n-1
-            raise SimulationError(
-                f"commit for out-of-range node {v!r} (round {t})"
-            )
-        if committed[v]:
-            raise SimulationError(f"node {v} committed twice (round {t})")
-        committed[v] = 1
+def _live_array(nodes: np.ndarray) -> np.ndarray:
+    """Seal a live array before handing it to algorithms: writes raise,
+    since a mutated live set would corrupt every later round."""
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _apply_commits(decided, t, commit_round, outputs, live, committed,
+                   stores=None):
+    """Apply one round's simultaneous commits; return the new live array.
+
+    ``decided`` is the round's ``(nodes, labels)`` pair: integer handles
+    and their aligned labels (any two sequences; a numpy ``labels``
+    array is converted with ``tolist`` so outputs hold plain Python
+    scalars).  Every check and update is an array operation over the
+    batch: integer dtype, alignment and range are validated, nodes
+    already committed raise, the flags are set in one scatter into the
+    shared commit-flag ``bytearray`` (the batched engine's frontier
+    scheduler views it zero-copy, so flagged centres drop out of the
+    flat frontier on its next sweep), and one mask over the sorted int64
+    ``live`` array drops the committed nodes.  ``live`` is exactly the
+    unflagged nodes, so the mask drops fewer nodes than the batch holds
+    iff the batch repeats one.  ``stores`` maps nodes to per-node ball
+    stores; committed nodes' entries are released.
+    """
+    try:
+        nodes, labels = decided
+    except (TypeError, ValueError):
+        raise SimulationError(
+            f"decide_batch must return a (nodes, labels) pair (round {t})"
+        ) from None
+    k = len(nodes)
+    if len(labels) != k:
+        raise SimulationError(
+            f"{k} nodes committed with {len(labels)} labels (round {t})"
+        )
+    if not k:
+        return live
+    nodes = np.asarray(nodes)
+    if nodes.ndim != 1 or nodes.dtype.kind not in "iu":
+        raise SimulationError(
+            f"commit handles must be a 1-D integer array, got "
+            f"{nodes.dtype} of shape {nodes.shape} (round {t})"
+        )
+    flags = np.frombuffer(committed, dtype=np.uint8)
+    n = len(flags)
+    if nodes.min() < 0 or nodes.max() >= n:
+        # guard against negative indices silently aliasing node n-1
+        v = nodes[(nodes < 0) | (nodes >= n)][0]
+        raise SimulationError(f"commit for out-of-range node {v} (round {t})")
+    again = flags[nodes] != 0
+    if again.any():
+        raise SimulationError(
+            f"node {nodes[again][0]} committed twice (round {t})"
+        )
+    flags[nodes] = 1
+    kept = live[flags[live] == 0]
+    if len(live) - len(kept) != k:
+        values, counts = np.unique(nodes, return_counts=True)
+        raise SimulationError(
+            f"node {values[counts > 1][0]} committed twice (round {t})"
+        )
+    if isinstance(labels, np.ndarray):
+        labels = labels.tolist()
+    node_list = nodes.tolist()
+    for v, label in zip(node_list, labels):
         commit_round[v] = t
         outputs[v] = label
-    return [v for v in live if not committed[v]]
+    if stores:
+        for v in node_list:
+            stores.pop(v, None)
+    return _live_array(kept)
 
 
 def _run_view_reference(graph, algorithm, id_list, budget, atlas):
@@ -261,21 +323,21 @@ def _run_view_reference(graph, algorithm, id_list, budget, atlas):
     commit_round: List[Optional[int]] = [None] * n
     outputs: List = [None] * n
     committed = bytearray(n)
-    live = list(range(n))
+    live = _live_array(np.arange(n, dtype=np.int64))
 
     t = 0
-    while live:
+    while len(live):
         _budget_check(algorithm, t, budget, live)
-        decided = []
-        for v in live:
+        nodes, labels = [], []
+        for v in live.tolist():
             view = View(graph, v, t, id_list, commit_round, outputs)
             decision = algorithm.decide(view, n)
             if decision is not CONTINUE:
-                decided.append((v, decision))
-        if decided:
-            live = _apply_commits(
-                decided, t, commit_round, outputs, live, committed
-            )
+                nodes.append(v)
+                labels.append(decision)
+        live = _apply_commits(
+            (nodes, labels), t, commit_round, outputs, live, committed
+        )
         t += 1
     return commit_round, outputs
 
@@ -287,7 +349,7 @@ def _run_view_incremental(graph, algorithm, id_list, budget, atlas):
     commit_round: List[Optional[int]] = [None] * n
     outputs: List = [None] * n
     committed = bytearray(n)
-    live = list(range(n))
+    live = _live_array(np.arange(n, dtype=np.int64))
     if atlas is None:
         stores = {v: BallStore(graph, v) for v in range(n)}
     else:
@@ -297,22 +359,20 @@ def _run_view_incremental(graph, algorithm, id_list, budget, atlas):
         }
 
     t = 0
-    while live:
+    while len(live):
         _budget_check(algorithm, t, budget, live)
-        decided = []
-        for v in live:
+        nodes, labels = [], []
+        for v in live.tolist():
             store = stores[v]
             store.grow_to(t)
             view = View(graph, v, t, id_list, commit_round, outputs, store=store)
             decision = algorithm.decide(view, n)
             if decision is not CONTINUE:
-                decided.append((v, decision))
-        if decided:
-            live = _apply_commits(
-                decided, t, commit_round, outputs, live, committed
-            )
-            for v, _label in decided:
-                del stores[v]
+                nodes.append(v)
+                labels.append(decision)
+        live = _apply_commits(
+            (nodes, labels), t, commit_round, outputs, live, committed, stores
+        )
         t += 1
     return commit_round, outputs
 
@@ -324,6 +384,8 @@ class _PerNodeBatchAdapter:
     node at a time over the shared frontier scheduler's layer pool, so an
     existing :class:`~repro.local.algorithm.LocalAlgorithm` observes
     exactly the store-backed views the incremental engine would hand it.
+    The live array is iterated through ``tolist`` so views keep plain
+    ``int`` centres.
     """
 
     __slots__ = ("_algorithm", "name")
@@ -335,12 +397,13 @@ class _PerNodeBatchAdapter:
     def decide_batch(self, views, live, t):
         n = views.n
         decide = self._algorithm.decide
-        decided = []
-        for v in live:
+        nodes, labels = [], []
+        for v in live.tolist():
             decision = decide(views.view_of(v), n)
             if decision is not CONTINUE:
-                decided.append((v, decision))
-        return decided
+                nodes.append(v)
+                labels.append(decision)
+        return nodes, labels
 
 
 def _run_view_batched(graph, algorithm, id_list, budget, atlas):
@@ -356,7 +419,7 @@ def _run_view_batched(graph, algorithm, id_list, budget, atlas):
     commit_round: List[Optional[int]] = [None] * n
     outputs: List = [None] * n
     committed = bytearray(n)
-    live = list(range(n))
+    live = _live_array(np.arange(n, dtype=np.int64))
     scheduler = FrontierScheduler(graph, committed, atlas=atlas)
     views = BatchedViews(
         graph, id_list, commit_round, outputs, scheduler, budget=budget
@@ -371,16 +434,13 @@ def _run_view_batched(graph, algorithm, id_list, budget, atlas):
         )
 
     t = 0
-    while live:
+    while len(live):
         _budget_check(algorithm, t, budget, live)
         views.round = t
-        decided = list(batched.decide_batch(views, live, t))
-        if decided:
-            live = _apply_commits(
-                decided, t, commit_round, outputs, live, committed
-            )
-            for v, _label in decided:
-                views.drop(v)
+        live = _apply_commits(
+            batched.decide_batch(views, live, t), t, commit_round, outputs,
+            live, committed, views.stores,
+        )
         t += 1
     return commit_round, outputs
 
@@ -417,23 +477,23 @@ def _run_message_reference(graph, algorithm, id_list, budget, atlas):
     commit_round: List[Optional[int]] = [None] * n
     outputs: List = [None] * n
     committed = bytearray(n)
-    live = list(range(n))
+    live = _live_array(np.arange(n, dtype=np.int64))
 
     t = 0
-    while live:
+    while len(live):
         _budget_check(algorithm, t, budget, live)
-        decided = []
-        for v in live:
+        nodes, labels = [], []
+        for v in live.tolist():
             dist = graph.ball(v, t)
             decision = _message_decision_from_ball(
                 graph, algorithm, id_list, n, v, t, dist
             )
             if decision is not CONTINUE:
-                decided.append((v, decision))
-        if decided:
-            live = _apply_commits(
-                decided, t, commit_round, outputs, live, committed
-            )
+                nodes.append(v)
+                labels.append(decision)
+        live = _apply_commits(
+            (nodes, labels), t, commit_round, outputs, live, committed
+        )
         t += 1
     return commit_round, outputs
 

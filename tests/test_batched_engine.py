@@ -5,19 +5,23 @@ The observational three-way engine contract is pinned in
 the :class:`~repro.local.frontier.FrontierScheduler` must grow layer
 pools byte-identical to per-node :class:`~repro.local.algorithm.BallStore`
 growth (same lists, same order), plus coverage for the adversarial ID
-modes, the cached trace percentiles, and the sweep's auto-engine /
-id-mode axes.
+modes, the cached trace percentiles, the sweep's auto-engine /
+id-mode axes, and :class:`~repro.local.algorithm.CommitSchedule` against
+the live-set filter it replaced.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.families import get_family
 from repro.local import (
     ID_MODES,
     BallStore,
+    BatchedAlgorithm,
     BatchedViews,
+    CommitSchedule,
     FrontierScheduler,
     Graph,
     LocalSimulator,
@@ -130,6 +134,123 @@ class TestFrontierScheduler:
             views.complete_mask()[0] = True
         with _pytest.raises(ValueError):
             views.ball_sizes()[0] = 99
+
+
+def _filter_oracle(rounds, labels):
+    """The schedule streaming :class:`CommitSchedule` replaced: every
+    round, filter the live list by ``rounds[v] <= t`` and drop the
+    committed nodes — one ``(nodes, labels)`` pair per round until no
+    node is live, as the engine calls it."""
+    live = list(range(len(rounds)))
+    out = []
+    t = 0
+    while live:
+        due = [v for v in live if rounds[v] <= t]
+        out.append((due, [labels[v] for v in due]))
+        live = [v for v in live if rounds[v] > t]
+        t += 1
+    return out
+
+
+#: the label shapes ``weighted35_replay`` emits: strings and tuples of
+#: one and two strings (equal-length tuples must stay tuples)
+_MIXED_LABELS = ("D", "R", ("Copy", "D"), ("Decline",), ("Copy", "R"), "G")
+
+
+class TestCommitSchedule:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_due_matches_live_filter(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 60)
+        # round 0, gaps between the occupied rounds, repeated rounds
+        occupied = sorted(rng.sample(range(0, 3 * n + 5), rng.randint(1, 6)))
+        if seed % 2:
+            occupied[0] = 0
+        rounds = [rng.choice(occupied) for _ in range(n)]
+        labels = [rng.choice(_MIXED_LABELS) for _ in range(n)]
+        schedule = CommitSchedule(rounds, labels)
+        for t, (nodes, labs) in enumerate(_filter_oracle(rounds, labels)):
+            got_nodes, got_labels = schedule.due(t)
+            assert got_nodes.dtype == np.int64
+            assert got_nodes.tolist() == nodes
+            assert got_labels == labs
+            assert [type(x) for x in got_labels] == [type(x) for x in labs]
+
+    def test_negative_rounds_fall_due_at_round_zero(self):
+        schedule = CommitSchedule([-3, 2, 0, -1], ["a", "b", "c", "d"])
+
+        def due(t):
+            nodes, labels = schedule.due(t)
+            return nodes.tolist(), labels
+
+        assert due(0) == ([0, 2, 3], ["a", "c", "d"])
+        assert due(1) == ([], [])
+        assert due(2) == ([1], ["b"])
+        assert due(3) == ([], [])
+
+    def test_due_nodes_are_read_only(self):
+        nodes, _ = CommitSchedule([0, 0, 1], "abc").due(0)
+        with pytest.raises(ValueError):
+            nodes[0] = 2
+
+    def test_misaligned_schedule_rejected(self):
+        with pytest.raises(ValueError):
+            CommitSchedule([0, 1, 2], ["a", "b"])
+
+    def test_engine_replays_a_schedule_exactly(self):
+        rng = random.Random(5)
+        g = path_graph(40)
+        rounds = [rng.choice((0, 2, 3, 7)) for _ in range(g.n)]
+        labels = [rng.choice(_MIXED_LABELS) for _ in range(g.n)]
+
+        class Replay(BatchedAlgorithm):
+            name = "replay"
+
+            def setup(self, graph, n):
+                self._schedule = CommitSchedule(rounds, labels)
+
+            def decide_batch(self, views, live, t):
+                return self._schedule.due(t)
+
+        tr = LocalSimulator(engine="batched").run(g, Replay())
+        assert tr.rounds == rounds
+        assert tr.outputs == labels
+        assert [type(x) for x in tr.outputs] == [type(x) for x in labels]
+
+
+class TestBatchedOutputTypes:
+    """Array-form commits must reach the trace as plain Python values."""
+
+    def test_cole_vishkin_outputs_are_plain_ints(self):
+        from repro.algorithms import ColeVishkin3Coloring
+
+        g = path_graph(300)
+        ids = random_ids(g.n, rng=random.Random(4))
+        tr = LocalSimulator(engine="batched").run(g, ColeVishkin3Coloring(), ids)
+        ref = LocalSimulator(engine="reference").run(g, ColeVishkin3Coloring(), ids)
+        assert all(type(x) is int for x in tr.outputs)
+        assert all(type(r) is int for r in tr.rounds)
+        assert tr.outputs == ref.outputs and tr.rounds == ref.rounds
+
+    def test_rake_outputs_are_plain_strs(self):
+        from repro.algorithms import RakeCompressLayering
+
+        g = get_family("random_tree").instance(200, 3, 0)
+        tr = LocalSimulator(engine="batched").run(g, RakeCompressLayering())
+        ref = LocalSimulator(engine="reference").run(g, RakeCompressLayering())
+        assert all(type(x) is str for x in tr.outputs)
+        assert all(type(r) is int for r in tr.rounds)
+        assert tr.outputs == ref.outputs and tr.rounds == ref.rounds
+
+    def test_two_coloring_outputs_are_plain_ints(self):
+        from repro.algorithms import CanonicalTwoColoring
+
+        g = balanced_tree(3, 3)
+        ids = random_ids(g.n, rng=random.Random(8))
+        tr = LocalSimulator(engine="batched").run(g, CanonicalTwoColoring(), ids)
+        ref = LocalSimulator(engine="reference").run(g, CanonicalTwoColoring(), ids)
+        assert all(type(x) is int for x in tr.outputs)
+        assert tr.outputs == ref.outputs and tr.rounds == ref.rounds
 
 
 class TestAdversarialIds:

@@ -14,6 +14,7 @@ BFS-layer reuse in ``run_batch``).
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.algorithms import (
@@ -163,23 +164,22 @@ def _dfree_instance(n, seed, frac=0.2):
 
 
 class _AllAtRoundOne(BatchedAlgorithm):
-    """Pure batched algorithm (no per-node form): everyone commits 0 at
-    round 1 — exercises the native decide_batch dispatch."""
+    """Pure batched algorithm (no per-node form): everyone commits its
+    ball size at round 1 — exercises the native decide_batch dispatch."""
 
     name = "all-at-round-one"
 
     def decide_batch(self, views, live, t):
         if t < 1:
-            return []
-        sizes = views.ball_sizes()
-        return [(v, int(sizes[v])) for v in live]
+            return (), ()
+        return live, views.ball_sizes()[live]
 
 
 class _DoubleCommitter(BatchedAlgorithm):
     name = "double-committer"
 
     def decide_batch(self, views, live, t):
-        return [(live[0], 0), (live[0], 1)]
+        return [live[0], live[0]], [0, 1]
 
 
 class _OutOfRangeCommitter(BatchedAlgorithm):
@@ -189,7 +189,20 @@ class _OutOfRangeCommitter(BatchedAlgorithm):
         self._v = v
 
     def decide_batch(self, views, live, t):
-        return [(self._v, 0)]
+        return [self._v], [0]
+
+
+class _Returns(BatchedAlgorithm):
+    """Returns ``decided[t]`` in round ``t`` (the last entry from then
+    on): drives the engine's commit validation with arbitrary returns."""
+
+    name = "returns"
+
+    def __init__(self, *decided):
+        self._decided = decided
+
+    def decide_batch(self, views, live, t):
+        return self._decided[min(t, len(self._decided) - 1)]
 
 
 class TestBatchedEngine:
@@ -237,6 +250,79 @@ class TestBatchedEngine:
 
         with pytest.raises(SimulationError):
             LocalSimulator(engine="batched").run(path_graph(4), _DoubleCommitter())
+
+    def test_commit_in_a_later_round_raises(self):
+        # node 0 commits in round 0 and again in round 1
+        from repro.local import SimulationError
+
+        algo = _Returns(([0], ["x"]), ([0, 1], ["y", "z"]))
+        with pytest.raises(SimulationError,
+                           match=r"node 0 committed twice \(round 1\)"):
+            LocalSimulator(engine="batched").run(path_graph(4), algo)
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+    def test_misaligned_labels_raise(self, labels):
+        from repro.local import SimulationError
+
+        algo = _Returns((np.array([0, 1]), labels))
+        with pytest.raises(SimulationError, match="labels"):
+            LocalSimulator(engine="batched").run(path_graph(4), algo)
+
+    @pytest.mark.parametrize(
+        "nodes", [[1.0], np.array([1.0]), np.array([True]), [[0, 1]]],
+        ids=["float-list", "float-array", "bool-array", "2-d"])
+    def test_non_integer_handles_raise(self, nodes):
+        # a float handle must be rejected, never truncated to node 1
+        from repro.local import SimulationError
+
+        algo = _Returns((nodes, ["a"]))
+        with pytest.raises(SimulationError, match="integer"):
+            LocalSimulator(engine="batched").run(path_graph(4), algo)
+
+    @pytest.mark.parametrize("decided", [[], [(0, "a")], ((0, 1, 2), "ab", "c")],
+                             ids=["empty-list", "one-pair", "triple"])
+    def test_non_pair_return_raises(self, decided):
+        from repro.local import SimulationError
+
+        with pytest.raises(SimulationError, match="pair"):
+            LocalSimulator(engine="batched").run(
+                path_graph(4), _Returns(decided))
+
+    @pytest.mark.parametrize(
+        "empty", [((), ()), ([], []), (np.empty(0, dtype=np.int64), [])],
+        ids=["tuples", "lists", "array"])
+    def test_empty_return_continues(self, empty):
+        # every round but the third commits nothing; the whole graph
+        # commits at round 2
+        everyone = (np.arange(4), np.array([7, 8, 9, 10]))
+        tr = LocalSimulator(engine="batched").run(
+            path_graph(4), _Returns(empty, empty, everyone))
+        assert tr.rounds == [2, 2, 2, 2]
+        assert tr.outputs == [7, 8, 9, 10]
+        assert all(type(x) is int for x in tr.outputs)
+
+    def test_any_two_sequence_is_a_pair(self):
+        # a traced decide_batch hands the engine a 2-list, not a tuple
+        tr = LocalSimulator(engine="batched").run(
+            path_graph(3), _Returns([np.array([2, 0, 1]), ["c", "a", "b"]]))
+        assert tr.rounds == [0, 0, 0] and tr.outputs == ["a", "b", "c"]
+
+    def test_live_is_a_sealed_sorted_int64_array(self):
+        seen = []
+
+        class Probe(BatchedAlgorithm):
+            name = "probe"
+
+            def decide_batch(self, views, live, t):
+                seen.append(live)
+                with pytest.raises(ValueError):
+                    live[0] = 0
+                return live[::2], [t] * len(live[::2])
+
+        tr = LocalSimulator(engine="batched").run(path_graph(5), Probe())
+        assert [s.tolist() for s in seen] == [[0, 1, 2, 3, 4], [1, 3], [3]]
+        assert all(s.dtype == np.int64 for s in seen)
+        assert tr.rounds == [0, 1, 0, 2, 0]
 
     @pytest.mark.parametrize("v", [-1, 4, 99])
     def test_out_of_range_commit_raises(self, v):
@@ -289,6 +375,20 @@ class TestBatchedEngine:
         ref = LocalSimulator(engine="reference").run(g, ColeVishkin3Coloring(), ids)
         tr = LocalSimulator(engine="batched").run(g, PlainCV(), ids)
         assert tr.rounds == ref.rounds and tr.outputs == ref.outputs
+
+
+class TestIdValidation:
+    def test_non_integer_ids_raise_the_same_error_on_every_engine(self):
+        # the batched engine's int64 arrays would truncate these to
+        # [2, 2, 3, 3] and return an improper colouring
+        messages = set()
+        for engine in ENGINES:
+            with pytest.raises(ValueError) as err:
+                LocalSimulator(engine=engine).run(
+                    path_graph(4), ColeVishkin3Coloring(),
+                    [2.2, 2.7, 3.1, 3.9])
+            messages.add(str(err.value))
+        assert messages == {"IDs must be integers, got 2.2"}
 
 
 class TestRunBatch:

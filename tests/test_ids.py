@@ -78,3 +78,15 @@ class TestUniformity:
         expected = draws / 24
         chi2 = sum((k - expected) ** 2 / expected for k in counts.values())
         assert chi2 < 49.73
+
+
+class TestValidateIds:
+    @pytest.mark.parametrize("ids", [[1, 2.0], [1, "2"], [1, 2, 3.5]])
+    def test_rejects_non_integers(self, ids):
+        with pytest.raises(ValueError, match="integers"):
+            validate_ids(ids)
+
+    def test_accepts_python_and_numpy_integers(self):
+        validate_ids([3, 1, 2])
+        validate_ids(np.array([3, 1, 2], dtype=np.int64))
+        validate_ids([np.int32(4), np.uint16(2), 7])
