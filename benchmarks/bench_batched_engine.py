@@ -1,17 +1,18 @@
-"""Batched engine speedup — batched vs. incremental execution engines.
+"""Batched engine speedup — ``decide_batch`` vs. the global message dynamics.
 
-Micro-benchmark for the third :mod:`repro.local.simulator` engine: run
+Micro-benchmark for the batched :mod:`repro.local.simulator` engine: run
 Cole–Vishkin 3-coloring on ``cycle_graph(100_000)`` and
-``path_graph(100_000)`` (the max-degree-2 tree) under ``engine="batched"``
-(the vectorized ``decide_batch`` port sweeping flat numpy label arrays)
-and ``engine="incremental"`` (the shared global message dynamics, one
-Python ``message``/``transition`` call per node per round).  The engines
-must produce identical ``(T_v, output)`` maps — asserted here and pinned
-corpus-wide by ``tests/test_engine_equivalence.py`` — and the batched
-engine must be at least 5x faster on both instances (in practice ~10x).
+``path_graph(100_000)`` (the max-degree-2 tree) through its vectorized
+``decide_batch`` port (sweeping flat numpy label arrays) and, with
+``decide_batch`` hidden, through the shared global message dynamics (one
+Python ``message``/``transition`` call per node per round).  The two must
+produce identical ``(T_v, output)`` maps — asserted here and pinned
+corpus-wide by ``tests/test_engine_equivalence.py`` — and
+``decide_batch`` must be at least 5x faster on both instances (in
+practice ~10x).
 
-A second table drives the batched engine alone at ``n = 10^6`` on both
-shapes — the incremental engine is infeasible there, which is the point
+A second table drives ``decide_batch`` alone at ``n = 10^6`` on both
+shapes — the global dynamics are infeasible there, which is the point
 of the port; the rows record wall-clock and peak RSS so the million-node
 footprint is pinned in ``benchmarks/results/``.
 """
@@ -33,63 +34,75 @@ INSTANCES = [
 ]
 
 
-def run_engine(engine: str, graph, ids):
-    return LocalSimulator(engine=engine).run(graph, ColeVishkin3Coloring(), ids)
+class GlobalDynamicsCV(ColeVishkin3Coloring):
+    """Cole–Vishkin with ``decide_batch`` hidden: the batched engine runs
+    its message hooks through the global dynamics."""
+
+    decide_batch = None
+
+
+#: run label -> algorithm class, both on the batched engine
+FORMS = {"decide_batch": ColeVishkin3Coloring, "global": GlobalDynamicsCV}
+
+
+def run_engine(form: str, graph, ids):
+    return LocalSimulator(engine="batched").run(graph, FORMS[form](), ids)
 
 
 def test_batched_engine_speedup(benchmark):
     ids = random_ids(N, rng=random.Random(0))
     graphs = {name: make(N) for name, make in INSTANCES}
 
-    # pytest-benchmark drives the batched engine on the first instance;
-    # everything else is timed once (the incremental runs take seconds)
+    # pytest-benchmark drives decide_batch on the first instance;
+    # everything else is timed once (the global-dynamics runs take seconds)
     first = INSTANCES[0][0]
-    traces = {(first, "batched"): benchmark(run_engine, "batched", graphs[first], ids)}
-    wall = {(first, "batched"): benchmark.stats.stats.mean}
+    traces = {(first, "decide_batch"): benchmark(
+        run_engine, "decide_batch", graphs[first], ids)}
+    wall = {(first, "decide_batch"): benchmark.stats.stats.mean}
     for name, _make in INSTANCES:
-        if (name, "batched") not in traces:
-            traces[(name, "batched")], wall[(name, "batched")], _ = timed(
-                run_engine, "batched", graphs[name], ids)
-        traces[(name, "incremental")], wall[(name, "incremental")], _ = timed(
-            run_engine, "incremental", graphs[name], ids)
+        if (name, "decide_batch") not in traces:
+            traces[(name, "decide_batch")], wall[(name, "decide_batch")], _ = \
+                timed(run_engine, "decide_batch", graphs[name], ids)
+        traces[(name, "global")], wall[(name, "global")], _ = timed(
+            run_engine, "global", graphs[name], ids)
 
     rows, speedups = [], {}
     for name, _make in INSTANCES:
-        for engine in ("batched", "incremental"):
-            tr = traces[(name, engine)]
-            rows.append((name, engine, N, tr.worst_case(),
+        for form in FORMS:
+            tr = traces[(name, form)]
+            rows.append((name, form, N, tr.worst_case(),
                          f"{tr.node_averaged():.2f}",
-                         f"{wall[(name, engine)]:.3f}"))
-        speedups[name] = wall[(name, "incremental")] / wall[(name, "batched")]
+                         f"{wall[(name, form)]:.3f}"))
+        speedups[name] = wall[(name, "global")] / wall[(name, "decide_batch")]
     record_table(
         "batched_engine_speedup",
         f"Batched engine speedup: Cole-Vishkin 3-coloring at n={N}",
-        ["instance", "engine", "n", "worst", "avg", "wall_s"],
+        ["instance", "form", "n", "worst", "avg", "wall_s"],
         rows,
-        notes=[f"speedup[{name}]: {s:.1f}x (incremental / batched)"
+        notes=[f"speedup[{name}]: {s:.1f}x (global dynamics / decide_batch)"
                for name, s in speedups.items()],
     )
 
     for name, _make in INSTANCES:
-        assert traces[(name, "batched")].rounds == \
-            traces[(name, "incremental")].rounds, name
-        assert traces[(name, "batched")].outputs == \
-            traces[(name, "incremental")].outputs, name
+        assert traces[(name, "decide_batch")].rounds == \
+            traces[(name, "global")].rounds, name
+        assert traces[(name, "decide_batch")].outputs == \
+            traces[(name, "global")].outputs, name
         assert speedups[name] >= MIN_SPEEDUP, (
-            f"batched engine only {speedups[name]:.1f}x faster on {name}; "
+            f"decide_batch only {speedups[name]:.1f}x faster on {name}; "
             f"need >= {MIN_SPEEDUP}x"
         )
 
 
 def test_batched_engine_million_nodes():
-    """The batched engine alone at n = 10^6 — construction, execution and
-    footprint of the scale the incremental engine cannot reach."""
+    """``decide_batch`` alone at n = 10^6 — construction, execution and
+    footprint of the scale the global dynamics cannot reach."""
     ids = random_ids(N_LARGE, rng=random.Random(1))
     rows = []
     for name, make in INSTANCES:
         graph, wall_build, _ = timed(make, N_LARGE)
         trace, wall_run, peak_mib = timed(
-            run_engine, "batched", graph, ids)
+            run_engine, "decide_batch", graph, ids)
         assert trace.n == N_LARGE
         assert trace.worst_case() <= 64  # Cole-Vishkin: O(log* n) + O(1)
         rows.append((name, N_LARGE, trace.worst_case(),
@@ -100,6 +113,6 @@ def test_batched_engine_million_nodes():
         f"Batched engine at n={N_LARGE}: Cole-Vishkin 3-coloring",
         ["instance", "n", "worst", "avg", "build_s", "run_s", "peak_mib"],
         rows,
-        notes=["incremental engine omitted: per-node ball growth is "
+        notes=["global dynamics omitted: per-node state machines are "
                "infeasible at this scale (the batched port is the point)"],
     )

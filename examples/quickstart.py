@@ -1,7 +1,7 @@
 """Quickstart: run LOCAL algorithms and measure node-averaged complexity.
 
 Shows the three layers of the library:
-1. the LOCAL simulators (view-based and message-passing),
+1. the LOCAL simulator (view-based and message-passing algorithms),
 2. an LCL problem + its verifier,
 3. the node-averaged vs worst-case complexity measures.
 
@@ -25,9 +25,9 @@ def main() -> None:
     rng = random.Random(0)
 
     # --- 1. 3-coloring a path: node-averaged ~ log* n ------------------
-    # LocalSimulator runs both formulations; message algorithms like
-    # Cole-Vishkin advance through one shared execution on the default
-    # incremental engine (engine="reference" is the cross-check oracle).
+    # LocalSimulator runs both formulations; on the default batched
+    # engine Cole-Vishkin decides for the whole path at once through its
+    # vectorized decide_batch (engine="reference" is the cross-check oracle).
     g = path_graph(2000)
     ids = random_ids(g.n, rng=rng)
     trace = LocalSimulator().run(g, ColeVishkin3Coloring(), ids)

@@ -15,13 +15,14 @@ Quickstart::
     print(trace.node_averaged(), trace.worst_case())
 
 ``LocalSimulator`` executes all algorithm formulations (view-based,
-message-passing and batched) on a flat-CSR graph core.  It defaults to
-the per-node incremental engine; pass ``engine="batched"`` to execute
-one vectorized round over all live nodes at once (algorithms with
-``decide_batch``, ~10x at large ``n``), or ``engine="reference"`` for
-the recompute-everything-from-the-view oracle when cross-checking
-semantics.  Use ``run_batch`` to sweep many ID assignments over one
-topology.
+message-passing and batched) on a flat-CSR graph core.  Its default
+batched engine executes one vectorized round over all live nodes at
+once for algorithms with ``decide_batch`` and runs the others
+unmodified (view algorithms node by node over per-node ball stores,
+message algorithms through one shared global execution); pass
+``engine="reference"`` for the recompute-everything-from-the-view
+oracle when cross-checking semantics.  Use ``run_batch`` to sweep many
+ID assignments over one topology.
 """
 
 __version__ = "1.0.0"

@@ -121,9 +121,10 @@ class GenericPhaseColoring(MessageAlgorithm):
         every node and round.  On graphs with cycle components the
         fast-forward's level-path walk is undefined, but the state
         machine itself is not — there the schedule is derived from one
-        global run of the message dynamics, exactly what the incremental
-        engine executes, so the engines stay observationally identical
-        on the algorithm's full input domain."""
+        global run of the message dynamics, exactly what the batched
+        engine executes for the message hooks alone, so the engines stay
+        observationally identical on the algorithm's full input
+        domain."""
         if self._replay is None:
             graph, ids = views.graph, views.ids
             if graph.is_forest():

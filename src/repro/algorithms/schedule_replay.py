@@ -19,8 +19,8 @@ run the paper solvers under the engine contract (live-set bookkeeping,
 double-commit detection, round budgets) at array speed.
 
 Replay wrappers have no per-node ``decide``; running one on the
-incremental or reference engine raises ``TypeError`` as for every
-decide_batch-only algorithm.
+reference engine raises ``TypeError`` as for every decide_batch-only
+algorithm.
 """
 
 from __future__ import annotations

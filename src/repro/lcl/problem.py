@@ -16,7 +16,7 @@ Verification runs on two paths.  ``verify``/``verify_batch`` lower the
 problem to :mod:`repro.lcl.kernel`'s flat-array CSR pass (interned label
 codes, per-graph compile cache, optional ``early_exit``);
 ``verify_reference`` keeps the literal per-node ``check_node`` loop as the
-cross-check oracle, exactly like the simulator's incremental/reference
+cross-check oracle, exactly like the simulator's batched/reference
 engine split.
 """
 

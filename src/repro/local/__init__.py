@@ -32,7 +32,7 @@ from .ids import (
     sequential_ids,
     validate_ids,
 )
-from .message import MessageAlgorithm, MessageSimulator, NodeInfo, run_message_dynamics
+from .message import MessageAlgorithm, NodeInfo, run_message_dynamics
 from .metrics import ExecutionTrace, node_averaged, worst_case
 from .simulator import ENGINES, LocalSimulator, SimulationError
 
@@ -65,7 +65,6 @@ __all__ = [
     "sequential_ids",
     "validate_ids",
     "MessageAlgorithm",
-    "MessageSimulator",
     "NodeInfo",
     "run_message_dynamics",
     "ExecutionTrace",

@@ -51,7 +51,9 @@ class BallStore:
     every round — Θ(Σ_t |ball_t|) per node.  A ``BallStore`` instead grows
     the ball by exactly one BFS frontier layer per round, so the total work
     per node over an entire execution is O(edges inside the final ball):
-    amortized O(1) per (node, round) on bounded-degree trees.
+    amortized O(1) per (node, round) on bounded-degree trees.  The batched
+    engine's per-node views are windows over these stores (see
+    :meth:`repro.local.frontier.BatchedViews.store_of`).
 
     ``dist`` is the live ``{node: distance}`` mapping; after
     ``grow_to(t)`` it equals ``graph.ball(center, t)`` including dict
@@ -59,11 +61,15 @@ class BallStore:
     :class:`View` windowed over it is indistinguishable from a freshly
     extracted one.
 
-    ``layers`` may be shared between stores of the same center on the same
-    graph (see :meth:`repro.local.simulator.LocalSimulator.run_batch`):
+    ``layers`` is usually the centre's list in the shared layer pool:
     layer ``r`` is the list of nodes at distance exactly ``r``, a pure
-    function of the topology, so repeated runs over many ID assignments
-    reuse the BFS instead of redoing it.
+    function of the topology, read and extended by stores of the same
+    centre and by the frontier scheduler alike, so repeated runs over
+    many ID assignments (see
+    :meth:`repro.local.simulator.LocalSimulator.run_batch`) reuse the BFS
+    instead of redoing it.  A layer already in the list is read, a
+    missing one is computed and appended, so the list never holds a
+    layer twice.
     """
 
     __slots__ = ("graph", "center", "radius", "dist", "_layers", "_indptr",
@@ -127,10 +133,10 @@ class View:
 
     ``store`` lets the simulator supply an already-grown ball (a
     :class:`BallStore` at radius ``t``), making the view a thin window
-    over it; without one the ball is extracted from scratch — the
-    reference engine's behaviour.  A store-backed view is only valid for
-    the round the store was grown to; algorithms must not retain views
-    across rounds.
+    over it — the batched engine's per-node views; without one the ball
+    is extracted from scratch — the reference engine's behaviour.  A
+    store-backed view is only valid for the round the store was grown
+    to; algorithms must not retain views across rounds.
     """
 
     __slots__ = ("graph", "center", "round", "_dist", "_store", "_ids",

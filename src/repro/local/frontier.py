@@ -1,12 +1,11 @@
 """Shared frontier scheduler for the batched execution engine.
 
-The incremental engine grows one :class:`~repro.local.algorithm.BallStore`
-per live node — ``n`` independent dict structures, each advanced by a
-Python BFS loop every round.  The batched engine replaces them with **one**
-scheduler that grows *all* live balls together: the round-``r`` frontier of
-every live centre lives in two flat int64 arrays ``(centers, nodes)``
-(grouped by centre), and one vectorized CSR sweep per round expands every
-frontier at once.
+Array-level ``decide_batch`` implementations ask for ball facts —
+completeness and size — for every live centre at once.  **One**
+scheduler answers them by growing *all* live balls together: the
+round-``r`` frontier of every live centre lives in two flat int64 arrays
+``(centers, nodes)`` (grouped by centre), and one vectorized CSR sweep
+per round expands every frontier at once.
 
 Deduplication uses the standard two-layer BFS identity on undirected
 graphs: a neighbour of a node at distance ``r`` is at distance ``r-1``,
@@ -20,13 +19,18 @@ are byte-identical to what ``BallStore`` would have produced on its own.
 The layer pool is the same ``("layers", v)`` atlas structure
 ``LocalSimulator.run_batch`` shares across ID samples: layer ``r`` of
 centre ``v`` is a plain list of nodes at distance exactly ``r``, a pure
-function of the topology.  A batched run therefore reuses (and extends)
-layers cached by earlier runs on any engine, and vice versa.
+function of the topology.  The scheduler and the per-node
+:class:`~repro.local.algorithm.BallStore` behind each
+:meth:`BatchedViews.view_of` read and extend the very same lists, so
+either reuses layers grown by the other or by an earlier run.  Per-node
+views never sweep the shared frontier; a store may therefore grow a
+pool ahead of the scheduler, which is why the scheduler writes a layer
+back only when the pool does not hold it yet.
 
 Growth is **lazy**: the scheduler only sweeps when something actually asks
 for ball facts at the current round.  Algorithms whose ``decide_batch``
-works from the graph directly (e.g. the vectorized Cole–Vishkin) never
-trigger a single BFS step.
+works from the graph directly (e.g. the vectorized Cole–Vishkin) and
+algorithms that only read per-node views never trigger a single sweep.
 """
 
 from __future__ import annotations
@@ -64,6 +68,20 @@ def csr_numpy(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     return _readonly(ip), _readonly(ix)
 
 
+def _atlas_neighbor_lists(
+    graph: Graph, atlas: Optional[Dict]
+) -> List[Tuple[int, ...]]:
+    """Per-node adjacency tuples, stored once per ``run_batch`` under the
+    atlas's ``"neighbors"`` entry (built afresh when ``atlas`` is None)."""
+    if atlas is None:
+        return [graph.neighbors(v) for v in graph.nodes()]
+    neighbor_lists = atlas.get("neighbors")
+    if neighbor_lists is None:
+        neighbor_lists = [graph.neighbors(v) for v in graph.nodes()]
+        atlas["neighbors"] = neighbor_lists
+    return neighbor_lists
+
+
 class FrontierScheduler:
     """Grow the radius-``t`` balls of all live centres in lockstep.
 
@@ -74,12 +92,13 @@ class FrontierScheduler:
     committed:
         The engine's commit-flag ``bytearray`` (length ``n``).  Viewed
         zero-copy as uint8: a centre whose flag is set simply drops out of
-        the flat frontier on the next sweep — committed balls stop growing
-        exactly as the incremental engine stops calling ``grow_to``.
+        the flat frontier on the next sweep — committed balls stop growing,
+        as the engine stops growing a committed node's ``BallStore``.
     atlas:
         Optional cross-run topology cache (``run_batch``'s dict).  Layers
-        are read from and written to ``atlas[("layers", v)]`` so batched,
-        incremental and adapter-backed runs share one BFS.
+        are read from and written to ``atlas[("layers", v)]`` so every
+        run of a batch, and the per-node views within a run, share one
+        BFS.
 
     Attributes
     ----------
@@ -104,6 +123,9 @@ class FrontierScheduler:
         self._committed = np.frombuffer(committed, dtype=np.uint8)
         self._atlas = atlas
         self._pools: Optional[List[List[List[int]]]] = None
+        # lower bound on each pool's length: views may grow a pool past
+        # it, and a stale entry only makes _step recompute a layer it
+        # could have read
         self._pool_len: Optional[np.ndarray] = None
         self.radius = 0
         self.complete = np.zeros(n, dtype=bool)
@@ -142,6 +164,14 @@ class FrontierScheduler:
             self._step()
 
     def _step(self) -> None:
+        """Grow every live ball by one layer.
+
+        Write-back rule: layer ``r`` goes into centre ``c``'s pool only
+        when ``len(pools[c]) == r``.  A per-node view may already have
+        grown that layer into the pool (the ``_pool_len`` snapshot
+        cannot see it); appending it again would leave a duplicate that
+        ``BallStore`` reads as layer ``r + 1``.
+        """
         n = self._n
         self._materialize_pools()
         r = self.radius + 1
@@ -201,7 +231,8 @@ class FrontierScheduler:
                 starts = np.concatenate(([0], cut))
                 for start, group in zip(starts, np.split(new_v, cut)):
                     c = int(new_c[start])
-                    pools[c].append(group.tolist())
+                    if len(pools[c]) == r:
+                        pools[c].append(group.tolist())
                     pool_len[c] = r + 1
                 parts_c.append(new_c)
                 parts_v.append(new_v)
@@ -212,7 +243,8 @@ class FrontierScheduler:
             # BallStore convention appends the empty layer too) — they
             # turn complete below
             for c in np.setdiff1d(np.unique(src_c), grew).tolist():
-                pools[c].append([])
+                if len(pools[c]) == r:
+                    pools[c].append([])
                 pool_len[c] = r + 1
 
         # --- merge, regroup by centre, update the flat state -------------
@@ -241,11 +273,12 @@ class BatchedViews:
     One object per execution, re-pointed at the current round by the
     engine.  It exposes the scheduler's flat per-centre ball facts
     (``complete_mask``/``ball_sizes`` — treat both arrays as read-only)
-    for array-level decisions, and materializes ordinary radius-``t``
-    :class:`~repro.local.algorithm.View` windows on demand for the
-    per-node fallback adapter.  All accessors grow the shared frontier
-    lazily, so algorithms that never ask for ball facts never pay for a
-    single BFS step.
+    for array-level decisions, grown lazily, so algorithms that never
+    ask for ball facts never pay for a single sweep.  It also
+    materializes ordinary radius-``t``
+    :class:`~repro.local.algorithm.View` windows on demand, each over
+    its centre's own :class:`~repro.local.algorithm.BallStore`, for the
+    per-node adapter; those never sweep the shared frontier.
     """
 
     __slots__ = ("graph", "n", "ids", "round", "budget", "commit_round",
@@ -267,13 +300,14 @@ class BatchedViews:
         #: the engine's round budget for this execution — algorithms that
         #: run an inner simulation (schedule-replay fallbacks) must bound
         #: it by this, not by their own hint, so SimulationError behaviour
-        #: matches the per-node engines under a caller-supplied max_rounds
+        #: matches the reference engine under a caller-supplied max_rounds
         self.budget = budget
         self.commit_round = commit_round
         self.outputs = outputs
         self._scheduler = scheduler
-        #: the ball stores :meth:`view_of` materialized, by centre; the
-        #: engine releases a centre's store when it commits
+        #: the per-node ball stores behind :meth:`view_of` and the
+        #: per-node adapter, by centre; the engine releases a centre's
+        #: store when it commits
         self.stores: Dict[int, BallStore] = {}
 
     # -- flat ball facts ----------------------------------------------
@@ -295,18 +329,10 @@ class BatchedViews:
 
     def neighbor_lists(self) -> List[Tuple[int, ...]]:
         """Per-node adjacency tuples, cached across a ``run_batch``
-        through the same ``"neighbors"`` atlas entry the message engines
-        share — for ``decide_batch`` implementations that run an inner
-        message simulation."""
-        atlas = self._scheduler._atlas
-        graph = self.graph
-        if atlas is None:
-            return [graph.neighbors(v) for v in graph.nodes()]
-        neighbor_lists = atlas.get("neighbors")
-        if neighbor_lists is None:
-            neighbor_lists = [graph.neighbors(v) for v in graph.nodes()]
-            atlas["neighbors"] = neighbor_lists
-        return neighbor_lists
+        through the same ``"neighbors"`` atlas entry as the global
+        message dynamics — for ``decide_batch`` implementations that run
+        an inner message simulation."""
+        return _atlas_neighbor_lists(self.graph, self._scheduler._atlas)
 
     def ready(self, live) -> np.ndarray:
         """The live nodes whose ball provably covers their component —
@@ -318,15 +344,21 @@ class BatchedViews:
         return la[(scheduler.ball_size[la] == self.n)
                   | scheduler.complete[la]]
 
-    # -- per-node fallback --------------------------------------------
-    def view_of(self, v: int) -> View:
-        """The ordinary radius-``t`` :class:`View` of live node ``v``,
-        windowed over the shared layer pool."""
-        scheduler = self._grown()
+    # -- per-node views ----------------------------------------------
+    def store_of(self, v: int) -> BallStore:
+        """Live node ``v``'s :class:`BallStore`, grown to the current
+        round.  It grows its layers into ``v``'s list in the shared
+        layer pool, one BFS layer per round, without sweeping the shared
+        frontier."""
         store = self.stores.get(v)
         if store is None:
-            store = BallStore(self.graph, v, layers=scheduler.pool(v))
+            store = BallStore(self.graph, v, layers=self._scheduler.pool(v))
             self.stores[v] = store
         store.grow_to(self.round)
+        return store
+
+    def view_of(self, v: int) -> View:
+        """The ordinary radius-``t`` :class:`View` of live node ``v``,
+        a window over :meth:`store_of`."""
         return View(self.graph, v, self.round, self.ids, self.commit_round,
-                    self.outputs, store=store)
+                    self.outputs, store=self.store_of(v))

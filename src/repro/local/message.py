@@ -1,8 +1,10 @@
 """Message-passing formulation of the LOCAL model.
 
-Complements the full-information view simulator: algorithms are synchronous
-state machines that broadcast one (unbounded) message per round.  Round
-semantics match :mod:`repro.local.simulator` exactly:
+Complements the full-information view formulation: algorithms are
+synchronous state machines that broadcast one (unbounded) message per
+round, executed by :class:`repro.local.simulator.LocalSimulator` like
+every other algorithm.  Round semantics match the view formulation
+exactly:
 
 * at round ``t`` a node has processed ``t`` message exchanges and may commit
   (``T_v = t``); a round-0 commit uses only the node's own initial state;
@@ -10,8 +12,8 @@ semantics match :mod:`repro.local.simulator` exactly:
   its committed output frozen) — in LOCAL, information flows through
   terminated nodes, and several of the paper's algorithms rely on that.
 
-Both executors return :class:`repro.local.metrics.ExecutionTrace`, so
-metrics and benchmarks are agnostic to the formulation.
+Traces of either formulation are :class:`repro.local.metrics.ExecutionTrace`
+objects, so metrics and benchmarks are agnostic to the formulation.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algorithm import CONTINUE
 from .graph import Graph
-from .metrics import ExecutionTrace
-from .simulator import LocalSimulator, SimulationError
+from .simulator import SimulationError
 
 __all__ = [
     "MessageAlgorithm",
-    "MessageSimulator",
     "NodeInfo",
     "run_message_dynamics",
 ]
@@ -87,8 +87,10 @@ def run_message_dynamics(
 ) -> Tuple[List[Optional[int]], List]:
     """Advance the global message state machine until every node commits.
 
-    The shared core of :class:`MessageSimulator` and the incremental
-    message engine of :class:`repro.local.simulator.LocalSimulator`.
+    How :class:`repro.local.simulator.LocalSimulator`'s batched engine
+    runs a message algorithm without ``decide_batch``, and the inner
+    simulation of ``decide_batch`` implementations that derive a
+    schedule from the dynamics.
     Assumes ``algorithm.setup`` has already run and the IDs are valid;
     returns ``(commit_round, outputs)`` or raises :class:`SimulationError`
     past ``budget`` rounds.  ``neighbor_lists`` lets batched callers
@@ -142,32 +144,3 @@ def run_message_dynamics(
         t += 1
 
     return commit_round, outputs
-
-
-class MessageSimulator:
-    """Execute a :class:`MessageAlgorithm`; same accounting as the view
-    simulator.
-
-    A thin compatibility front for :class:`~repro.local.simulator.
-    LocalSimulator`, which runs both algorithm formulations; delegating
-    keeps the two entry points from drifting apart — in particular the
-    traces carry the same ``meta`` keys (``"ids"``, ``"engine"``), so
-    tooling that reads ``trace.meta["engine"]`` works on either.
-    """
-
-    def __init__(self, max_rounds: Optional[int] = None) -> None:
-        self._max_rounds = max_rounds
-
-    def run(
-        self,
-        graph: Graph,
-        algorithm: MessageAlgorithm,
-        ids: Optional[Sequence[int]] = None,
-    ) -> ExecutionTrace:
-        if not isinstance(algorithm, MessageAlgorithm):
-            raise TypeError(
-                f"MessageSimulator runs MessageAlgorithms, got {type(algorithm)!r}"
-            )
-        return LocalSimulator(max_rounds=self._max_rounds).run(
-            graph, algorithm, ids
-        )

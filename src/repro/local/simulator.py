@@ -1,4 +1,4 @@
-"""Synchronous LOCAL-model simulator with pluggable execution engines.
+"""Synchronous LOCAL-model simulator with two execution engines.
 
 Rounds proceed ``t = 0, 1, 2, ...``.  In round ``t`` every node that has not
 yet committed is handed its radius-``t`` view (see
@@ -9,9 +9,8 @@ at which ``v`` commits.
 
 Engines
 -------
-:class:`LocalSimulator` accepts ``engine="batched"``,
-``engine="incremental"`` (the default) or ``engine="reference"``.  All
-three produce identical ``(T_v, output)`` maps —
+:class:`LocalSimulator` accepts ``engine="batched"`` (the default) or
+``engine="reference"``.  Both produce identical ``(T_v, output)`` maps —
 ``tests/test_engine_equivalence.py`` asserts this over a corpus of graphs,
 algorithms and ID assignments — but they trade transparency for speed:
 
@@ -23,27 +22,24 @@ algorithms and ID assignments — but they trade transparency for speed:
   the oracle to cross-check against whenever engine behaviour is in doubt,
   and the right engine for new-algorithm debugging.  Cost:
   Θ(Σ_t live_t · |ball_t|) and worse — effectively cubic on paths.
-* ``incremental`` — the per-node production engine.  Each live node owns a
-  :class:`repro.local.algorithm.BallStore` that grows by exactly one BFS
-  frontier layer per round (amortized O(edges in the final ball) per node),
-  and views become thin windows over the store.  Message-passing algorithms
-  are advanced through one shared global execution of their state machine —
-  the standard equivalence between the message-passing and full-information
-  formulations, exploited instead of re-derived per node.
-* ``batched`` — the vectorized production engine.  One
-  :class:`repro.local.frontier.FrontierScheduler` grows *all* live balls
-  together (one flat CSR sweep per round instead of ``n`` dict BFS loops)
-  and algorithms implementing ``decide_batch(views, live, t)`` (see
+* ``batched`` — the production engine.  Algorithms implementing
+  ``decide_batch(views, live, t)`` (see
   :class:`repro.local.algorithm.BatchedAlgorithm`) decide over the whole
   live set at once with array-level operations: ``live`` is a sorted
-  int64 array, and each round's commits come back as one aligned
-  ``(nodes, labels)`` pair.  Algorithms without
-  ``decide_batch`` still run unmodified: view algorithms through a
-  per-node adapter over the shared scheduler, message algorithms through
-  the same global dynamics as ``incremental`` (one shared state machine
-  *is* the batched execution of a message algorithm).
+  int64 array, each round's commits come back as one aligned
+  ``(nodes, labels)`` pair, and ball facts come from one
+  :class:`repro.local.frontier.FrontierScheduler` that grows *all* live
+  balls together (one flat CSR sweep per round).  Algorithms without
+  ``decide_batch`` run unmodified.  View algorithms go through a
+  per-node adapter: each live node's view is a thin window over its own
+  :class:`repro.local.algorithm.BallStore`, which grows by exactly one
+  BFS frontier layer per round (amortized O(edges in the final ball)
+  per node).  Message algorithms advance through one shared global
+  execution of their state machine — the standard equivalence between
+  the message-passing and full-information formulations, exploited
+  instead of re-derived per node.
 
-Every view engine applies a round's commits through one shared
+Both engines apply a round's commits through one shared
 :func:`_apply_commits`: the ``(nodes, labels)`` pair is validated
 (integer handles, alignment, range, repeated commits) and applied with
 array operations — one scatter into the commit flags, one mask over the
@@ -61,15 +57,15 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .algorithm import CONTINUE, BallStore, LocalAlgorithm, View
+from .algorithm import CONTINUE, View
 from .graph import Graph
 from .ids import sequential_ids, validate_ids
 from .metrics import ExecutionTrace
 
-__all__ = ["LocalSimulator", "SimulationError", "ENGINES", "resolve_auto_engine"]
+__all__ = ["LocalSimulator", "SimulationError", "ENGINES"]
 
-#: Recognised engine names, fastest first.
-ENGINES = ("batched", "incremental", "reference")
+#: Recognised engine names: the production engine, then its oracle.
+ENGINES = ("batched", "reference")
 
 
 class SimulationError(RuntimeError):
@@ -77,26 +73,9 @@ class SimulationError(RuntimeError):
 
 
 def _has_decide_batch(algorithm) -> bool:
-    """The dispatch predicate shared by :meth:`LocalSimulator._run` and
-    :func:`resolve_auto_engine`: whether the algorithm natively supports
-    the batched engine's whole-live-set protocol."""
+    """Whether the algorithm natively supports the batched engine's
+    whole-live-set protocol."""
     return callable(getattr(algorithm, "decide_batch", None))
-
-
-def resolve_auto_engine(algorithm) -> str:
-    """The engine an ``"auto"`` policy should pick for ``algorithm``.
-
-    The single source of truth for auto-selection (``repro.sweep`` defers
-    here): ``"batched"`` when the algorithm benefits from the batched
-    engine — it implements ``decide_batch``, or it is a message algorithm
-    (whose shared global dynamics already are the batched execution) —
-    and ``"incremental"`` otherwise.
-    """
-    from .message import MessageAlgorithm  # deferred: message.py imports us
-
-    if _has_decide_batch(algorithm) or isinstance(algorithm, MessageAlgorithm):
-        return "batched"
-    return "incremental"
 
 
 class LocalSimulator:
@@ -110,23 +89,21 @@ class LocalSimulator:
 
     Engine contract
     ---------------
-    ``engine="batched"``, ``engine="incremental"`` and
-    ``engine="reference"`` must be observationally identical: same
-    ``(T_v, output)`` maps, same view contents (including dict iteration
-    order of ``View.nodes()`` — the batched frontier scheduler reproduces
-    per-node BFS layer order exactly), same ``SimulationError``
-    behaviour.  Whatever the fast engines carry across rounds (ball
-    stores, the shared frontier pool, global message execution, batched
-    label arrays) is purely a cache of what the reference engine would
-    recompute.  Use ``reference`` as the cross-check oracle whenever an
-    algorithm misuses the view API (e.g. retains views across rounds) or
-    when validating a new engine/algorithm pairing; use ``batched`` for
-    large-``n`` work on algorithms that implement ``decide_batch``; use
-    ``incremental`` everywhere else.
+    ``engine="batched"`` (the default) and ``engine="reference"`` must
+    be observationally identical: same ``(T_v, output)`` maps, same view
+    contents (including dict iteration order of ``View.nodes()`` — ball
+    stores and the frontier scheduler reproduce per-node BFS layer order
+    exactly), same ``SimulationError`` behaviour.  Whatever the batched
+    engine carries across rounds (ball stores, the shared layer pool,
+    global message execution, batched label arrays) is purely a cache of
+    what the reference engine would recompute.  Use ``reference`` as the
+    cross-check oracle whenever an algorithm misuses the view API (e.g.
+    retains views across rounds) or when validating a new algorithm;
+    use ``batched`` everywhere else.
     """
 
     def __init__(
-        self, max_rounds: Optional[int] = None, engine: str = "incremental"
+        self, max_rounds: Optional[int] = None, engine: str = "batched"
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -155,13 +132,14 @@ class LocalSimulator:
 
         The common shape in ``benchmarks/`` and ``analysis``: fixed
         topology, sampled IDs.  Topology-only setup is shared across the
-        batch: on the incremental engine, view algorithms reuse each
-        node's BFS layer decomposition (later runs fill their ball dicts
-        from cached layers instead of re-scanning edges) and message
-        algorithms reuse the per-node neighbour lists.  Per-run work that
-        depends on the IDs — the dynamics themselves, the dist fills —
-        is still paid per sample.  ``algorithm.setup`` is invoked per
-        run; algorithms must reset any per-execution caches there.
+        batch: on the batched engine, view algorithms reuse each node's
+        BFS layer decomposition through the layer pool (later runs fill
+        their ball stores and frontier sweeps from cached layers instead
+        of re-scanning edges) and message algorithms reuse the per-node
+        neighbour lists.  Per-run work that depends on the IDs — the
+        dynamics themselves, the dist fills — is still paid per sample.
+        ``algorithm.setup`` is invoked per run; algorithms must reset any
+        per-execution caches there.
         """
         batch_cache: Dict = {}
         return [
@@ -178,8 +156,8 @@ class LocalSimulator:
         algorithm,
         ids: Optional[Sequence[int]],
         # shared per-batch topology cache: ("layers", v) -> BFS layers for
-        # node v (view engine), "neighbors" -> per-node adjacency tuples
-        # (message engine); None outside run_batch
+        # node v (view algorithms), "neighbors" -> per-node adjacency
+        # tuples (message algorithms); None outside run_batch
         atlas: Optional[Dict] = None,
     ) -> ExecutionTrace:
         from .message import MessageAlgorithm  # deferred: message.py imports us
@@ -198,27 +176,22 @@ class LocalSimulator:
             budget = algorithm.max_rounds_hint(n)
 
         has_batch = _has_decide_batch(algorithm)
-        has_decide = callable(getattr(algorithm, "decide", None))
-        if isinstance(algorithm, MessageAlgorithm):
-            if self.engine == "reference":
+        if self.engine == "reference":
+            if isinstance(algorithm, MessageAlgorithm):
                 runner = _run_message_reference
-            elif self.engine == "batched" and has_batch:
-                runner = _run_view_batched
+            elif has_batch and not callable(getattr(algorithm, "decide", None)):
+                raise TypeError(
+                    f"{algorithm.name} only implements decide_batch; "
+                    f"run it with engine='batched'"
+                )
             else:
-                # one shared global state machine is already the batched
-                # execution of a message algorithm
-                runner = _run_message_incremental
-        elif self.engine == "batched":
-            runner = _run_view_batched
-        elif not has_decide and has_batch:
-            raise TypeError(
-                f"{algorithm.name} only implements decide_batch; "
-                f"run it with engine='batched'"
-            )
-        elif self.engine == "reference":
-            runner = _run_view_reference
+                runner = _run_view_reference
+        elif isinstance(algorithm, MessageAlgorithm) and not has_batch:
+            # one shared global state machine is already the batched
+            # execution of a message algorithm
+            runner = _run_message_global
         else:
-            runner = _run_view_incremental
+            runner = _run_view_batched
         commit_round, outputs = runner(graph, algorithm, id_list, budget, atlas)
 
         rounds = [r for r in commit_round if r is not None]
@@ -264,8 +237,8 @@ def _apply_commits(decided, t, commit_round, outputs, live, committed,
     flat frontier on its next sweep), and one mask over the sorted int64
     ``live`` array drops the committed nodes.  ``live`` is exactly the
     unflagged nodes, so the mask drops fewer nodes than the batch holds
-    iff the batch repeats one.  ``stores`` maps nodes to per-node ball
-    stores; committed nodes' entries are released.
+    iff the batch repeats one.  ``stores`` maps nodes to the per-node
+    views' ball stores; committed nodes' entries are released.
     """
     try:
         nodes, labels = decided
@@ -342,50 +315,15 @@ def _run_view_reference(graph, algorithm, id_list, budget, atlas):
     return commit_round, outputs
 
 
-def _run_view_incremental(graph, algorithm, id_list, budget, atlas):
-    """Grow each live node's ball by one BFS layer per round; views are
-    thin windows over the per-node :class:`BallStore`."""
-    n = graph.n
-    commit_round: List[Optional[int]] = [None] * n
-    outputs: List = [None] * n
-    committed = bytearray(n)
-    live = _live_array(np.arange(n, dtype=np.int64))
-    if atlas is None:
-        stores = {v: BallStore(graph, v) for v in range(n)}
-    else:
-        stores = {
-            v: BallStore(graph, v, layers=atlas.setdefault(("layers", v), [[v]]))
-            for v in range(n)
-        }
-
-    t = 0
-    while len(live):
-        _budget_check(algorithm, t, budget, live)
-        nodes, labels = [], []
-        for v in live.tolist():
-            store = stores[v]
-            store.grow_to(t)
-            view = View(graph, v, t, id_list, commit_round, outputs, store=store)
-            decision = algorithm.decide(view, n)
-            if decision is not CONTINUE:
-                nodes.append(v)
-                labels.append(decision)
-        live = _apply_commits(
-            (nodes, labels), t, commit_round, outputs, live, committed, stores
-        )
-        t += 1
-    return commit_round, outputs
-
-
 class _PerNodeBatchAdapter:
     """Run an unmodified per-node ``decide`` under the batched engine.
 
-    The fallback path of the engine contract: views are materialized one
-    node at a time over the shared frontier scheduler's layer pool, so an
-    existing :class:`~repro.local.algorithm.LocalAlgorithm` observes
-    exactly the store-backed views the incremental engine would hand it.
-    The live array is iterated through ``tolist`` so views keep plain
-    ``int`` centres.
+    Each live node's view is a window over its own ball store
+    (:meth:`~repro.local.frontier.BatchedViews.store_of`), grown by one
+    BFS layer per round into the node's list in the shared layer pool;
+    the adapter never sweeps the shared frontier.  The round's
+    invariants are hoisted out of the per-node loop, and the live array
+    is iterated through ``tolist`` so views keep plain ``int`` centres.
     """
 
     __slots__ = ("_algorithm", "name")
@@ -397,9 +335,14 @@ class _PerNodeBatchAdapter:
     def decide_batch(self, views, live, t):
         n = views.n
         decide = self._algorithm.decide
+        graph, ids = views.graph, views.ids
+        commit_round, outputs = views.commit_round, views.outputs
+        store_of = views.store_of
         nodes, labels = [], []
         for v in live.tolist():
-            decision = decide(views.view_of(v), n)
+            view = View(graph, v, t, ids, commit_round, outputs,
+                        store=store_of(v))
+            decision = decide(view, n)
             if decision is not CONTINUE:
                 nodes.append(v)
                 labels.append(decision)
@@ -407,12 +350,12 @@ class _PerNodeBatchAdapter:
 
 
 def _run_view_batched(graph, algorithm, id_list, budget, atlas):
-    """One decide pass for *all* live nodes per round: balls grow through
-    a shared :class:`~repro.local.frontier.FrontierScheduler` (flat CSR
-    sweeps over the whole live frontier) instead of per-node dict stores,
-    and the algorithm decides over the entire live set at once via
-    ``decide_batch`` — per-node algorithms are wrapped in
-    :class:`_PerNodeBatchAdapter`."""
+    """One decide pass for *all* live nodes per round: the algorithm
+    decides over the entire live set at once via ``decide_batch``, with
+    ball facts from a shared
+    :class:`~repro.local.frontier.FrontierScheduler` (flat CSR sweeps
+    over the whole live frontier, grown only on demand) — per-node
+    algorithms are wrapped in :class:`_PerNodeBatchAdapter`."""
     from .frontier import BatchedViews, FrontierScheduler
 
     n = graph.n
@@ -448,21 +391,17 @@ def _run_view_batched(graph, algorithm, id_list, budget, atlas):
 # ----------------------------------------------------------------------
 # message-passing engines
 # ----------------------------------------------------------------------
-def _run_message_incremental(graph, algorithm, id_list, budget, atlas):
+def _run_message_global(graph, algorithm, id_list, budget, atlas):
     """One shared global execution of the message state machine — the
     full-information and message-passing formulations are equivalent, so
-    the engine advances the global dynamics instead of re-deriving each
-    node's state from its ball."""
+    the batched engine advances the global dynamics instead of
+    re-deriving each node's state from its ball."""
+    from .frontier import _atlas_neighbor_lists
     from .message import run_message_dynamics
 
-    neighbor_lists = None
-    if atlas is not None:
-        neighbor_lists = atlas.get("neighbors")
-        if neighbor_lists is None:
-            neighbor_lists = [graph.neighbors(v) for v in graph.nodes()]
-            atlas["neighbors"] = neighbor_lists
     return run_message_dynamics(
-        graph, algorithm, id_list, budget, neighbor_lists=neighbor_lists
+        graph, algorithm, id_list, budget,
+        neighbor_lists=_atlas_neighbor_lists(graph, atlas),
     )
 
 

@@ -13,8 +13,8 @@ complexity per cell.  The ID assignments form an axis of their own
 (``id_mode``): digest-seeded random draws by default, or one of the
 deterministic adversarial assignments in
 :data:`repro.local.ids.ID_MODES`.  Executions default to
-``engine="auto"``: the batched engine for every algorithm that supports
-it, incremental for the rest, recorded per run in the trace meta.
+``engine="auto"``, which runs the batched engine and is recorded as
+``"auto"`` in the payload spec and the store keys.
 
 Validity
 --------
@@ -67,13 +67,13 @@ from .store import ResultStore, StoreKey, as_store, atomic_write_text
 from .local.graph import Graph
 from .local.ids import ID_MODES, id_space_size, make_ids
 from .local.metrics import ExecutionTrace
-from .local.simulator import ENGINES, LocalSimulator, resolve_auto_engine
+from .local.simulator import ENGINES, LocalSimulator
 
 #: ``engine`` choices for sweeps: the simulator engines plus ``"auto"``,
-#: which resolves per algorithm — batched for algorithms that implement
-#: ``decide_batch`` (and message algorithms, whose shared global dynamics
-#: already are the batched execution), incremental otherwise.  The engine
-#: actually used is recorded per run in ``ExecutionTrace.meta["engine"]``.
+#: the default, which runs the batched engine.  ``"auto"`` is a value of
+#: its own because the payload spec and the store keys record the
+#: configured choice; the engine a run used is in its trace's
+#: ``meta["engine"]``.
 ENGINE_CHOICES = ENGINES + ("auto",)
 
 __all__ = [
@@ -341,12 +341,9 @@ def _run_task(
     if spec.fast_forward is not None:
         traces = [spec.fast_forward(graph, ids) for ids in id_samples]
     else:
-        algorithm = spec.factory(graph.n)
-        engine = task.engine
-        if engine == "auto":
-            engine = resolve_auto_engine(algorithm)
+        engine = "batched" if task.engine == "auto" else task.engine
         traces = LocalSimulator(engine=engine).run_batch(
-            graph, algorithm, id_samples
+            graph, spec.factory(graph.n), id_samples
         )
     valid: Optional[List[bool]] = None
     if task.check and spec.problem is not None:
@@ -440,10 +437,9 @@ class SweepRunner:
         ``default_count``.
     engine:
         Simulator engine for factory-based algorithms; the default
-        ``"auto"`` picks the batched engine for every algorithm that
-        supports it (see :data:`ENGINE_CHOICES`) and incremental for the
-        rest.  The engine each run actually used is recorded in its
-        trace's ``meta["engine"]``.
+        ``"auto"`` runs the batched engine (see :data:`ENGINE_CHOICES`).
+        The engine each run actually used is recorded in its trace's
+        ``meta["engine"]``.
     id_mode:
         Named ID-assignment mode (:data:`repro.local.ids.ID_MODES`):
         ``"random"`` (default) draws digest-seeded random assignments;
@@ -803,8 +799,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "(default: family-specific)")
     parser.add_argument("--engine", choices=list(ENGINE_CHOICES),
                         default="auto",
-                        help="simulator engine; auto picks batched for "
-                        "algorithms that support it (default: auto)")
+                        help="simulator engine; auto runs batched "
+                        "(default: auto)")
     parser.add_argument("--id-mode", choices=sorted(ID_MODES),
                         default="random", dest="id_mode",
                         help="ID-assignment mode: random (digest-seeded) "

@@ -1,13 +1,14 @@
 """Batched-engine internals and the satellite APIs that ride with them.
 
-The observational three-way engine contract is pinned in
+The observational batched-vs-reference engine contract is pinned in
 ``tests/test_engine_equivalence.py``; this module goes one level down:
 the :class:`~repro.local.frontier.FrontierScheduler` must grow layer
 pools byte-identical to per-node :class:`~repro.local.algorithm.BallStore`
-growth (same lists, same order), plus coverage for the adversarial ID
-modes, the cached trace percentiles, the sweep's auto-engine /
-id-mode axes, and :class:`~repro.local.algorithm.CommitSchedule` against
-the live-set filter it replaced.
+growth (same lists, same order), also when stores grew a pool first.
+Plus coverage for the adversarial ID modes, the cached trace
+percentiles, the sweep's auto-engine / id-mode axes, and
+:class:`~repro.local.algorithm.CommitSchedule` against the live-set
+filter it replaced.
 """
 
 import random
@@ -92,6 +93,19 @@ class TestFrontierScheduler:
                 # extraction — the engine-contract requirement
                 assert list(view.nodes().items()) == \
                     list(graph.ball(v, t).items()), (name, v, t)
+
+    def test_write_back_skips_layers_a_store_grew(self):
+        # a per-node store grows centre 0's pool ahead of the scheduler;
+        # the scheduler recomputes those layers but must not append them
+        # a second time
+        g = balanced_tree(2, 4)
+        sched = FrontierScheduler(g, bytearray(g.n))
+        BallStore(g, 0, layers=sched.pool(0)).grow_to(2)
+        sched.grow_to(g.n)
+        fresh = BallStore(g, 0)
+        fresh.grow_to(g.n)
+        assert sched.pool(0) == fresh._layers
+        assert int(sched.ball_size[0]) == g.n
 
     def test_committed_centers_stop_growing(self):
         g = path_graph(9)
@@ -349,11 +363,11 @@ class TestSweepAxes:
 
         args = (["spider"], [12], ["two_coloring", "rake_layering"])
         auto = SweepRunner(samples=2, engine="auto").run(*args, seed=5)
-        inc = SweepRunner(samples=2, engine="incremental").run(*args, seed=5)
+        ref = SweepRunner(samples=2, engine="reference").run(*args, seed=5)
         bat = SweepRunner(samples=2, engine="batched").run(*args, seed=5)
-        for a, i, b in zip(auto["cells"], inc["cells"], bat["cells"]):
-            assert a["node_averaged"] == i["node_averaged"] == b["node_averaged"]
-            assert a["worst_case"] == i["worst_case"] == b["worst_case"]
+        for a, r, b in zip(auto["cells"], ref["cells"], bat["cells"]):
+            assert a["node_averaged"] == r["node_averaged"] == b["node_averaged"]
+            assert a["worst_case"] == r["worst_case"] == b["worst_case"]
 
     def test_id_mode_reaches_the_simulator(self):
         # the sweep hands the mode's exact assignment to every run: with

@@ -1,14 +1,15 @@
-"""Engine equivalence: ``reference`` vs ``incremental`` vs ``batched``.
+"""Engine equivalence: ``batched`` vs its ``reference`` oracle.
 
 The contract (see :class:`repro.local.simulator.LocalSimulator`) is that
-all three engines are observationally identical: same ``(T_v, output)``
-maps on every graph, algorithm and ID assignment.  This suite pins it
-over a seeded corpus covering all algorithm formulations — view-based
-(through the batched engine's per-node fallback adapter), message-passing
-(global dynamics vs causal-cone oracle vs vectorized ``decide_batch``)
-and native batched — plus the CSR substrate invariants the fast engines
-lean on (ball equality with a naive BFS, networkx round-trips, shared
-BFS-layer reuse in ``run_batch``).
+both engines are observationally identical: same ``(T_v, output)`` maps
+on every graph, algorithm and ID assignment.  This suite pins it over a
+seeded corpus covering all algorithm formulations — view-based (native
+``decide_batch`` and, with ``decide_batch`` hidden, the batched engine's
+per-node adapter), message-passing (vectorized ``decide_batch`` and
+global dynamics vs the causal-cone oracle) and pure batched — plus the
+CSR substrate invariants the batched engine leans on (ball equality with
+a naive BFS, networkx round-trips, shared BFS-layer reuse in
+``run_batch``).
 """
 
 import random
@@ -36,7 +37,6 @@ from repro.local import (
     Graph,
     LocalAlgorithm,
     LocalSimulator,
-    MessageSimulator,
     balanced_tree,
     cycle_graph,
     from_networkx,
@@ -98,20 +98,30 @@ def view_algorithms():
     ]
 
 
+def per_node(algorithm):
+    """``algorithm`` with ``decide_batch`` hidden: the batched engine then
+    runs its per-node form — ``decide`` through the per-node adapter, or
+    the message hooks through the global dynamics."""
+    algorithm.decide_batch = None
+    return algorithm
+
+
 def assert_equivalent(graph, make_algorithm, ids):
-    """Run every engine and require (T_v, output) maps identical to the
-    reference oracle; returns the reference and batched traces."""
+    """Run the batched engine — natively and, for algorithms that also
+    have a per-node form, with ``decide_batch`` hidden — and require
+    (T_v, output) maps identical to the reference oracle; returns the
+    reference and native batched traces."""
     ref = LocalSimulator(engine="reference").run(graph, make_algorithm(), ids)
-    traces = {"reference": ref}
-    for engine in ENGINES:
-        if engine == "reference":
-            continue
-        tr = LocalSimulator(engine=engine).run(graph, make_algorithm(), ids)
-        assert tr.rounds == ref.rounds, engine
-        assert tr.outputs == ref.outputs, engine
-        assert tr.meta["engine"] == engine
-        traces[engine] = tr
-    return ref, traces["batched"]
+    bat = LocalSimulator(engine="batched").run(graph, make_algorithm(), ids)
+    runs = [("batched", bat)]
+    if callable(getattr(make_algorithm(), "decide_batch", None)):
+        runs.append(("per-node", LocalSimulator(engine="batched").run(
+            graph, per_node(make_algorithm()), ids)))
+    for form, tr in runs:
+        assert tr.rounds == ref.rounds, form
+        assert tr.outputs == ref.outputs, form
+        assert tr.meta["engine"] == "batched"
+    return ref, bat
 
 
 class TestViewEngineEquivalence:
@@ -125,11 +135,49 @@ class TestViewEngineEquivalence:
         tr = LocalSimulator(engine="reference").run(g, CanonicalTwoColoring())
         assert tr.meta["engine"] == "reference"
         tr = LocalSimulator().run(g, CanonicalTwoColoring())
-        assert tr.meta["engine"] == "incremental"
+        assert tr.meta["engine"] == "batched"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             LocalSimulator(engine="warp")
+
+    def test_batched_is_the_default_and_incremental_is_gone(self):
+        from repro.sweep import SweepRunner, main
+
+        assert ENGINES == ("batched", "reference")
+        assert LocalSimulator().engine == "batched"
+        with pytest.raises(ValueError):
+            LocalSimulator(engine="incremental")
+        with pytest.raises(ValueError):
+            SweepRunner(engine="incremental")
+        with pytest.raises(SystemExit) as err:
+            main(["--family", "path", "--sizes", "8", "--engine",
+                  "incremental"])
+        assert err.value.code == 2  # an argparse usage error
+
+    @pytest.mark.parametrize(
+        "make", [lambda: per_node(CanonicalTwoColoring()), FirstVisibleOutput],
+        ids=["two-coloring-per-node", "first-visible-output"])
+    def test_adapter_never_sweeps_the_shared_frontier(self, make, monkeypatch):
+        # per-node views grow their own ball stores; the shared frontier
+        # scheduler stays at radius 0 for the whole run
+        from repro.local import frontier
+
+        schedulers = []
+        init = frontier.FrontierScheduler.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            schedulers.append(self)
+
+        monkeypatch.setattr(frontier.FrontierScheduler, "__init__",
+                            recording_init)
+        name, graph, ids = CORPUS[2]  # path24
+        tr = LocalSimulator().run(graph, make(), ids)
+        ref = LocalSimulator(engine="reference").run(graph, make(), ids)
+        assert tr.rounds == ref.rounds and tr.outputs == ref.outputs
+        assert max(tr.rounds) > 1
+        assert [s.radius for s in schedulers] == [0]
 
 
 class TestMessageEngineEquivalence:
@@ -137,9 +185,7 @@ class TestMessageEngineEquivalence:
         "name,graph,ids", PATH_CORPUS, ids=[c[0] for c in PATH_CORPUS]
     )
     def test_cole_vishkin(self, name, graph, ids):
-        ref, inc = assert_equivalent(graph, ColeVishkin3Coloring, ids)
-        msg = MessageSimulator().run(graph, ColeVishkin3Coloring(), ids)
-        assert msg.rounds == ref.rounds and msg.outputs == ref.outputs
+        assert_equivalent(graph, ColeVishkin3Coloring, ids)
 
     @pytest.mark.parametrize("variant", ["2.5", "3.5"])
     def test_generic_phases(self, variant):
@@ -206,7 +252,7 @@ class _Returns(BatchedAlgorithm):
 
 
 class TestBatchedEngine:
-    """Batched-engine specifics beyond the shared three-way corpus."""
+    """Batched-engine specifics beyond the shared corpus."""
 
     @pytest.mark.parametrize(
         "name,graph,ids", FOREST_CORPUS, ids=[c[0] for c in FOREST_CORPUS]
@@ -241,9 +287,8 @@ class TestBatchedEngine:
         assert tr.rounds == [1] * 5
         # ball sizes at round 1 on a path: 2 at the ends, 3 inside
         assert tr.outputs == [2, 3, 3, 3, 2]
-        for engine in ("incremental", "reference"):
-            with pytest.raises(TypeError):
-                LocalSimulator(engine=engine).run(g, _AllAtRoundOne())
+        with pytest.raises(TypeError):
+            LocalSimulator(engine="reference").run(g, _AllAtRoundOne())
 
     def test_double_commit_raises(self):
         from repro.local import SimulationError
@@ -367,13 +412,11 @@ class TestBatchedEngine:
         )
 
     def test_message_algorithm_without_decide_batch_falls_back(self):
-        class PlainCV(ColeVishkin3Coloring):
-            decide_batch = None  # masks the vectorized path
-
         g = path_graph(11)
         ids = random_ids(11, rng=random.Random(2))
         ref = LocalSimulator(engine="reference").run(g, ColeVishkin3Coloring(), ids)
-        tr = LocalSimulator(engine="batched").run(g, PlainCV(), ids)
+        tr = LocalSimulator(engine="batched").run(
+            g, per_node(ColeVishkin3Coloring()), ids)
         assert tr.rounds == ref.rounds and tr.outputs == ref.outputs
 
 
@@ -398,40 +441,46 @@ class TestRunBatch:
         rng = random.Random(7)
         samples = [random_ids(g.n, rng=rng) for _ in range(4)]
         sim = LocalSimulator(engine=engine)
-        batch = sim.run_batch(g, CanonicalTwoColoring(), samples)
-        for ids, tr in zip(samples, batch):
-            solo = LocalSimulator().run(g, CanonicalTwoColoring(), ids)
-            assert tr.rounds == solo.rounds and tr.outputs == solo.outputs
+        for make in (CanonicalTwoColoring,
+                     lambda: per_node(CanonicalTwoColoring())):
+            batch = sim.run_batch(g, make(), samples)
+            for ids, tr in zip(samples, batch):
+                solo = LocalSimulator().run(g, CanonicalTwoColoring(), ids)
+                assert tr.rounds == solo.rounds and tr.outputs == solo.outputs
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_batch_resets_per_run_caches(self, engine):
         g = path_graph(6)
         samples = [[6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6]]
-        batch = LocalSimulator(engine=engine).run_batch(
-            g, WaitForWholeGraph(_ids_as_outputs), samples
-        )
-        assert batch[0].outputs == samples[0]
-        assert batch[1].outputs == samples[1]
+        for algorithm in (WaitForWholeGraph(_ids_as_outputs),
+                          per_node(WaitForWholeGraph(_ids_as_outputs))):
+            batch = LocalSimulator(engine=engine).run_batch(
+                g, algorithm, samples
+            )
+            assert batch[0].outputs == samples[0]
+            assert batch[1].outputs == samples[1]
 
-    def test_batched_engine_reuses_atlas_grown_by_incremental(self):
-        # one shared atlas across engines: incremental grows the layer
-        # pool with per-node BallStores, the batched scheduler must read
-        # and extend the very same lists (and vice versa)
+    def test_batched_engine_reuses_atlas_grown_by_adapter_views(self):
+        # one shared atlas: the adapter's per-node views grow the layer
+        # pool with their own BallStores, the native run's frontier
+        # scheduler must read and extend the very same lists (and vice
+        # versa)
         g = balanced_tree(2, 3)
         rng = random.Random(11)
         samples = [random_ids(g.n, rng=rng) for _ in range(3)]
         atlas = {}
-        inc = [
-            LocalSimulator(engine="incremental")._run(
-                g, CanonicalTwoColoring(), ids, atlas=atlas)
+        views = [
+            LocalSimulator(engine="batched")._run(
+                g, per_node(CanonicalTwoColoring()), ids, atlas=atlas)
             for ids in samples
         ]
+        assert len(atlas[("layers", 0)]) > 1
         bat = [
             LocalSimulator(engine="batched")._run(
                 g, CanonicalTwoColoring(), ids, atlas=atlas)
             for ids in samples
         ]
-        for a, b in zip(inc, bat):
+        for a, b in zip(views, bat):
             assert a.rounds == b.rounds and a.outputs == b.outputs
 
 
@@ -569,9 +618,8 @@ class TestScheduleReplay:
         from repro.algorithms import replay_apoly
 
         g = self._weighted25()
-        for engine in ("incremental", "reference"):
-            with pytest.raises(TypeError):
-                LocalSimulator(engine=engine).run(g, replay_apoly(5, 2, 2))
+        with pytest.raises(TypeError):
+            LocalSimulator(engine="reference").run(g, replay_apoly(5, 2, 2))
 
     def test_run_batch_recomputes_per_sample(self):
         # run_batch reuses one algorithm instance across ID samples; the

@@ -14,7 +14,7 @@ from repro.algorithms.generic_phases import (
 )
 from repro.constructions import build_lower_bound_graph
 from repro.lcl import Coloring25, Coloring35, compute_levels
-from repro.local import MessageSimulator, random_ids
+from repro.local import LocalSimulator, random_ids
 
 CASES = [
     (1, [12]),
@@ -49,6 +49,14 @@ class TestFastForwardValidity:
             run_generic_fast_forward(lb.graph, random_ids(lb.graph.n), 2, [3], "4.5")
 
 
+class _MessageForm(GenericPhaseColoring):
+    """The phase algorithm through its message hooks: with
+    ``decide_batch`` (which replays the fast-forward) hidden, the batched
+    engine runs the global message dynamics."""
+
+    decide_batch = None
+
+
 class TestMessageAgreement:
     """The distributed execution must equal the fast-forward exactly."""
 
@@ -62,7 +70,7 @@ class TestMessageAgreement:
             default_gammas_25(g.n, k) if variant == "2.5" else default_gammas_35(g.n, k)
         )
         ff = run_generic_fast_forward(g, ids, k, gammas, variant)
-        tr = MessageSimulator().run(g, GenericPhaseColoring(k, gammas, variant), ids)
+        tr = LocalSimulator().run(g, _MessageForm(k, gammas, variant), ids)
         assert tr.outputs == ff.outputs
         assert tr.rounds == ff.rounds
 

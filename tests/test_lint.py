@@ -486,16 +486,29 @@ def _run_cli(*args, cwd=REPO):
     )
 
 
+@pytest.fixture(scope="session")
+def lint_cli():
+    """:func:`_run_cli` memoized per argument tuple: each whole-tree
+    invocation runs once per session, however many tests read it."""
+    runs = {}
+
+    def run(*args):
+        if args not in runs:
+            runs[args] = _run_cli(*args)
+        return runs[args]
+    return run
+
+
 class TestCLI:
-    def test_repo_is_clean(self):
-        proc = _run_cli("src", "tests", "benchmarks")
+    def test_repo_is_clean(self, lint_cli):
+        proc = lint_cli("src", "tests", "benchmarks")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 errors" in proc.stdout
 
-    def test_json_identical_across_jobs(self):
-        one = _run_cli("src", "tests", "benchmarks", "--format", "json",
+    def test_json_identical_across_jobs(self, lint_cli):
+        one = lint_cli("src", "tests", "benchmarks", "--format", "json",
                        "--jobs", "1")
-        four = _run_cli("src", "tests", "benchmarks", "--format", "json",
+        four = lint_cli("src", "tests", "benchmarks", "--format", "json",
                         "--jobs", "4")
         assert one.returncode == 0 and four.returncode == 0
         assert one.stdout == four.stdout
@@ -516,11 +529,11 @@ class TestCLI:
                         "IPD001", "IPD002", "IPD003", "STORE002"):
             assert rule_id in proc.stdout
 
-    def test_examples_linted_by_default(self):
-        proc = _run_cli()
+    def test_examples_linted_by_default(self, lint_cli):
+        proc = lint_cli()
         assert proc.returncode == 0, proc.stdout + proc.stderr
         # file count covers examples/ on top of src+tests+benchmarks
-        explicit = _run_cli("src", "tests", "benchmarks")
+        explicit = lint_cli("src", "tests", "benchmarks")
         count = int(proc.stdout.rsplit(" files", 1)[0].rsplit()[-1])
         explicit_count = int(
             explicit.stdout.rsplit(" files", 1)[0].rsplit()[-1])

@@ -22,7 +22,7 @@ from repro.lcl import (
     compute_levels,
 )
 from repro.lcl.dfree import A_INPUT, W_INPUT
-from repro.local import MessageSimulator, random_ids
+from repro.local import LocalSimulator, random_ids
 
 trees = st.builds(
     lambda n, seed: random_tree(n, 4, random.Random(seed)),
@@ -46,6 +46,14 @@ def test_generic_algorithm_always_valid(g, k, variant, seed):
     assert prob.verify(g, tr.outputs).valid
 
 
+class _MessageForm(GenericPhaseColoring):
+    """The phase algorithm through its message hooks: with
+    ``decide_batch`` (which replays the fast-forward) hidden, the batched
+    engine runs the global message dynamics."""
+
+    decide_batch = None
+
+
 @settings(max_examples=12, deadline=None)
 @given(trees, st.integers(min_value=1, max_value=2),
        st.integers(min_value=0, max_value=99))
@@ -55,7 +63,7 @@ def test_message_equals_fast_forward_on_random_trees(g, k, seed):
     ids = random_ids(g.n, rng=random.Random(seed))
     gammas = default_gammas_25(g.n, k)
     ff = run_generic_fast_forward(g, ids, k, gammas, "2.5")
-    tr = MessageSimulator().run(g, GenericPhaseColoring(k, gammas, "2.5"), ids)
+    tr = LocalSimulator().run(g, _MessageForm(k, gammas, "2.5"), ids)
     assert tr.outputs == ff.outputs
     assert tr.rounds == ff.rounds
 

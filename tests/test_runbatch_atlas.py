@@ -7,6 +7,9 @@ fresh per-run store — pinned here over seeded corpora drawn from the
 family generators, deliberately including disconnected graphs and
 single-node components (the shapes where frontier exhaustion and
 ``sees_whole_component`` short-circuits are easiest to get wrong).
+Within one run the per-node views' ball stores and the frontier
+scheduler also share the layer lists; ``_ViewsThenReady`` drives both in
+the same round.
 """
 
 import random
@@ -18,6 +21,7 @@ from repro.families import get_family
 from repro.local import (
     CONTINUE,
     ENGINES,
+    BatchedAlgorithm,
     Graph,
     LocalAlgorithm,
     LocalSimulator,
@@ -84,6 +88,38 @@ class _FirstVisibleOutput(LocalAlgorithm):
         return CONTINUE
 
 
+class _PerNodeTwoColoring(CanonicalTwoColoring):
+    """The canonical 2-colouring through its per-node ``decide``: on the
+    batched engine it runs through the per-node adapter."""
+
+    decide_batch = None
+
+
+class _MessageCV(ColeVishkin3Coloring):
+    """Cole–Vishkin through its message hooks: on the batched engine it
+    runs through the global message dynamics."""
+
+    decide_batch = None
+
+
+class _ViewsThenReady(BatchedAlgorithm):
+    """Reads every live node's view, then asks for the flat readiness
+    facts, in the same round: per-node stores grow the layer pool ahead
+    of the frontier scheduler, whose layer write-back must then skip the
+    layers the stores already hold.  Commits ``_MinIdRank``'s outputs
+    for the ready nodes, cross-checked against the views."""
+
+    name = "views-then-ready"
+
+    def decide_batch(self, views, live, t):
+        decide = _MinIdRank().decide
+        own = {v: decide(views.view_of(v), views.n) for v in live.tolist()}
+        ready = views.ready(live)
+        per_node = [v for v, d in own.items() if d is not CONTINUE]
+        assert ready.tolist() == per_node, (t, ready.tolist(), per_node)
+        return ready, [own[v] for v in ready.tolist()]
+
+
 class _DegreeSum2(MessageAlgorithm):
     """Commits at round 2 with the sum of degrees at distance <= 2."""
 
@@ -113,7 +149,8 @@ def _id_samples(g, seed, k=3):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_view_batch_equals_fresh_runs(name, graph, engine):
     samples = _id_samples(graph, seed=hashlib_seed(name))
-    for algo_factory in (CanonicalTwoColoring, _MinIdRank, _FirstVisibleOutput):
+    for algo_factory in (CanonicalTwoColoring, _PerNodeTwoColoring,
+                         _MinIdRank, _FirstVisibleOutput):
         sim = LocalSimulator(engine=engine)
         batched = sim.run_batch(graph, algo_factory(), samples)
         for ids, trace in zip(samples, batched):
@@ -123,7 +160,19 @@ def test_view_batch_equals_fresh_runs(name, graph, engine):
 
 
 @pytest.mark.parametrize("name,graph", CORPUS, ids=[c[0] for c in CORPUS])
-@pytest.mark.parametrize("engine", ("incremental", "batched"))
+def test_views_then_ready_matches_reference(name, graph):
+    # single runs and one 3-sample run_batch over a shared atlas
+    samples = _id_samples(graph, seed=hashlib_seed(name) + 2)
+    batch = LocalSimulator().run_batch(graph, _ViewsThenReady(), samples)
+    for ids, trace in zip(samples, batch):
+        ref = LocalSimulator(engine="reference").run(graph, _MinIdRank(), ids)
+        solo = LocalSimulator().run(graph, _ViewsThenReady(), ids)
+        assert solo.rounds == ref.rounds and solo.outputs == ref.outputs
+        assert trace.rounds == ref.rounds and trace.outputs == ref.outputs
+
+
+@pytest.mark.parametrize("name,graph", CORPUS, ids=[c[0] for c in CORPUS])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_message_batch_equals_fresh_runs(name, graph, engine):
     samples = _id_samples(graph, seed=hashlib_seed(name) + 1)
     sim = LocalSimulator(engine=engine)
@@ -134,16 +183,16 @@ def test_message_batch_equals_fresh_runs(name, graph, engine):
         assert trace.outputs == fresh.outputs, name
 
 
-@pytest.mark.parametrize("engine", ("incremental", "batched"))
-def test_message_batch_on_paths_matches_reference(engine):
-    # under engine="batched" this exercises the vectorized decide_batch of
-    # Cole-Vishkin across run_batch reuse (per-execution array state must
-    # reset between the ID samples)
+@pytest.mark.parametrize("form", ("batched", "global"))
+def test_message_batch_on_paths_matches_reference(form):
+    # "batched" exercises the vectorized decide_batch of Cole-Vishkin
+    # across run_batch reuse (per-execution array state must reset
+    # between the ID samples); "global" hides it, so the batched engine
+    # runs the global message dynamics over the shared neighbour lists
     g = disjoint_union([path_graph(6), path_graph(3), Graph(1, [])])
     samples = _id_samples(g, seed=99)
-    batched = LocalSimulator(engine=engine).run_batch(
-        g, ColeVishkin3Coloring(), samples
-    )
+    make = ColeVishkin3Coloring if form == "batched" else _MessageCV
+    batched = LocalSimulator().run_batch(g, make(), samples)
     for ids, trace in zip(samples, batched):
         ref = LocalSimulator(engine="reference").run(g, ColeVishkin3Coloring(), ids)
         assert trace.rounds == ref.rounds

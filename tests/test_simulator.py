@@ -1,4 +1,5 @@
-"""Tests for the LOCAL simulators (view-based and message-passing)."""
+"""Tests for the LOCAL simulator on both algorithm formulations
+(view-based and message-passing)."""
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.local import (
     LocalAlgorithm,
     LocalSimulator,
     MessageAlgorithm,
-    MessageSimulator,
     SimulationError,
     path_graph,
     random_ids,
@@ -104,11 +104,20 @@ class EchoSum(MessageAlgorithm):
 
 
 class TestMessageSimulator:
+    """``LocalSimulator`` running message-passing algorithms."""
+
     def test_neighbor_sum(self):
         g = path_graph(3)
-        trace = MessageSimulator().run(g, EchoSum(), [10, 20, 30])
+        trace = LocalSimulator().run(g, EchoSum(), [10, 20, 30])
         assert trace.outputs == [20, 40, 20]
         assert trace.rounds == [1, 1, 1]
+
+    def test_meta_carries_engine_key(self):
+        g = path_graph(7)
+        ids = random_ids(7)
+        trace = LocalSimulator().run(g, EchoSum(), ids)
+        assert trace.meta["engine"] == "batched"
+        assert trace.meta["ids"] == ids
 
     def test_terminated_nodes_keep_relaying(self):
         class Relay(MessageAlgorithm):
@@ -138,7 +147,7 @@ class TestMessageSimulator:
                 return CONTINUE
 
         g = path_graph(5)
-        trace = MessageSimulator().run(g, Relay(), [1, 2, 3, 4, 5])
+        trace = LocalSimulator().run(g, Relay(), [1, 2, 3, 4, 5])
         assert trace.outputs[0] == "src"
         assert trace.outputs[1:] == [1, 2, 3, 4]
         assert trace.rounds == [0, 1, 2, 3, 4]
@@ -160,7 +169,7 @@ class TestMessageSimulator:
                 return CONTINUE
 
         with pytest.raises(SimulationError):
-            MessageSimulator(max_rounds=3).run(path_graph(2), Never())
+            LocalSimulator(max_rounds=3).run(path_graph(2), Never())
 
 
 class TestExecutionTrace:

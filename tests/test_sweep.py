@@ -57,9 +57,9 @@ class TestDeterminism:
 
     def test_engines_agree(self):
         args = (["spider"], [12], ["two_coloring"])
-        inc = SweepRunner(samples=2, engine="incremental").run(*args, seed=5)
+        bat = SweepRunner(samples=2, engine="batched").run(*args, seed=5)
         ref = SweepRunner(samples=2, engine="reference").run(*args, seed=5)
-        assert inc["cells"][0]["node_averaged"] == ref["cells"][0]["node_averaged"]
+        assert bat["cells"][0]["node_averaged"] == ref["cells"][0]["node_averaged"]
 
 
 class TestRegistry:

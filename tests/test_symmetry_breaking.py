@@ -17,7 +17,6 @@ from repro.algorithms.symmetry_breaking import (
 from repro.local import (
     Graph,
     LocalSimulator,
-    MessageSimulator,
     path_graph,
     random_ids,
 )
@@ -70,13 +69,20 @@ class TestThreeColorPath:
         assert three_color_path([], 10) == ([], 0)
 
 
+class _MessageCV(ColeVishkin3Coloring):
+    """Cole–Vishkin through its message hooks: with ``decide_batch``
+    hidden, the batched engine runs the global message dynamics."""
+
+    decide_batch = None
+
+
 class TestDistributedCV:
     def test_matches_fast_forward(self):
         rng = random.Random(5)
         for m in (1, 2, 3, 17, 64):
             g = path_graph(m)
             ids = random_ids(m, rng=rng)
-            trace = MessageSimulator().run(g, ColeVishkin3Coloring(), ids)
+            trace = LocalSimulator().run(g, _MessageCV(), ids)
             colors, rounds = three_color_path(ids, m**3)
             assert trace.outputs == colors
             assert all(r == rounds for r in trace.rounds)
@@ -84,7 +90,7 @@ class TestDistributedCV:
     def test_rejects_high_degree(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(ValueError):
-            MessageSimulator().run(g, ColeVishkin3Coloring(), [1, 2, 3, 4])
+            LocalSimulator().run(g, ColeVishkin3Coloring(), [1, 2, 3, 4])
 
     def test_rounds_scale_like_log_star(self):
         # E13 shape: node-averaged 3-coloring cost ~ log* n, far below n

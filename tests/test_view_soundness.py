@@ -7,23 +7,18 @@ exactly like ``distance`` — identically on both engines.  ``output_of``
 had a subtler variant (None before the out-of-ball node commits, KeyError
 after — a distinguishable out-of-horizon signal) and now raises always.
 Also pinned here: negative-radius validation in ``Graph.ball`` /
-``BallStore.grow_to``, and the ``MessageSimulator`` trace meta carrying
-the ``"engine"`` key that shared tooling reads.
+``BallStore.grow_to``.
 """
 
 import pytest
 
-from repro.algorithms import ColeVishkin3Coloring
 from repro.local import (
-    CONTINUE,
     ENGINES,
     BallStore,
     LocalAlgorithm,
     LocalSimulator,
-    MessageSimulator,
     View,
     path_graph,
-    random_ids,
     sequential_ids,
     validate_ids,
 )
@@ -90,53 +85,6 @@ class TestNegativeRadius:
         with pytest.raises(ValueError):
             store.grow_to(-1)
         assert store.grow_to(0) == {0: 0}
-
-
-class TestMessageSimulatorDelegation:
-    def test_meta_carries_engine_key(self):
-        g = path_graph(7)
-        ids = random_ids(7)
-        trace = MessageSimulator().run(g, ColeVishkin3Coloring(), ids)
-        assert trace.meta["engine"] == "incremental"
-        assert trace.meta["ids"] == ids
-
-    def test_trace_matches_local_simulator(self):
-        g = path_graph(9)
-        ids = random_ids(9)
-        via_message = MessageSimulator().run(g, ColeVishkin3Coloring(), ids)
-        via_local = LocalSimulator().run(g, ColeVishkin3Coloring(), ids)
-        assert via_message.rounds == via_local.rounds
-        assert via_message.outputs == via_local.outputs
-        assert via_message.meta == via_local.meta
-
-    def test_rejects_view_algorithms(self):
-        class Noop(LocalAlgorithm):
-            def decide(self, view, n):
-                return CONTINUE
-
-        with pytest.raises(TypeError):
-            MessageSimulator().run(path_graph(3), Noop())
-
-    def test_max_rounds_forwarded(self):
-        from repro.local import MessageAlgorithm, SimulationError
-
-        class Never(MessageAlgorithm):
-            name = "never"
-
-            def init_state(self, info, n):
-                return None
-
-            def message(self, state, t):
-                return None
-
-            def transition(self, state, incoming, t):
-                return None
-
-            def decide(self, state, t):
-                return CONTINUE
-
-        with pytest.raises(SimulationError):
-            MessageSimulator(max_rounds=3).run(path_graph(3), Never())
 
 
 def test_validate_ids_exported():
