@@ -106,6 +106,22 @@ def per_node(algorithm):
     return algorithm
 
 
+# The forms the run_batch tests run: both engines on the algorithm as
+# given, and "incremental" — the batched engine with ``decide_batch``
+# hidden, where each node carries its own state from round to round (a
+# BallStore grown one BFS layer per round, or its message state) rather
+# than have the reference engine re-derive it from the ball.
+RUN_FORMS = ENGINES + ("incremental",)
+
+
+def in_form(form, make_algorithm):
+    """The simulator and algorithm factory of a run form."""
+    if form == "incremental":
+        return (LocalSimulator(engine="batched"),
+                lambda: per_node(make_algorithm()))
+    return LocalSimulator(engine=form), make_algorithm
+
+
 def assert_equivalent(graph, make_algorithm, ids):
     """Run the batched engine — natively and, for algorithms that also
     have a per-node form, with ``decide_batch`` hidden — and require
@@ -435,52 +451,43 @@ class TestIdValidation:
 
 
 class TestRunBatch:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_batch_matches_individual_runs(self, engine):
+    @pytest.mark.parametrize("form", RUN_FORMS)
+    def test_batch_matches_individual_runs(self, form):
         g = balanced_tree(2, 3)
         rng = random.Random(7)
         samples = [random_ids(g.n, rng=rng) for _ in range(4)]
-        sim = LocalSimulator(engine=engine)
-        for make in (CanonicalTwoColoring,
-                     lambda: per_node(CanonicalTwoColoring())):
-            batch = sim.run_batch(g, make(), samples)
-            for ids, tr in zip(samples, batch):
-                solo = LocalSimulator().run(g, CanonicalTwoColoring(), ids)
-                assert tr.rounds == solo.rounds and tr.outputs == solo.outputs
+        sim, make = in_form(form, CanonicalTwoColoring)
+        batch = sim.run_batch(g, make(), samples)
+        for ids, tr in zip(samples, batch):
+            solo = LocalSimulator().run(g, CanonicalTwoColoring(), ids)
+            assert tr.rounds == solo.rounds and tr.outputs == solo.outputs
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_batch_resets_per_run_caches(self, engine):
+    @pytest.mark.parametrize("form", RUN_FORMS)
+    def test_batch_resets_per_run_caches(self, form):
         g = path_graph(6)
         samples = [[6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6]]
-        for algorithm in (WaitForWholeGraph(_ids_as_outputs),
-                          per_node(WaitForWholeGraph(_ids_as_outputs))):
-            batch = LocalSimulator(engine=engine).run_batch(
-                g, algorithm, samples
-            )
-            assert batch[0].outputs == samples[0]
-            assert batch[1].outputs == samples[1]
+        sim, make = in_form(form, lambda: WaitForWholeGraph(_ids_as_outputs))
+        batch = sim.run_batch(g, make(), samples)
+        assert batch[0].outputs == samples[0]
+        assert batch[1].outputs == samples[1]
 
-    def test_batched_engine_reuses_atlas_grown_by_adapter_views(self):
-        # one shared atlas: the adapter's per-node views grow the layer
-        # pool with their own BallStores, the native run's frontier
-        # scheduler must read and extend the very same lists (and vice
-        # versa)
+    def test_batched_engine_reuses_atlas_grown_by_incremental(self):
+        # one shared atlas: incremental runs grow the layer pool with
+        # their per-node BallStores, the native run's frontier scheduler
+        # must read and extend the very same lists (and vice versa)
         g = balanced_tree(2, 3)
         rng = random.Random(11)
         samples = [random_ids(g.n, rng=rng) for _ in range(3)]
         atlas = {}
-        views = [
-            LocalSimulator(engine="batched")._run(
-                g, per_node(CanonicalTwoColoring()), ids, atlas=atlas)
-            for ids in samples
-        ]
+        sim, make = in_form("incremental", CanonicalTwoColoring)
+        inc = [sim._run(g, make(), ids, atlas=atlas) for ids in samples]
         assert len(atlas[("layers", 0)]) > 1
         bat = [
             LocalSimulator(engine="batched")._run(
                 g, CanonicalTwoColoring(), ids, atlas=atlas)
             for ids in samples
         ]
-        for a, b in zip(views, bat):
+        for a, b in zip(inc, bat):
             assert a.rounds == b.rounds and a.outputs == b.outputs
 
 

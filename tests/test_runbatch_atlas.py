@@ -22,6 +22,7 @@ from repro.local import (
     CONTINUE,
     ENGINES,
     BatchedAlgorithm,
+    CommitSchedule,
     Graph,
     LocalAlgorithm,
     LocalSimulator,
@@ -29,6 +30,7 @@ from repro.local import (
     disjoint_union,
     path_graph,
     random_ids,
+    run_message_dynamics,
 )
 
 
@@ -88,20 +90,6 @@ class _FirstVisibleOutput(LocalAlgorithm):
         return CONTINUE
 
 
-class _PerNodeTwoColoring(CanonicalTwoColoring):
-    """The canonical 2-colouring through its per-node ``decide``: on the
-    batched engine it runs through the per-node adapter."""
-
-    decide_batch = None
-
-
-class _MessageCV(ColeVishkin3Coloring):
-    """Cole–Vishkin through its message hooks: on the batched engine it
-    runs through the global message dynamics."""
-
-    decide_batch = None
-
-
 class _ViewsThenReady(BatchedAlgorithm):
     """Reads every live node's view, then asks for the flat readiness
     facts, in the same round: per-node stores grow the layer pool ahead
@@ -121,9 +109,23 @@ class _ViewsThenReady(BatchedAlgorithm):
 
 
 class _DegreeSum2(MessageAlgorithm):
-    """Commits at round 2 with the sum of degrees at distance <= 2."""
+    """Commits at round 2 with the sum of degrees at distance <= 2.  Its
+    ``decide_batch`` replays one global run of the dynamics over the
+    batch's shared neighbour lists (``BatchedViews.neighbor_lists``);
+    with it hidden, the batched engine runs those dynamics itself."""
 
     name = "degree-sum-2"
+
+    def setup(self, graph, n):
+        self._schedule = None
+
+    def decide_batch(self, views, live, t):
+        if self._schedule is None:
+            self._schedule = CommitSchedule(*run_message_dynamics(
+                views.graph, self, list(views.ids), views.budget,
+                neighbor_lists=views.neighbor_lists(),
+            ))
+        return self._schedule.due(t)
 
     def init_state(self, info, n):
         return {"deg": info.degree, "sum": info.degree, "nbrs": info.neighbors}
@@ -145,18 +147,37 @@ def _id_samples(g, seed, k=3):
     return [random_ids(g.n, rng=rng) for _ in range(k)]
 
 
+# Both engines on the algorithm as given, and "incremental": the batched
+# engine with ``decide_batch`` hidden, so view algorithms decide per node
+# over BallStores grown one layer per round and message algorithms run
+# the global dynamics.
+FORMS = ENGINES + ("incremental",)
+
+
+def _in_form(form, factory):
+    """The simulator and algorithm factory of a run form."""
+    if form != "incremental":
+        return LocalSimulator(engine=form), factory
+
+    def per_node():
+        algorithm = factory()
+        algorithm.decide_batch = None
+        return algorithm
+
+    return LocalSimulator(engine="batched"), per_node
+
+
 @pytest.mark.parametrize("name,graph", CORPUS, ids=[c[0] for c in CORPUS])
-@pytest.mark.parametrize("engine", ENGINES)
-def test_view_batch_equals_fresh_runs(name, graph, engine):
+@pytest.mark.parametrize("form", FORMS)
+def test_view_batch_equals_fresh_runs(name, graph, form):
     samples = _id_samples(graph, seed=hashlib_seed(name))
-    for algo_factory in (CanonicalTwoColoring, _PerNodeTwoColoring,
-                         _MinIdRank, _FirstVisibleOutput):
-        sim = LocalSimulator(engine=engine)
-        batched = sim.run_batch(graph, algo_factory(), samples)
+    for algo_factory in (CanonicalTwoColoring, _MinIdRank, _FirstVisibleOutput):
+        sim, make = _in_form(form, algo_factory)
+        batched = sim.run_batch(graph, make(), samples)
         for ids, trace in zip(samples, batched):
-            fresh = sim.run(graph, algo_factory(), ids)
-            assert trace.rounds == fresh.rounds, (name, engine)
-            assert trace.outputs == fresh.outputs, (name, engine)
+            fresh = sim.run(graph, make(), ids)
+            assert trace.rounds == fresh.rounds, (name, form)
+            assert trace.outputs == fresh.outputs, (name, form)
 
 
 @pytest.mark.parametrize("name,graph", CORPUS, ids=[c[0] for c in CORPUS])
@@ -172,27 +193,28 @@ def test_views_then_ready_matches_reference(name, graph):
 
 
 @pytest.mark.parametrize("name,graph", CORPUS, ids=[c[0] for c in CORPUS])
-@pytest.mark.parametrize("engine", ENGINES)
-def test_message_batch_equals_fresh_runs(name, graph, engine):
+@pytest.mark.parametrize("form", FORMS)
+def test_message_batch_equals_fresh_runs(name, graph, form):
     samples = _id_samples(graph, seed=hashlib_seed(name) + 1)
-    sim = LocalSimulator(engine=engine)
-    batched = sim.run_batch(graph, _DegreeSum2(), samples)
+    sim, make = _in_form(form, _DegreeSum2)
+    batched = sim.run_batch(graph, make(), samples)
     for ids, trace in zip(samples, batched):
-        fresh = sim.run(graph, _DegreeSum2(), ids)
+        fresh = sim.run(graph, make(), ids)
         assert trace.rounds == fresh.rounds, name
         assert trace.outputs == fresh.outputs, name
 
 
-@pytest.mark.parametrize("form", ("batched", "global"))
+@pytest.mark.parametrize("form", ("batched", "incremental"))
 def test_message_batch_on_paths_matches_reference(form):
     # "batched" exercises the vectorized decide_batch of Cole-Vishkin
     # across run_batch reuse (per-execution array state must reset
-    # between the ID samples); "global" hides it, so the batched engine
-    # runs the global message dynamics over the shared neighbour lists
+    # between the ID samples); "incremental" hides it, so the batched
+    # engine runs the global message dynamics over the shared neighbour
+    # lists
     g = disjoint_union([path_graph(6), path_graph(3), Graph(1, [])])
     samples = _id_samples(g, seed=99)
-    make = ColeVishkin3Coloring if form == "batched" else _MessageCV
-    batched = LocalSimulator().run_batch(g, make(), samples)
+    sim, make = _in_form(form, ColeVishkin3Coloring)
+    batched = sim.run_batch(g, make(), samples)
     for ids, trace in zip(samples, batched):
         ref = LocalSimulator(engine="reference").run(g, ColeVishkin3Coloring(), ids)
         assert trace.rounds == ref.rounds

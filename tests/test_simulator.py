@@ -112,13 +112,6 @@ class TestMessageSimulator:
         assert trace.outputs == [20, 40, 20]
         assert trace.rounds == [1, 1, 1]
 
-    def test_meta_carries_engine_key(self):
-        g = path_graph(7)
-        ids = random_ids(7)
-        trace = LocalSimulator().run(g, EchoSum(), ids)
-        assert trace.meta["engine"] == "batched"
-        assert trace.meta["ids"] == ids
-
     def test_terminated_nodes_keep_relaying(self):
         class Relay(MessageAlgorithm):
             """Node with ID 1 emits a token at round 0 and halts; everyone

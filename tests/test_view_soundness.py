@@ -7,18 +7,23 @@ exactly like ``distance`` — identically on both engines.  ``output_of``
 had a subtler variant (None before the out-of-ball node commits, KeyError
 after — a distinguishable out-of-horizon signal) and now raises always.
 Also pinned here: negative-radius validation in ``Graph.ball`` /
-``BallStore.grow_to``.
+``BallStore.grow_to``, and message algorithms run by ``LocalSimulator``
+carrying the ``"engine"`` trace meta key that shared tooling reads and
+the caller's ``max_rounds``.
 """
 
 import pytest
 
+from repro.algorithms import ColeVishkin3Coloring
 from repro.local import (
+    CONTINUE,
     ENGINES,
     BallStore,
     LocalAlgorithm,
     LocalSimulator,
     View,
     path_graph,
+    random_ids,
     sequential_ids,
     validate_ids,
 )
@@ -85,6 +90,42 @@ class TestNegativeRadius:
         with pytest.raises(ValueError):
             store.grow_to(-1)
         assert store.grow_to(0) == {0: 0}
+
+
+class TestMessageSimulatorDelegation:
+    """``LocalSimulator`` delegating message algorithms to its engines."""
+
+    def test_meta_carries_engine_key(self):
+        g = path_graph(7)
+        ids = random_ids(7)
+        for engine in ENGINES:
+            trace = LocalSimulator(engine=engine).run(
+                g, ColeVishkin3Coloring(), ids)
+            assert trace.meta["engine"] == engine
+            assert trace.meta["ids"] == ids
+
+    def test_max_rounds_forwarded(self):
+        from repro.local import MessageAlgorithm, SimulationError
+
+        class Never(MessageAlgorithm):
+            name = "never"
+
+            def init_state(self, info, n):
+                return None
+
+            def message(self, state, t):
+                return None
+
+            def transition(self, state, incoming, t):
+                return None
+
+            def decide(self, state, t):
+                return CONTINUE
+
+        for engine in ENGINES:
+            with pytest.raises(SimulationError, match="round budget 3 "):
+                LocalSimulator(max_rounds=3, engine=engine).run(
+                    path_graph(3), Never())
 
 
 def test_validate_ids_exported():
