@@ -47,6 +47,13 @@ _SHED_ROUNDS = 9  # 3 per-forest rounds (6 -> 3) + 6 composite rounds (9 -> 3)
 #: (no colour free) cannot occur on degree-<=2 neighbourhoods.
 _LOWEST_FREE = np.array([-1, 0, 1, 0, 2, 0, 1, 0], dtype=np.int64)
 
+#: position of the lowest set bit of every nonzero byte — ``cv_step``'s
+#: ``(diff & -diff).bit_length() - 1`` once labels fit in uint8; index 0
+#: (equal adjacent labels) is rejected before the lookup.
+_LOWEST_SET_BIT = np.array(
+    [0] + [(x & -x).bit_length() - 1 for x in range(1, 256)], dtype=np.uint8
+)
+
 
 # ----------------------------------------------------------------------
 # schedule and pure steps
@@ -278,12 +285,15 @@ class ColeVishkin3Coloring(MessageAlgorithm):
     # ------------------------------------------------------------------
     def decide_batch(self, views, live, t: int):
         """Vectorized form for the batched engine: the per-node message
-        state machine becomes five int64 arrays (two forest labels, two
-        parent pointers, the composite) advanced by whole-array bit
-        tricks, one round per call — same schedule, same labels, all
-        nodes commit together at ``cv_total_rounds`` as one array pair.
-        Never touches the frontier scheduler (the CV schedule needs no
-        ball facts), so a batched run does zero BFS work."""
+        state machine becomes flat arrays (two int64 parent pointers,
+        the two int64 neighbour slots, two forest labels and the int64
+        composite) advanced by whole-array bit tricks, one round per
+        call — same schedule, same labels, all nodes commit together at
+        ``cv_total_rounds`` as one array pair.  The forest labels are
+        uint8 from the second iteration on, and a shedding round only
+        touches the nodes holding its colour.  Never touches the
+        frontier scheduler (the CV schedule needs no ball facts), so a
+        batched run does zero BFS work."""
         if t >= self._total:
             return live, self._bstate["comp"][live]
         st = self._bstate
@@ -295,32 +305,29 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         elif t < iters + 3:
             color = 5 - (t - iters)
             for key, parent in (("l1", st["p1"]), ("l2", st["p2"])):
-                st[key] = self._batch_shed_forest(st[key], parent, color)
+                self._batch_shed_forest(st[key], parent, st["nbrs"], color)
             if t == iters + 2:
-                st["comp"] = 3 * st["l1"] + st["l2"]
+                st["comp"] = 3 * st["l1"].astype(np.int64) + st["l2"]
         else:
             color = 8 - (t - iters - 3)
-            st["comp"] = self._batch_shed_composite(st, color)
+            self._batch_shed_composite(st["comp"], st["nbrs"], color)
         return (), ()
 
     @staticmethod
     def _batch_init(views) -> dict:
         from ..local.frontier import csr_numpy
 
-        graph, n = views.graph, views.n
         ids = np.asarray(views.ids, dtype=np.int64)
-        # degree <= 2 (enforced by setup): pad adjacency to an (n, 2)
-        # array, -1 marking missing slots
-        ip, ix = csr_numpy(graph)
-        deg = ip[1:] - ip[:-1]
-        nbr = np.full((n, 2), -1, dtype=np.int64)
-        has1 = deg >= 1
-        nbr[has1, 0] = ix[ip[:-1][has1]]
-        has2 = deg >= 2
-        nbr[has2, 1] = ix[ip[:-1][has2] + 1]
+        # degree <= 2 (enforced by setup): a node's neighbours sit in CSR
+        # slots indptr[v] and indptr[v] + 1; two -1 pad slots keep both
+        # reads in range for the nodes of degree < 2 at the end
+        ip, ix = csr_numpy(views.graph)
+        start, deg = ip[:-1], np.diff(ip)
+        slots = np.concatenate((ix, (-1, -1)))
+        a = np.where(deg >= 1, slots[start], -1)
+        b = np.where(deg >= 2, slots[start + 1], -1)
         # forest parents: the (up to two) larger-ID neighbours, ranked
         # ascending by ID — identical to _forest_parents / transition()
-        a, b = nbr[:, 0], nbr[:, 1]
         ia = np.where(a >= 0, ids[a], np.int64(-1))
         ib = np.where(b >= 0, ids[b], np.int64(-1))
         a_big, b_big = ia > ids, ib > ids
@@ -330,47 +337,55 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         p1 = np.where(a_big & ~b_big, a, np.where(b_big & ~a_big, b, -1))
         p1 = np.where(a_first, a, np.where(b_first, b, p1))
         p2 = np.where(a_first, b, np.where(b_first, a, np.int64(-1)))
-        return {"nbr": nbr, "p1": p1, "p2": p2,
+        return {"nbrs": (a, b), "p1": p1, "p2": p2,
                 "l1": ids.copy(), "l2": ids.copy(), "comp": None}
 
     @staticmethod
     def _batch_cv_step(st: dict) -> None:
         """One Cole–Vishkin iteration on both forests at once (cv_step
-        vectorized: lsb position via exact log2 of a power of two)."""
+        vectorized).  The first runs on the int64 IDs and finds the
+        lowest differing bit by an exact log2 of a power of two; its
+        labels are below 128, so it narrows them to uint8, and every
+        later iteration looks the bit up in ``_LOWEST_SET_BIT``."""
         for key, parent in (("l1", st["p1"]), ("l2", st["p2"])):
             lab = st[key]
             rooted = parent < 0
-            diff = np.where(rooted, np.int64(1), lab ^ lab[parent])
+            diff = np.where(rooted, 1, lab ^ lab[parent])
             assert diff.all(), "CV step requires distinct adjacent labels"
-            lsb = diff & -diff
-            i = np.log2(lsb.astype(np.float64)).astype(np.int64)
-            st[key] = np.where(rooted, lab & 1, 2 * i + ((lab >> i) & 1))
+            if lab.dtype == np.uint8:
+                i = _LOWEST_SET_BIT[diff]
+            else:
+                i = np.log2((diff & -diff).astype(np.float64)).astype(np.int64)
+            st[key] = np.where(
+                rooted, lab & 1, 2 * i + ((lab >> i) & 1)
+            ).astype(np.uint8)
 
     @staticmethod
-    def _batch_shed_forest(lab, parent, color: int):
-        """One simultaneous per-forest shedding round: nodes holding
-        ``color`` take the lowest colour in {0,1,2} absent from their
-        forest neighbourhood (parent + children), from the pre-round
-        labels — exactly ``_shed_forest``."""
-        used = np.zeros(len(lab), dtype=np.int64)
-        has_parent = parent >= 0
-        used[has_parent] |= np.int64(1) << lab[parent[has_parent]]
-        np.bitwise_or.at(
-            used, parent[has_parent], np.int64(1) << lab[has_parent]
-        )
-        return np.where(lab == color, _LOWEST_FREE[~used & 7], lab)
+    def _batch_shed_forest(lab, parent, nbrs, color: int) -> None:
+        """One simultaneous per-forest shedding round, in place: each
+        node holding ``color`` takes the lowest colour in {0,1,2} absent
+        from its forest neighbourhood — its parent and the (up to two)
+        neighbours whose parent it is — read from the pre-round labels,
+        exactly ``_shed_forest``."""
+        sel = np.flatnonzero(lab == color)
+        par = parent[sel]
+        used = np.where(par >= 0, 1 << lab[par], 0)
+        for nbr in nbrs:
+            w = nbr[sel]
+            used |= np.where((w >= 0) & (parent[w] == sel), 1 << lab[w], 0)
+        lab[sel] = _LOWEST_FREE[~used & 7]
 
     @staticmethod
-    def _batch_shed_composite(st: dict, color: int):
+    def _batch_shed_composite(comp, nbrs, color: int) -> None:
         """One simultaneous composite shedding round over the real graph
-        neighbourhoods (degree <= 2)."""
-        comp, nbr = st["comp"], st["nbr"]
-        used = np.zeros(len(comp), dtype=np.int64)
-        for j in (0, 1):
-            col = nbr[:, j]
-            has = col >= 0
-            used[has] |= np.int64(1) << comp[col[has]]
-        return np.where(comp == color, _LOWEST_FREE[~used & 7], comp)
+        neighbourhoods (degree <= 2), in place on the nodes holding
+        ``color``."""
+        sel = np.flatnonzero(comp == color)
+        used = np.zeros(len(sel), dtype=comp.dtype)
+        for nbr in nbrs:
+            w = nbr[sel]
+            used |= np.where(w >= 0, 1 << comp[w], 0)
+        comp[sel] = _LOWEST_FREE[~used & 7]
 
 
 # ----------------------------------------------------------------------

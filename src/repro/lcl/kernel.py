@@ -48,6 +48,8 @@ try:  # Protocol is typing-only; keep a runtime fallback for exotic setups
 except ImportError:  # pragma: no cover - python < 3.8
     Protocol = object  # type: ignore[assignment]
 
+import numpy as np
+
 from ..local.graph import Graph
 from .problem import LCLResult, Violation
 
@@ -946,70 +948,41 @@ class CompiledWeightAugmented25(CompiledChecker):
 class CompiledProperColoring(CompiledChecker):
     """Kernel lowering of :class:`repro.lcl.proper.ProperColoring`.
 
-    With at most 255 colors the whole constraint collapses to one
-    vectorized identity: gather the neighbour color and the owning node's
-    color per CSR slot (two compile-time itemgetters), XOR them as big
-    ints — a zero byte is exactly a monochromatic edge slot.  Wider
-    palettes fall back to a plain loop.
+    The whole constraint is one numpy gather-compare, for any palette:
+    the compile step keeps the graph's zero-copy int64 CSR ``indices``
+    and the owning node of every slot (``repeat(arange(n), degrees)``,
+    also int64), and a scan interns the outputs as every checker does
+    (the alphabet check), then flags the slots where
+    ``codes[indices] == codes[owners]`` — exactly the monochromatic
+    edge slots, reported in CSR slot order like the reference scan.
     """
 
     def __init__(self, problem) -> None:
         super().__init__(problem)
         self._codes = {label: label for label in problem.sigma_out}
-        self._byte_safe = problem.colors <= 255
 
     def _compile_graph(self, graph: Graph):
-        indptr, indices = graph.adjacency()
-        indices_l = list(indices)
-        owners = [
-            u
-            for u in range(graph.n)
-            for _ in range(indptr[u + 1] - indptr[u])
-        ]
-        return (
-            list(indptr),
-            indices_l,
-            _make_gather(indices_l),
-            _make_gather(owners),
-            owners,
-        )
+        from ..local.frontier import csr_numpy
+
+        indptr, indices = csr_numpy(graph)
+        owners = np.repeat(np.arange(graph.n, dtype=np.int64),
+                           np.diff(indptr))
+        return indices, owners
 
     def _scan(self, graph, inst, outputs, early_exit):
-        indptr, indices, gather_nbr, gather_own, owners = inst
+        indices, owners = inst
         code = _intern(self._codes, outputs)
         bad: List[Violation] = []
         if _alphabet_violations(code, outputs, bad, early_exit):
             return bad
-        append = bad.append
-        if self._byte_safe and indices:
-            nbr = bytes(gather_nbr(code))
-            own = bytes(gather_own(code))
-            diff = (
-                int.from_bytes(nbr, "big") ^ int.from_bytes(own, "big")
-            ).to_bytes(len(nbr), "big")
-            # conflict-free labelings finish here with one C containment
-            find = diff.find
-            i = find(0)
-            while i != -1:
-                v = owners[i]
-                append(Violation(
-                    v, "proper: adjacent equal colors", f"({v},{indices[i]})"
-                ))
-                if early_exit:
-                    return bad
-                i = find(0, i + 1)
-            return bad
-        for v in range(graph.n):
-            cv = code[v]
-            for i in range(indptr[v], indptr[v + 1]):
-                if code[indices[i]] == cv:
-                    append(Violation(
-                        v, "proper: adjacent equal colors",
-                        f"({v},{indices[i]})",
-                    ))
-                    if early_exit:
-                        return bad
-        return bad
+        codes = np.fromiter(code, dtype=np.int64, count=len(code))
+        slots = np.flatnonzero(codes[indices] == codes[owners])
+        if early_exit:
+            slots = slots[:1]
+        return [
+            Violation(v, "proper: adjacent equal colors", f"({v},{w})")
+            for v, w in zip(owners[slots].tolist(), indices[slots].tolist())
+        ]
 
 
 # ----------------------------------------------------------------------

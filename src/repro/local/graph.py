@@ -327,10 +327,12 @@ class Graph:
         return self._indptr[v + 1] - self._indptr[v]
 
     def max_degree(self) -> int:
-        indptr = self._indptr
-        return max(
-            (indptr[v + 1] - indptr[v] for v in range(self._n)), default=0
-        )
+        """The largest degree, 0 on the empty graph: one ``diff`` over a
+        zero-copy int64 view of ``indptr`` (an ``array('q')`` or a
+        read-only shared-memory attach alike)."""
+        if self._n == 0:
+            return 0
+        return int(_np.diff(_np.frombuffer(self._indptr, dtype=_np.int64)).max())
 
     def input_of(self, v: int):
         return self._inputs[v]

@@ -11,9 +11,11 @@ assignment is part of the experiment design:
   standard adversarial-free setting for measuring upper bounds), drawn in
   numpy batches from a Generator seeded by one ``rng.getrandbits(128)``
   draw: the assignment is the first ``n`` distinct values of that draw
-  stream, in draw order.  Spaces beyond int64 (``n > 2 097 151`` at
-  ``c = 3``), which numpy cannot draw from, fall back to a sequential
-  ``rng.randint`` rejection loop;
+  stream, in draw order.  One sort of the first ``n`` draws finds the
+  usual case, no repeat, where that batch is the assignment; only a
+  repeat pays for ``np.unique``'s first-occurrence pass.  Spaces beyond
+  int64 (``n > 2 097 151`` at ``c = 3``), which numpy cannot draw from,
+  fall back to a sequential ``rng.randint`` rejection loop;
 * adversarial assignments — the node-averaged measure is a sup over ID
   assignments as well as topology, so sweeps probe structured worst cases:
   :func:`descending_ids` (IDs strictly decreasing in handle order — on
@@ -28,7 +30,9 @@ assignment is part of the experiment design:
   as an axis (``python -m repro.sweep --id-mode ...``);
 * :func:`id_space_size` — the canonical ID space size ``n^c``;
 * :func:`validate_ids` — the integer/uniqueness/positivity check every
-  simulator entry point applies to caller-supplied assignments.
+  simulator entry point applies to caller-supplied assignments: one
+  sorted integer-array pass accepts a valid assignment, and the per-ID
+  loop, its oracle, produces every rejection.
 """
 
 from __future__ import annotations
@@ -100,7 +104,10 @@ def random_ids(
     ``n`` values; each top-up draws the expected number of draws needed
     for the missing ones (:func:`_topup_size`), so even ``c = 1``
     (space ``n``) finishes in ``O(log n)`` batches.  For ``c >= 2`` a
-    top-up is rare (expected collisions are about ``n^2 / 2n^c``).
+    top-up is rare (expected collisions are about ``n^2 / 2n^c``), and
+    so is any repeat: the first batch is sorted once, and when it holds
+    no repeat it is returned as drawn, without ``np.unique``'s stable
+    argsort.
 
     Spaces beyond int64 (``n^c >= 2^63``, i.e. ``n > 2 097 151`` at
     ``c = 3``) cannot be drawn by numpy; there the same rule runs as a
@@ -123,16 +130,21 @@ def random_ids(
                 ids.append(x)
         return ids
     gen = np.random.default_rng(rng.getrandbits(128))
+    batch = gen.integers(1, space, size=n, endpoint=True)
+    ordered = np.sort(batch)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return batch.tolist()
     kept = np.empty(0, dtype=np.int64)
-    while kept.size < n:
-        batch = gen.integers(1, space, size=_topup_size(n, kept.size, space),
-                             endpoint=True)
+    while True:
         values, first = np.unique(batch, return_index=True)
         if kept.size:
             first = first[~np.isin(values, kept, assume_unique=True)]
         first.sort()
         kept = np.concatenate((kept, batch[first[:n - kept.size]]))
-    return kept.tolist()
+        if kept.size == n:
+            return kept.tolist()
+        batch = gen.integers(1, space, size=_topup_size(n, kept.size, space),
+                             endpoint=True)
 
 
 def descending_ids(n: int) -> IdAssignment:
@@ -235,13 +247,49 @@ def make_ids(
 _INTEGER_TYPES = (int, np.integer)
 
 
+def _accepted_as_array(ids, space: Optional[int]) -> bool:
+    """The array accept path of :func:`validate_ids`: True iff every ID
+    is an ``int`` or ``np.integer`` (one ``map(type, ids)`` pass, skipped
+    for an integer ndarray), ``np.asarray`` gives a 1-D integer array,
+    and that array, sorted, has minimum >= 1, maximum <= ``space`` and no
+    adjacent repeat.  False means "ask the loop", never "invalid"."""
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+        if not all(issubclass(t, _INTEGER_TYPES) for t in set(map(type, ids))):
+            return False
+    try:
+        arr = np.asarray(ids)
+    except (OverflowError, TypeError, ValueError):
+        return False
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or not arr.size:
+        return False
+    arr = np.sort(arr)
+    return bool(
+        arr[0] >= 1
+        and (space is None or int(arr[-1]) <= space)
+        and not (arr[1:] == arr[:-1]).any()
+    )
+
+
 def validate_ids(ids: IdAssignment, space: Optional[int] = None) -> None:
     """Raise ``ValueError`` unless ``ids`` are unique positive integers in
     range.  Python and numpy integers are accepted.  Anything else
     (floats, strings) is rejected up front, so every engine fails the
     same way instead of the batched engine's int64 arrays silently
     truncating a float ID.
+
+    A valid assignment of Python or numpy integers that fits an integer
+    array is accepted by one sorted-array pass
+    (:func:`_accepted_as_array`).  Every other input, and every
+    rejection, runs the per-ID loop :func:`_validate_ids_loop`, which is
+    also the oracle the array path is tested against: the accepted set,
+    the exception type and its message are the loop's.
     """
+    if not _accepted_as_array(ids, space):
+        _validate_ids_loop(ids, space)
+
+
+def _validate_ids_loop(ids: IdAssignment, space: Optional[int]) -> None:
+    """The per-ID check behind every :func:`validate_ids` rejection."""
     if len(set(ids)) != len(ids):
         raise ValueError("IDs must be unique")
     for x in ids:

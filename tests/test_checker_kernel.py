@@ -217,6 +217,75 @@ class TestEarlyExit:
         assert not res.valid and len(res.violations) == 1
 
 
+class TestProperColoringKernel:
+    """The proper-colouring kernel is one gather-compare over CSR slots:
+    its violations come out in slot order, exactly as the reference
+    walks them."""
+
+    @staticmethod
+    def _several_conflicts():
+        # node 0's slots are [3, 2, 1] (edge-insertion order), so its
+        # lowest-slot conflict is (0,2), not the lower-numbered (0,1)
+        g = Graph(6, [(0, 3), (0, 2), (0, 1), (4, 5), (2, 4)])
+        return g, [0, 0, 0, 1, 2, 2]
+
+    def test_early_exit_returns_lowest_csr_slot(self):
+        g, colors = self._several_conflicts()
+        prob = ProperColoring(3)
+        fast = prob.verify(g, colors, early_exit=True)
+        assert [(v.node, v.rule, v.detail) for v in fast.violations] == [
+            (0, "proper: adjacent equal colors", "(0,2)")
+        ]
+
+    def test_full_list_equals_reference(self):
+        g, colors = self._several_conflicts()
+        prob = ProperColoring(3)
+        ker = prob.verify(g, colors).violations
+        ref = prob.verify_reference(g, colors).violations
+        assert ker == ref
+        assert len(ker) == 6
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_labelings_equal_reference_in_order(self, seed):
+        rng = random.Random(seed)
+        for family in FAMILIES:
+            g = get_family(family).instance(120, seed)
+            for colors in (2, 3, 300):
+                prob = ProperColoring(colors)
+                outs = [rng.randrange(min(colors, 3)) for _ in range(g.n)]
+                assert prob.verify(g, outs).violations == \
+                    prob.verify_reference(g, outs).violations
+
+    def test_edgeless_graph_verifies(self):
+        prob = ProperColoring(2)
+        for n in (1, 4):
+            assert prob.verify(Graph(n, []), [0] * n).valid
+            assert prob.verify(Graph(n, []), [0] * n, early_exit=True).valid
+
+    def test_shared_memory_attach(self):
+        from repro.shm import (SharedGraphPool, shared_graph,
+                               worker_attach_specs, worker_detach)
+
+        g = get_family("random_tree").instance(400, 5)
+        rng = random.Random(5)
+        outs = [rng.randrange(3) for _ in range(g.n)]
+        prob = ProperColoring(3)
+        with SharedGraphPool() as pool:
+            pool.publish("proper-kernel", g)
+            worker_attach_specs(pool.specs())
+            try:
+                attached = shared_graph("proper-kernel")
+                assert prob.compiled().verify(attached, outs).violations == \
+                    prob.verify_reference(g, outs).violations
+            finally:
+                worker_detach()
+
+    def test_alphabet_violations_suppress_the_compare(self):
+        prob = ProperColoring(2)
+        res = prob.verify(path_graph(3), [0, 5, 0])
+        assert [(v.node, v.rule) for v in res.violations] == [(1, "alphabet")]
+
+
 class TestVerifyBatch:
     def test_matches_per_call_verify(self):
         rng = random.Random(9)

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.families import FAMILIES, get_family
 from repro.local import Graph, balanced_tree, from_networkx, path_graph, star_graph, to_networkx
+from repro.shm import SharedGraphPool, shared_graph, worker_attach_specs, worker_detach
 
 
 class TestGraphBasics:
@@ -94,6 +96,40 @@ class TestBallsAndComponents:
         sub, remap = g.induced_subgraph([1, 2, 3])
         assert sub.n == 3 and sub.m == 2
         assert remap[2] == 1
+
+
+def _max_degree_per_node(g: Graph) -> int:
+    """The per-node generator ``Graph.max_degree`` replaces: the oracle."""
+    return max((g.degree(v) for v in range(g.n)), default=0)
+
+
+class TestMaxDegree:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_per_node_on_family_corpus(self, name):
+        for n in (1, 2, 9, 97, 300):
+            g = get_family(name).instance(n, 3)
+            assert g.max_degree() == _max_degree_per_node(g)
+
+    def test_empty_and_edgeless(self):
+        assert Graph(0, []).max_degree() == 0
+        for n in (1, 2, 5):
+            assert Graph(n, []).max_degree() == 0 == _max_degree_per_node(
+                Graph(n, []))
+
+    def test_returns_a_plain_int(self):
+        assert type(star_graph(4).max_degree()) is int
+
+    def test_shared_memory_attach(self):
+        g = get_family("random_tree").instance(500, 2)
+        with SharedGraphPool() as pool:
+            pool.publish("max-degree", g)
+            worker_attach_specs(pool.specs())
+            try:
+                attached = shared_graph("max-degree")
+                assert attached.adjacency()[0].readonly
+                assert attached.max_degree() == _max_degree_per_node(g)
+            finally:
+                worker_detach()
 
 
 class TestNetworkxConversion:

@@ -1,5 +1,6 @@
 """``random_ids``: the vectorized first-n-distinct sampler against its
-sequential oracle, the beyond-int64 fallback, and uniformity."""
+sequential oracle, the beyond-int64 fallback, and uniformity;
+``validate_ids``: the array accept path against the per-ID loop."""
 
 import random
 from collections import Counter
@@ -8,7 +9,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from repro.local.ids import _topup_size, random_ids, validate_ids
+from repro.local.ids import (
+    _accepted_as_array,
+    _topup_size,
+    _validate_ids_loop,
+    random_ids,
+    validate_ids,
+)
 
 
 def _sequential_first_distinct(n, c, seed):
@@ -90,3 +97,72 @@ class TestValidateIds:
         validate_ids([3, 1, 2])
         validate_ids(np.array([3, 1, 2], dtype=np.int64))
         validate_ids([np.int32(4), np.uint16(2), 7])
+
+
+def _outcome(check, ids, space):
+    """``None`` when ``check`` accepts, else the exception's type and
+    message."""
+    try:
+        check(ids, space)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+#: ``(ids, space, parent outcome)``: None for accepted, else the
+#: exception type and a fragment of its message
+VALIDATE_CORPUS = [
+    ([np.array(5), 3], None, (TypeError, "unhashable")),
+    ([True, 2], None, None),
+    ([True, 1], None, (ValueError, "unique")),
+    ([2**63, 5], None, None),
+    ([2**70, 5], None, None),
+    ([-1, 2**63], None, (ValueError, ">= 1")),
+    ([0, 1], None, (ValueError, ">= 1")),
+    ([True, False], None, (ValueError, ">= 1")),
+    ([1, 2.0], None, (ValueError, "integers")),
+    (np.array([1.0, 2.0]), None, (ValueError, "integers")),
+    ([1, "2"], None, (ValueError, "integers")),
+    ([], None, None),
+    ([1, 9], 8, (ValueError, "exceeds ID space 8")),
+    ([1, 8], 8, None),
+    ([np.int32(4), np.uint16(2), 7], None, None),
+    ([np.uint64(2**64 - 1), 3], None, None),
+    (np.array([3, 1, 2], dtype=np.uint8), None, None),
+    (np.array([3, 1, 3]), None, (ValueError, "unique")),
+    (np.array([[1, 2], [3, 4]]), None, (TypeError, "unhashable")),
+    (range(1, 6), 5, None),
+    ([5, 4, 3, 2, 1, 5], None, (ValueError, "unique")),
+]
+
+
+class TestValidateIdsArrayPath:
+    """The array accept path changes speed, never the outcome: every
+    input gets the per-ID loop's verdict, exception type and message."""
+
+    @pytest.mark.parametrize(
+        "ids,space,expected", VALIDATE_CORPUS,
+        ids=[repr(case[0]).replace(" ", "") for case in VALIDATE_CORPUS],
+    )
+    def test_matches_loop(self, ids, space, expected):
+        outcome = _outcome(validate_ids, ids, space)
+        assert outcome == _outcome(_validate_ids_loop, ids, space)
+        if expected is None:
+            assert outcome is None
+        else:
+            assert outcome[0] is expected[0]
+            assert expected[1] in outcome[1]
+
+    def test_zero_d_array_in_list_takes_the_loop(self):
+        # np.asarray turns it into a valid int64 array; only the type
+        # pass keeps it off the array path
+        assert np.asarray([np.array(5), 3]).dtype == np.int64
+        assert not _accepted_as_array([np.array(5), 3], None)
+
+    def test_valid_assignments_take_the_array_path(self):
+        ids = random_ids(5000, rng=random.Random(2))
+        assert _accepted_as_array(ids, 5000**3)
+        assert _accepted_as_array(np.array(ids), None)
+        assert _accepted_as_array([True, 2], None)
+        assert not _accepted_as_array(ids, max(ids) - 1)
+        assert not _accepted_as_array(ids + ids[:1], None)

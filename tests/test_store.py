@@ -386,9 +386,12 @@ class TestCensusStore:
         try:
             deadline = time.perf_counter() + 60.0  # lint: allow(DET003) subprocess poll deadline, not a result
             while True:
+                # finished objects only: an in-flight write is a
+                # ``.tmp-*.part`` file in the same shard directory, and
+                # the kill may land before it is renamed into place
                 count = 0
                 for _dirpath, _dirnames, filenames in os.walk(verdict_dir):
-                    count += len(filenames)
+                    count += sum(1 for f in filenames if f.endswith(".json"))
                 if count >= 5:
                     break
                 if proc.poll() is not None:

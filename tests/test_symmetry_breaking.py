@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,9 +18,11 @@ from repro.algorithms.symmetry_breaking import (
 from repro.local import (
     Graph,
     LocalSimulator,
+    cycle_graph,
     path_graph,
     random_ids,
 )
+from repro.local.ids import id_space_size, make_ids
 from repro.analysis import log_star
 
 
@@ -101,6 +104,70 @@ class TestDistributedCV:
             assert rounds <= 4 * (log_star(m**3) + 9)
             assert rounds < m or m < rounds  # trivially true; keep shape check below
             assert rounds <= 20
+
+
+class _RoundViews:
+    """The three fields of ``BatchedViews`` that Cole–Vishkin's
+    ``decide_batch`` reads, so a test can step it round by round."""
+
+    def __init__(self, graph, ids):
+        self.graph, self.ids, self.n = graph, ids, graph.n
+
+
+class TestBatchedCVAtScale:
+    """Batched Cole–Vishkin against the per-node state machine, run as
+    the global message dynamics, on instances large enough that the
+    uint8 iterations run and the shedding rounds have nodes to
+    recolour."""
+
+    N = 5000
+
+    @pytest.mark.parametrize("mode", ("random", "descending", "bit_reversal"))
+    @pytest.mark.parametrize("family", ("path", "cycle"))
+    def test_matches_message_dynamics(self, family, mode):
+        g = path_graph(self.N) if family == "path" else cycle_graph(self.N)
+        ids = make_ids(mode, self.N, rng=random.Random(13))
+        batched = LocalSimulator().run(g, ColeVishkin3Coloring(), ids)
+        message = LocalSimulator().run(g, _MessageCV(), ids)
+        assert batched.outputs == message.outputs
+        assert batched.rounds == message.rounds
+        if family == "path":
+            assert batched.outputs == three_color_path(ids, self.N**3)[0]
+
+    @pytest.mark.parametrize("family", ("path", "cycle"))
+    def test_shedding_rounds_recolour_exactly_their_colour(self, family):
+        """Step ``decide_batch`` by hand: the later iterations run on
+        uint8, and each shedding round clears its colour by recolouring
+        only the nodes that held it — with random IDs, every forest
+        shedding colour is held somewhere, and so are most composite
+        ones."""
+        g = path_graph(self.N) if family == "path" else cycle_graph(self.N)
+        alg = ColeVishkin3Coloring()
+        alg.setup(g, self.N)
+        iters = cv_iterations(id_space_size(self.N))
+        assert iters >= 2  # at least one uint8 iteration
+        views = _RoundViews(g, random_ids(self.N, rng=random.Random(4)))
+        live = np.arange(self.N)
+        for t in range(iters):
+            alg.decide_batch(views, live, t)
+        st = alg._bstate
+        assert st["l1"].dtype == st["l2"].dtype == np.uint8
+        held = set(st["l1"].tolist()) | set(st["l2"].tolist())
+        assert {3, 4, 5} <= held <= set(range(6))
+        recoloured = 0
+        for t in range(iters, alg._total):
+            keys = ("l1", "l2") if t < iters + 3 else ("comp",)
+            color = 5 - (t - iters) if t < iters + 3 else 8 - (t - iters - 3)
+            before = {key: st[key].copy() for key in keys}
+            alg.decide_batch(views, live, t)
+            for key in keys:
+                changed = before[key] != st[key]
+                assert (before[key][changed] == color).all()
+                assert not (st[key] == color).any()
+                if key == "comp":
+                    recoloured += int(changed.sum())
+        assert recoloured > 0
+        assert set(st["comp"].tolist()) <= {0, 1, 2}
 
 
 class TestTwoColoring:
