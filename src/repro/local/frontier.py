@@ -4,33 +4,52 @@ Array-level ``decide_batch`` implementations ask for ball facts —
 completeness and size — for every live centre at once.  **One**
 scheduler answers them by growing *all* live balls together: the
 round-``r`` frontier of every live centre lives in two flat int64 arrays
-``(centers, nodes)`` (grouped by centre), and one vectorized CSR sweep
-per round expands every frontier at once.
+``(centers, nodes)`` (grouped by centre), and one vectorized step per
+round advances every frontier at once.
 
-Deduplication uses the standard two-layer BFS identity on undirected
-graphs: a neighbour of a node at distance ``r`` is at distance ``r-1``,
-``r`` or ``r+1``, so a candidate is new iff its ``(center, node)`` key is
-in neither the current nor the previous layer — no per-centre visited sets
-are needed.  First-occurrence order within the candidate stream matches the
-per-node BFS exactly (centres grouped in layer order, neighbours in CSR
-order), so the layers the scheduler writes back into the shared layer pool
-are byte-identical to what ``BallStore`` would have produced on its own.
+Layers live in a flat per-radius cache, the ``"frontier"`` entry of the
+atlas ``LocalSimulator.run_batch`` shares across ID samples.  Radius
+``r``'s entry holds the centres grown to ``r`` as a sorted int64 array
+and their layer-``r`` nodes as two centre-grouped int64 arrays
+``(centers, nodes)`` in per-node BFS order; a centre without rows has an
+empty layer ``r``, i.e. a ball that completed.  A step serves the
+centres the entry holds straight from its arrays and expands only the
+others, so a later ID sample re-reads every layer an earlier sample grew
+without scanning an edge.  The cache holds O(rows + grown centres)
+bytes, never an ``n``-length array per radius.
 
-The layer pool is the same ``("layers", v)`` atlas structure
-``LocalSimulator.run_batch`` shares across ID samples: layer ``r`` of
-centre ``v`` is a plain list of nodes at distance exactly ``r``, a pure
-function of the topology.  The scheduler and the per-node
+Expansion is one vectorized CSR sweep over the uncached centres'
+frontier.  Deduplication uses the standard two-layer BFS identity on
+undirected graphs: a neighbour of a node at distance ``r - 1`` is at
+distance ``r - 2``, ``r - 1`` or ``r``, so a candidate is new iff its
+``(center, node)`` key is in neither of the two layers before it — no
+per-centre visited sets are needed.  One sort of the keys of both
+layers and of the candidates, concatenated in that order, decides it: a
+key is new iff its first position is a candidate, and that position is
+the key's first occurrence in the candidate stream.  The stream lists
+centres in order and, per centre, the previous layer in layer order
+with neighbours in CSR order — the per-node BFS order — so every layer
+is byte-identical to what ``BallStore`` produces on its own.
+
+The per-centre layer lists are the atlas's ``("layers", v)`` entries:
+layer ``r`` of centre ``v`` is a plain list of nodes at distance exactly
+``r``, a pure function of the topology.  :meth:`FrontierScheduler.pool`
+hands out centre ``v``'s list, first extended with every layer the flat
+cache holds for ``v``, and the per-node
 :class:`~repro.local.algorithm.BallStore` behind each
-:meth:`BatchedViews.view_of` read and extend the very same lists, so
-either reuses layers grown by the other or by an earlier run.  Per-node
-views never sweep the shared frontier; a store may therefore grow a
-pool ahead of the scheduler, which is why the scheduler writes a layer
-back only when the pool does not hold it yet.
+:meth:`BatchedViews.view_of` reads and extends it.  A step writes a
+layer it expanded back only into lists that exist, and only when the
+list holds exactly ``r`` layers: per-node views never sweep the shared
+frontier, so a store may have grown the list ahead of the scheduler.
+The flat cache never sees the layers a store grew, so the scheduler
+recomputes those instead of reading them; production algorithms read
+either ball facts or per-node views, never both.
 
 Growth is **lazy**: the scheduler only sweeps when something actually asks
-for ball facts at the current round.  Algorithms whose ``decide_batch``
-works from the graph directly (e.g. the vectorized Cole–Vishkin) and
-algorithms that only read per-node views never trigger a single sweep.
+for ball facts at the current round, and allocates its per-node arrays
+only then.  Algorithms whose ``decide_batch`` works from the graph
+directly (e.g. the vectorized Cole–Vishkin) and algorithms that only read
+per-node views never trigger a single sweep.
 """
 
 from __future__ import annotations
@@ -45,6 +64,9 @@ from .graph import Graph
 __all__ = ["FrontierScheduler", "BatchedViews", "csr_numpy"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: the atlas entry holding the flat per-radius layer cache
+_CACHE_KEY = "frontier"
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -82,6 +104,55 @@ def _atlas_neighbor_lists(
     return neighbor_lists
 
 
+def _member(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """``np.isin(values, sorted_set)`` for a sorted, duplicate-free
+    ``sorted_set``, by binary search instead of hashing."""
+    if not len(sorted_set):
+        return np.zeros(len(values), dtype=bool)
+    pos = np.searchsorted(sorted_set, values)
+    pos[pos == len(sorted_set)] = 0
+    return sorted_set[pos] == values
+
+
+class _LayerCache:
+    """The flat per-radius layer cache of one topology.
+
+    ``layers[r]`` is radius ``r``'s entry ``(grown, rows_c, rows_v)``:
+    the sorted centres grown to ``r``, and their layer-``r`` nodes
+    grouped by centre in per-node BFS order (radius 0 is implicit).
+    ``listed`` flags the centres whose ``("layers", v)`` list exists in
+    the atlas; it is allocated with the first such list.
+    """
+
+    __slots__ = ("layers", "listed")
+
+    def __init__(self) -> None:
+        self.layers: List[Optional[Tuple[np.ndarray, np.ndarray,
+                                         np.ndarray]]] = [None]
+        self.listed: Optional[np.ndarray] = None
+
+    def entry(self, r: int):
+        return self.layers[r] if r < len(self.layers) else None
+
+    def add(self, r: int, grown: np.ndarray, rows_c: np.ndarray,
+            rows_v: np.ndarray):
+        """Record layer ``r`` of the centres ``grown`` (none of them in
+        the entry yet) and return radius ``r``'s merged entry."""
+        old = self.entry(r)
+        if old is None:
+            # a step only reaches radius r after radius r - 1 has an entry
+            assert r == len(self.layers), (r, len(self.layers))
+            entry = (grown, rows_c, rows_v)
+            self.layers.append(entry)
+            return entry
+        rows_c = np.concatenate((old[1], rows_c))
+        order = np.argsort(rows_c, kind="stable")
+        entry = (np.sort(np.concatenate((old[0], grown))), rows_c[order],
+                 np.concatenate((old[2], rows_v))[order])
+        self.layers[r] = entry
+        return entry
+
+
 class FrontierScheduler:
     """Grow the radius-``t`` balls of all live centres in lockstep.
 
@@ -95,10 +166,11 @@ class FrontierScheduler:
         the flat frontier on the next sweep — committed balls stop growing,
         as the engine stops growing a committed node's ``BallStore``.
     atlas:
-        Optional cross-run topology cache (``run_batch``'s dict).  Layers
-        are read from and written to ``atlas[("layers", v)]`` so every
-        run of a batch, and the per-node views within a run, share one
-        BFS.
+        Optional cross-run topology cache (``run_batch``'s dict).  Its
+        ``"frontier"`` entry is the flat per-radius layer cache and its
+        ``("layers", v)`` entries are the per-centre lists, so every run
+        of a batch, and the per-node views within a run, share one BFS.
+        Without an atlas the scheduler keeps both to itself.
 
     Attributes
     ----------
@@ -111,51 +183,67 @@ class FrontierScheduler:
     ball_size:
         Int64 array of current ball cardinalities (frozen once a centre
         commits or completes).
+
+    Both arrays are allocated on first access, like the flat frontier on
+    the first sweep, so a run that never asks for ball facts allocates
+    no per-node array here.
     """
 
     def __init__(
         self, graph: Graph, committed: bytearray, atlas: Optional[Dict] = None
     ) -> None:
-        n = graph.n
-        self._graph = graph
-        self._n = n
+        self._n = graph.n
         self._indptr, self._indices = csr_numpy(graph)
         self._committed = np.frombuffer(committed, dtype=np.uint8)
-        self._atlas = atlas
-        self._pools: Optional[List[List[List[int]]]] = None
-        # lower bound on each pool's length: views may grow a pool past
-        # it, and a stale entry only makes _step recompute a layer it
-        # could have read
-        self._pool_len: Optional[np.ndarray] = None
+        self._atlas = {} if atlas is None else atlas
+        cache = self._atlas.get(_CACHE_KEY)
+        if cache is None:
+            cache = self._atlas[_CACHE_KEY] = _LayerCache()
+        self._cache = cache
         self.radius = 0
-        self.complete = np.zeros(n, dtype=bool)
-        self.ball_size = np.ones(n, dtype=np.int64)
-        # layer `radius` of every still-growing centre, grouped by centre
-        self._cur_c = np.arange(n, dtype=np.int64)
-        self._cur_v = np.arange(n, dtype=np.int64)
-        # sorted (center * n + node) keys of the current / previous layer,
-        # the only state the two-layer dedup needs
-        self._cur_keys = self._cur_c * n + self._cur_v
-        self._prev_keys = _EMPTY
+        self._complete: Optional[np.ndarray] = None
+        self._ball_size: Optional[np.ndarray] = None
+        # layers `radius` and `radius - 1` of every still-growing centre,
+        # grouped by centre — all the two-layer dedup needs; the current
+        # layer is None until the first sweep
+        self._cur_c: Optional[np.ndarray] = None
+        self._cur_v: Optional[np.ndarray] = None
+        self._prev_c = self._prev_v = _EMPTY
+
+    @property
+    def complete(self) -> np.ndarray:
+        if self._complete is None:
+            self._complete = np.zeros(self._n, dtype=bool)
+        return self._complete
+
+    @property
+    def ball_size(self) -> np.ndarray:
+        if self._ball_size is None:
+            self._ball_size = np.ones(self._n, dtype=np.int64)
+        return self._ball_size
 
     # ------------------------------------------------------------------
     def pool(self, v: int) -> List[List[int]]:
-        """Centre ``v``'s layer list (shared with ``BallStore`` windows)."""
-        self._materialize_pools()
-        return self._pools[v]
-
-    def _materialize_pools(self) -> None:
-        if self._pools is not None:
-            return
-        n = self._n
-        if self._atlas is None:
-            self._pools = [[[v]] for v in range(n)]
-        else:
-            setdefault = self._atlas.setdefault
-            self._pools = [setdefault(("layers", v), [[v]]) for v in range(n)]
-        self._pool_len = np.array(
-            [len(p) for p in self._pools], dtype=np.int64
-        )
+        """Centre ``v``'s layer list, the atlas's ``("layers", v)`` entry
+        (shared with ``BallStore`` windows), extended with every layer
+        the flat cache holds for ``v``."""
+        cache = self._cache
+        layers = self._atlas.get(("layers", v))
+        if layers is None:
+            layers = self._atlas[("layers", v)] = [[v]]
+            if cache.listed is None:
+                cache.listed = np.zeros(self._n, dtype=bool)
+            cache.listed[v] = True
+        r = len(layers)
+        while r < len(cache.layers):
+            grown, rows_c, rows_v = cache.layers[r]
+            i = int(np.searchsorted(grown, v))
+            if i == len(grown) or grown[i] != v:
+                break
+            lo, hi = np.searchsorted(rows_c, (v, v + 1)).tolist()
+            layers.append(rows_v[lo:hi].tolist())
+            r += 1
+        return layers
 
     # ------------------------------------------------------------------
     def grow_to(self, t: int) -> None:
@@ -164,107 +252,105 @@ class FrontierScheduler:
             self._step()
 
     def _step(self) -> None:
-        """Grow every live ball by one layer.
-
-        Write-back rule: layer ``r`` goes into centre ``c``'s pool only
-        when ``len(pools[c]) == r``.  A per-node view may already have
-        grown that layer into the pool (the ``_pool_len`` snapshot
-        cannot see it); appending it again would leave a duplicate that
-        ``BallStore`` reads as layer ``r + 1``.
-        """
-        n = self._n
-        self._materialize_pools()
+        """Grow every live ball by one layer: expand the centres radius
+        ``r``'s cache entry lacks, then take every centre's layer from
+        the entry."""
         r = self.radius + 1
         cur_c, cur_v = self._cur_c, self._cur_v
+        if cur_c is None:
+            cur_c = cur_v = np.arange(self._n, dtype=np.int64)
         if len(cur_c):
             # committed centres leave the flat frontier permanently
             keep = self._committed[cur_c] == 0
             if not keep.all():
                 cur_c, cur_v = cur_c[keep], cur_v[keep]
-        if len(cur_c) == 0:
-            self._cur_c = self._cur_v = _EMPTY
-            self._prev_keys, self._cur_keys = self._cur_keys, _EMPTY
+        if not len(cur_c):
+            self._prev_c = self._prev_v = self._cur_c = self._cur_v = _EMPTY
             self.radius = r
             return
 
-        pools, pool_len = self._pools, self._pool_len
-        cached_entry = pool_len[cur_c] > r
-        parts_c: List[np.ndarray] = []
-        parts_v: List[np.ndarray] = []
-
-        # --- cached centres: layer r is already in the pool --------------
-        if cached_entry.any():
-            for c in np.unique(cur_c[cached_entry]).tolist():
-                layer = pools[c][r]
-                if layer:
-                    parts_c.append(np.full(len(layer), c, dtype=np.int64))
-                    parts_v.append(np.asarray(layer, dtype=np.int64))
-
-        # --- uncached centres: one vectorized CSR expansion --------------
-        uncached = ~cached_entry
-        if uncached.any():
-            src_c, src_v = cur_c[uncached], cur_v[uncached]
-            indptr, indices = self._indptr, self._indices
-            deg = indptr[src_v + 1] - indptr[src_v]
-            total = int(deg.sum())
-            if total:
-                reps = np.repeat(np.arange(len(src_v)), deg)
-                offs = np.arange(total, dtype=np.int64) - np.repeat(
-                    np.cumsum(deg) - deg, deg
-                )
-                cand_v = indices[indptr[src_v][reps] + offs]
-                cand_c = src_c[reps]
-                keys = cand_c * n + cand_v
-                seen = np.isin(keys, self._cur_keys) | np.isin(
-                    keys, self._prev_keys
-                )
-                first = np.zeros(len(keys), dtype=bool)
-                first[np.unique(keys, return_index=True)[1]] = True
-                fresh = first & ~seen
-                new_c, new_v = cand_c[fresh], cand_v[fresh]
-            else:
-                new_c = new_v = _EMPTY
-            # write the expanded layers back into the shared pool,
-            # preserving the stream (= per-node BFS) order
-            if len(new_c):
-                cut = np.flatnonzero(np.diff(new_c)) + 1
-                starts = np.concatenate(([0], cut))
-                for start, group in zip(starts, np.split(new_v, cut)):
-                    c = int(new_c[start])
-                    if len(pools[c]) == r:
-                        pools[c].append(group.tolist())
-                    pool_len[c] = r + 1
-                parts_c.append(new_c)
-                parts_v.append(new_v)
-                grew = new_c[starts]
-            else:
-                grew = _EMPTY
-            # uncached centres with an empty new layer: record it (the
-            # BallStore convention appends the empty layer too) — they
-            # turn complete below
-            for c in np.setdiff1d(np.unique(src_c), grew).tolist():
-                if len(pools[c]) == r:
-                    pools[c].append([])
-                pool_len[c] = r + 1
-
-        # --- merge, regroup by centre, update the flat state -------------
-        if parts_c:
-            nc = np.concatenate(parts_c)
-            nv = np.concatenate(parts_v)
-            if len(parts_c) > 1:
-                order = np.argsort(nc, kind="stable")
-                nc, nv = nc[order], nv[order]
-        else:
-            nc = nv = _EMPTY
-        if len(nc):
-            self.ball_size += np.bincount(nc, minlength=n)
-        done = np.setdiff1d(np.unique(cur_c), nc)
-        if len(done):
-            self.complete[done] = True
-        self._prev_keys = self._cur_keys
-        self._cur_keys = np.sort(nc * n + nv) if len(nc) else _EMPTY
-        self._cur_c, self._cur_v = nc, nv
+        starts = np.flatnonzero(cur_c[1:] != cur_c[:-1]) + 1
+        centers = np.concatenate((cur_c[:1], cur_c[starts]))
+        entry = self._cache.entry(r)
+        cached = (np.zeros(len(centers), dtype=bool) if entry is None
+                  else _member(centers, entry[0]))
+        if not cached.all():
+            entry = self._expand(r, centers[~cached], cur_c, cur_v,
+                                 partial=bool(cached.any()))
+        # the entry's other centres committed earlier in this run; the
+        # next step's commit filter drops their rows
+        _, rows_c, rows_v = entry
+        sizes = (np.searchsorted(rows_c, centers, side="right")
+                 - np.searchsorted(rows_c, centers))
+        self.ball_size[centers] += sizes
+        self.complete[centers[sizes == 0]] = True
+        self._prev_c, self._prev_v = cur_c, cur_v
+        self._cur_c, self._cur_v = rows_c, rows_v
         self.radius = r
+
+    def _expand(self, r: int, grown: np.ndarray, cur_c: np.ndarray,
+                cur_v: np.ndarray, partial: bool):
+        """Expand layer ``r`` of the centres ``grown`` (sorted) from their
+        layers ``r - 1`` (rows of ``cur``) and ``r - 2``, write it back,
+        and record it in the flat cache; return radius ``r``'s entry.
+        ``partial``: ``cur`` also holds centres outside ``grown``."""
+        prev_c, prev_v = self._prev_c, self._prev_v
+        if partial:
+            rows = _member(cur_c, grown)
+            cur_c, cur_v = cur_c[rows], cur_v[rows]
+            rows = _member(prev_c, grown)
+            prev_c, prev_v = prev_c[rows], prev_v[rows]
+        indptr = self._indptr
+        first = indptr[cur_v]
+        deg = indptr[cur_v + 1] - first
+        total = int(deg.sum())
+        if total:
+            cand_c = np.repeat(cur_c, deg)
+            slots = np.arange(total, dtype=np.int64) + np.repeat(
+                first - (np.cumsum(deg) - deg), deg)
+            cand_v = self._indices[slots]
+            n = self._n
+            keys = np.concatenate((prev_c * n + prev_v, cur_c * n + cur_v,
+                                   cand_c * n + cand_v))
+            order = np.argsort(keys)
+            keys = keys[order]
+            lead = np.empty(len(keys), dtype=bool)
+            lead[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=lead[1:])
+            # first position of each key (the sort need not be stable:
+            # take the least position of each run of equal keys), as an
+            # offset into the candidates
+            pos = np.minimum.reduceat(order, np.flatnonzero(lead))
+            pos -= len(keys) - total
+            fresh = np.zeros(total, dtype=bool)
+            fresh[pos[pos >= 0]] = True
+            new_c, new_v = cand_c[fresh], cand_v[fresh]
+        else:
+            new_c = new_v = _EMPTY
+        self._write_back(r, grown, new_c, new_v)
+        return self._cache.add(r, grown, new_c, new_v)
+
+    def _write_back(self, r: int, grown: np.ndarray, new_c: np.ndarray,
+                    new_v: np.ndarray) -> None:
+        """Append the expanded layer ``r`` to the existing lists of the
+        centres ``grown`` that hold exactly ``r`` layers (the empty last
+        layer too, as ``BallStore`` does).  A per-node store may have
+        grown a list ahead of the scheduler; appending its layer again
+        would leave a duplicate that ``BallStore`` reads as layer
+        ``r + 1``."""
+        listed = self._cache.listed
+        if listed is None:
+            return
+        owners = grown[listed[grown]]
+        if not len(owners):
+            return
+        lo = np.searchsorted(new_c, owners).tolist()
+        hi = np.searchsorted(new_c, owners, side="right").tolist()
+        atlas = self._atlas
+        for c, a, b in zip(owners.tolist(), lo, hi):
+            layers = atlas[("layers", c)]
+            if len(layers) == r:
+                layers.append(new_v[a:b].tolist())
 
 
 class BatchedViews:

@@ -30,10 +30,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-try:  # numpy accelerates construction; every path has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is part of the baked image
-    _np = None
+import numpy as _np
 
 __all__ = [
     "Graph",
@@ -141,7 +138,7 @@ class Graph:
             raise ValueError("n must be non-negative")
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
-        if _np is not None and len(edges) >= _VECTOR_MIN_EDGES:
+        if len(edges) >= _VECTOR_MIN_EDGES:
             pairs = _np.asarray(edges, dtype=_np.int64)
             self._init_from_arrays(n, pairs[:, 0], pairs[:, 1], inputs)
             return
@@ -213,8 +210,6 @@ class Graph:
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        if _np is None:  # pragma: no cover - numpy is part of the image
-            return cls(n, list(zip(edge_u, edge_v)), inputs)
         eu = _np.ascontiguousarray(edge_u, dtype=_np.int64).ravel()
         ev = _np.ascontiguousarray(edge_v, dtype=_np.int64).ravel()
         if eu.shape[0] != ev.shape[0]:
@@ -481,7 +476,7 @@ class Graph:
 # ----------------------------------------------------------------------
 def path_graph(n: int, inputs: Optional[Sequence] = None) -> Graph:
     """A path on ``n`` nodes: 0 - 1 - ... - (n-1)."""
-    if _np is not None and n >= 2:
+    if n >= 2:
         heads = _np.arange(n - 1, dtype=_np.int64)
         return Graph.from_arrays(n, heads, heads + 1, inputs, validate=False)
     return Graph(n, [(i, i + 1) for i in range(n - 1)], inputs)
@@ -489,7 +484,7 @@ def path_graph(n: int, inputs: Optional[Sequence] = None) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """A star: node 0 is the centre, nodes 1..leaves are leaves."""
-    if _np is not None and leaves >= 1:
+    if leaves >= 1:
         spokes = _np.arange(1, leaves + 1, dtype=_np.int64)
         return Graph.from_arrays(
             leaves + 1, _np.zeros(leaves, dtype=_np.int64), spokes,
@@ -502,40 +497,27 @@ def cycle_graph(n: int, inputs: Optional[Sequence] = None) -> Graph:
     """A cycle on ``n >= 3`` nodes: 0 - 1 - ... - (n-1) - 0."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 nodes")
-    if _np is not None:
-        heads = _np.arange(n, dtype=_np.int64)
-        return Graph.from_arrays(n, heads, (heads + 1) % n, inputs,
-                                 validate=False)
-    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-    return Graph(n, edges, inputs)
+    heads = _np.arange(n, dtype=_np.int64)
+    return Graph.from_arrays(n, heads, (heads + 1) % n, inputs,
+                             validate=False)
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """A ``rows x cols`` grid; node ``(r, c)`` has handle ``r * cols + c``."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    if _np is not None:
-        v_all = _np.arange(rows * cols, dtype=_np.int64)
-        right = v_all[v_all % cols != cols - 1]
-        down = v_all[v_all < (rows - 1) * cols]
-        # the loop build emits, per node in row-major order, its right
-        # edge then its down edge — replay that order via a stable sort
-        # on (node, kind) so neighbour order stays byte-identical
-        order = _np.argsort(
-            _np.concatenate((2 * right, 2 * down + 1)), kind="stable"
-        )
-        us = _np.concatenate((right, down))[order]
-        vs = _np.concatenate((right + 1, down + cols))[order]
-        return Graph.from_arrays(rows * cols, us, vs, validate=False)
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph(rows * cols, edges)
+    v_all = _np.arange(rows * cols, dtype=_np.int64)
+    right = v_all[v_all % cols != cols - 1]
+    down = v_all[v_all < (rows - 1) * cols]
+    # edges per node in row-major order, its right edge before its down
+    # edge (the per-edge build's neighbour order): a stable sort on
+    # (node, kind)
+    order = _np.argsort(
+        _np.concatenate((2 * right, 2 * down + 1)), kind="stable"
+    )
+    us = _np.concatenate((right, down))[order]
+    vs = _np.concatenate((right + 1, down + cols))[order]
+    return Graph.from_arrays(rows * cols, us, vs, validate=False)
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
@@ -562,25 +544,14 @@ def balanced_tree(fanout: int, height: int) -> Graph:
     if fanout < 1:
         raise ValueError("fanout must be >= 1")
     total = sum(fanout ** d for d in range(height + 1))
-    if _np is not None and total >= 2:
-        # handles are assigned in BFS order, so node k >= 1 hangs off
-        # parent (k - 1) // fanout and the loop emits edges in child order
-        children = _np.arange(1, total, dtype=_np.int64)
-        return Graph.from_arrays(
-            total, (children - 1) // fanout, children, validate=False
-        )
-    edges = []
-    frontier = [0]
-    next_handle = 1
-    for _ in range(height):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(fanout):
-                edges.append((parent, next_handle))
-                new_frontier.append(next_handle)
-                next_handle += 1
-        frontier = new_frontier
-    return Graph(next_handle, edges)
+    if total < 2:
+        return Graph(1, [])
+    # handles are assigned in BFS order, so node k >= 1 hangs off parent
+    # (k - 1) // fanout, with edges in child order
+    children = _np.arange(1, total, dtype=_np.int64)
+    return Graph.from_arrays(
+        total, (children - 1) // fanout, children, validate=False
+    )
 
 
 def from_networkx(nx_graph) -> Graph:

@@ -29,7 +29,8 @@ algorithms and ID assignments — but they trade transparency for speed:
   int64 array, each round's commits come back as one aligned
   ``(nodes, labels)`` pair, and ball facts come from one
   :class:`repro.local.frontier.FrontierScheduler` that grows *all* live
-  balls together (one flat CSR sweep per round).  Algorithms without
+  balls together (one flat CSR sweep per round, or a read of the layers
+  an earlier ``run_batch`` sample grew).  Algorithms without
   ``decide_batch`` run unmodified.  View algorithms go through a
   per-node adapter: each live node's view is a thin window over its own
   :class:`repro.local.algorithm.BallStore`, which grows by exactly one
@@ -132,14 +133,16 @@ class LocalSimulator:
 
         The common shape in ``benchmarks/`` and ``analysis``: fixed
         topology, sampled IDs.  Topology-only setup is shared across the
-        batch: on the batched engine, view algorithms reuse each node's
-        BFS layer decomposition through the layer pool (later runs fill
-        their ball stores and frontier sweeps from cached layers instead
-        of re-scanning edges) and message algorithms reuse the per-node
-        neighbour lists.  Per-run work that depends on the IDs — the
-        dynamics themselves, the dist fills — is still paid per sample.
-        ``algorithm.setup`` is invoked per run; algorithms must reset any
-        per-execution caches there.
+        batch through one atlas dict.  On the batched engine, the
+        frontier scheduler keeps every layer it grows in the atlas's flat
+        per-radius layer cache, so a later run reads those layers from
+        it instead of re-scanning edges; per-node ball stores read and
+        extend the per-centre layer lists the scheduler hands out,
+        extended from that cache; message algorithms reuse the per-node
+        neighbour lists.  Per-run work that depends on the
+        IDs — the dynamics themselves, the dist fills — is still paid
+        per sample.  ``algorithm.setup`` is invoked per run; algorithms
+        must reset any per-execution caches there.
         """
         batch_cache: Dict = {}
         return [
@@ -155,9 +158,10 @@ class LocalSimulator:
         graph: Graph,
         algorithm,
         ids: Optional[Sequence[int]],
-        # shared per-batch topology cache: ("layers", v) -> BFS layers for
-        # node v (view algorithms), "neighbors" -> per-node adjacency
-        # tuples (message algorithms); None outside run_batch
+        # shared per-batch topology cache: "frontier" -> the scheduler's
+        # flat per-radius layer cache, ("layers", v) -> BFS layer list of
+        # node v (ball stores), "neighbors" -> per-node adjacency tuples
+        # (message algorithms); None outside run_batch
         atlas: Optional[Dict] = None,
     ) -> ExecutionTrace:
         from .message import MessageAlgorithm  # deferred: message.py imports us

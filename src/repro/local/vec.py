@@ -7,27 +7,23 @@ incident directed edges, and trace the maximal paths induced by a subset
 whose induced degree is at most 2.  This module provides those primitives
 as flat numpy passes over the graph's CSR arrays so the solvers scale to
 ``n = 10^6`` — each caller keeps its per-node Python twin as the
-differential oracle (and as the fallback when numpy is unavailable).
+differential oracle and as the path for small inputs.
 
 Dispatch convention: a caller uses the vector path when
-``HAVE_NUMPY and n >= VEC_MIN_NODES`` — reference ``vec.VEC_MIN_NODES``
-through the module (not a ``from``-import) so tests can pin it to 0 and
-force the vector path onto the small differential corpus.
+``n >= VEC_MIN_NODES`` — reference ``vec.VEC_MIN_NODES`` through the
+module (not a ``from``-import) so tests can pin it to 0 and force the
+vector path onto the small differential corpus.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-try:  # pragma: no cover - exercised by presence/absence of numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    np = None
+import numpy as np
 
 from .graph import Graph
 
 __all__ = [
-    "HAVE_NUMPY",
     "VEC_MIN_NODES",
     "csr_arrays",
     "expand_segments",
@@ -35,15 +31,13 @@ __all__ = [
     "member_paths",
 ]
 
-HAVE_NUMPY = np is not None
-
 #: below this node count the per-node Python paths win on constant factors
 VEC_MIN_NODES = 256
 
 
 def use_vector_path(n: int) -> bool:
     """The dispatch predicate every ported solver shares."""
-    return HAVE_NUMPY and n >= VEC_MIN_NODES
+    return n >= VEC_MIN_NODES
 
 
 def csr_arrays(graph: Graph):

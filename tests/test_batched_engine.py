@@ -42,15 +42,24 @@ from repro.local.metrics import ExecutionTrace
 
 
 def _scheduler_corpus():
+    """Bipartite shapes, plus non-bipartite ones — an odd cycle, K5, a
+    random 3-regular graph, a hypercube — whose same-layer edges and
+    candidates reached from two parents are what the dedup exists for."""
     cases = [
         ("path7", path_graph(7)),
         ("cycle8", cycle_graph(8)),
         ("btree", balanced_tree(2, 3)),
         ("forest", Graph(9, [(0, 1), (1, 2), (3, 4), (6, 7), (7, 8)])),
         ("singleton", Graph(1, [])),
+        ("cycle7", cycle_graph(7)),
+        ("complete5", Graph(5, [(u, v) for u in range(5)
+                                for v in range(u + 1, 5)])),
     ]
     for i, g in enumerate(get_family("caterpillar").instances(14, seed=5, count=2)):
         cases.append((f"caterpillar{i}", g))
+    for family, n in (("random_regular_d3", 12), ("hypercube", 16)):
+        (g,) = get_family(family).instances(n, seed=5, count=1)
+        cases.append((family, g))
     return cases
 
 
@@ -124,8 +133,10 @@ class TestFrontierScheduler:
         atlas = {}
         sched = FrontierScheduler(g, bytearray(g.n), atlas=atlas)
         sched.grow_to(3)
-        # the scheduler populated the exact atlas keys run_batch shares
-        store = BallStore(g, 0, layers=atlas[("layers", 0)])
+        # the sweep filled the flat cache; pool(0) hands out the exact
+        # atlas list run_batch shares, extended from that cache
+        assert sched.pool(0) is atlas[("layers", 0)]
+        store = BallStore(g, 0, layers=sched.pool(0))
         store.grow_to(3)
         assert store.dist == g.ball(0, 3)
 
@@ -135,6 +146,17 @@ class TestFrontierScheduler:
         assert sched.radius == 0  # nothing queried, nothing swept
         sched.grow_to(0)
         assert sched.radius == 0
+
+    def test_state_arrays_allocated_on_first_use(self):
+        # a run that never asks for ball facts allocates no per-node
+        # array; the ball facts read as radius 0 before any sweep
+        g = path_graph(50)
+        sched = FrontierScheduler(g, bytearray(50))
+        sched.grow_to(0)
+        assert sched._cur_c is None
+        assert sched._complete is None and sched._ball_size is None
+        assert int(sched.ball_size.sum()) == 50
+        assert not sched.complete.any()
 
     def test_ball_fact_arrays_are_read_only(self):
         # mutating shared engine state must raise, not silently corrupt
@@ -148,6 +170,103 @@ class TestFrontierScheduler:
             views.complete_mask()[0] = True
         with _pytest.raises(ValueError):
             views.ball_sizes()[0] = 99
+
+
+class _PacedByIds(BatchedAlgorithm):
+    """Commits a live node once it is ready or at round ``ids[v] % 5``,
+    whichever comes first, so the commit set depends on the IDs and a
+    later ID sample grows some centres past the radius an earlier sample
+    cached while re-reading others.  Each round it checks the ball facts
+    against a fresh scheduler without an atlas, fed the same commits."""
+
+    name = "paced-by-ids"
+
+    def setup(self, graph, n):
+        self._flags = bytearray(n)
+        self._fresh = FrontierScheduler(graph, self._flags)
+
+    def decide_batch(self, views, live, t):
+        for v, s in enumerate(views.commit_round):
+            if s is not None:
+                self._flags[v] = 1
+        self._fresh.grow_to(t)
+        assert np.array_equal(views.complete_mask(), self._fresh.complete), t
+        assert np.array_equal(views.ball_sizes(), self._fresh.ball_size), t
+        ids = np.asarray(views.ids)
+        due = np.union1d(views.ready(live), live[ids[live] % 5 <= t])
+        return due, [t] * len(due)
+
+
+class _MinIdWaits(BatchedAlgorithm):
+    """Every node but the min-ID one commits at round 0; that one waits
+    until its ball covers the whole graph."""
+
+    name = "min-id-waits"
+
+    def decide_batch(self, views, live, t):
+        if t == 0:
+            rest = live[live != int(np.argmin(views.ids))]
+            return rest, [0] * len(rest)
+        ready = views.ready(live)
+        return ready, [1] * len(ready)
+
+
+class TestLayerCache:
+    @pytest.mark.parametrize("family,n", [
+        ("bounded_tree_d3", 40), ("random_regular_d3", 40),
+        ("fragmented_forest", 40),
+    ])
+    def test_mixed_rounds_match_a_fresh_scheduler(self, family, n):
+        (g,) = get_family(family).instances(n, seed=3, count=1)
+        full = []
+        for v in range(g.n):
+            store = BallStore(g, v)
+            store.grow_to(g.n)
+            full.append(store._layers)
+        rng = random.Random(8)
+        atlas = {}
+        traces = []
+        for _ in range(3):
+            # run_batch's loop, with the shared atlas in reach
+            trace = LocalSimulator()._run(
+                g, _PacedByIds(), random_ids(g.n, rng=rng), atlas=atlas)
+            traces.append(trace)
+            # every list holds the BallStore layers, through the radius
+            # its centre reached; lists made after the first sample also
+            # take the later samples' write-backs
+            reader = FrontierScheduler(g, bytearray(g.n), atlas=atlas)
+            for v in range(g.n):
+                layers = reader.pool(v)
+                assert layers == full[v][:len(layers)], v
+                assert len(layers) > trace.rounds[v], v
+        # a node is grown to radius r in a run iff it commits at round
+        # >= r: some round of a later sample re-reads centres an earlier
+        # sample grew and expands centres none did
+        mixed = False
+        for later in range(1, len(traces)):
+            for r in range(1, max(traces[later].rounds) + 1):
+                grown = [v for v in range(g.n)
+                         if traces[later].rounds[v] >= r]
+                seen = [any(traces[e].rounds[v] >= r for e in range(later))
+                        for v in grown]
+                mixed |= any(seen) and not all(seen)
+        assert mixed
+
+    def test_cache_holds_no_per_radius_mask(self):
+        # one ball grows to the whole path: ~n radii with a node or two
+        # each; an n-length array per radius would hold ~n^2 bytes
+        g = path_graph(4000)
+        atlas = {}
+        shuffled = list(range(2, g.n + 1))
+        random.Random(2).shuffle(shuffled)
+        sizes = []
+        for ids in (sequential_ids(g.n), [1] + shuffled):
+            trace = LocalSimulator()._run(g, _MinIdWaits(), ids, atlas=atlas)
+            assert trace.rounds[0] == g.n - 1
+            sizes.append(sum(arr.nbytes for entry in
+                             atlas["frontier"].layers[1:] for arr in entry))
+        # the second sample re-reads node 0's layers without storing more
+        assert sizes[0] == sizes[1] <= 64 * g.n
 
 
 def _filter_oracle(rounds, labels):

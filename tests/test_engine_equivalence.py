@@ -472,9 +472,11 @@ class TestRunBatch:
         assert batch[1].outputs == samples[1]
 
     def test_batched_engine_reuses_atlas_grown_by_incremental(self):
-        # one shared atlas: incremental runs grow the layer pool with
-        # their per-node BallStores, the native run's frontier scheduler
-        # must read and extend the very same lists (and vice versa)
+        # one shared atlas: incremental runs grow the per-centre layer
+        # lists with their per-node BallStores; the native run's frontier
+        # scheduler cannot read those (it reads its flat layer cache),
+        # so it recomputes the layers, writes none of them twice, and
+        # must still produce the same traces
         g = balanced_tree(2, 3)
         rng = random.Random(11)
         samples = [random_ids(g.n, rng=rng) for _ in range(3)]

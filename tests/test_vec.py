@@ -30,10 +30,6 @@ from repro.lcl.levels import compute_levels
 from repro.local import Graph, random_ids
 from repro.local import vec
 
-pytestmark = pytest.mark.skipif(
-    not vec.HAVE_NUMPY, reason="numpy unavailable: only the python paths exist"
-)
-
 TREEISH = ("path", "random_tree", "bounded_tree_d3", "caterpillar",
            "spider", "fragmented_forest")
 ALL_SHAPES = TREEISH + ("cycle", "star", "grid", "complete_binary_tree")
@@ -206,7 +202,7 @@ class TestFastDecompositionParity:
 class TestDispatch:
     def test_use_vector_path_threshold(self, monkeypatch):
         monkeypatch.setattr(vec, "VEC_MIN_NODES", 100)
-        assert vec.use_vector_path(100) is vec.HAVE_NUMPY
+        assert vec.use_vector_path(100) is True
         assert vec.use_vector_path(99) is False
 
     def test_csr_arrays_zero_copy(self):
