@@ -12,16 +12,17 @@ atlas ``LocalSimulator.run_batch`` shares across ID samples.  Radius
 ``r``'s entry holds the centres grown to ``r`` as a sorted int64 array
 and their layer-``r`` nodes as two centre-grouped int64 arrays
 ``(centers, nodes)`` in per-node BFS order; a centre without rows has an
-empty layer ``r``, i.e. a ball that completed.  A step serves the
-centres the entry holds straight from its arrays and expands only the
-others, so a later ID sample re-reads every layer an earlier sample grew
-without scanning an edge.  The cache holds O(rows + grown centres)
+empty layer ``r``, i.e. a ball that completed.  A step whose centres the
+entry all holds is served straight from its arrays, so a later ID sample
+that grows the same balls re-reads every layer without scanning an edge.
+A step with any other centre expands all of its centres and the result
+replaces radius ``r``'s entry.  The cache holds O(rows + grown centres)
 bytes, never an ``n``-length array per radius.
 
-Expansion is one vectorized CSR sweep over the uncached centres'
-frontier.  Deduplication uses the standard two-layer BFS identity on
-undirected graphs: a neighbour of a node at distance ``r - 1`` is at
-distance ``r - 2``, ``r - 1`` or ``r``, so a candidate is new iff its
+Expansion is one vectorized CSR sweep over the round's frontier.
+Deduplication uses the standard two-layer BFS identity on undirected
+graphs: a neighbour of a node at distance ``r - 1`` is at distance
+``r - 2``, ``r - 1`` or ``r``, so a candidate is new iff its
 ``(center, node)`` key is in neither of the two layers before it — no
 per-centre visited sets are needed.  One sort of the keys of both
 layers and of the candidates, concatenated in that order, decides it: a
@@ -34,16 +35,13 @@ is byte-identical to what ``BallStore`` produces on its own.
 The per-centre layer lists are the atlas's ``("layers", v)`` entries:
 layer ``r`` of centre ``v`` is a plain list of nodes at distance exactly
 ``r``, a pure function of the topology.  :meth:`FrontierScheduler.pool`
-hands out centre ``v``'s list, first extended with every layer the flat
-cache holds for ``v``, and the per-node
+hands out centre ``v``'s list, first extended with the layers the flat
+cache holds for ``v`` past the list's end, and the per-node
 :class:`~repro.local.algorithm.BallStore` behind each
-:meth:`BatchedViews.view_of` reads and extends it.  A step writes a
-layer it expanded back only into lists that exist, and only when the
-list holds exactly ``r`` layers: per-node views never sweep the shared
-frontier, so a store may have grown the list ahead of the scheduler.
-The flat cache never sees the layers a store grew, so the scheduler
-recomputes those instead of reading them; production algorithms read
-either ball facts or per-node views, never both.
+:meth:`BatchedViews.view_of` reads and extends it.  Steps never touch
+the lists, and the flat cache never sees the layers a store grew, so
+the scheduler recomputes those instead of reading them; production
+algorithms read either ball facts or per-node views, never both.
 
 Growth is **lazy**: the scheduler only sweeps when something actually asks
 for ball facts at the current round, and allocates its per-node arrays
@@ -65,7 +63,10 @@ __all__ = ["FrontierScheduler", "BatchedViews", "csr_numpy"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: the atlas entry holding the flat per-radius layer cache
+#: the atlas entry holding the flat per-radius layer cache: a list whose
+#: item ``r >= 1`` is radius ``r``'s entry ``(grown, rows_c, rows_v)`` —
+#: the sorted centres grown to ``r`` and their layer-``r`` nodes grouped
+#: by centre in per-node BFS order (item 0, radius 0, is implicit)
 _CACHE_KEY = "frontier"
 
 
@@ -114,45 +115,6 @@ def _member(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     return sorted_set[pos] == values
 
 
-class _LayerCache:
-    """The flat per-radius layer cache of one topology.
-
-    ``layers[r]`` is radius ``r``'s entry ``(grown, rows_c, rows_v)``:
-    the sorted centres grown to ``r``, and their layer-``r`` nodes
-    grouped by centre in per-node BFS order (radius 0 is implicit).
-    ``listed`` flags the centres whose ``("layers", v)`` list exists in
-    the atlas; it is allocated with the first such list.
-    """
-
-    __slots__ = ("layers", "listed")
-
-    def __init__(self) -> None:
-        self.layers: List[Optional[Tuple[np.ndarray, np.ndarray,
-                                         np.ndarray]]] = [None]
-        self.listed: Optional[np.ndarray] = None
-
-    def entry(self, r: int):
-        return self.layers[r] if r < len(self.layers) else None
-
-    def add(self, r: int, grown: np.ndarray, rows_c: np.ndarray,
-            rows_v: np.ndarray):
-        """Record layer ``r`` of the centres ``grown`` (none of them in
-        the entry yet) and return radius ``r``'s merged entry."""
-        old = self.entry(r)
-        if old is None:
-            # a step only reaches radius r after radius r - 1 has an entry
-            assert r == len(self.layers), (r, len(self.layers))
-            entry = (grown, rows_c, rows_v)
-            self.layers.append(entry)
-            return entry
-        rows_c = np.concatenate((old[1], rows_c))
-        order = np.argsort(rows_c, kind="stable")
-        entry = (np.sort(np.concatenate((old[0], grown))), rows_c[order],
-                 np.concatenate((old[2], rows_v))[order])
-        self.layers[r] = entry
-        return entry
-
-
 class FrontierScheduler:
     """Grow the radius-``t`` balls of all live centres in lockstep.
 
@@ -198,8 +160,9 @@ class FrontierScheduler:
         self._atlas = {} if atlas is None else atlas
         cache = self._atlas.get(_CACHE_KEY)
         if cache is None:
-            cache = self._atlas[_CACHE_KEY] = _LayerCache()
-        self._cache = cache
+            cache = self._atlas[_CACHE_KEY] = [None]
+        self._cache: List[Optional[Tuple[np.ndarray, np.ndarray,
+                                         np.ndarray]]] = cache
         self.radius = 0
         self._complete: Optional[np.ndarray] = None
         self._ball_size: Optional[np.ndarray] = None
@@ -225,18 +188,15 @@ class FrontierScheduler:
     # ------------------------------------------------------------------
     def pool(self, v: int) -> List[List[int]]:
         """Centre ``v``'s layer list, the atlas's ``("layers", v)`` entry
-        (shared with ``BallStore`` windows), extended with every layer
-        the flat cache holds for ``v``."""
-        cache = self._cache
+        (shared with ``BallStore`` windows), extended with the layers the
+        flat cache holds for ``v`` past the list's end."""
         layers = self._atlas.get(("layers", v))
         if layers is None:
             layers = self._atlas[("layers", v)] = [[v]]
-            if cache.listed is None:
-                cache.listed = np.zeros(self._n, dtype=bool)
-            cache.listed[v] = True
+        cache = self._cache
         r = len(layers)
-        while r < len(cache.layers):
-            grown, rows_c, rows_v = cache.layers[r]
+        while r < len(cache):
+            grown, rows_c, rows_v = cache[r]
             i = int(np.searchsorted(grown, v))
             if i == len(grown) or grown[i] != v:
                 break
@@ -252,9 +212,9 @@ class FrontierScheduler:
             self._step()
 
     def _step(self) -> None:
-        """Grow every live ball by one layer: expand the centres radius
-        ``r``'s cache entry lacks, then take every centre's layer from
-        the entry."""
+        """Grow every live ball by one layer: read the round from radius
+        ``r``'s cache entry if it holds every live centre, else expand
+        the round and make the result that entry."""
         r = self.radius + 1
         cur_c, cur_v = self._cur_c, self._cur_v
         if cur_c is None:
@@ -271,14 +231,17 @@ class FrontierScheduler:
 
         starts = np.flatnonzero(cur_c[1:] != cur_c[:-1]) + 1
         centers = np.concatenate((cur_c[:1], cur_c[starts]))
-        entry = self._cache.entry(r)
-        cached = (np.zeros(len(centers), dtype=bool) if entry is None
-                  else _member(centers, entry[0]))
-        if not cached.all():
-            entry = self._expand(r, centers[~cached], cur_c, cur_v,
-                                 partial=bool(cached.any()))
-        # the entry's other centres committed earlier in this run; the
-        # next step's commit filter drops their rows
+        cache = self._cache
+        entry = cache[r] if r < len(cache) else None
+        if entry is None or not _member(centers, entry[0]).all():
+            # some centre was never grown to r: expand the whole round
+            entry = (centers,) + self._expand(cur_c, cur_v)
+            if r < len(cache):
+                cache[r] = entry
+            else:
+                cache.append(entry)
+        # a cached entry's other centres committed earlier in this run;
+        # the next step's commit filter drops their rows
         _, rows_c, rows_v = entry
         sizes = (np.searchsorted(rows_c, centers, side="right")
                  - np.searchsorted(rows_c, centers))
@@ -288,69 +251,38 @@ class FrontierScheduler:
         self._cur_c, self._cur_v = rows_c, rows_v
         self.radius = r
 
-    def _expand(self, r: int, grown: np.ndarray, cur_c: np.ndarray,
-                cur_v: np.ndarray, partial: bool):
-        """Expand layer ``r`` of the centres ``grown`` (sorted) from their
-        layers ``r - 1`` (rows of ``cur``) and ``r - 2``, write it back,
-        and record it in the flat cache; return radius ``r``'s entry.
-        ``partial``: ``cur`` also holds centres outside ``grown``."""
+    def _expand(self, cur_c: np.ndarray,
+                cur_v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The next layer ``(centers, nodes)`` of the centres in ``cur``
+        (their last layer), deduplicated against it and the layer before
+        it."""
         prev_c, prev_v = self._prev_c, self._prev_v
-        if partial:
-            rows = _member(cur_c, grown)
-            cur_c, cur_v = cur_c[rows], cur_v[rows]
-            rows = _member(prev_c, grown)
-            prev_c, prev_v = prev_c[rows], prev_v[rows]
         indptr = self._indptr
         first = indptr[cur_v]
         deg = indptr[cur_v + 1] - first
         total = int(deg.sum())
-        if total:
-            cand_c = np.repeat(cur_c, deg)
-            slots = np.arange(total, dtype=np.int64) + np.repeat(
-                first - (np.cumsum(deg) - deg), deg)
-            cand_v = self._indices[slots]
-            n = self._n
-            keys = np.concatenate((prev_c * n + prev_v, cur_c * n + cur_v,
-                                   cand_c * n + cand_v))
-            order = np.argsort(keys)
-            keys = keys[order]
-            lead = np.empty(len(keys), dtype=bool)
-            lead[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=lead[1:])
-            # first position of each key (the sort need not be stable:
-            # take the least position of each run of equal keys), as an
-            # offset into the candidates
-            pos = np.minimum.reduceat(order, np.flatnonzero(lead))
-            pos -= len(keys) - total
-            fresh = np.zeros(total, dtype=bool)
-            fresh[pos[pos >= 0]] = True
-            new_c, new_v = cand_c[fresh], cand_v[fresh]
-        else:
-            new_c = new_v = _EMPTY
-        self._write_back(r, grown, new_c, new_v)
-        return self._cache.add(r, grown, new_c, new_v)
-
-    def _write_back(self, r: int, grown: np.ndarray, new_c: np.ndarray,
-                    new_v: np.ndarray) -> None:
-        """Append the expanded layer ``r`` to the existing lists of the
-        centres ``grown`` that hold exactly ``r`` layers (the empty last
-        layer too, as ``BallStore`` does).  A per-node store may have
-        grown a list ahead of the scheduler; appending its layer again
-        would leave a duplicate that ``BallStore`` reads as layer
-        ``r + 1``."""
-        listed = self._cache.listed
-        if listed is None:
-            return
-        owners = grown[listed[grown]]
-        if not len(owners):
-            return
-        lo = np.searchsorted(new_c, owners).tolist()
-        hi = np.searchsorted(new_c, owners, side="right").tolist()
-        atlas = self._atlas
-        for c, a, b in zip(owners.tolist(), lo, hi):
-            layers = atlas[("layers", c)]
-            if len(layers) == r:
-                layers.append(new_v[a:b].tolist())
+        if not total:
+            return _EMPTY, _EMPTY
+        cand_c = np.repeat(cur_c, deg)
+        slots = np.arange(total, dtype=np.int64) + np.repeat(
+            first - (np.cumsum(deg) - deg), deg)
+        cand_v = self._indices[slots]
+        n = self._n
+        keys = np.concatenate((prev_c * n + prev_v, cur_c * n + cur_v,
+                               cand_c * n + cand_v))
+        order = np.argsort(keys)
+        keys = keys[order]
+        lead = np.empty(len(keys), dtype=bool)
+        lead[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=lead[1:])
+        # first position of each key (the sort need not be stable: take
+        # the least position of each run of equal keys), as an offset
+        # into the candidates
+        pos = np.minimum.reduceat(order, np.flatnonzero(lead))
+        pos -= len(keys) - total
+        fresh = np.zeros(total, dtype=bool)
+        fresh[pos[pos >= 0]] = True
+        return cand_c[fresh], cand_v[fresh]
 
 
 class BatchedViews:

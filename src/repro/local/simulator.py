@@ -134,12 +134,12 @@ class LocalSimulator:
         The common shape in ``benchmarks/`` and ``analysis``: fixed
         topology, sampled IDs.  Topology-only setup is shared across the
         batch through one atlas dict.  On the batched engine, the
-        frontier scheduler keeps every layer it grows in the atlas's flat
-        per-radius layer cache, so a later run reads those layers from
-        it instead of re-scanning edges; per-node ball stores read and
-        extend the per-centre layer lists the scheduler hands out,
-        extended from that cache; message algorithms reuse the per-node
-        neighbour lists.  Per-run work that depends on the
+        frontier scheduler keeps the layers it grows in the atlas's flat
+        per-radius layer cache, so a later run that grows the same balls
+        reads them from it instead of re-scanning edges; per-node ball
+        stores read and extend the per-centre layer lists the scheduler
+        hands out, extended from that cache; message algorithms reuse
+        the per-node neighbour lists.  Per-run work that depends on the
         IDs — the dynamics themselves, the dist fills — is still paid
         per sample.  ``algorithm.setup`` is invoked per run; algorithms
         must reset any per-execution caches there.

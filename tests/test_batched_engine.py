@@ -105,8 +105,8 @@ class TestFrontierScheduler:
 
     def test_write_back_skips_layers_a_store_grew(self):
         # a per-node store grows centre 0's pool ahead of the scheduler;
-        # the scheduler recomputes those layers but must not append them
-        # a second time
+        # the scheduler recomputes those layers, and pool() must not
+        # append them a second time
         g = balanced_tree(2, 4)
         sched = FrontierScheduler(g, bytearray(g.n))
         BallStore(g, 0, layers=sched.pool(0)).grow_to(2)
@@ -232,8 +232,8 @@ class TestLayerCache:
                 g, _PacedByIds(), random_ids(g.n, rng=rng), atlas=atlas)
             traces.append(trace)
             # every list holds the BallStore layers, through the radius
-            # its centre reached; lists made after the first sample also
-            # take the later samples' write-backs
+            # its centre reached; pool() extends lists made after an
+            # earlier sample with the layers later samples cached
             reader = FrontierScheduler(g, bytearray(g.n), atlas=atlas)
             for v in range(g.n):
                 layers = reader.pool(v)
@@ -263,8 +263,8 @@ class TestLayerCache:
         for ids in (sequential_ids(g.n), [1] + shuffled):
             trace = LocalSimulator()._run(g, _MinIdWaits(), ids, atlas=atlas)
             assert trace.rounds[0] == g.n - 1
-            sizes.append(sum(arr.nbytes for entry in
-                             atlas["frontier"].layers[1:] for arr in entry))
+            sizes.append(sum(arr.nbytes for entry in atlas["frontier"][1:]
+                             for arr in entry))
         # the second sample re-reads node 0's layers without storing more
         assert sizes[0] == sizes[1] <= 64 * g.n
 

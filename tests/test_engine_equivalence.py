@@ -475,7 +475,7 @@ class TestRunBatch:
         # one shared atlas: incremental runs grow the per-centre layer
         # lists with their per-node BallStores; the native run's frontier
         # scheduler cannot read those (it reads its flat layer cache),
-        # so it recomputes the layers, writes none of them twice, and
+        # so it recomputes the layers without touching the lists, and
         # must still produce the same traces
         g = balanced_tree(2, 3)
         rng = random.Random(11)

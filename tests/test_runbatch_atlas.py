@@ -93,8 +93,8 @@ class _FirstVisibleOutput(LocalAlgorithm):
 class _ViewsThenReady(BatchedAlgorithm):
     """Reads every live node's view, then asks for the flat readiness
     facts, in the same round: per-node stores grow the layer pool ahead
-    of the frontier scheduler, whose layer write-back must then skip the
-    layers the stores already hold.  Commits ``_MinIdRank``'s outputs
+    of the frontier scheduler, which must neither read those layers nor
+    hand them out twice.  Commits ``_MinIdRank``'s outputs
     for the ready nodes, cross-checked against the views."""
 
     name = "views-then-ready"
