@@ -538,3 +538,227 @@ class TestCLI:
         explicit_count = int(
             explicit.stdout.rsplit(" files", 1)[0].rsplit()[-1])
         assert count > explicit_count
+
+
+# ----------------------------------------------------------------------
+# the golden report: every rule id over one multi-file project
+# ----------------------------------------------------------------------
+#: a small project touching every rule id, the suppression contract, the
+#: per-directory severities and the corner cases of each rule; the
+#: sources stay strings so the repo's own lint run never sees them
+GOLDEN_SOURCES = {
+    "src/repro/algorithms/alpha.py": (
+        "from .mid import step\n"
+        "\n"
+        "\n"
+        "def decide(view):\n"
+        "    return step()\n"
+    ),
+    "src/repro/algorithms/mid.py": (
+        "from .helpers import flip\n"
+        "\n"
+        "\n"
+        "def step():\n"
+        "    return flip()\n"
+    ),
+    "src/repro/algorithms/helpers.py": (
+        "import random\n"
+        "\n"
+        "\n"
+        "def flip():\n"
+        "    return random.random() < 0.5\n"
+        "\n"
+        "\n"
+        "def quiet():\n"
+        "    return random.random()  # lint: allow(DET001) fixture draw\n"
+        "\n"
+        "\n"
+        "def loud():\n"
+        "    return random.random()  # lint: allow(DET001)\n"
+    ),
+    "src/repro/algorithms/corners.py": (
+        "import functools\n"
+        "import random\n"
+        "\n"
+        "\n"
+        "def pick(x=random.random()):\n"
+        "    return x\n"
+        "\n"
+        "\n"
+        "class Table:\n"
+        "    seed = random.randint(1, 6)\n"
+        "\n"
+        "\n"
+        "@functools.lru_cache(maxsize=random.randint(1, 8))\n"
+        "def memo(x):\n"
+        "    return x\n"
+    ),
+    "src/repro/algorithms/views.py": (
+        "def decide(self, view, n):\n"
+        "    return view._ball\n"
+        "\n"
+        "\n"
+        "def outer(view):\n"
+        "    def inner(view):\n"
+        "        return view._x\n"
+        "    return inner\n"
+        "\n"
+        "\n"
+        "def closure(view):\n"
+        "    def g():\n"
+        "        return view._y\n"
+        "    return g\n"
+        "\n"
+        "\n"
+        "def peek(v):\n"
+        "    return v._ball\n"
+        "\n"
+        "\n"
+        "def run(view):\n"
+        "    return peek(view)\n"
+    ),
+    "src/repro/algorithms/batch.py": (
+        "class Algo:\n"
+        "    def setup(self, graph, n):\n"
+        "        self._cache = None\n"
+        "\n"
+        "    def decide_batch(self, views, live, t):\n"
+        "        self._other = 1\n"
+        "        return []\n"
+    ),
+    "src/repro/misc.py": (
+        "from repro.parallel import fork_map\n"
+        "\n"
+        "KEY = hash(('a', 1))\n"
+        "\n"
+        "\n"
+        "def order(items):\n"
+        "    s = set(items)\n"
+        "    return [v for v in s]\n"
+        "\n"
+        "\n"
+        "def fan(pool, xs):\n"
+        "    return list(pool.imap_unordered(str, xs))\n"
+        "\n"
+        "\n"
+        "def spread(xs):\n"
+        "    return fork_map(lambda x: x, xs, workers=2)\n"
+    ),
+    "src/repro/shm_use.py": (
+        "import numpy as np\n"
+        "from repro.shm import shared_graph\n"
+        "\n"
+        "G = shared_graph('k')\n"
+        "IP, IX = G.adjacency()\n"
+        "\n"
+        "\n"
+        "def scrub(g):\n"
+        "    g[0] = 0\n"
+        "\n"
+        "\n"
+        "def worker(task):\n"
+        "    g = shared_graph(task)\n"
+        "    scrub(g)\n"
+        "\n"
+        "\n"
+        "def total(key):\n"
+        "    g = shared_graph(key)\n"
+        "    indptr, indices = g.adjacency()\n"
+        "    return indptr[-1]\n"
+        "\n"
+        "\n"
+        "def build(n):\n"
+        "    indptr = np.zeros(n + 1)\n"
+        "    indptr[0] = 0\n"
+        "    return indptr\n"
+        "\n"
+        "\n"
+        "def poke():\n"
+        "    IP[0] = 1\n"
+        "\n"
+        "\n"
+        "def unseal(arr):\n"
+        "    arr.setflags(write=True)\n"
+    ),
+    "src/repro/shm_swapped.py": (
+        "import numpy as np\n"
+        "from repro.shm import shared_graph\n"
+        "\n"
+        "\n"
+        "def build(n):\n"
+        "    indptr = np.zeros(n + 1)\n"
+        "    indptr[0] = 0\n"
+        "    return indptr\n"
+        "\n"
+        "\n"
+        "def total(key):\n"
+        "    g = shared_graph(key)\n"
+        "    indptr, indices = g.adjacency()\n"
+        "    return indptr[-1]\n"
+    ),
+    "src/repro/store_use.py": (
+        "import time\n"
+        "from repro.parallel import stable_digest\n"
+        "from repro.store import atomic_write_json\n"
+        "\n"
+        "\n"
+        "def save(path, payload):\n"
+        "    payload['at'] = time.time()\n"
+        "    atomic_write_json(path, payload)\n"
+        "\n"
+        "\n"
+        "def cache(self, family, extra):\n"
+        "    stamp = time.time()\n"
+        "    self.store_dir.cache.put(stable_digest(family),\n"
+        "                             {'family': family, 'extra': extra})\n"
+        "    return stamp\n"
+    ),
+    "src/repro/broken.py": "def f(:\n",
+    "benchmarks/harness.py": (
+        "import random\n"
+        "import time\n"
+        "\n"
+        "\n"
+        "def timed(fn):\n"
+        "    start = time.perf_counter()\n"
+        "    fn()\n"
+        "    return time.perf_counter() - start, random.random()\n"
+    ),
+    "benchmarks/bench_x.py": (
+        "import random\n"
+        "import time\n"
+        "from repro.store import atomic_write_json\n"
+        "\n"
+        "\n"
+        "def run(path):\n"
+        "    atomic_write_json(path, {'t': time.time(),\n"
+        "                             'x': random.random()})\n"
+    ),
+    "examples/demo.py": (
+        "import random\n"
+        "import time\n"
+        "\n"
+        "print(random.random(), time.time())\n"
+    ),
+}
+
+GOLDEN_REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "lint_golden.json")
+
+
+class TestGoldenReport:
+    def test_report_matches_the_pinned_golden(self, tmp_path):
+        for path, source in GOLDEN_SOURCES.items():
+            target = tmp_path / path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(source)
+        report = run_lint(["src", "benchmarks", "examples"],
+                          root=str(tmp_path))
+        with open(GOLDEN_REPORT, encoding="utf-8") as fh:
+            assert report.to_json() == fh.read()
+
+    def test_golden_covers_every_rule_id(self):
+        with open(GOLDEN_REPORT, encoding="utf-8") as fh:
+            rules = {f["rule"] for f in json.load(fh)["findings"]}
+        ids = {r.id for r in all_rules()}
+        assert ids | {BAD_SUPPRESSION_RULE, PARSE_ERROR_RULE} <= rules
