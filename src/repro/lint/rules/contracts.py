@@ -41,6 +41,12 @@ class ViewPrivateAccessRule(Rule):
     summary = ("decide/decide_batch must stay inside the View API; "
                "view._* is engine-private state")
 
+    def __init__(self, ctx) -> None:
+        super().__init__(ctx)
+        #: reads already reported: a def nested in a view-taking def is
+        #: walked by both visits
+        self._seen: Set[int] = set()
+
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         args = node.args
         params = {a.arg for a in (args.posonlyargs + args.args
@@ -53,7 +59,9 @@ class ViewPrivateAccessRule(Rule):
                 base = inner.value
                 if (isinstance(base, ast.Name) and base.id in sealed
                         and inner.attr.startswith("_")
-                        and not inner.attr.startswith("__")):
+                        and not inner.attr.startswith("__")
+                        and id(inner) not in self._seen):
+                    self._seen.add(id(inner))
                     self.report(inner, f"{base.id}.{inner.attr} is "
                                        "engine-private state; algorithms "
                                        "must use the public View API "

@@ -229,6 +229,21 @@ class TestENG001ViewPrivateAccess:
         src = "def helper(state):\n    return state._cache\n"
         assert rule_ids(src) == []
 
+    def test_nested_view_taking_def_reports_once(self):
+        src = ("def f(view):\n"
+               "    def g(view):\n"
+               "        return view._x\n"
+               "    return g\n")
+        findings = analyze_source(src, SRC)
+        assert [(f.rule, f.line) for f in findings] == [("ENG001", 3)]
+
+    def test_closure_over_outer_view_fires(self):
+        src = ("def f(view):\n"
+               "    def g():\n"
+               "        return view._x\n"
+               "    return g\n")
+        assert rule_ids(src) == ["ENG001"]
+
 
 class TestENG002BatchCacheReset:
     def test_cache_not_reset_in_setup_fires(self):
