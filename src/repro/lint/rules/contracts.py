@@ -197,6 +197,63 @@ class ForkMapClosureRule(Rule):
 _ATTACH_CALLS = {"shared_graph", "attach_graph", "from_csr_buffers"}
 
 
+def bound_names(body: List[ast.stmt]) -> Set[str]:
+    """Names a scope body binds: assignment, loop and ``with`` targets
+    and def/class names, not counting nested scopes or names declared
+    ``global``/``nonlocal``."""
+    bound: Set[str] = set()
+    declared: Set[str] = set()
+    stack: List[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if isinstance(node, ast.comprehension):
+            # comprehension targets bind in the comprehension's own scope
+            stack.append(node.iter)
+            stack.extend(node.ifs)
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+class _Scope:
+    """One lexical scope's attached graphs and arrays.  A name resolves
+    in the innermost scope binding it; function bodies skip enclosing
+    class scopes, as Python does."""
+
+    def __init__(self, parent: "_Scope", kind: str,
+                 names: Set[str]) -> None:
+        self.parent = parent
+        self.kind = kind
+        self.names = names
+        self.graphs: Set[str] = set()
+        self.arrays: Set[str] = set()
+
+    def _owner(self, name: str) -> "_Scope":
+        scope = self
+        while scope.parent is not None:
+            if name in scope.names and (scope is self
+                                        or scope.kind != "class"):
+                return scope
+            scope = scope.parent
+        return scope
+
+    def track(self, name: str, kind: str) -> None:
+        getattr(self._owner(name), kind).add(name)
+
+    def tracked(self, name: str, kind: str) -> bool:
+        return name in getattr(self._owner(name), kind)
+
+
 class SharedGraphWriteRule(Rule):
     """SHM001: attached shared-memory graphs are read-only.
 
@@ -215,8 +272,26 @@ class SharedGraphWriteRule(Rule):
 
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
-        self._shared_graphs: Set[str] = set()
-        self._shared_arrays: Set[str] = set()
+        self._scope = _Scope(None, "module", bound_names(ctx.tree.body))
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        args = node.args
+        params = {a.arg for a in (args.posonlyargs + args.args
+                                  + args.kwonlyargs)}
+        params.update(a.arg for a in (args.vararg, args.kwarg) if a)
+        self._enter(node, "function", params)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._enter(node, "class", set())
+
+    def _enter(self, node: ast.AST, kind: str, params: Set[str]) -> None:
+        outer = self._scope
+        self._scope = _Scope(outer, kind,
+                             params | bound_names(node.body))
+        self.generic_visit(node)
+        self._scope = outer
 
     @staticmethod
     def _is_attach_call(node: ast.expr) -> bool:
@@ -237,7 +312,7 @@ class SharedGraphWriteRule(Rule):
     def _check_store_target(self, target: ast.expr) -> None:
         if (isinstance(target, ast.Subscript)
                 and isinstance(target.value, ast.Name)
-                and target.value.id in self._shared_arrays):
+                and self._scope.tracked(target.value.id, "arrays")):
             self.report(target, f"store into {target.value.id}[...] — it "
                                 "aliases an attached shared-memory "
                                 "segment; copy before mutating")
@@ -270,18 +345,18 @@ class SharedGraphWriteRule(Rule):
         if self._is_attach_call(value):
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    self._shared_graphs.add(target.id)
+                    self._scope.track(target.id, "graphs")
         elif (isinstance(value, ast.Call)
               and isinstance(value.func, ast.Attribute)
               and value.func.attr == "adjacency"
               and isinstance(value.func.value, ast.Name)
-              and value.func.value.id in self._shared_graphs):
+              and self._scope.tracked(value.func.value.id, "graphs")):
             for target in node.targets:
                 elts = (target.elts if isinstance(
                     target, (ast.Tuple, ast.List)) else [target])
                 for t in elts:
                     if isinstance(t, ast.Name):
-                        self._shared_arrays.add(t.id)
+                        self._scope.track(t.id, "arrays")
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:

@@ -311,6 +311,43 @@ class TestSHM001SharedGraphWrite:
                "    return view\n")
         assert rule_ids(src) == []
 
+    def test_local_array_shadows_an_attached_name(self):
+        # the same name attached in one function and allocated fresh in
+        # a later one: the later store is into the local array
+        src = ("import numpy as np\n"
+               "from repro.shm import shared_graph\n"
+               "def total(key):\n"
+               "    g = shared_graph(key)\n"
+               "    indptr, indices = g.adjacency()\n"
+               "    return indptr[-1]\n"
+               "def build(n):\n"
+               "    indptr = np.zeros(n + 1)\n"
+               "    indptr[0] = 0\n"
+               "    return indptr\n")
+        assert rule_ids(src) == []
+
+    def test_local_array_before_the_attaching_function_is_clean(self):
+        src = ("import numpy as np\n"
+               "from repro.shm import shared_graph\n"
+               "def build(n):\n"
+               "    indptr = np.zeros(n + 1)\n"
+               "    indptr[0] = 0\n"
+               "    return indptr\n"
+               "def total(key):\n"
+               "    g = shared_graph(key)\n"
+               "    indptr, indices = g.adjacency()\n"
+               "    return indptr[-1]\n")
+        assert rule_ids(src) == []
+
+    def test_store_into_module_global_attached_array_fires(self):
+        src = ("from repro.shm import shared_graph\n"
+               "G = shared_graph('k')\n"
+               "IP, IX = G.adjacency()\n"
+               "def poke():\n"
+               "    IP[0] = 1\n")
+        findings = analyze_source(src, SRC)
+        assert [(f.rule, f.line) for f in findings] == [("SHM001", 5)]
+
     def test_local_graph_stores_are_untracked(self):
         src = ("def f(graph):\n"
                "    indptr, indices = graph.adjacency()\n"
