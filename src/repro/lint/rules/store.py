@@ -17,7 +17,12 @@ from typing import List, Tuple
 from ..core import Rule
 from .determinism import WallClockRule
 
-__all__ = ["StorePayloadPurityRule", "StoreKeyCompletenessRule"]
+__all__ = [
+    "is_store_put",
+    "store_receiver",
+    "StorePayloadPurityRule",
+    "StoreKeyCompletenessRule",
+]
 
 #: the writer entry points: the atomic persistence helpers plus
 #: ``<...store...>.put(...)`` (a ResultStore write)
@@ -31,6 +36,23 @@ _IDENTITY_SOURCES = {
     "os.uname", "os.getlogin", "os.getpid", "os.getppid",
     "getpass.getuser",
 }
+
+
+def store_receiver(node: ast.expr) -> bool:
+    """Whether any component of a receiver chain names a store
+    (``store``, ``self.store``, ``self.store_dir.cache``)."""
+    while isinstance(node, ast.Attribute):
+        if "store" in node.attr.lower():
+            return True
+        node = node.value
+    return isinstance(node, ast.Name) and "store" in node.id.lower()
+
+
+def is_store_put(node: ast.Call) -> bool:
+    """``<store>.put(...)``: the store write STORE001 and STORE002 check."""
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "put"
+            and store_receiver(func.value))
 
 
 class StorePayloadPurityRule(Rule):
@@ -95,19 +117,9 @@ class StorePayloadPurityRule(Rule):
         func = node.func
         if isinstance(func, ast.Name) and func.id in _WRITER_NAMES:
             return True
-        if isinstance(func, ast.Attribute):
-            if func.attr in _WRITER_NAMES:
-                return True
-            if func.attr == "put":
-                recv = func.value
-                name = None
-                if isinstance(recv, ast.Name):
-                    name = recv.id
-                elif isinstance(recv, ast.Attribute):
-                    name = recv.attr
-                if name is not None and "store" in name.lower():
-                    return True
-        return False
+        if isinstance(func, ast.Attribute) and func.attr in _WRITER_NAMES:
+            return True
+        return is_store_put(node)
 
     def _source_qual(self, node: ast.AST):
         if isinstance(node, ast.Attribute):

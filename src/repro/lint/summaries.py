@@ -58,6 +58,7 @@ from .callgraph import (
     module_name_for_path,
 )
 from .core import ModuleContext, Suppressions
+from .rules.store import is_store_put, store_receiver
 
 __all__ = [
     "extract_module_facts",
@@ -281,17 +282,8 @@ class _Extractor:
             if qual is not None and qual.rsplit(".", 1)[-1] in _DIGEST_NAMES:
                 return True
             if func.attr == "key":
-                return any("store" in part.lower()
-                           for part in _receiver_parts(func.value))
+                return store_receiver(func.value)
         return False
-
-    @staticmethod
-    def _is_store_put(node: ast.Call) -> bool:
-        func = node.func
-        return (isinstance(func, ast.Attribute) and func.attr == "put"
-                and len(node.args) >= 2
-                and any("store" in part.lower()
-                        for part in _receiver_parts(func.value)))
 
     # -- unit extraction -------------------------------------------------
     def run(self) -> ModuleFacts:
@@ -411,7 +403,7 @@ class _Extractor:
                     unit.params)
             if self._is_fork_map(target):
                 self._note_fork_workers(unit, node, scope, class_qual)
-            if self._is_store_put(node):
+            if is_store_put(node) and len(node.args) >= 2:
                 self._note_store_put(unit, node, scope, class_qual,
                                      influences)
         unit.digest_params = tuple(sorted(digest_params))
@@ -685,14 +677,6 @@ class _Extractor:
                 module_unit = self.facts.functions[0]
                 if module_unit.set_escape is None:
                     module_unit.set_escape = ev
-
-
-def _receiver_parts(node: ast.AST) -> Tuple[str, ...]:
-    chain = dotted_chain(node)
-    if chain is None:
-        return ()
-    base, parts = chain
-    return (base,) + parts
 
 
 def extract_module_facts(path: str, source: str) -> ModuleFacts:

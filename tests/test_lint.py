@@ -405,6 +405,17 @@ class TestSTORE001StorePayloadPurity:
         # DET003 still fires on the clock read; STORE001 must not
         assert rule_ids(src) == ["DET003"]
 
+    def test_put_through_a_store_named_inner_component_fires(self):
+        # STORE002 treats this receiver as a store; STORE001 must agree
+        src = ("import time\n"
+               "from repro.parallel import stable_digest\n"
+               "def cache(self, family):\n"
+               "    stamp = time.time()\n"
+               "    self.store_dir.cache.put(stable_digest(family),\n"
+               "                             {'family': family})\n"
+               "    return stamp\n")
+        assert rule_ids(src) == ["DET003", "STORE001"]
+
     def test_put_on_non_store_receiver_is_clean(self):
         src = ("import time\n"
                "def f(queue):\n"
