@@ -1,21 +1,18 @@
-"""Two-phase analyzer cost: whole-tree wall time, summary amortization.
+"""Analyzer cost: whole-tree wall time, summary amortization.
 
-The summarize-then-check split exists so the expensive phase — parsing
-every file, extracting facts, linking the call graph and running the
-summary fixpoints — happens **once** and serves every interprocedural
-rule family.  The strawman alternative (each of the four IPD/STORE002
-checks re-summarizing the project for itself) pays that cost per rule.
-Gates:
+One pass per file — parse, tokenize, extract facts, run the intramodule
+rules — then one link of the call graph and one run of the summary
+fixpoints serve every interprocedural rule family.  The strawman
+alternative (each of the four IPD/STORE002 checks running that pass
+for itself) pays the whole cost per rule.  Gates:
 
-* **amortization >= 2x**: one shared phase-1 index feeding all rule
-  families beats rebuilding the index per interprocedural family;
-* **whole-tree budget**: a full two-phase run over ``src tests
-  benchmarks examples`` (the CI lint gate) stays inside a generous
-  absolute wall bound, so the analyzer never becomes the slow step of
-  the build;
-* **correctness pin**: the shared-index run and the rebuild-per-family
-  run report byte-identical findings — amortization is a pure
-  scheduling change.
+* **amortization >= 2x**: one shared pass feeding all rule families
+  beats rerunning the pass per interprocedural family;
+* **whole-tree budget**: a full run over ``src tests benchmarks
+  examples`` (the CI lint gate) stays inside a generous absolute wall
+  bound, so the analyzer never becomes the slow step of the build;
+* **correctness pin**: the shared run and the per-family runs report
+  byte-identical findings — amortization is a pure scheduling change.
 
 Results land in ``benchmarks/results/lint.{txt,json}``.
 """
@@ -24,14 +21,13 @@ import os
 
 from harness import record_table, timed
 
-from repro.lint.core import analyze_source
-from repro.lint.runner import build_index, collect_files, run_lint
+from repro.lint.runner import collect_files, lint_files, run_lint
 
-#: one shared summary phase for N rule families must beat N phases
+#: one shared pass for N rule families must beat N passes
 MIN_AMORTIZATION = 2.0
 #: generous absolute budget for the CI lint gate (usually a few seconds)
 MAX_TREE_SECONDS = 120.0
-#: the interprocedural rule families the shared index serves
+#: the interprocedural rule families the shared pass serves
 FAMILIES = ("IPD001", "IPD002", "IPD003", "STORE002")
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,44 +35,28 @@ PATHS = [p for p in ("src", "tests", "benchmarks", "examples")
          if os.path.isdir(os.path.join(REPO, p))]
 
 
-def _interprocedural_findings(tasks, index):
-    """Phase 2 restricted to the interprocedural families: every file
-    checked against a prebuilt project index."""
-    out = []
-    for abs_path, display in tasks:
-        with open(abs_path, encoding="utf-8") as fh:
-            source = fh.read()
-        out.extend(
-            f for f in analyze_source(source, display, project=index)
-            if f.rule in FAMILIES)
-    return sorted(out)
-
-
-def shared_index_run(tasks):
-    """The real discipline: summarize once, check all families."""
-    index = build_index(tasks, jobs=1)
-    return _interprocedural_findings(tasks, index)
+def shared_pass_run(tasks):
+    """The real discipline: one pass, every family checked."""
+    return [f for f in lint_files(tasks, jobs=1) if f.rule in FAMILIES]
 
 
 def per_family_run(tasks):
-    """The strawman: each rule family rebuilds phase 1 for itself."""
+    """The strawman: each rule family reruns the pass for itself."""
     findings = []
     for family in FAMILIES:
-        index = build_index(tasks, jobs=1)
-        findings.extend(
-            f for f in _interprocedural_findings(tasks, index)
-            if f.rule == family)
+        findings.extend(f for f in lint_files(tasks, jobs=1)
+                        if f.rule == family)
     return sorted(findings)
 
 
-def test_lint_two_phase_amortization():
+def test_lint_shared_pass_amortization():
     tasks = collect_files(PATHS, root=REPO)
     assert len(tasks) >= 100, "tree unexpectedly small — wrong root?"
 
-    shared_findings, wall_shared, _ = timed(shared_index_run, tasks)
+    shared_findings, wall_shared, _ = timed(shared_pass_run, tasks)
     family_findings, wall_family, _ = timed(per_family_run, tasks)
     assert shared_findings == family_findings, (
-        "amortization changed the findings — phase 1 must be a pure "
+        "amortization changed the findings — the pass must be a pure "
         "function of the tree")
 
     report, wall_tree, rss = timed(
@@ -87,14 +67,14 @@ def test_lint_two_phase_amortization():
     amortization = wall_family / max(wall_shared, 1e-9)
     record_table(
         "lint",
-        "Two-phase lint: shared summary index vs per-family rebuild",
+        "Lint: one shared pass vs a pass per interprocedural family",
         ["configuration", "wall s", "findings"],
         [
-            ["shared index (1 summarize, 4 families)",
+            ["shared pass (1 pass, 4 families)",
              f"{wall_shared:.3f}", len(shared_findings)],
-            [f"per-family rebuild ({len(FAMILIES)} summarize)",
+            [f"per-family rerun ({len(FAMILIES)} passes)",
              f"{wall_family:.3f}", len(family_findings)],
-            [f"full two-phase run ({report.files} files, all rules)",
+            [f"full run ({report.files} files, all rules)",
              f"{wall_tree:.3f}", len(report.findings)],
         ],
         notes=[
@@ -106,12 +86,12 @@ def test_lint_two_phase_amortization():
     )
 
     assert amortization >= MIN_AMORTIZATION, (
-        f"shared summary index only {amortization:.2f}x faster than "
-        f"per-family rebuild (gate {MIN_AMORTIZATION}x)")
+        f"shared pass only {amortization:.2f}x faster than a pass per "
+        f"family (gate {MIN_AMORTIZATION}x)")
     assert wall_tree <= MAX_TREE_SECONDS, (
         f"whole-tree lint took {wall_tree:.1f}s "
         f"(budget {MAX_TREE_SECONDS}s)")
 
 
 if __name__ == "__main__":  # pragma: no cover
-    test_lint_two_phase_amortization()
+    test_lint_shared_pass_amortization()

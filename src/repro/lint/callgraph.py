@@ -1,10 +1,10 @@
 """Project call graph: module naming, import resolution, call linking.
 
-Phase 1 of the two-phase analyzer (see :mod:`repro.lint.summaries`)
-needs to know, for every call site in the project, *which project
-function it lands on* — that is what lets a summary bit (an entropy
-draw, a private-view read, a shared-buffer write) propagate from a
-helper to the ``decide``/``fork_map`` entry that reaches it.
+The interprocedural rules (see :mod:`repro.lint.summaries`) need to
+know, for every call site in the project, *which project function it
+lands on* — that is what lets a summary bit (an entropy draw, a
+private-view read, a shared-buffer write) propagate from a helper to
+the ``decide``/``fork_map`` entry that reaches it.
 
 The resolution is deliberately syntactic and conservative:
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
     "module_name_for_path",
@@ -44,12 +44,6 @@ __all__ = [
     "ModuleFacts",
     "CallGraph",
 ]
-
-#: attribute names whose call marks the receiver as an attached
-#: shared-memory object (mirrors rules/contracts.SharedGraphWriteRule)
-ATTACH_CALLS = frozenset({"shared_graph", "attach_graph",
-                          "from_csr_buffers"})
-
 
 def module_name_for_path(path: str) -> str:
     """Dotted module name for a root-relative display path.
@@ -113,7 +107,7 @@ class Evidence:
 
 @dataclass
 class FunctionFacts:
-    """Everything phase 1 records about one function unit.
+    """Everything the extractor records about one function unit.
 
     A *unit* is a ``def``, an ``async def``, a module/class-level
     ``name = lambda ...``, or the module body itself (qualname
@@ -183,8 +177,8 @@ class ClassFacts:
 
 @dataclass
 class ModuleFacts:
-    """Phase-1 facts for one file — plain data, picklable across
-    :func:`repro.parallel.fork_map`."""
+    """The extracted facts of one file — plain data, picklable across
+    :func:`repro.parallel.fork_map` once ``context`` is dropped."""
 
     path: str
     module: str
@@ -192,6 +186,14 @@ class ModuleFacts:
     classes: Dict[str, ClassFacts] = field(default_factory=dict)
     #: local name → absolute dotted path (imports, defs, classes)
     exports: Dict[str, str] = field(default_factory=dict)
+    #: the file's ``# lint: allow`` comments, which the project rules'
+    #: findings pass through like every other rule's
+    suppressions: Any = None
+    #: ``(line, col, message)`` when the file does not parse
+    syntax_error: Optional[Tuple[int, int, str]] = None
+    #: the parsed :class:`~repro.lint.core.ModuleContext`, kept only in
+    #: the process that parsed the file
+    context: Any = field(default=None, repr=False, compare=False)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 A rule is an :class:`ast.NodeVisitor` subclass over one parsed module.
 The framework hands every rule a shared :class:`ModuleContext` — source,
-tree, parent links and import resolution — so individual rules stay
-small: they pattern-match nodes and call :meth:`Rule.report`.
+tree, parent links, import resolution, suppressions and the fact
+extractor's sites — so individual rules stay small: they pattern-match
+nodes and call :meth:`Rule.report`, or, as a :class:`SiteRule`, report
+the sites the extractor (:mod:`repro.lint.summaries`) recorded for them.
 
 Suppressions are inline comments::
 
@@ -22,15 +24,22 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
+
+from .callgraph import build_import_map, module_name_for_path
 
 __all__ = [
     "Finding",
     "ModuleContext",
     "Rule",
+    "Site",
+    "SiteRule",
     "Suppressions",
     "analyze_source",
     "analyze_file",
+    "gate",
     "BAD_SUPPRESSION_RULE",
     "PARSE_ERROR_RULE",
 ]
@@ -66,43 +75,54 @@ class Finding:
                 f"{self.rule} {self.severity}: {self.message}")
 
 
+@dataclass(frozen=True)
+class Site:
+    """One occurrence of a :class:`SiteRule`'s pattern.
+
+    ``message`` is the rule's finding text, or ``None`` for a site that
+    only feeds a summary bit (a store into a parameter is a write for
+    IPD003 but not an SHM001 finding).  ``detail`` is the evidence text
+    an IPD chain shows, and ``param`` the parameter a per-parameter bit
+    belongs to.
+    """
+
+    rule: str
+    line: int
+    col: int
+    message: Optional[str]
+    detail: str
+    param: Optional[str] = None
+
+
 class ModuleContext:
     """Shared per-module facts every rule can lean on.
 
-    * ``imports`` / ``from_imports`` — local name to dotted-path maps
-      (``import numpy as np`` → ``np: numpy``; ``from random import
-      Random`` → ``Random: random.Random``).
+    * ``imports`` — local name to absolute dotted path for every import
+      binding (``import numpy as np`` → ``np: numpy``; ``from random
+      import Random`` → ``Random: random.Random``; relative imports
+      resolve against the module's package), the same map the call
+      graph links with.
     * :meth:`qualname` — resolve a ``Name``/``Attribute`` chain to its
       dotted import path, or ``None`` when the base is not an import
       binding (a local, a parameter, ...).
     * :meth:`is_builtin` — a name that is a Python builtin *here*: not
       shadowed by an import, a module-level assignment or def.
     * :meth:`parent` — enclosing AST node (lazily built parent map).
+    * ``suppressions`` — the module's ``# lint: allow`` comments.
+    * ``sites`` — every :class:`Site` the fact extractor recorded.
     """
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.source = source
         self.tree = tree
-        self.imports: Dict[str, str] = {}
-        self.from_imports: Dict[str, str] = {}
+        self.module = module_name_for_path(path)
+        self.imports = build_import_map(
+            tree, self.module, path.endswith("__init__.py"))
+        self.suppressions = Suppressions(source)
+        self.sites: List[Site] = []
         self._module_names: Set[str] = set()
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        self.imports[alias.asname] = alias.name
-                    else:
-                        top = alias.name.split(".")[0]
-                        self.imports[top] = top
-            elif isinstance(node, ast.ImportFrom):
-                module = ("." * node.level) + (node.module or "")
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    self.from_imports[local] = f"{module}.{alias.name}"
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -126,15 +146,14 @@ class ModuleContext:
             node = node.value
         if not isinstance(node, ast.Name):
             return None
-        base = self.from_imports.get(node.id) or self.imports.get(node.id)
+        base = self.imports.get(node.id)
         if base is None:
             return None
         parts.append(base)
         return ".".join(reversed(parts))
 
     def is_builtin(self, name: str) -> bool:
-        return (name not in self.imports and name not in self.from_imports
-                and name not in self._module_names)
+        return name not in self.imports and name not in self._module_names
 
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         if self._parents is None:
@@ -157,9 +176,6 @@ class Rule(ast.NodeVisitor):
     id: str = "RULE000"
     summary: str = ""
     default_severity: str = "error"
-    #: the linked ProjectIndex during a two-phase run, else None —
-    #: interprocedural rules read their precomputed findings off it
-    project = None
 
     def __init__(self, ctx: ModuleContext) -> None:
         self.ctx = ctx
@@ -171,6 +187,27 @@ class Rule(ast.NodeVisitor):
     def run(self) -> List[Tuple[int, int, str]]:
         self.visit(self.ctx.tree)
         return self.raw
+
+
+class SiteRule(Rule):
+    """A rule whose pattern the fact extractor matches: its findings are
+    the extractor's reported sites for its id (a depth-0 query over the
+    facts its interprocedural twin propagates)."""
+
+    def run(self) -> List[Tuple[int, int, str]]:
+        return [(site.line, site.col, site.message)
+                for site in self.ctx.sites
+                if site.rule == self.id and site.message is not None]
+
+
+class ProjectRule(Rule):
+    """A whole-program rule: its findings come from the linked project
+    (:func:`repro.lint.summaries.link_project`), so a single module
+    yields none.  Registered for ``--list-rules``, severities and
+    suppression ids."""
+
+    def run(self) -> List[Tuple[int, int, str]]:
+        return []
 
 
 # ----------------------------------------------------------------------
@@ -218,65 +255,75 @@ class Suppressions:
 # ----------------------------------------------------------------------
 # analysis entry points
 # ----------------------------------------------------------------------
+#: ``(line, col, rule id, message)`` before severity and suppressions
+RawFinding = Tuple[int, int, str, str]
+
+
+def gate(path: str, raw: Iterable[RawFinding],
+         defaults: Mapping[str, str], suppressions: Suppressions,
+         severity_for) -> List[Finding]:
+    """One file's raw findings through the configured severity (rules
+    ``off`` there drop out) and the file's suppressions.  ``defaults``
+    maps each rule id to its default severity."""
+    findings: List[Finding] = []
+    for line, col, rule, message in raw:
+        severity = severity_for(path, rule, defaults[rule])
+        if severity != "off" and not suppressions.suppresses(line, rule):
+            findings.append(Finding(path, line, col, rule, severity,
+                                    message))
+    return findings
+
+
 def analyze_source(
     source: str,
     path: str,
     rules: Optional[Sequence[type]] = None,
     severity_for=None,
-    project=None,
 ) -> List[Finding]:
-    """Lint one module given as text.
+    """Lint one module given as text, on its own.
 
     ``path`` is the display path (also what per-directory severity
     configuration matches against).  ``rules`` defaults to the full
     registry; ``severity_for(path, rule_id, default)`` defaults to the
-    repo configuration in :mod:`repro.lint.config`.  ``project`` is the
-    linked :class:`repro.lint.summaries.ProjectIndex` of a two-phase
-    run; without one the interprocedural rules stay inert.
+    repo configuration in :mod:`repro.lint.config`.  Only the
+    intramodule rules report here: the project rules (IPD001–003,
+    STORE002) need every module (:func:`repro.lint.runner.run_lint`).
+    """
+    from .summaries import extract_module_facts
+    return analyze_file(extract_module_facts(path, source), rules=rules,
+                        severity_for=severity_for)
+
+
+def analyze_file(facts, rules: Optional[Sequence[type]] = None,
+                 severity_for=None) -> List[Finding]:
+    """The intramodule findings of one file, from its extracted facts.
+
+    ``facts`` is what :func:`repro.lint.summaries.extract_module_facts`
+    returned: the file was read, parsed and tokenized once, and the
+    rules run over that parse (``facts.context``).  A file that did not
+    parse yields its ``LINT001`` finding.
     """
     if rules is None:
         from .rules import all_rules
         rules = all_rules()
     if severity_for is None:
         from .config import severity_for
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [Finding(path, exc.lineno or 1, (exc.offset or 1) - 1,
-                        PARSE_ERROR_RULE, "error",
-                        f"syntax error: {exc.msg}")]
-    ctx = ModuleContext(path, source, tree)
-    suppressions = Suppressions(source)
-    findings: List[Finding] = []
-    for line, col in suppressions.missing_reason:
-        findings.append(Finding(
-            path, line, col, BAD_SUPPRESSION_RULE, "error",
-            "suppression must carry a reason: "
-            "# lint: allow(RULE-ID) <why this is intentional>",
-        ))
-    for rule_cls in rules:
-        severity = severity_for(path, rule_cls.id, rule_cls.default_severity)
-        if severity == "off":
-            continue
-        instance = rule_cls(ctx)
-        instance.project = project
-        for line, col, message in instance.run():
-            if suppressions.suppresses(line, rule_cls.id):
-                continue
-            findings.append(Finding(path, line, col, rule_cls.id,
-                                    severity, message))
+    ctx = facts.context
+    if ctx is None:
+        line, col, message = facts.syntax_error
+        return [Finding(facts.path, line, col, PARSE_ERROR_RULE, "error",
+                        f"syntax error: {message}")]
+    findings = [
+        Finding(ctx.path, line, col, BAD_SUPPRESSION_RULE, "error",
+                "suppression must carry a reason: "
+                "# lint: allow(RULE-ID) <why this is intentional>")
+        for line, col in ctx.suppressions.missing_reason
+    ]
+    raw = [(line, col, rule_cls.id, message)
+           for rule_cls in rules
+           for line, col, message in rule_cls(ctx).run()]
+    findings += gate(ctx.path, raw,
+                     {rule.id: rule.default_severity for rule in rules},
+                     ctx.suppressions, severity_for)
     findings.sort()
     return findings
-
-
-def analyze_file(
-    abs_path: str,
-    display_path: Optional[str] = None,
-    rules: Optional[Sequence[type]] = None,
-    project=None,
-) -> List[Finding]:
-    """Lint one file on disk (see :func:`analyze_source`)."""
-    with open(abs_path, encoding="utf-8") as fh:
-        source = fh.read()
-    return analyze_source(source, display_path or abs_path, rules=rules,
-                          project=project)

@@ -19,11 +19,17 @@ These encode ``docs/engine-contract.md`` at the AST level:
 from __future__ import annotations
 
 import ast
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from ..core import Rule
+from ..core import Rule, SiteRule
 
 __all__ = [
+    "VIEW_PARAMS",
+    "ATTACH_CALLS",
+    "private_read",
+    "unsealed",
+    "adjacency_unpack",
+    "attach_binding",
     "ViewPrivateAccessRule",
     "BatchCacheResetRule",
     "ForkMapClosureRule",
@@ -31,44 +37,35 @@ __all__ = [
 ]
 
 #: parameter names the engine contract reserves for sealed views
-_VIEW_PARAMS = {"view", "views"}
+VIEW_PARAMS = frozenset({"view", "views"})
 
 
-class ViewPrivateAccessRule(Rule):
-    """ENG001: algorithm code touching private view state."""
+def private_read(node: ast.AST) -> Optional[str]:
+    """The receiver name of a ``name._x`` read (dunders excluded)."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")):
+        return node.value.id
+    return None
+
+
+class ViewPrivateAccessRule(SiteRule):
+    """ENG001: algorithm code touching private view state.
+
+    The fact extractor records a site for every :func:`private_read` of
+    a ``view``/``views`` parameter of an enclosing ``def`` — in its
+    body, in defs nested in it (closures), and in its decorators,
+    defaults and annotations.
+    """
 
     id = "ENG001"
     summary = ("decide/decide_batch must stay inside the View API; "
                "view._* is engine-private state")
 
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
-        #: reads already reported: a def nested in a view-taking def is
-        #: walked by both visits
-        self._seen: Set[int] = set()
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        args = node.args
-        params = {a.arg for a in (args.posonlyargs + args.args
-                                  + args.kwonlyargs)}
-        sealed = params & _VIEW_PARAMS
-        if sealed:
-            for inner in ast.walk(node):
-                if not isinstance(inner, ast.Attribute):
-                    continue
-                base = inner.value
-                if (isinstance(base, ast.Name) and base.id in sealed
-                        and inner.attr.startswith("_")
-                        and not inner.attr.startswith("__")
-                        and id(inner) not in self._seen):
-                    self._seen.add(id(inner))
-                    self.report(inner, f"{base.id}.{inner.attr} is "
-                                       "engine-private state; algorithms "
-                                       "must use the public View API "
-                                       "(ball/label/radius/...)")
-        self.generic_visit(node)
-
-    visit_AsyncFunctionDef = visit_FunctionDef
+def private_message(name: str, attr: str) -> str:
+    return (f"{name}.{attr} is engine-private state; algorithms must use "
+            "the public View API (ball/label/radius/...)")
 
 
 _RESET_METHODS = {"__init__", "setup"}
@@ -194,67 +191,70 @@ class ForkMapClosureRule(Rule):
                     return
 
 
-_ATTACH_CALLS = {"shared_graph", "attach_graph", "from_csr_buffers"}
+#: calls whose result is an attached shared-memory graph
+ATTACH_CALLS = frozenset({"shared_graph", "attach_graph",
+                          "from_csr_buffers"})
 
 
-def bound_names(body: List[ast.stmt]) -> Set[str]:
-    """Names a scope body binds: assignment, loop and ``with`` targets
-    and def/class names, not counting nested scopes or names declared
-    ``global``/``nonlocal``."""
-    bound: Set[str] = set()
-    declared: Set[str] = set()
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            bound.add(node.name)
-            continue
-        if isinstance(node, ast.Lambda):
-            continue
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            declared.update(node.names)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            bound.add(node.id)
-        if isinstance(node, ast.comprehension):
-            # comprehension targets bind in the comprehension's own scope
-            stack.append(node.iter)
-            stack.extend(node.ifs)
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return bound - declared
+def unsealed(node: ast.AST) -> List[ast.expr]:
+    """The arrays an un-seal makes writable: the receiver of
+    ``a.setflags(write=...)`` or of ``a.flags.writeable = ...``, unless
+    the value is a literal ``False`` (sealing is the sanctioned way)."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "setflags":
+            for kw in node.keywords:
+                if kw.arg == "write" and not _is_false(kw.value):
+                    return [func.value]
+    elif isinstance(node, ast.Assign) and not _is_false(node.value):
+        return [t.value.value for t in node.targets
+                if isinstance(t, ast.Attribute) and t.attr == "writeable"
+                and isinstance(t.value, ast.Attribute)
+                and t.value.attr == "flags"]
+    return []
 
 
-class _Scope:
-    """One lexical scope's attached graphs and arrays.  A name resolves
-    in the innermost scope binding it; function bodies skip enclosing
-    class scopes, as Python does."""
-
-    def __init__(self, parent: "_Scope", kind: str,
-                 names: Set[str]) -> None:
-        self.parent = parent
-        self.kind = kind
-        self.names = names
-        self.graphs: Set[str] = set()
-        self.arrays: Set[str] = set()
-
-    def _owner(self, name: str) -> "_Scope":
-        scope = self
-        while scope.parent is not None:
-            if name in scope.names and (scope is self
-                                        or scope.kind != "class"):
-                return scope
-            scope = scope.parent
-        return scope
-
-    def track(self, name: str, kind: str) -> None:
-        getattr(self._owner(name), kind).add(name)
-
-    def tracked(self, name: str, kind: str) -> bool:
-        return name in getattr(self._owner(name), kind)
+def _is_false(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value is False
 
 
-class SharedGraphWriteRule(Rule):
+def adjacency_unpack(node: ast.Assign) -> Optional[Tuple[str, List[str]]]:
+    """``(g, names)`` for ``names = g.adjacency()`` (tuple targets
+    unpack), else ``None``."""
+    value = node.value
+    if not (isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "adjacency"
+            and isinstance(value.func.value, ast.Name)):
+        return None
+    names: List[str] = []
+    for target in node.targets:
+        elts = (target.elts if isinstance(target, (ast.Tuple, ast.List))
+                else [target])
+        names.extend(t.id for t in elts if isinstance(t, ast.Name))
+    return value.func.value.id, names
+
+
+def attach_binding(node: ast.Assign, attached) -> Tuple[str, List[str]]:
+    """What an assignment binds to attached shared memory: ``("graph",
+    names)`` for the name targets of an attach call, ``("array",
+    names)`` for the arrays unpacked from ``g.adjacency()`` of a graph
+    ``attached(g)`` holds, else ``("", [])``."""
+    value = node.value
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else (
+            func.attr if isinstance(func, ast.Attribute) else None)
+        if name in ATTACH_CALLS:
+            return "graph", [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+    unpack = adjacency_unpack(node)
+    if unpack is not None and attached(unpack[0]):
+        return "array", unpack[1]
+    return "", []
+
+
+class SharedGraphWriteRule(SiteRule):
     """SHM001: attached shared-memory graphs are read-only.
 
     A graph obtained from :func:`repro.shm.shared_graph` /
@@ -264,101 +264,24 @@ class SharedGraphWriteRule(Rule):
     graph's ``adjacency()`` and any ``setflags(write=True)`` /
     ``.flags.writeable = True`` un-sealing (sealing with ``False``, as
     ``frontier._readonly`` does, is the sanctioned direction).
+
+    The fact extractor records the sites.  It resolves a stored name in
+    the innermost scope that binds it, so a parameter or a local
+    assignment shadows an attached name of another scope.
     """
 
     id = "SHM001"
     summary = ("attached shared-memory graph arrays are read-only; "
                "copy before mutating")
 
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
-        self._scope = _Scope(None, "module", bound_names(ctx.tree.body))
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        args = node.args
-        params = {a.arg for a in (args.posonlyargs + args.args
-                                  + args.kwonlyargs)}
-        params.update(a.arg for a in (args.vararg, args.kwarg) if a)
-        self._enter(node, "function", params)
+SETFLAGS_MESSAGE = ("setflags(write=True) un-seals a shared array; "
+                    "attached segments are mapped by sibling workers — "
+                    "copy instead")
+WRITEABLE_MESSAGE = (".flags.writeable = True un-seals a shared array; "
+                     "attached segments are mapped by sibling workers")
 
-    visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._enter(node, "class", set())
-
-    def _enter(self, node: ast.AST, kind: str, params: Set[str]) -> None:
-        outer = self._scope
-        self._scope = _Scope(outer, kind,
-                             params | bound_names(node.body))
-        self.generic_visit(node)
-        self._scope = outer
-
-    @staticmethod
-    def _is_attach_call(node: ast.expr) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        return name in _ATTACH_CALLS
-
-    @staticmethod
-    def _writeable_target(target: ast.expr) -> bool:
-        return (isinstance(target, ast.Attribute)
-                and target.attr == "writeable"
-                and isinstance(target.value, ast.Attribute)
-                and target.value.attr == "flags")
-
-    def _check_store_target(self, target: ast.expr) -> None:
-        if (isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Name)
-                and self._scope.tracked(target.value.id, "arrays")):
-            self.report(target, f"store into {target.value.id}[...] — it "
-                                "aliases an attached shared-memory "
-                                "segment; copy before mutating")
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "setflags":
-            for kw in node.keywords:
-                if kw.arg == "write" and not (
-                        isinstance(kw.value, ast.Constant)
-                        and kw.value.value is False):
-                    self.report(node, "setflags(write=True) un-seals a "
-                                      "shared array; attached segments "
-                                      "are mapped by sibling workers — "
-                                      "copy instead")
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        # 1) firing: un-sealing and stores into tracked arrays
-        for target in node.targets:
-            if self._writeable_target(target):
-                if not (isinstance(node.value, ast.Constant)
-                        and node.value.value is False):
-                    self.report(node, ".flags.writeable = True un-seals "
-                                      "a shared array; attached segments "
-                                      "are mapped by sibling workers")
-            self._check_store_target(target)
-        # 2) tracking: graphs from attach calls, arrays from adjacency()
-        value = node.value
-        if self._is_attach_call(value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self._scope.track(target.id, "graphs")
-        elif (isinstance(value, ast.Call)
-              and isinstance(value.func, ast.Attribute)
-              and value.func.attr == "adjacency"
-              and isinstance(value.func.value, ast.Name)
-              and self._scope.tracked(value.func.value.id, "graphs")):
-            for target in node.targets:
-                elts = (target.elts if isinstance(
-                    target, (ast.Tuple, ast.List)) else [target])
-                for t in elts:
-                    if isinstance(t, ast.Name):
-                        self._scope.track(t.id, "arrays")
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_store_target(node.target)
-        self.generic_visit(node)
+def store_message(name: str) -> str:
+    return (f"store into {name}[...] — it aliases an attached "
+            "shared-memory segment; copy before mutating")

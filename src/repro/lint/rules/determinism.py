@@ -16,11 +16,13 @@ clocks and iteration orders are all pinned.  These rules encode the
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from ..core import Rule
+from ..core import Rule, SiteRule
 
 __all__ = [
+    "CLOCK_SOURCES",
+    "clock_message",
     "unseeded_entropy",
     "UnseededRandomRule",
     "BuiltinHashRule",
@@ -53,8 +55,9 @@ def unseeded_entropy(qual: Optional[str],
     """``(evidence, advice)`` when ``call`` — whose callee resolves to
     ``qual`` — draws unseeded entropy, else ``None``.
 
-    The one predicate behind DET001 and the IPD001 evidence pass
-    (:mod:`repro.lint.summaries`), so the two cannot disagree:
+    The fact extractor (:mod:`repro.lint.summaries`) records a site for
+    every call it accepts; DET001 reports those sites and IPD001
+    propagates them, so the two cannot disagree:
 
     * ``random.Random`` and numpy's ``default_rng``/``Generator``/
       ``PCG64``/``SeedSequence`` only with no argument or a literal
@@ -82,7 +85,7 @@ def unseeded_entropy(qual: Optional[str],
     return None
 
 
-class UnseededRandomRule(Rule):
+class UnseededRandomRule(SiteRule):
     """DET001: module-level or unseeded randomness.
 
     ``random.<draw>()`` uses the process-global, process-seeded RNG, and
@@ -98,12 +101,6 @@ class UnseededRandomRule(Rule):
     id = "DET001"
     summary = ("module-level/unseeded random draws (thread an rng or "
                "derive a seed via stable_seed)")
-
-    def visit_Call(self, node: ast.Call) -> None:
-        entropy = unseeded_entropy(self.ctx.qualname(node.func), node)
-        if entropy is not None:
-            self.report(node, " ".join(entropy))
-        self.generic_visit(node)
 
 
 class BuiltinHashRule(Rule):
@@ -145,46 +142,42 @@ class BuiltinHashRule(Rule):
         self.generic_visit(node)
 
 
-class WallClockRule(Rule):
+#: wall-clock and OS-entropy sources: DET003's pattern, and part of
+#: what STORE001 keeps out of store writer scopes
+CLOCK_SOURCES = frozenset({
+    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+    "os.urandom", "os.getrandom", "uuid.uuid1", "uuid.uuid4",
+    "secrets.token_bytes", "secrets.token_hex", "secrets.token_urlsafe",
+    "secrets.randbits", "secrets.randbelow", "secrets.choice",
+})
+
+
+def clock_message(qual: str, attribute: bool) -> str:
+    """DET003's text for a read of ``qual`` (an attribute chain such as
+    ``time.time``, or a bare name imported from a clock module)."""
+    message = (f"{qual} is a wall-clock/entropy source; results must be "
+               "functions of declared seeds")
+    if attribute:
+        message += " (benchmarks time via benchmarks/harness.timed)"
+    return message
+
+
+class WallClockRule(SiteRule):
     """DET003: wall-clock and entropy sources.
 
     Clock reads and OS entropy make results depend on when/where code
     runs.  The only sanctioned reader is ``benchmarks/harness.py`` (the
-    ``timed`` helper), which the severity config exempts.
+    ``timed`` helper), which the severity config exempts.  The fact
+    extractor records one site per attribute chain or imported name in
+    :data:`CLOCK_SOURCES`.
     """
 
     id = "DET003"
     summary = ("wall-clock/entropy source; only benchmarks/harness.py "
                "may read the clock")
-
-    _SOURCES = {
-        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-        "os.urandom", "os.getrandom", "uuid.uuid1", "uuid.uuid4",
-        "secrets.token_bytes", "secrets.token_hex", "secrets.token_urlsafe",
-        "secrets.randbits", "secrets.randbelow", "secrets.choice",
-    }
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        qual = self.ctx.qualname(node)
-        if qual in self._SOURCES:
-            self.report(node, f"{qual} is a wall-clock/entropy source; "
-                              "results must be functions of declared "
-                              "seeds (benchmarks time via "
-                              "benchmarks/harness.timed)")
-            return  # do not descend: one report per chain
-        self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        # from time import perf_counter; from os import urandom; ...
-        if isinstance(node.ctx, ast.Load):
-            qual = self.ctx.from_imports.get(node.id)
-            if qual in self._SOURCES:
-                self.report(node, f"{qual} is a wall-clock/entropy "
-                                  "source; results must be functions of "
-                                  "declared seeds")
 
 
 #: consumers for which element order provably cannot matter
@@ -439,7 +432,7 @@ class UnorderedPoolRule(Rule):
 
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load):
-            qual = self.ctx.from_imports.get(node.id)
+            qual = self.ctx.imports.get(node.id)
             if qual in self._UNORDERED_QUALS:
                 self.report(node, "as_completed yields results in "
                                   "completion order; use repro.parallel."

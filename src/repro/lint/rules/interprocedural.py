@@ -4,23 +4,21 @@ Every syntactic rule in this package has a blind spot one call deep: a
 ``decide`` that delegates its coin flips to a helper, an algorithm that
 hands its ``view`` to a function which pokes ``view._ball``, a worker
 that passes an attached shm array into a routine that writes it.  The
-two-phase analyzer (:mod:`repro.lint.summaries`) closes that gap —
-phase 1 fixpoint-propagates per-function summary bits over the project
-call graph, and these rules report the precomputed whole-program
-findings under the ordinary per-file severity / suppression machinery.
+fact extractor (:mod:`repro.lint.summaries`) records each base rule's
+sites once per file; the runner links the files' facts, propagates the
+per-function summary bits they seed to a fixpoint over the project call
+graph, and reports these rules' findings through the same severity and
+suppression filter as every other rule.
 
-A project rule therefore does no AST walking of its own: ``run()``
-filters :meth:`ProjectIndex.findings_for` by rule id.  Outside a
-project run (plain :func:`repro.lint.core.analyze_source` with no
-``project=``), the rules are inert — interprocedural facts simply do
-not exist for a single module in isolation.
+These classes declare the rules (ids, summaries, default severities);
+they do no AST walking of their own, and a single module analyzed on
+its own (:func:`repro.lint.core.analyze_source`) yields none of their
+findings.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from ..core import Rule
+from ..core import ProjectRule
 
 __all__ = [
     "TransitiveEntropyRule",
@@ -29,21 +27,7 @@ __all__ = [
 ]
 
 
-class _ProjectRule(Rule):
-    """Report phase-1 findings for this module, filtered by rule id."""
-
-    def run(self) -> List[Tuple[int, int, str]]:
-        if self.project is None:
-            return []
-        return [
-            (line, col, message)
-            for line, col, rule, message
-            in self.project.findings_for(self.ctx.path)
-            if rule == self.id
-        ]
-
-
-class TransitiveEntropyRule(_ProjectRule):
+class TransitiveEntropyRule(ProjectRule):
     """IPD001: an entry point transitively reaches unseeded randomness.
 
     Entry points are functions named ``decide``/``decide_batch`` and
@@ -60,7 +44,7 @@ class TransitiveEntropyRule(_ProjectRule):
                "unseeded randomness through its callees")
 
 
-class TransitiveViewInternalsRule(_ProjectRule):
+class TransitiveViewInternalsRule(ProjectRule):
     """IPD002: a ``view`` escapes into a callee that reads ``_`` state.
 
     ENG001 flags ``view._x`` inside functions that take a view; IPD002
@@ -77,7 +61,7 @@ class TransitiveViewInternalsRule(_ProjectRule):
                "engine-private View._* state")
 
 
-class TransitiveSharedWriteRule(_ProjectRule):
+class TransitiveSharedWriteRule(ProjectRule):
     """IPD003: an attached shm object escapes into a writing callee.
 
     SHM001 flags direct writes through names bound by

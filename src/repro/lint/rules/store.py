@@ -14,8 +14,8 @@ from __future__ import annotations
 import ast
 from typing import List, Tuple
 
-from ..core import Rule
-from .determinism import WallClockRule
+from ..core import ProjectRule, Rule
+from .determinism import CLOCK_SOURCES
 
 __all__ = [
     "is_store_put",
@@ -73,7 +73,7 @@ class StorePayloadPurityRule(Rule):
                "host identity; persisted payloads must be pure functions "
                "of their keys")
 
-    _SOURCES = WallClockRule._SOURCES | _IDENTITY_SOURCES
+    _SOURCES = CLOCK_SOURCES | _IDENTITY_SOURCES
 
     # -- scope handling -------------------------------------------------
     def visit_Module(self, node: ast.Module) -> None:
@@ -127,13 +127,13 @@ class StorePayloadPurityRule(Rule):
             if qual in self._SOURCES:
                 return qual
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            qual = self.ctx.from_imports.get(node.id)
+            qual = self.ctx.imports.get(node.id)
             if qual in self._SOURCES:
                 return qual
         return None
 
 
-class StoreKeyCompletenessRule(Rule):
+class StoreKeyCompletenessRule(ProjectRule):
     """STORE002: every value shaping a stored payload must key it.
 
     The store's correctness invariant is *payload bytes are a pure
@@ -147,22 +147,12 @@ class StoreKeyCompletenessRule(Rule):
     first caller's bytes.  Add the value to the key parts, or drop it
     from the payload.
 
-    This is a whole-program check (key helpers live in other modules);
-    the findings come precomputed from :mod:`repro.lint.summaries`, so
-    the rule is inert outside a project run.
+    This is a whole-program check (key helpers live in other modules):
+    :mod:`repro.lint.summaries` computes its findings from the linked
+    project.
     """
 
     id = "STORE002"
     summary = ("a value influences a stored payload but does not flow "
                "into its stable_digest key — colliding addresses serve "
                "stale bytes")
-
-    def run(self):
-        if self.project is None:
-            return []
-        return [
-            (line, col, message)
-            for line, col, rule, message
-            in self.project.findings_for(self.ctx.path)
-            if rule == self.id
-        ]

@@ -1,21 +1,18 @@
-"""File collection, two-phase parallel analysis, deterministic reports.
+"""File collection, one-pass parallel analysis, deterministic reports.
 
-The analyzer is summarize-then-check:
+Each file is read, parsed and tokenized once, inside a
+:func:`repro.parallel.fork_map` worker: the worker extracts the file's
+facts (:func:`repro.lint.summaries.extract_module_facts`), runs the
+intramodule rules over the same parse (:func:`repro.lint.core.
+analyze_file`) and returns both.  The parent links the facts, runs the
+summary fixpoints (:func:`repro.lint.summaries.link_project`) and passes
+the interprocedural findings (IPD001–003, STORE002) through the same
+severity and suppression filter as every other rule.
 
-* **phase 1 (summarize)** — every file fans out over
-  :func:`repro.parallel.fork_map` and reduces to plain-data
-  :class:`~repro.lint.callgraph.ModuleFacts`; the parent links the
-  project call graph, runs the summary fixpoints and precomputes the
-  interprocedural findings (:func:`repro.lint.summaries.link_project`).
-* **phase 2 (check)** — files fan out again, each worker receiving the
-  finished :class:`~repro.lint.summaries.ProjectIndex` once through the
-  pool initializer; the per-module rules run as before, and the IPD/
-  STORE002 rules just report their precomputed findings.
-
-Both phases use ordered ``fork_map`` with module-level workers — the
-exact fan-out discipline DET005/PAR001 enforce — and phase 2 only ever
-*reads* the shipped index, so ``--format json`` output is byte-identical
-at every ``--jobs`` count (test-gated by ``tests/test_lint.py``).
+``fork_map`` keeps results task-ordered — the fan-out discipline
+DET005/PAR001 enforce — and the parent links in path order, so
+``--format json`` output is byte-identical at every ``--jobs`` count
+(test-gated by ``tests/test_lint.py``).
 """
 
 from __future__ import annotations
@@ -23,15 +20,25 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..parallel import fork_map
 from .baseline import BaselineKey, load_baseline, split_findings
-from .config import normalize_path
-from .core import Finding, analyze_file
-from .summaries import ProjectIndex, extract_module_facts, link_project
+from .config import normalize_path, severity_for
+from .core import Finding, analyze_file, gate
+from .rules import all_rules
+from .summaries import (
+    ModuleFacts,
+    extract_module_facts,
+    link_project,
+    record_set_escapes,
+)
 
-__all__ = ["LintReport", "collect_files", "run_lint", "build_index"]
+__all__ = ["LintReport", "collect_files", "lint_files", "lint_sources",
+           "run_lint"]
+
+#: one file's outcome: its intramodule findings and its facts
+FileResult = Tuple[List[Finding], ModuleFacts]
 
 
 def collect_files(paths: Sequence[str],
@@ -66,30 +73,37 @@ def collect_files(paths: Sequence[str],
     return [(out[display], display) for display in sorted(out)]
 
 
-def _summarize_task(task: Tuple[str, str]):
-    """Phase-1 fork_map worker: one file → its ModuleFacts."""
+def _lint_source(display_path: str, source: str) -> FileResult:
+    """One file, one parse: its facts, then the intramodule rules over
+    the same parse, whose DET004 findings seed the set-escape bit."""
+    facts = extract_module_facts(display_path, source)
+    findings = analyze_file(facts)
+    record_set_escapes(facts, findings)
+    facts.context = None  # the parse stays in the process that made it
+    return findings, facts
+
+
+def _lint_task(task: Tuple[str, str]) -> FileResult:
+    """The fork_map worker (module-level, hence picklable)."""
     abs_path, display_path = task
     with open(abs_path, encoding="utf-8") as fh:
         source = fh.read()
-    return extract_module_facts(display_path, source)
+    return _lint_source(display_path, source)
 
 
-#: the ProjectIndex each phase-2 worker receives via the pool
-#: initializer (set in-process when ``--jobs 1`` — fork_map runs the
-#: initializer inline then)
-_PROJECT: Optional[ProjectIndex] = None
-
-
-def _set_project(index: ProjectIndex) -> None:
-    global _PROJECT
-    _PROJECT = index
-
-
-def _analyze_task(task: Tuple[str, str]) -> List[Finding]:
-    """Phase-2 fork_map worker: lint one file against the shipped index
-    (module-level, hence picklable)."""
-    abs_path, display_path = task
-    return analyze_file(abs_path, display_path, project=_PROJECT)
+def _check_project(results: Sequence[FileResult]) -> List[Finding]:
+    """Every file's findings plus the project rules' findings, which
+    pass the same severity and suppression filter, sorted."""
+    project = link_project([facts for _, facts in results])
+    defaults = {rule.id: rule.default_severity for rule in all_rules()}
+    findings: List[Finding] = []
+    for file_findings, facts in results:
+        findings.extend(file_findings)
+        raw = project.get(facts.path)
+        if raw:
+            findings.extend(gate(facts.path, raw, defaults,
+                                 facts.suppressions, severity_for))
+    return sorted(findings)
 
 
 @dataclass
@@ -153,12 +167,18 @@ class LintReport:
         return "\n".join(lines) + "\n"
 
 
-def build_index(tasks: Sequence[Tuple[str, str]],
-                jobs: int = 1) -> ProjectIndex:
-    """Phase 1 over collected files: summarize in parallel, link in the
-    parent.  Exposed for tests and ``benchmarks/bench_lint.py``."""
-    facts = fork_map(_summarize_task, list(tasks), workers=jobs)
-    return link_project(facts)
+def lint_files(tasks: Sequence[Tuple[str, str]],
+               jobs: int = 1) -> List[Finding]:
+    """Every finding over collected ``(abs_path, display_path)`` files:
+    one ``fork_map`` pass, then the project link in the parent."""
+    return _check_project(fork_map(_lint_task, list(tasks), workers=jobs))
+
+
+def lint_sources(sources: Mapping[str, str]) -> List[Finding]:
+    """:func:`lint_files` over an in-memory ``{display_path: source}``
+    project, in-process."""
+    return _check_project([_lint_source(path, sources[path])
+                           for path in sorted(sources)])
 
 
 def run_lint(
@@ -169,11 +189,7 @@ def run_lint(
 ) -> LintReport:
     """Lint ``paths`` with ``jobs`` workers, honouring a baseline file."""
     tasks = collect_files(paths, root=root)
-    index = build_index(tasks, jobs=jobs)
-    per_file = fork_map(_analyze_task, tasks, workers=jobs,
-                        initializer=_set_project, initargs=(index,))
-    findings = sorted(f for file_findings in per_file
-                      for f in file_findings)
+    findings = lint_files(tasks, jobs=jobs)
     baseline = load_baseline(baseline_path) if baseline_path else {}
     active, matched, stale = split_findings(findings, baseline)
     return LintReport(files=len(tasks), findings=active,

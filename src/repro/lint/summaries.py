@@ -1,25 +1,27 @@
-"""Per-function summaries, fixpoint propagation, interprocedural findings.
+"""Fact extraction, fixpoint propagation, interprocedural findings.
 
-Phase 1 of the two-phase analyzer.  Each file is reduced (in a
-``fork_map`` worker) to plain-data :class:`~repro.lint.callgraph.
-ModuleFacts`: for every function unit, the *locally generated* summary
-bits —
+Each file is parsed once and walked once (:func:`extract_module_facts`,
+inside the runner's ``fork_map`` worker).  The walk records
 
-* **draws-entropy** — an unseeded ``random``/numpy-global draw
-  (the DET001 pattern),
-* **reads-wall-clock** — a DET003 clock/entropy source,
-* **escapes-set-iteration-order** — a DET004 escape inside the body,
-* **touches-view-internals** — a ``param._x`` read, per parameter,
-* **writes-attached-buffers** — a ``param[...] =`` store, a write into
-  ``param.adjacency()`` arrays, or a ``setflags(write=True)`` un-seal,
-  per parameter,
-* **flows-into-store-keys** — parameters reaching a
-  ``stable_digest``/``<store>.key`` call (the key side of STORE002),
+* every **site** of the four rules whose patterns double as summary
+  evidence — DET001 (an unseeded ``random``/numpy-global draw), DET003
+  (a clock/entropy source), ENG001 (a ``name._x`` read) and SHM001 (a
+  store into an attached array, or an un-seal) — which those rules
+  report as depth-0 queries (:class:`~repro.lint.core.SiteRule`);
+* for every function unit, the summary bits its own sites seed —
+  **draws-entropy**, **reads-wall-clock**, **touches-view-internals**
+  and **writes-attached-buffers** (the last two per parameter; a store
+  into a parameter is a write too) — plus **flows-into-store-keys**
+  (parameters reaching a ``stable_digest``/``<store>.key`` call) and
+  every resolvable call site.
 
-plus every resolvable call site.  Evidence generation honours inline
-``# lint: allow(...)`` suppressions and ``severity == off`` config at
-the generating site, so a *sanctioned* source (``benchmarks/
-harness.py``'s clock) never taints its callers.
+A unit's bit is its first site that is neither suppressed (``# lint:
+allow``) nor configured ``off`` for the base rule, so a *sanctioned*
+source (``benchmarks/harness.py``'s clock) never taints its callers; a
+base rule that is only a warning still taints.  Sites in decorators,
+defaults, annotations, class bodies and class bases belong to the unit
+that executes them.  The **escapes-set-iteration-order** bit comes from
+the file's DET004 findings (:func:`record_set_escapes`).
 
 The parent process then links the call graph and propagates each bit to
 a fixpoint.  Propagation is Jacobi-style — every round reads only the
@@ -29,10 +31,10 @@ deterministic regardless of dict order or worker count.  Ambient bits
 edge; per-parameter bits flow only where a caller passes one of its own
 parameters *bare* to a callee parameter.
 
-:func:`compute_findings` turns the fixpoint into the interprocedural
-findings (IPD001–003, STORE002), each anchored to a single file so
-phase 2 can report them under the ordinary per-file severity and
-suppression machinery — byte-identical at any ``--jobs`` count.
+:func:`link_project` turns the fixpoint into the interprocedural
+findings (IPD001–003, STORE002), keyed by file; the runner reports them
+through the same severity and suppression filter as every other rule —
+byte-identical at any ``--jobs`` count.
 """
 
 from __future__ import annotations
@@ -40,12 +42,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
-    Tuple,
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from .callgraph import (
-    ATTACH_CALLS,
     CallGraph,
     CallSite,
     ClassFacts,
@@ -53,18 +53,28 @@ from .callgraph import (
     FunctionFacts,
     ModuleFacts,
     StorePut,
-    build_import_map,
     dotted_chain,
     module_name_for_path,
 )
-from .core import ModuleContext, Suppressions
+from .core import Finding, ModuleContext, RawFinding, Site
+from .rules.contracts import (
+    SETFLAGS_MESSAGE,
+    VIEW_PARAMS,
+    WRITEABLE_MESSAGE,
+    adjacency_unpack,
+    attach_binding,
+    private_message,
+    private_read,
+    store_message,
+    unsealed,
+)
+from .rules.determinism import CLOCK_SOURCES, clock_message, unseeded_entropy
 from .rules.store import is_store_put, store_receiver
 
 __all__ = [
     "extract_module_facts",
+    "record_set_escapes",
     "SummaryTable",
-    "ProjectIndex",
-    "build_project",
     "link_project",
     "IPD_RANDOM",
     "IPD_VIEW",
@@ -77,19 +87,9 @@ IPD_VIEW = "IPD002"
 IPD_SHM = "IPD003"
 STORE_KEY_FLOW = "STORE002"
 
-#: base rule gating evidence generation: a site suppressed (or turned
-#: off by severity config) for the base rule does not generate taint
-_EVIDENCE_BASE_RULE = {
-    "entropy": "DET001",
-    "wall_clock": "DET003",
-    "set_escape": "DET004",
-    "private": "ENG001",
-    "writes": "SHM001",
-}
-
 _DIGEST_NAMES = {"stable_digest", "stable_seed"}
-_VIEW_PARAMS = {"view", "views"}
 _ENTRY_NAMES = {"decide", "decide_batch"}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _severity_for(path: str, rule_id: str, default: str) -> str:
@@ -184,67 +184,126 @@ class _Influences:
 # ----------------------------------------------------------------------
 # per-file extraction
 # ----------------------------------------------------------------------
-def _iter_unit_nodes(body: Sequence[ast.stmt]):
-    """Walk a unit body in source order without entering nested
-    ``def``/``class`` statements (they are their own units)."""
-    stack: List[ast.AST] = list(reversed(list(body)))
+def _params(node: ast.AST) -> Tuple[str, ...]:
+    """Named parameters of a ``def`` or ``lambda``."""
+    args = node.args
+    return tuple(a.arg for a in (args.posonlyargs + args.args
+                                 + args.kwonlyargs))
+
+
+def _root_name(node: ast.AST) -> Optional[str]:
+    """The name under an ``a.b[i].c`` chain, if there is one."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _bound_names(body: Sequence[ast.stmt]) -> Set[str]:
+    """Names a scope body binds: assignment, loop and ``with`` targets
+    and def/class names, not counting nested scopes or names declared
+    ``global``/``nonlocal``."""
+    bound: Set[str] = set()
+    declared: Set[str] = set()
+    stack: List[ast.AST] = list(body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
+        if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            bound.add(node.name)
             continue
-        yield node
-        stack.extend(reversed(list(ast.iter_child_nodes(node))))
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if isinstance(node, ast.comprehension):
+            # comprehension targets bind in the comprehension's own scope
+            stack.append(node.iter)
+            stack.extend(node.ifs)
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
 
 
-def _lambda_params(node: ast.Lambda) -> Tuple[str, ...]:
-    args = node.args
-    return tuple(a.arg for a in (args.posonlyargs + args.args
-                                 + args.kwonlyargs))
+class _Scope:
+    """One lexical scope's attached graphs and arrays (SHM001).
+
+    A name resolves in the innermost scope binding it — a parameter or
+    a local assignment shadows an attached name of an enclosing scope —
+    and function bodies skip enclosing class scopes, as Python does.
+    """
+
+    def __init__(self, parent: Optional["_Scope"], kind: str,
+                 body: Sequence[ast.stmt], params: Iterable[str]) -> None:
+        self.parent = parent
+        self.kind = kind
+        self._body = body
+        self._params = params
+        self._names: Optional[Set[str]] = None  # bound names, on demand
+        self.graphs: Set[str] = set()
+        self.arrays: Set[str] = set()
+
+    def _binds(self, name: str) -> bool:
+        if self._names is None:
+            self._names = _bound_names(self._body) | set(self._params)
+        return name in self._names
+
+    def owner(self, name: str) -> "_Scope":
+        scope = self
+        while scope.parent is not None:
+            if (scope is self or scope.kind != "class") and \
+                    scope._binds(name):
+                return scope
+            scope = scope.parent
+        return scope
 
 
-def _def_params(node: ast.AST) -> Tuple[str, ...]:
-    args = node.args
-    return tuple(a.arg for a in (args.posonlyargs + args.args
-                                 + args.kwonlyargs))
+class _Unit:
+    """A function unit's extraction state."""
+
+    def __init__(self, facts: FunctionFacts, names: Dict[str, str]) -> None:
+        self.facts = facts
+        self.params = set(facts.params)
+        #: sibling defs a bare call can name (call resolution)
+        self.names = names
+        self.influences = _Influences()
+        #: arrays unpacked from a parameter's adjacency() → the parameter
+        self.adjacency_of: Dict[str, str] = {}
+        self.calls: List[ast.Call] = []
+        self.sites: List[Site] = []
 
 
 class _Extractor:
-    """Single-file fact extraction (runs inside phase-1 workers)."""
+    """Single-file fact extraction: one walk over one parse.
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
-        self.path = path
-        self.module = module_name_for_path(path)
-        self.tree = tree
-        self.imports = build_import_map(
-            tree, self.module, path.endswith("__init__.py"))
-        self.suppressions = Suppressions(source)
-        self.facts = ModuleFacts(path=path, module=self.module)
+    Units are the module body, every ``def`` (or ``async def``) and
+    named ``lambda`` stated directly in a module, ``def`` or class body,
+    named by where they are stated.  Each node belongs to the units that
+    execute it: a ``def``'s decorators, defaults and annotations and a
+    class body belong to the enclosing unit, a named lambda's body to
+    both.  The body of a ``def`` stated inside a compound statement
+    belongs to no unit; its sites still reach the rules.
+    """
+
+    def __init__(self, ctx: ModuleContext) -> None:
+        self.ctx = ctx
+        self.path = ctx.path
+        self.module = ctx.module
+        self.imports = ctx.imports
+        self.facts = ModuleFacts(path=ctx.path, module=ctx.module,
+                                 suppressions=ctx.suppressions,
+                                 context=ctx)
         #: module-level def/class names → qualname
         self.module_defs: Dict[str, str] = {}
-        self._source = source
-
-    # -- gating ---------------------------------------------------------
-    def _evidence(self, kind: str, line: int, detail: str,
-                  ) -> Optional[Evidence]:
-        base = _EVIDENCE_BASE_RULE[kind]
-        if self.suppressions.suppresses(line, base):
-            return None
-        if _severity_for(self.path, base, "error") == "off":
-            return None
-        return Evidence(self.path, line, detail)
+        self.units: List[_Unit] = []
+        #: named-lambda units, keyed by their ``ast.Lambda``
+        self._lambdas: Dict[int, _Unit] = {}
+        #: every name some scope holds as an attached array
+        self._arrays: Set[str] = set()
+        self._off = {rule: _severity_for(self.path, rule, "error") == "off"
+                     for rule in ("DET001", "DET003", "ENG001", "SHM001")}
 
     # -- symbolic call targets ------------------------------------------
-    def _qual_of(self, node: ast.AST) -> Optional[str]:
-        chain = dotted_chain(node)
-        if chain is None:
-            return None
-        base, parts = chain
-        root = self.imports.get(base)
-        if root is None:
-            return None
-        return ".".join((root,) + parts)
-
     def _call_target(self, func: ast.AST,
                      scope: Dict[str, str],
                      class_qual: Optional[str]) -> Tuple[str, str]:
@@ -278,274 +337,281 @@ class _Extractor:
             target = self.imports.get(func.id, "")
             return target.rsplit(".", 1)[-1] in _DIGEST_NAMES
         if isinstance(func, ast.Attribute):
-            qual = self._qual_of(func)
+            qual = self.ctx.qualname(func)
             if qual is not None and qual.rsplit(".", 1)[-1] in _DIGEST_NAMES:
                 return True
             if func.attr == "key":
                 return store_receiver(func.value)
         return False
 
-    # -- unit extraction -------------------------------------------------
+    # -- the walk ---------------------------------------------------------
     def run(self) -> ModuleFacts:
-        # first pass: module-level defs/classes (call resolution targets)
-        for stmt in self.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+        tree = self.ctx.tree
+        # module-level defs/classes (call resolution targets)
+        for stmt in tree.body:
+            if isinstance(stmt, _FUNCTIONS + (ast.ClassDef,)):
                 self.module_defs[stmt.name] = f"{self.module}.{stmt.name}"
         exports = dict(self.imports)
         exports.update(self.module_defs)
         self.facts.exports = exports
-        # units: module body, defs (recursively), named lambdas
         module_unit = self._new_unit(
-            f"{self.module}.<module>", "<module>", 1, 0,
-            getattr(self.tree, "end_lineno", None) or 1, (), None)
-        self._extract_unit(module_unit, self.tree.body, {}, None)
-        self._collect_defs(self.tree.body, self.module, None, {})
-        self._assign_set_escapes()
+            f"{self.module}.<module>", "<module>", tree, (), None, {})
+        self._body(tree.body, (module_unit,), frozenset(),
+                   _Scope(None, "module", tree.body, ()), self.module,
+                   None, {})
+        for unit in self.units:
+            self._finish(unit)
         return self.facts
 
-    def _new_unit(self, qualname: str, name: str, line: int, col: int,
-                  end_line: int, params: Tuple[str, ...],
-                  class_qual: Optional[str]) -> FunctionFacts:
-        unit = FunctionFacts(
+    def _new_unit(self, qualname: str, name: str, node: ast.AST,
+                  params: Tuple[str, ...], class_qual: Optional[str],
+                  names: Dict[str, str]) -> _Unit:
+        line = getattr(node, "lineno", 1)
+        facts = FunctionFacts(
             qualname=qualname, name=name, path=self.path,
-            module=self.module, line=line, col=col, end_line=end_line,
+            module=self.module, line=line,
+            col=getattr(node, "col_offset", 0),
+            end_line=getattr(node, "end_lineno", None) or line,
             params=params, class_qual=class_qual)
-        self.facts.functions.append(unit)
+        self.facts.functions.append(facts)
+        unit = _Unit(facts, names)
+        self.units.append(unit)
         return unit
 
-    def _collect_defs(self, body: Sequence[ast.stmt], prefix: str,
-                      class_qual: Optional[str],
-                      outer_scope: Dict[str, str]) -> None:
-        """Register every def/class/named-lambda under ``prefix`` and
-        extract each function unit's facts."""
-        # names visible to siblings (nested defs see each other)
-        scope = dict(outer_scope)
+    def _body(self, body: Sequence[ast.stmt], units: Tuple[_Unit, ...],
+              views: FrozenSet[str], scope: _Scope, prefix: str,
+              class_qual: Optional[str], outer: Dict[str, str]) -> None:
+        """Walk a module, def or class body: its defs and named lambdas
+        become units under ``prefix``."""
+        names = dict(outer)  # nested defs see their siblings
         for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope[stmt.name] = f"{prefix}.{stmt.name}"
+            if isinstance(stmt, _FUNCTIONS):
+                names[stmt.name] = f"{prefix}.{stmt.name}"
         for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(stmt, _FUNCTIONS):
                 qual = f"{prefix}.{stmt.name}"
-                unit = self._new_unit(
-                    qual, stmt.name, stmt.lineno, stmt.col_offset,
-                    getattr(stmt, "end_lineno", None) or stmt.lineno,
-                    _def_params(stmt), class_qual)
-                self._extract_unit(unit, stmt.body, scope, class_qual)
-                self._collect_defs(stmt.body, qual, None, scope)
-            elif isinstance(stmt, ast.ClassDef):
-                cls_qual = f"{prefix}.{stmt.name}"
+                unit = self._new_unit(qual, stmt.name, stmt,
+                                      _params(stmt), class_qual, names)
+                self._def(stmt, units, views, scope, (unit, names))
+                continue
+            if isinstance(stmt, ast.ClassDef):
+                qual = f"{prefix}.{stmt.name}"
                 bases = []
                 for b in stmt.bases:
-                    target = self._call_target(b, scope, None)
+                    target = self._call_target(b, names, None)
                     if target[0] == "qual":
                         bases.append(target[1])
-                self.facts.classes[cls_qual] = ClassFacts(
-                    qualname=cls_qual, name=stmt.name, bases=tuple(bases))
-                self._collect_defs(stmt.body, cls_qual, cls_qual, scope)
-            elif isinstance(stmt, ast.Assign) and isinstance(
+                self.facts.classes[qual] = ClassFacts(
+                    qualname=qual, name=stmt.name, bases=tuple(bases))
+                self._class(stmt, units, views, scope, (qual, names))
+                continue
+            if isinstance(stmt, ast.Assign) and isinstance(
                     stmt.value, ast.Lambda):
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
-                        qual = f"{prefix}.{target.id}"
-                        unit = self._new_unit(
-                            qual, target.id, stmt.lineno, stmt.col_offset,
-                            getattr(stmt, "end_lineno", None) or stmt.lineno,
-                            _lambda_params(stmt.value), class_qual)
-                        self._extract_unit(
-                            unit, [ast.Expr(value=stmt.value.body)],
-                            scope, class_qual)
+                        self._lambdas[id(stmt.value)] = self._new_unit(
+                            f"{prefix}.{target.id}", target.id, stmt,
+                            _params(stmt.value), class_qual, names)
                         break
+            self._visit(stmt, units, views, scope)
 
-    def _extract_unit(self, unit: FunctionFacts, body: Sequence[ast.stmt],
-                      scope: Dict[str, str],
-                      class_qual: Optional[str]) -> None:
-        influences = _Influences()
-        params = set(unit.params)
-        adjacency_of: Dict[str, str] = {}  # derived array name → param
-        calls: List[ast.Call] = []
-        for node in _iter_unit_nodes(body):
-            influences.note_statement(node)
-            if isinstance(node, ast.Call):
-                calls.append(node)
-                self._note_entropy(unit, node)
-                self._note_setflags_write(unit, node, params)
-            elif isinstance(node, ast.Attribute):
-                self._note_wall_clock(unit, node)
-                self._note_private_read(unit, node, params)
-            elif isinstance(node, ast.Name):
-                self._note_wall_clock_name(unit, node)
-            if isinstance(node, ast.Assign):
-                self._note_tracking(unit, node, params, adjacency_of)
-                for target in node.targets:
-                    self._note_subscript_write(
-                        unit, target, params, adjacency_of)
-                    self._note_writeable_unseal(
-                        unit, node, target, params)
-            elif isinstance(node, ast.AugAssign):
-                self._note_subscript_write(
-                    unit, node.target, params, adjacency_of)
-        # second pass over calls now that tracking/influences are complete
+    def _def(self, node: ast.AST, units: Tuple[_Unit, ...],
+             views: FrozenSet[str], scope: _Scope,
+             stated: Optional[Tuple[_Unit, Dict[str, str]]] = None,
+             ) -> None:
+        """A def: its header runs in ``units``, its body in the unit
+        ``stated`` names (with the defs its calls can name), if any."""
+        # ENG001 covers the whole def, header included
+        views = views | (set(_params(node)) & VIEW_PARAMS)
+        for header in node.decorator_list + [node.args]:
+            self._visit(header, units, views, scope)
+        if node.returns is not None:
+            self._visit(node.returns, units, views, scope)
+        args = node.args
+        params = _params(node) + tuple(
+            a.arg for a in (args.vararg, args.kwarg) if a is not None)
+        inner = _Scope(scope, "function", node.body, params)
+        if stated is None:
+            for stmt in node.body:
+                self._visit(stmt, (), views, inner)
+        else:
+            unit, names = stated
+            self._body(node.body, (unit,), views, inner,
+                       unit.facts.qualname, None, names)
+
+    def _class(self, node: ast.ClassDef, units: Tuple[_Unit, ...],
+               views: FrozenSet[str], scope: _Scope,
+               stated: Optional[Tuple[str, Dict[str, str]]] = None,
+               ) -> None:
+        """A class: it all runs in ``units``; its defs become units when
+        ``stated`` gives its qualname (and the defs calls can name)."""
+        for header in node.decorator_list + node.bases + node.keywords:
+            self._visit(header, units, views, scope)
+        inner = _Scope(scope, "class", node.body, ())
+        if stated is None:
+            for stmt in node.body:
+                self._visit(stmt, units, views, inner)
+        else:
+            qual, names = stated
+            self._body(node.body, units, views, inner, qual, qual, names)
+
+    def _visit(self, node: ast.AST, units: Tuple[_Unit, ...],
+               views: FrozenSet[str], scope: _Scope) -> None:
+        if isinstance(node, _FUNCTIONS):
+            self._def(node, units, views, scope)
+            return
+        if isinstance(node, ast.ClassDef):
+            self._class(node, units, views, scope)
+            return
+        for unit in units:
+            unit.influences.note_statement(node)
+        if isinstance(node, ast.Call):
+            for unit in units:
+                unit.calls.append(node)
+            entropy = unseeded_entropy(self.ctx.qualname(node.func), node)
+            if entropy is not None:
+                self._site(units, "DET001", node, " ".join(entropy),
+                           entropy[0])
+            for array in unsealed(node):
+                root = _root_name(array)
+                self._site(units, "SHM001", node, SETFLAGS_MESSAGE,
+                           f"{root}.setflags(write=True)", root)
+        elif isinstance(node, ast.Attribute):
+            qual = self.ctx.qualname(node)
+            if qual in CLOCK_SOURCES:
+                # one site per chain: its parts are plain names
+                self._site(units, "DET003", node, clock_message(qual, True),
+                           qual)
+                return
+            name = private_read(node)
+            if name is not None:
+                self._private(node, name, units, views)
+        elif isinstance(node, ast.Name):
+            qual = self.imports.get(node.id)
+            if qual in CLOCK_SOURCES and isinstance(node.ctx, ast.Load):
+                self._site(units, "DET003", node, clock_message(qual, False),
+                           qual)
+        elif isinstance(node, ast.Assign):
+            self._assign(node, units, scope)
+        elif isinstance(node, ast.AugAssign):
+            self._store(node.target, units, scope)
+        elif isinstance(node, ast.Lambda):
+            self._visit(node.args, units, views, scope)
+            named = self._lambdas.get(id(node))
+            self._visit(node.body, units if named is None
+                        else units + (named,), views, scope)
+            return
+        for child in ast.iter_child_nodes(node):
+            self._visit(child, units, views, scope)
+
+    # -- site recorders --------------------------------------------------
+    def _site(self, units: Tuple[_Unit, ...], rule: str, node: ast.AST,
+              message: Optional[str], detail: str,
+              param: Optional[str] = None) -> None:
+        site = Site(rule, node.lineno, node.col_offset, message, detail,
+                    param)
+        self.ctx.sites.append(site)
+        for unit in units:
+            unit.sites.append(site)
+
+    def _private(self, node: ast.Attribute, name: str,
+                 units: Tuple[_Unit, ...], views: FrozenSet[str]) -> None:
+        reported = name in views
+        if reported or (name != "self"
+                        and any(name in unit.params for unit in units)):
+            self._site(units, "ENG001", node,
+                       private_message(name, node.attr) if reported
+                       else None, f"{name}.{node.attr}", name)
+
+    def _assign(self, node: ast.Assign, units: Tuple[_Unit, ...],
+                scope: _Scope) -> None:
+        for array in unsealed(node):
+            root = _root_name(array)
+            self._site(units, "SHM001", node, WRITEABLE_MESSAGE,
+                       f"{root}.flags.writeable = True", root)
+        for target in node.targets:
+            self._store(target, units, scope)
+        # SHM001 tracking, per scope
+        kind, names = attach_binding(
+            node, lambda g: g in scope.owner(g).graphs)
+        for name in names:
+            getattr(scope.owner(name), kind + "s").add(name)
+            if kind == "array":
+                self._arrays.add(name)
+        # IPD003 tracking, per unit: attached objects (caller side) and
+        # arrays derived from parameters (callee side)
+        for unit in units:
+            attached = unit.facts.attached
+            for name in attach_binding(node, attached.__contains__)[1]:
+                attached.setdefault(name, node.lineno)
+            unpack = adjacency_unpack(node)
+            if unpack is not None and unpack[0] in unit.params \
+                    and unpack[0] != "self":
+                for name in unpack[1]:
+                    unit.adjacency_of.setdefault(name, unpack[0])
+
+    def _store(self, target: ast.AST, units: Tuple[_Unit, ...],
+               scope: _Scope) -> None:
+        """A subscript store: SHM001 into an attached array, and a write
+        into a parameter (or an array unpacked from one) for IPD003."""
+        if not (isinstance(target, ast.Subscript)
+                and isinstance(target.value, ast.Name)):
+            return
+        name = target.value.id
+        message = None
+        if name in self._arrays and name in scope.owner(name).arrays:
+            message = store_message(name)
+        param, detail = None, ""
+        if units:
+            unit = units[0]
+            if name in unit.params and name != "self":
+                param, detail = name, f"{name}[...] = ..."
+            elif name in unit.adjacency_of:
+                param = unit.adjacency_of[name]
+                detail = f"{name}[...] = ... ({param}.adjacency() array)"
+        if message is not None or param is not None:
+            self._site(units, "SHM001", target, message, detail, param)
+
+    # -- per-unit facts ---------------------------------------------------
+    def _finish(self, unit: _Unit) -> None:
+        fn = unit.facts
+        suppressions = self.ctx.suppressions
+        for site in unit.sites:
+            if self._off[site.rule] or suppressions.suppresses(
+                    site.line, site.rule):
+                continue
+            ev = Evidence(self.path, site.line, site.detail)
+            if site.rule == "DET001":
+                fn.entropy = fn.entropy or ev
+            elif site.rule == "DET003":
+                fn.wall_clock = fn.wall_clock or ev
+            elif site.param in unit.params and site.param != "self":
+                bits = (fn.private_reads if site.rule == "ENG001"
+                        else fn.buffer_writes)
+                bits.setdefault(site.param, ev)
+        # calls, now that the unit's def-use facts are complete
         digest_params: Set[str] = set()
-        for node in calls:
-            target = self._call_target(node.func, scope, class_qual)
-            site = self._call_site(node, target, influences)
-            unit.calls.append(site)
+        for node in unit.calls:
+            target = self._call_target(node.func, unit.names, fn.class_qual)
+            fn.calls.append(self._call_site(node, target, unit.influences))
             if self._is_digest_call(node):
-                unit.has_digest = True
+                fn.has_digest = True
                 roots: Set[str] = set()
                 for arg in node.args:
                     if not isinstance(arg, ast.Starred):
                         roots |= _name_roots(arg)
                 for kw in node.keywords:
                     roots |= _name_roots(kw.value)
-                digest_params |= set(influences.expand(roots)) & set(
-                    unit.params)
+                digest_params |= set(
+                    unit.influences.expand(roots)) & unit.params
             if self._is_fork_map(target):
-                self._note_fork_workers(unit, node, scope, class_qual)
+                self._note_fork_workers(fn, node, unit.names,
+                                        fn.class_qual)
             if is_store_put(node) and len(node.args) >= 2:
-                self._note_store_put(unit, node, scope, class_qual,
-                                     influences)
-        unit.digest_params = tuple(sorted(digest_params))
-        unit.calls.sort(key=lambda s: (s.line, s.col))
-
-    # -- individual fact recorders --------------------------------------
-    def _note_entropy(self, unit: FunctionFacts, node: ast.Call) -> None:
-        if unit.entropy is not None:
-            return
-        from .rules.determinism import unseeded_entropy
-        entropy = unseeded_entropy(self._qual_of(node.func), node)
-        if entropy is not None:
-            ev = self._evidence("entropy", node.lineno, entropy[0])
-            if ev is not None:
-                unit.entropy = ev
-
-    def _note_wall_clock(self, unit: FunctionFacts,
-                         node: ast.Attribute) -> None:
-        if unit.wall_clock is not None:
-            return
-        from .rules.determinism import WallClockRule
-        qual = self._qual_of(node)
-        if qual in WallClockRule._SOURCES:
-            ev = self._evidence("wall_clock", node.lineno, qual)
-            if ev is not None:
-                unit.wall_clock = ev
-
-    def _note_wall_clock_name(self, unit: FunctionFacts,
-                              node: ast.Name) -> None:
-        if unit.wall_clock is not None or not isinstance(
-                node.ctx, ast.Load):
-            return
-        from .rules.determinism import WallClockRule
-        qual = self.imports.get(node.id)
-        if qual in WallClockRule._SOURCES:
-            ev = self._evidence("wall_clock", node.lineno, qual)
-            if ev is not None:
-                unit.wall_clock = ev
-
-    def _note_private_read(self, unit: FunctionFacts, node: ast.Attribute,
-                           params: Set[str]) -> None:
-        base = node.value
-        if (isinstance(base, ast.Name) and base.id in params
-                and base.id != "self"
-                and node.attr.startswith("_")
-                and not node.attr.startswith("__")):
-            if base.id not in unit.private_reads:
-                ev = self._evidence(
-                    "private", node.lineno, f"{base.id}.{node.attr}")
-                if ev is not None:
-                    unit.private_reads[base.id] = ev
-
-    def _note_setflags_write(self, unit: FunctionFacts, node: ast.Call,
-                             params: Set[str]) -> None:
-        func = node.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr == "setflags"):
-            return
-        root = func.value
-        while isinstance(root, (ast.Attribute, ast.Subscript)):
-            root = root.value
-        if not (isinstance(root, ast.Name) and root.id in params):
-            return
-        for kw in node.keywords:
-            if kw.arg == "write" and not (
-                    isinstance(kw.value, ast.Constant)
-                    and kw.value.value is False):
-                if root.id not in unit.buffer_writes:
-                    ev = self._evidence(
-                        "writes", node.lineno,
-                        f"{root.id}.setflags(write=True)")
-                    if ev is not None:
-                        unit.buffer_writes[root.id] = ev
-
-    def _note_writeable_unseal(self, unit: FunctionFacts, node: ast.Assign,
-                               target: ast.AST, params: Set[str]) -> None:
-        if not (isinstance(target, ast.Attribute)
-                and target.attr == "writeable"
-                and isinstance(target.value, ast.Attribute)
-                and target.value.attr == "flags"):
-            return
-        if (isinstance(node.value, ast.Constant)
-                and node.value.value is False):
-            return
-        root = target.value.value
-        if isinstance(root, ast.Name) and root.id in params:
-            if root.id not in unit.buffer_writes:
-                ev = self._evidence(
-                    "writes", target.lineno,
-                    f"{root.id}.flags.writeable = True")
-                if ev is not None:
-                    unit.buffer_writes[root.id] = ev
-
-    def _note_subscript_write(self, unit: FunctionFacts, target: ast.AST,
-                              params: Set[str],
-                              adjacency_of: Dict[str, str]) -> None:
-        if not (isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Name)):
-            return
-        name = target.value.id
-        owner = None
-        if name in params and name != "self":
-            owner, detail = name, f"{name}[...] = ..."
-        elif name in adjacency_of:
-            owner = adjacency_of[name]
-            detail = f"{name}[...] = ... ({owner}.adjacency() array)"
-        if owner is not None and owner not in unit.buffer_writes:
-            ev = self._evidence("writes", target.lineno, detail)
-            if ev is not None:
-                unit.buffer_writes[owner] = ev
-
-    def _note_tracking(self, unit: FunctionFacts, node: ast.Assign,
-                       params: Set[str],
-                       adjacency_of: Dict[str, str]) -> None:
-        """Track attached graphs/arrays (caller side of IPD003) and
-        adjacency arrays derived from parameters (callee side)."""
-        value = node.value
-        if isinstance(value, ast.Call):
-            func = value.func
-            fname = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None)
-            if fname in ATTACH_CALLS:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        unit.attached.setdefault(target.id, node.lineno)
-                return
-            if (isinstance(func, ast.Attribute)
-                    and func.attr == "adjacency"
-                    and isinstance(func.value, ast.Name)):
-                base = func.value.id
-                names: List[str] = []
-                for target in node.targets:
-                    elts = (target.elts if isinstance(
-                        target, (ast.Tuple, ast.List)) else [target])
-                    names.extend(t.id for t in elts
-                                 if isinstance(t, ast.Name))
-                if base in unit.attached:
-                    for n in names:
-                        unit.attached.setdefault(n, node.lineno)
-                if base in params and base != "self":
-                    for n in names:
-                        adjacency_of.setdefault(n, base)
+                self._note_store_put(fn, node, unit.names, fn.class_qual,
+                                     unit.influences)
+        fn.digest_params = tuple(sorted(digest_params))
+        fn.calls.sort(key=lambda s: (s.line, s.col))
 
     @staticmethod
     def _is_fork_map(target: Tuple[str, str]) -> bool:
@@ -643,7 +709,7 @@ class _Extractor:
         """Call expressions assigned to ``name`` anywhere in the module
         (coarse: cross-unit assignments are rare for store keys)."""
         out: List[ast.Call] = []
-        for node in ast.walk(self.tree):
+        for node in ast.walk(self.ctx.tree):
             if isinstance(node, ast.Assign) and isinstance(
                     node.value, ast.Call):
                 for target in node.targets:
@@ -651,42 +717,42 @@ class _Extractor:
                         out.append(node.value)
         return out
 
-    # -- set-escape assignment ------------------------------------------
-    def _assign_set_escapes(self) -> None:
-        """Run the DET004 pattern over the module and attribute each
-        finding to the innermost enclosing unit."""
-        from .rules.determinism import SetIterationRule
-        ctx = ModuleContext(self.path, self._source, self.tree)
-        findings = SetIterationRule(ctx).run()
-        if not findings:
-            return
-        units = sorted(self.facts.functions,
-                       key=lambda u: (u.end_line - u.line))
-        for line, _col, _message in sorted(findings):
-            ev = self._evidence(
-                "set_escape", line, "set iteration order escape")
-            if ev is None:
-                continue
-            for unit in units:
-                if unit.name != "<module>" and \
-                        unit.line <= line <= unit.end_line:
-                    if unit.set_escape is None:
-                        unit.set_escape = ev
-                    break
-            else:
-                module_unit = self.facts.functions[0]
-                if module_unit.set_escape is None:
-                    module_unit.set_escape = ev
+
+
+def record_set_escapes(facts: ModuleFacts,
+                       findings: Iterable[Finding]) -> None:
+    """Seed the set-escape bit from the file's DET004 findings (already
+    through severity and suppressions): each goes to the innermost unit
+    spanning its line, else to the module body."""
+    units = sorted(facts.functions, key=lambda u: (u.end_line - u.line))
+    for finding in findings:
+        if finding.rule != "DET004":
+            continue
+        ev = Evidence(facts.path, finding.line, "set iteration order escape")
+        for unit in units:
+            if unit.name != "<module>" and \
+                    unit.line <= finding.line <= unit.end_line:
+                break
+        else:
+            unit = facts.functions[0]
+        if unit.set_escape is None:
+            unit.set_escape = ev
 
 
 def extract_module_facts(path: str, source: str) -> ModuleFacts:
-    """Phase-1 worker: all facts for one file (empty on syntax errors —
-    phase 2 reports those as LINT001)."""
+    """Parse one file once and extract its facts and rule sites.
+
+    The facts keep the parse in ``context`` (with the sites) for
+    :func:`repro.lint.core.analyze_file`; a file that does not parse
+    yields empty facts carrying its syntax error.
+    """
     try:
         tree = ast.parse(source)
-    except SyntaxError:
-        return ModuleFacts(path=path, module=module_name_for_path(path))
-    return _Extractor(path, source, tree).run()
+    except SyntaxError as exc:
+        return ModuleFacts(
+            path=path, module=module_name_for_path(path),
+            syntax_error=(exc.lineno or 1, (exc.offset or 1) - 1, exc.msg))
+    return _Extractor(ModuleContext(path, source, tree)).run()
 
 
 # ----------------------------------------------------------------------
@@ -711,18 +777,12 @@ class SummaryTable:
     #: entry points: qualname → kind label
     entries: Dict[str, str] = field(default_factory=dict)
 
-    # -- introspection (tests, --dump-summaries) ------------------------
-    def bit(self, bit: str, qualname: str) -> bool:
-        return qualname in self.ambient.get(bit, {})
-
-    def param_bit(self, bit: str, qualname: str, param: str) -> bool:
-        return (qualname, param) in self.per_param.get(bit, {})
-
-    def chain(self, bit: str, qualname: str) -> List[str]:
-        """Human-readable taint chain for an ambient bit."""
-        table = self.ambient.get(bit, {})
+    def chain(self, bit: str, key) -> List[str]:
+        """Human-readable taint chain of a bit: ``key`` is a qualname for
+        an ambient bit, a ``(qualname, param)`` pair for a per-parameter
+        one."""
+        table = self.ambient.get(bit) or self.per_param.get(bit, {})
         out: List[str] = []
-        key = qualname
         for _ in range(64):
             state = table.get(key)
             if state is None:
@@ -733,28 +793,10 @@ class SummaryTable:
                 out.append(f"{ev.detail} ({ev.path}:{ev.line})")
                 break
             key = payload
-            fn = self.graph.functions.get(key)
+            qual = key if isinstance(key, str) else key[0]
+            fn = self.graph.functions.get(qual)
             where = f" ({fn.path}:{fn.line})" if fn is not None else ""
-            out.append(f"{fn.name if fn else key}{where}")
-        return out
-
-    def param_chain(self, bit: str, qualname: str, param: str) -> List[str]:
-        table = self.per_param.get(bit, {})
-        out: List[str] = []
-        key = (qualname, param)
-        for _ in range(64):
-            state = table.get(key)
-            if state is None:
-                break
-            kind, payload = state
-            if kind == "local":
-                ev = payload
-                out.append(f"{ev.detail} ({ev.path}:{ev.line})")
-                break
-            key = payload
-            fn = self.graph.functions.get(key[0])
-            where = f" ({fn.path}:{fn.line})" if fn is not None else ""
-            out.append(f"{fn.name if fn else key[0]}{where}")
+            out.append(f"{fn.name if fn else qual}{where}")
         return out
 
 
@@ -874,9 +916,6 @@ def build_table(graph: CallGraph) -> SummaryTable:
 # ----------------------------------------------------------------------
 # interprocedural findings
 # ----------------------------------------------------------------------
-RawFinding = Tuple[int, int, str, str]
-
-
 def _render_chain(parts: List[str]) -> str:
     return " → ".join(parts)
 
@@ -907,7 +946,7 @@ def compute_findings(table: SummaryTable) -> Dict[str, List[RawFinding]]:
     private = table.per_param["private"]
     for qual in sorted(graph.functions):
         fn = graph.functions[qual]
-        sealed = set(fn.params) & _VIEW_PARAMS
+        sealed = set(fn.params) & VIEW_PARAMS
         if not sealed:
             continue
         for site in fn.calls:
@@ -923,7 +962,7 @@ def compute_findings(table: SummaryTable) -> Dict[str, List[RawFinding]]:
                     continue
                 cfn = graph.functions[callee]
                 chain = _render_chain(
-                    table.param_chain("private", callee, bound))
+                    table.chain("private", (callee, bound)))
                 add(fn.path, (
                     site.line, site.col, IPD_VIEW,
                     f"{name} escapes into {cfn.name}(), which reads "
@@ -949,7 +988,7 @@ def compute_findings(table: SummaryTable) -> Dict[str, List[RawFinding]]:
                     continue
                 cfn = graph.functions[callee]
                 chain = _render_chain(
-                    table.param_chain("writes", callee, bound))
+                    table.chain("writes", (callee, bound)))
                 add(fn.path, (
                     site.line, site.col, IPD_SHM,
                     f"attached shared-memory object {name!r} passed "
@@ -1018,38 +1057,8 @@ def _check_store_put(table: SummaryTable, fn: FunctionFacts,
         "payload")
 
 
-# ----------------------------------------------------------------------
-# the shipped project index
-# ----------------------------------------------------------------------
-class ProjectIndex:
-    """What phase 2 needs: interprocedural findings keyed by file.
-
-    The parent builds it once (extract → link → fixpoint → findings)
-    and ships it to every check worker through the ``fork_map``
-    initializer; workers only ever *read* it, so reports stay
-    byte-identical at any ``--jobs`` count.  ``table`` (the fixpointed
-    summaries) rides along for introspection and tests.
-    """
-
-    def __init__(self, table: SummaryTable,
-                 findings: Dict[str, List[RawFinding]]) -> None:
-        self.table = table
-        self._findings = findings
-
-    def findings_for(self, path: str) -> Sequence[RawFinding]:
-        return self._findings.get(path, ())
-
-
-def link_project(modules: Sequence[ModuleFacts]) -> ProjectIndex:
-    """Link per-file facts into the fixpointed project index."""
-    graph = CallGraph(modules)
-    table = build_table(graph)
-    return ProjectIndex(table, compute_findings(table))
-
-
-def build_project(sources: Mapping[str, str]) -> ProjectIndex:
-    """Extract + link an in-memory ``{path: source}`` project — the
-    test-facing entry point mirroring what the runner does on disk."""
-    facts = [extract_module_facts(path, sources[path])
-             for path in sorted(sources)]
-    return link_project(facts)
+def link_project(modules: Sequence[ModuleFacts],
+                 ) -> Dict[str, List[RawFinding]]:
+    """Link every file's facts, run the fixpoints and return the
+    interprocedural findings keyed by file path."""
+    return compute_findings(build_table(CallGraph(modules)))

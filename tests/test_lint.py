@@ -539,6 +539,31 @@ class TestRunner:
         four = run_lint(["src"], jobs=4, root=str(tmp_path))
         assert one.to_json() == four.to_json()
 
+    def test_each_file_is_parsed_and_tokenized_once(self, tmp_path,
+                                                    monkeypatch):
+        import ast
+        import tokenize
+
+        _write_fixture_tree(tmp_path)
+        (tmp_path / "src" / "third.py").write_text(
+            "def f(view):\n    return view._x  # lint: allow(ENG001) x\n")
+        calls = {"parse": 0, "tokens": 0}
+        parse, tokens = ast.parse, tokenize.generate_tokens
+
+        def counted_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return parse(*args, **kwargs)
+
+        def counted_tokens(*args, **kwargs):
+            calls["tokens"] += 1
+            return tokens(*args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counted_parse)
+        monkeypatch.setattr(tokenize, "generate_tokens", counted_tokens)
+        report = run_lint(["src"], jobs=1, root=str(tmp_path))
+        assert report.files == 3
+        assert calls == {"parse": 3, "tokens": 3}
+
 
 def _run_cli(*args, cwd=REPO):
     env = dict(os.environ)

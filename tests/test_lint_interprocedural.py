@@ -1,4 +1,4 @@
-"""Two-phase analyzer: summaries, call-graph fixpoints, IPD/STORE002.
+"""Whole-program analysis: summaries, call-graph fixpoints, IPD/STORE002.
 
 Every interprocedural rule is tested on a *twin pair*: a fixture whose
 violation hides one call level deep, and a clean twin differing only in
@@ -16,17 +16,21 @@ import sys
 import pytest
 
 from repro.lint.callgraph import CallGraph, module_name_for_path
-from repro.lint.core import analyze_source
-from repro.lint.summaries import build_project, extract_module_facts
+from repro.lint.core import analyze_file, analyze_source
+from repro.lint.runner import lint_sources
+from repro.lint.summaries import extract_module_facts, record_set_escapes
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def findings_on(sources, path):
+    """Findings reported for ``path`` after a whole-project analysis."""
+    return [f for f in lint_sources(sources) if f.file == path]
+
+
 def rules_on(sources, path):
     """Rule ids reported for ``path`` after a whole-project analysis."""
-    index = build_project(sources)
-    findings = analyze_source(sources[path], path, project=index)
-    return [f.rule for f in findings]
+    return [f.rule for f in findings_on(sources, path)]
 
 
 # ----------------------------------------------------------------------
@@ -128,9 +132,8 @@ class TestTransitiveEntropy:
                 "    return flip()\n",
             "src/repro/algorithms/helpers.py": self.HELPER_BAD,
         }
-        index = build_project(sources)
         path = "src/repro/algorithms/alpha.py"
-        (finding,) = analyze_source(sources[path], path, project=index)
+        (finding,) = findings_on(sources, path)
         assert "flip" in finding.message
         assert "helpers.py" in finding.message
 
@@ -260,9 +263,8 @@ class TestStoreKeyCompleteness:
                 "    store.put(make_key(store, family, n), payload)\n",
             "src/repro/keys.py": self.KEYS_DROPPING,
         }
-        index = build_project(sources)
         path = "src/repro/writer.py"
-        (finding,) = analyze_source(sources[path], path, project=index)
+        (finding,) = findings_on(sources, path)
         assert finding.rule == "STORE002"
         assert "'extra'" in finding.message
 
@@ -395,6 +397,86 @@ class TestSummaryUnits:
         assert "IPD001" not in rules_on(
             sources, "src/repro/algorithms/alpha.py")
 
+    def test_sites_outside_bodies_belong_to_the_executing_unit(self):
+        # a decorator, a default and a nested class body run when the
+        # enclosing def runs; the nested def's own body does not
+        facts = extract_module_facts(
+            "src/repro/d.py",
+            "import random\n"
+            "\n"
+            "def outer():\n"
+            "    @register(random.random())\n"
+            "    def inner(x=random.random()):\n"
+            "        return x\n"
+            "    return inner\n"
+            "\n"
+            "def host():\n"
+            "    class Table:\n"
+            "        seed = random.randint(1, 6)\n"
+            "    return Table\n"
+            "\n"
+            "def plain():\n"
+            "    def inner(x=1):\n"
+            "        return random.random()\n"
+            "    return inner\n",
+        )
+        entropy = {f.qualname: f.entropy for f in facts.functions}
+        assert entropy["repro.d.outer"].line == 4
+        assert entropy["repro.d.outer.inner"] is None
+        assert entropy["repro.d.host"].line == 11
+        assert entropy["repro.d.plain"] is None
+        assert entropy["repro.d.plain.inner"].line == 16
+        # each site is still reported once, by DET001
+        findings = analyze_source(
+            "import random\n"
+            "\n"
+            "def outer():\n"
+            "    @register(random.random())\n"
+            "    def inner(x=random.random()):\n"
+            "        return x\n"
+            "    return inner\n",
+            "src/repro/d.py")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("DET001", 4), ("DET001", 5)]
+
+    def test_warning_base_rule_still_taints(self):
+        # DET001 is a warning in benchmarks/, and the draw still reaches
+        # the decide that calls it
+        sources = {
+            "benchmarks/alg.py":
+                "from helpers import flip\n"
+                "\n"
+                "def decide(view):\n"
+                "    return flip()\n",
+            "benchmarks/helpers.py":
+                "import random\n"
+                "\n"
+                "def flip():\n"
+                "    return random.random()\n",
+        }
+        assert rules_on(sources, "benchmarks/alg.py") == ["IPD001"]
+        assert rules_on(sources, "benchmarks/helpers.py") == ["DET001"]
+
+    def test_det004_findings_seed_the_set_escape_bit(self):
+        sources = {
+            "src/repro/s.py":
+                "def order(items):\n"
+                "    s = set(items)\n"
+                "    return [v for v in s]\n"
+                "\n"
+                "def quiet(items):\n"
+                "    s = set(items)\n"
+                "    return [v for v in s]  # lint: allow(DET004) ok\n",
+        }
+        facts = extract_module_facts("src/repro/s.py",
+                                     sources["src/repro/s.py"])
+        findings = analyze_file(facts)
+        record_set_escapes(facts, findings)
+        assert [f.rule for f in findings] == ["DET004"]
+        escapes = {f.qualname: f.set_escape for f in facts.functions}
+        assert escapes["repro.s.order"].line == 3
+        assert escapes["repro.s.quiet"] is None
+
     def test_cycle_terminates_clean(self):
         sources = {
             "src/repro/a.py":
@@ -468,7 +550,7 @@ class TestCallGraph:
 
 
 # ----------------------------------------------------------------------
-# the two-phase runner end to end
+# the runner end to end
 # ----------------------------------------------------------------------
 class TestTwoPhaseRunner:
     def _lint(self, args, cwd):
