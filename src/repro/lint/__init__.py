@@ -21,11 +21,17 @@ Layout:
   (DET rules are errors in ``src/``, relaxed in ``benchmarks/``).
 * :mod:`repro.lint.baseline` — the JSON baseline file so CI gates on
   regressions only; every baselined finding must carry a reason.
-* :mod:`repro.lint.rules` — the rule packs (DET, ENG, PAR, SHM).
+* :mod:`repro.lint.rules` — the rule packs (DET, ENG, IPD, PAR, SHM,
+  STORE).
+* :mod:`repro.lint.summaries` / :mod:`repro.lint.callgraph` — the one
+  fact extractor (the sites DET001/DET003/ENG001/SHM001 report, the
+  per-function summary bits), the project call graph and the fixpoints
+  behind the IPD and STORE002 findings.
 * :mod:`repro.lint.runner` / ``python -m repro.lint`` — file
-  collection, :func:`repro.parallel.fork_map` fan-out (the linter obeys
-  the ordered-fan-out discipline it enforces) and deterministic
-  ``text``/``json`` reports, byte-identical at every ``--jobs`` count.
+  collection, one :func:`repro.parallel.fork_map` pass per file (the
+  linter obeys the ordered-fan-out discipline it enforces) and
+  deterministic ``text``/``json`` reports, byte-identical at every
+  ``--jobs`` count.
 """
 
 from .core import Finding, ModuleContext, Rule, analyze_file, analyze_source

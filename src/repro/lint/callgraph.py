@@ -140,9 +140,7 @@ class FunctionFacts:
     #: symbolic refs passed to fork_map as fn=/initializer=
     fork_workers: List[Tuple[Tuple[str, str], int]] = field(
         default_factory=list)
-    #: ``<store>.put(key, payload)`` sites for the STORE002 check:
-    #: (line, col, payload_roots, key_call target or None,
-    #:  key argument roots per slot, direct digest roots or None)
+    #: ``<store>.put(key, payload)`` sites for the STORE002 check
     store_puts: List["StorePut"] = field(default_factory=list)
 
 

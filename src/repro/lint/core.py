@@ -34,7 +34,6 @@ __all__ = [
     "Finding",
     "ModuleContext",
     "Rule",
-    "Site",
     "SiteRule",
     "Suppressions",
     "analyze_source",
@@ -47,6 +46,9 @@ __all__ = [
 #: pseudo-rule ids emitted by the framework itself (not in the registry)
 BAD_SUPPRESSION_RULE = "LINT000"
 PARSE_ERROR_RULE = "LINT001"
+
+#: ``(line, col, rule id, message)`` before severity and suppressions
+RawFinding = Tuple[int, int, str, str]
 
 
 @dataclass(frozen=True, order=True)
@@ -75,25 +77,6 @@ class Finding:
                 f"{self.rule} {self.severity}: {self.message}")
 
 
-@dataclass(frozen=True)
-class Site:
-    """One occurrence of a :class:`SiteRule`'s pattern.
-
-    ``message`` is the rule's finding text, or ``None`` for a site that
-    only feeds a summary bit (a store into a parameter is a write for
-    IPD003 but not an SHM001 finding).  ``detail`` is the evidence text
-    an IPD chain shows, and ``param`` the parameter a per-parameter bit
-    belongs to.
-    """
-
-    rule: str
-    line: int
-    col: int
-    message: Optional[str]
-    detail: str
-    param: Optional[str] = None
-
-
 class ModuleContext:
     """Shared per-module facts every rule can lean on.
 
@@ -109,7 +92,8 @@ class ModuleContext:
       shadowed by an import, a module-level assignment or def.
     * :meth:`parent` — enclosing AST node (lazily built parent map).
     * ``suppressions`` — the module's ``# lint: allow`` comments.
-    * ``sites`` — every :class:`Site` the fact extractor recorded.
+    * ``sites`` — the fact extractor's ``(line, col, rule, message)``
+      sites of the :class:`SiteRule` patterns.
     """
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
@@ -120,7 +104,7 @@ class ModuleContext:
         self.imports = build_import_map(
             tree, self.module, path.endswith("__init__.py"))
         self.suppressions = Suppressions(source)
-        self.sites: List[Site] = []
+        self.sites: List[RawFinding] = []
         self._module_names: Set[str] = set()
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
         for stmt in tree.body:
@@ -195,16 +179,14 @@ class SiteRule(Rule):
     facts its interprocedural twin propagates)."""
 
     def run(self) -> List[Tuple[int, int, str]]:
-        return [(site.line, site.col, site.message)
-                for site in self.ctx.sites
-                if site.rule == self.id and site.message is not None]
+        return [(line, col, message)
+                for line, col, rule, message in self.ctx.sites
+                if rule == self.id]
 
 
 class ProjectRule(Rule):
     """A whole-program rule: its findings come from the linked project
-    (:func:`repro.lint.summaries.link_project`), so a single module
-    yields none.  Registered for ``--list-rules``, severities and
-    suppression ids."""
+    (:func:`repro.lint.summaries.link_project`), none from one module."""
 
     def run(self) -> List[Tuple[int, int, str]]:
         return []
@@ -255,10 +237,6 @@ class Suppressions:
 # ----------------------------------------------------------------------
 # analysis entry points
 # ----------------------------------------------------------------------
-#: ``(line, col, rule id, message)`` before severity and suppressions
-RawFinding = Tuple[int, int, str, str]
-
-
 def gate(path: str, raw: Iterable[RawFinding],
          defaults: Mapping[str, str], suppressions: Suppressions,
          severity_for) -> List[Finding]:
@@ -280,14 +258,14 @@ def analyze_source(
     rules: Optional[Sequence[type]] = None,
     severity_for=None,
 ) -> List[Finding]:
-    """Lint one module given as text, on its own.
+    """Lint one module given as text, on its own: the project rules
+    (IPD001–003, STORE002) need every module (:func:`repro.lint.runner.
+    run_lint`).
 
     ``path`` is the display path (also what per-directory severity
     configuration matches against).  ``rules`` defaults to the full
     registry; ``severity_for(path, rule_id, default)`` defaults to the
-    repo configuration in :mod:`repro.lint.config`.  Only the
-    intramodule rules report here: the project rules (IPD001–003,
-    STORE002) need every module (:func:`repro.lint.runner.run_lint`).
+    repo configuration in :mod:`repro.lint.config`.
     """
     from .summaries import extract_module_facts
     return analyze_file(extract_module_facts(path, source), rules=rules,
@@ -296,12 +274,9 @@ def analyze_source(
 
 def analyze_file(facts, rules: Optional[Sequence[type]] = None,
                  severity_for=None) -> List[Finding]:
-    """The intramodule findings of one file, from its extracted facts.
-
-    ``facts`` is what :func:`repro.lint.summaries.extract_module_facts`
-    returned: the file was read, parsed and tokenized once, and the
-    rules run over that parse (``facts.context``).  A file that did not
-    parse yields its ``LINT001`` finding.
+    """The intramodule findings of one file: the rules run over the
+    parse :func:`repro.lint.summaries.extract_module_facts` made
+    (``facts.context``); a file that did not parse yields ``LINT001``.
     """
     if rules is None:
         from .rules import all_rules

@@ -30,6 +30,7 @@ __all__ = [
     "unsealed",
     "adjacency_unpack",
     "attach_binding",
+    "fork_map_workers",
     "ViewPrivateAccessRule",
     "BatchCacheResetRule",
     "ForkMapClosureRule",
@@ -131,6 +132,13 @@ class BatchCacheResetRule(Rule):
         return out
 
 
+def fork_map_workers(node: ast.Call) -> List[ast.expr]:
+    """What a ``fork_map`` call ships to its workers: the first argument
+    and the ``fn=``/``initializer=`` keywords."""
+    return node.args[:1] + [kw.value for kw in node.keywords
+                            if kw.arg in ("fn", "initializer")]
+
+
 class ForkMapClosureRule(Rule):
     """PAR001: only module-level callables survive fork_map pickling."""
 
@@ -166,13 +174,7 @@ class ForkMapClosureRule(Rule):
             or (isinstance(func, ast.Attribute) and func.attr == "fork_map")
         )
         if is_fork_map:
-            candidates: List[ast.expr] = []
-            if node.args:
-                candidates.append(node.args[0])
-            for kw in node.keywords:
-                if kw.arg in ("fn", "initializer"):
-                    candidates.append(kw.value)
-            for cand in candidates:
+            for cand in fork_map_workers(node):
                 self._check_worker(cand)
         self.generic_visit(node)
 
@@ -236,8 +238,8 @@ def adjacency_unpack(node: ast.Assign) -> Optional[Tuple[str, List[str]]]:
 
 
 def attach_binding(node: ast.Assign, attached) -> Tuple[str, List[str]]:
-    """What an assignment binds to attached shared memory: ``("graph",
-    names)`` for the name targets of an attach call, ``("array",
+    """What an assignment binds to attached shared memory: ``("graphs",
+    names)`` for the name targets of an attach call, ``("arrays",
     names)`` for the arrays unpacked from ``g.adjacency()`` of a graph
     ``attached(g)`` holds, else ``("", [])``."""
     value = node.value
@@ -246,11 +248,11 @@ def attach_binding(node: ast.Assign, attached) -> Tuple[str, List[str]]:
         name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None)
         if name in ATTACH_CALLS:
-            return "graph", [t.id for t in node.targets
-                             if isinstance(t, ast.Name)]
+            return "graphs", [t.id for t in node.targets
+                              if isinstance(t, ast.Name)]
     unpack = adjacency_unpack(node)
     if unpack is not None and attached(unpack[0]):
-        return "array", unpack[1]
+        return "arrays", unpack[1]
     return "", []
 
 

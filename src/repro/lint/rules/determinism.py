@@ -244,9 +244,6 @@ class SetIterationRule(Rule):
                 continue
             if isinstance(ann, ast.Subscript):
                 ann = ann.value
-            base = ann
-            while isinstance(base, ast.Attribute):
-                base = base.value  # typing.Set -> typing / Set via attr
             name = ann.attr if isinstance(ann, ast.Attribute) else (
                 ann.id if isinstance(ann, ast.Name) else None)
             if name in _SET_ANNOTATIONS:

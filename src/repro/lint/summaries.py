@@ -1,40 +1,35 @@
 """Fact extraction, fixpoint propagation, interprocedural findings.
 
 Each file is parsed once and walked once (:func:`extract_module_facts`,
-inside the runner's ``fork_map`` worker).  The walk records
+inside the runner's ``fork_map`` worker).  The walk records every site
+of the rules whose patterns double as summary evidence — DET001 (an
+unseeded draw), DET003 (a clock/entropy source), ENG001 (a ``name._x``
+read) and SHM001 (a store into an attached array, or an un-seal) —
+which those rules report as depth-0 queries
+(:class:`~repro.lint.core.SiteRule`).  For every function unit it
+records the summary bits those sites seed — **draws-entropy**,
+**reads-wall-clock**, **touches-view-internals** and **writes-attached-
+buffers** (the last two per parameter; a store into a parameter is a
+write too) — plus **flows-into-store-keys** (parameters reaching a
+``stable_digest``/``<store>.key`` call) and every resolvable call site.
+The **escapes-set-iteration-order** bit comes from the file's DET004
+findings (:func:`record_set_escapes`).
 
-* every **site** of the four rules whose patterns double as summary
-  evidence — DET001 (an unseeded ``random``/numpy-global draw), DET003
-  (a clock/entropy source), ENG001 (a ``name._x`` read) and SHM001 (a
-  store into an attached array, or an un-seal) — which those rules
-  report as depth-0 queries (:class:`~repro.lint.core.SiteRule`);
-* for every function unit, the summary bits its own sites seed —
-  **draws-entropy**, **reads-wall-clock**, **touches-view-internals**
-  and **writes-attached-buffers** (the last two per parameter; a store
-  into a parameter is a write too) — plus **flows-into-store-keys**
-  (parameters reaching a ``stable_digest``/``<store>.key`` call) and
-  every resolvable call site.
+A unit's bit is its first site that is neither suppressed nor
+configured ``off`` for the base rule, so a *sanctioned* source
+(``benchmarks/harness.py``'s clock) never taints its callers; a base
+rule that is only a warning still taints.  Sites in decorators,
+defaults, annotations and class bodies belong to the unit that executes
+them.
 
-A unit's bit is its first site that is neither suppressed (``# lint:
-allow``) nor configured ``off`` for the base rule, so a *sanctioned*
-source (``benchmarks/harness.py``'s clock) never taints its callers; a
-base rule that is only a warning still taints.  Sites in decorators,
-defaults, annotations, class bodies and class bases belong to the unit
-that executes them.  The **escapes-set-iteration-order** bit comes from
-the file's DET004 findings (:func:`record_set_escapes`).
-
-The parent process then links the call graph and propagates each bit to
-a fixpoint.  Propagation is Jacobi-style — every round reads only the
-previous round's state, in sorted function order — so the result is
-deterministic regardless of dict order or worker count.  Ambient bits
-(entropy, wall-clock, set-escape) flow through every resolved call
-edge; per-parameter bits flow only where a caller passes one of its own
-parameters *bare* to a callee parameter.
-
+The parent process links the call graph and propagates each bit to a
+fixpoint, Jacobi-style — every round reads only the previous round's
+state, in sorted function order — so the result is deterministic
+regardless of dict order or worker count.  Ambient bits flow through
+every resolved call edge; per-parameter bits flow only where a caller
+passes one of its own parameters *bare* to a callee parameter.
 :func:`link_project` turns the fixpoint into the interprocedural
-findings (IPD001–003, STORE002), keyed by file; the runner reports them
-through the same severity and suppression filter as every other rule —
-byte-identical at any ``--jobs`` count.
+findings (IPD001–003, STORE002), keyed by file.
 """
 
 from __future__ import annotations
@@ -56,13 +51,15 @@ from .callgraph import (
     dotted_chain,
     module_name_for_path,
 )
-from .core import Finding, ModuleContext, RawFinding, Site
+from .config import severity_for
+from .core import Finding, ModuleContext, RawFinding
 from .rules.contracts import (
     SETFLAGS_MESSAGE,
     VIEW_PARAMS,
     WRITEABLE_MESSAGE,
     adjacency_unpack,
     attach_binding,
+    fork_map_workers,
     private_message,
     private_read,
     store_message,
@@ -90,11 +87,6 @@ STORE_KEY_FLOW = "STORE002"
 _DIGEST_NAMES = {"stable_digest", "stable_seed"}
 _ENTRY_NAMES = {"decide", "decide_batch"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _severity_for(path: str, rule_id: str, default: str) -> str:
-    from .config import severity_for
-    return severity_for(path, rule_id, default)
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +262,6 @@ class _Unit:
         #: arrays unpacked from a parameter's adjacency() → the parameter
         self.adjacency_of: Dict[str, str] = {}
         self.calls: List[ast.Call] = []
-        self.sites: List[Site] = []
 
 
 class _Extractor:
@@ -300,7 +291,7 @@ class _Extractor:
         self._lambdas: Dict[int, _Unit] = {}
         #: every name some scope holds as an attached array
         self._arrays: Set[str] = set()
-        self._off = {rule: _severity_for(self.path, rule, "error") == "off"
+        self._off = {rule: severity_for(self.path, rule, "error") == "off"
                      for rule in ("DET001", "DET003", "ENG001", "SHM001")}
 
     # -- symbolic call targets ------------------------------------------
@@ -508,11 +499,24 @@ class _Extractor:
     def _site(self, units: Tuple[_Unit, ...], rule: str, node: ast.AST,
               message: Optional[str], detail: str,
               param: Optional[str] = None) -> None:
-        site = Site(rule, node.lineno, node.col_offset, message, detail,
-                    param)
-        self.ctx.sites.append(site)
+        """Record a site for its rule (unless it only taints) and seed
+        the bit of each unit whose first such site passes the gate."""
+        line = node.lineno
+        if message is not None:
+            self.ctx.sites.append((line, node.col_offset, rule, message))
+        if self._off[rule] or self.ctx.suppressions.suppresses(line, rule):
+            return
+        ev = Evidence(self.path, line, detail)
         for unit in units:
-            unit.sites.append(site)
+            fn = unit.facts
+            if rule == "DET001":
+                fn.entropy = fn.entropy or ev
+            elif rule == "DET003":
+                fn.wall_clock = fn.wall_clock or ev
+            elif param in unit.params and param != "self":
+                bits = (fn.private_reads if rule == "ENG001"
+                        else fn.buffer_writes)
+                bits.setdefault(param, ev)
 
     def _private(self, node: ast.Attribute, name: str,
                  units: Tuple[_Unit, ...], views: FrozenSet[str]) -> None:
@@ -535,8 +539,8 @@ class _Extractor:
         kind, names = attach_binding(
             node, lambda g: g in scope.owner(g).graphs)
         for name in names:
-            getattr(scope.owner(name), kind + "s").add(name)
-            if kind == "array":
+            getattr(scope.owner(name), kind).add(name)
+            if kind == "arrays":
                 self._arrays.add(name)
         # IPD003 tracking, per unit: attached objects (caller side) and
         # arrays derived from parameters (callee side)
@@ -574,22 +578,8 @@ class _Extractor:
 
     # -- per-unit facts ---------------------------------------------------
     def _finish(self, unit: _Unit) -> None:
+        """Call sites, once the unit's def-use facts are complete."""
         fn = unit.facts
-        suppressions = self.ctx.suppressions
-        for site in unit.sites:
-            if self._off[site.rule] or suppressions.suppresses(
-                    site.line, site.rule):
-                continue
-            ev = Evidence(self.path, site.line, site.detail)
-            if site.rule == "DET001":
-                fn.entropy = fn.entropy or ev
-            elif site.rule == "DET003":
-                fn.wall_clock = fn.wall_clock or ev
-            elif site.param in unit.params and site.param != "self":
-                bits = (fn.private_reads if site.rule == "ENG001"
-                        else fn.buffer_writes)
-                bits.setdefault(site.param, ev)
-        # calls, now that the unit's def-use facts are complete
         digest_params: Set[str] = set()
         for node in unit.calls:
             target = self._call_target(node.func, unit.names, fn.class_qual)
@@ -621,13 +611,7 @@ class _Extractor:
     def _note_fork_workers(self, unit: FunctionFacts, node: ast.Call,
                            scope: Dict[str, str],
                            class_qual: Optional[str]) -> None:
-        candidates: List[ast.AST] = []
-        if node.args:
-            candidates.append(node.args[0])
-        for kw in node.keywords:
-            if kw.arg in ("fn", "initializer"):
-                candidates.append(kw.value)
-        for cand in candidates:
+        for cand in fork_map_workers(node):
             if isinstance(cand, (ast.Name, ast.Attribute)):
                 target = self._call_target(cand, scope, class_qual)
                 if target[0] != "bare":
@@ -777,7 +761,7 @@ class SummaryTable:
     #: entry points: qualname → kind label
     entries: Dict[str, str] = field(default_factory=dict)
 
-    def chain(self, bit: str, key) -> List[str]:
+    def chain(self, bit: str, key) -> str:
         """Human-readable taint chain of a bit: ``key`` is a qualname for
         an ambient bit, a ``(qualname, param)`` pair for a per-parameter
         one."""
@@ -797,7 +781,7 @@ class SummaryTable:
             fn = self.graph.functions.get(qual)
             where = f" ({fn.path}:{fn.line})" if fn is not None else ""
             out.append(f"{fn.name if fn else qual}{where}")
-        return out
+        return " → ".join(out)
 
 
 def _fix_ambient(graph: CallGraph, attr: str) -> Dict[str, _State]:
@@ -916,10 +900,6 @@ def build_table(graph: CallGraph) -> SummaryTable:
 # ----------------------------------------------------------------------
 # interprocedural findings
 # ----------------------------------------------------------------------
-def _render_chain(parts: List[str]) -> str:
-    return " → ".join(parts)
-
-
 def compute_findings(table: SummaryTable) -> Dict[str, List[RawFinding]]:
     graph = table.graph
     out: Dict[str, List[RawFinding]] = {}
@@ -934,7 +914,7 @@ def compute_findings(table: SummaryTable) -> Dict[str, List[RawFinding]]:
         if state is None or state[0] == "local":
             continue  # local draws are DET001's finding, not IPD001's
         fn = graph.functions[qual]
-        chain = _render_chain(table.chain("entropy", qual))
+        chain = table.chain("entropy", qual)
         add(fn.path, (
             fn.line, fn.col, IPD_RANDOM,
             f"{table.entries[qual]} {fn.name!r} reaches unseeded "
@@ -942,59 +922,37 @@ def compute_findings(table: SummaryTable) -> Dict[str, List[RawFinding]]:
             "rng (derive it via repro.parallel.stable_seed) through the "
             "call chain"))
 
-    # IPD002: view escaping into internals-touching callees
-    private = table.per_param["private"]
+    # IPD002 / IPD003: a view, or an attached shared-memory object,
+    # passed bare into a callee parameter whose internals the callee
+    # (transitively) reads, or which it writes
+    escapes = (
+        (IPD_VIEW, "private", lambda fn: set(fn.params) & VIEW_PARAMS,
+         "{name} escapes into {callee}(), which reads engine-private "
+         "state: {chain}; algorithms must stay inside the public View "
+         "API"),
+        (IPD_SHM, "writes", lambda fn: fn.attached,
+         "attached shared-memory object {name!r} passed into {callee}(), "
+         "which writes it: {chain}; attached segments are mapped by "
+         "sibling workers — copy before mutating"),
+    )
     for qual in sorted(graph.functions):
         fn = graph.functions[qual]
-        sealed = set(fn.params) & VIEW_PARAMS
-        if not sealed:
-            continue
-        for site in fn.calls:
-            resolved = graph.resolve_call(fn, site)
-            if resolved is None:
+        for rule, bit, tracked, text in escapes:
+            names = tracked(fn)
+            if not names:
                 continue
-            callee, offset = resolved
-            for slot, name in list(site.pos_bare) + list(site.kw_bare):
-                if name not in sealed:
+            for site in fn.calls:
+                resolved = graph.resolve_call(fn, site)
+                if resolved is None:
                     continue
-                bound = graph.param_for_slot(callee, offset, slot)
-                if bound is None or (callee, bound) not in private:
-                    continue
-                cfn = graph.functions[callee]
-                chain = _render_chain(
-                    table.chain("private", (callee, bound)))
-                add(fn.path, (
-                    site.line, site.col, IPD_VIEW,
-                    f"{name} escapes into {cfn.name}(), which reads "
-                    f"engine-private state: {chain}; algorithms must "
-                    "stay inside the public View API"))
-
-    # IPD003: attached shared-memory graphs/arrays escaping into writers
-    writes = table.per_param["writes"]
-    for qual in sorted(graph.functions):
-        fn = graph.functions[qual]
-        if not fn.attached:
-            continue
-        for site in fn.calls:
-            resolved = graph.resolve_call(fn, site)
-            if resolved is None:
-                continue
-            callee, offset = resolved
-            for slot, name in list(site.pos_bare) + list(site.kw_bare):
-                if name not in fn.attached:
-                    continue
-                bound = graph.param_for_slot(callee, offset, slot)
-                if bound is None or (callee, bound) not in writes:
-                    continue
-                cfn = graph.functions[callee]
-                chain = _render_chain(
-                    table.chain("writes", (callee, bound)))
-                add(fn.path, (
-                    site.line, site.col, IPD_SHM,
-                    f"attached shared-memory object {name!r} passed "
-                    f"into {cfn.name}(), which writes it: {chain}; "
-                    "attached segments are mapped by sibling workers — "
-                    "copy before mutating"))
+                callee, offset = resolved
+                for slot, name in site.pos_bare + site.kw_bare:
+                    bound = graph.param_for_slot(callee, offset, slot)
+                    if name in names and \
+                            (callee, bound) in table.per_param[bit]:
+                        add(fn.path, (site.line, site.col, rule, text.format(
+                            name=name, callee=graph.functions[callee].name,
+                            chain=table.chain(bit, (callee, bound)))))
 
     # STORE002: payload values missing from the stable_digest key
     for qual in sorted(graph.functions):
