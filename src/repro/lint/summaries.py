@@ -98,6 +98,17 @@ def _name_roots(node: ast.AST) -> Set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
+def _arg_roots(call: ast.Call) -> Set[str]:
+    """:func:`_name_roots` of a call's arguments (``*args`` excluded)."""
+    roots: Set[str] = set()
+    for arg in call.args:
+        if not isinstance(arg, ast.Starred):
+            roots |= _name_roots(arg)
+    for kw in call.keywords:
+        roots |= _name_roots(kw.value)
+    return roots
+
+
 class _Influences:
     """name → transitively influencing names, within one unit body."""
 
@@ -586,20 +597,12 @@ class _Extractor:
             fn.calls.append(self._call_site(node, target, unit.influences))
             if self._is_digest_call(node):
                 fn.has_digest = True
-                roots: Set[str] = set()
-                for arg in node.args:
-                    if not isinstance(arg, ast.Starred):
-                        roots |= _name_roots(arg)
-                for kw in node.keywords:
-                    roots |= _name_roots(kw.value)
-                digest_params |= set(
-                    unit.influences.expand(roots)) & unit.params
+                digest_params |= set(unit.influences.expand(
+                    _arg_roots(node))) & unit.params
             if self._is_fork_map(target):
-                self._note_fork_workers(fn, node, unit.names,
-                                        fn.class_qual)
+                self._note_fork_workers(unit, node)
             if is_store_put(node) and len(node.args) >= 2:
-                self._note_store_put(fn, node, unit.names, fn.class_qual,
-                                     unit.influences)
+                self._note_store_put(unit, node)
         fn.digest_params = tuple(sorted(digest_params))
         fn.calls.sort(key=lambda s: (s.line, s.col))
 
@@ -608,14 +611,13 @@ class _Extractor:
         ref = target[1]
         return ref == "fork_map" or ref.endswith(".fork_map")
 
-    def _note_fork_workers(self, unit: FunctionFacts, node: ast.Call,
-                           scope: Dict[str, str],
-                           class_qual: Optional[str]) -> None:
+    def _note_fork_workers(self, unit: _Unit, node: ast.Call) -> None:
         for cand in fork_map_workers(node):
             if isinstance(cand, (ast.Name, ast.Attribute)):
-                target = self._call_target(cand, scope, class_qual)
+                target = self._call_target(cand, unit.names,
+                                           unit.facts.class_qual)
                 if target[0] != "bare":
-                    unit.fork_workers.append((target, node.lineno))
+                    unit.facts.fork_workers.append((target, node.lineno))
 
     def _call_site(self, node: ast.Call, target: Tuple[str, str],
                    influences: _Influences) -> CallSite:
@@ -641,9 +643,8 @@ class _Extractor:
             pos_bare=tuple(pos_bare), kw_bare=tuple(kw_bare),
             pos_roots=tuple(pos_roots), kw_roots=tuple(kw_roots))
 
-    def _note_store_put(self, unit: FunctionFacts, node: ast.Call,
-                        scope: Dict[str, str], class_qual: Optional[str],
-                        influences: _Influences) -> None:
+    def _note_store_put(self, unit: _Unit, node: ast.Call) -> None:
+        influences = unit.influences
         key_expr, payload = node.args[0], node.args[1]
         key_calls: List[CallSite] = []
         direct_roots: Set[str] = set()
@@ -654,17 +655,13 @@ class _Extractor:
             if depth > 4:
                 return
             if isinstance(expr, ast.Call):
-                arg_roots: Set[str] = set()
-                for a in expr.args:
-                    if not isinstance(a, ast.Starred):
-                        arg_roots |= _name_roots(a)
-                for kw in expr.keywords:
-                    arg_roots |= _name_roots(kw.value)
+                arg_roots = _arg_roots(expr)
                 if self._is_digest_call(expr):
                     saw_digest = True
                     direct_roots.update(influences.expand(arg_roots))
                     return
-                target = self._call_target(expr.func, scope, class_qual)
+                target = self._call_target(expr.func, unit.names,
+                                           unit.facts.class_qual)
                 if target[0] == "bare":
                     # unresolvable helper: optimistic — assume complete
                     saw_digest = True
@@ -680,7 +677,7 @@ class _Extractor:
             # other forms (tuples, constants) carry no checkable flow
 
         consume(key_expr)
-        unit.store_puts.append(StorePut(
+        unit.facts.store_puts.append(StorePut(
             line=node.lineno, col=node.col_offset,
             payload_roots=influences.expand(_name_roots(payload)),
             receiver_roots=influences.expand(_name_roots(node.func.value)),
@@ -700,7 +697,6 @@ class _Extractor:
                     if isinstance(target, ast.Name) and target.id == name:
                         out.append(node.value)
         return out
-
 
 
 def record_set_escapes(facts: ModuleFacts,

@@ -830,6 +830,8 @@ GOLDEN_SOURCES = {
     ),
 }
 
+#: the pinned ``run_lint(...).to_json()`` of GOLDEN_SOURCES; a change
+#: that means to alter the report rewrites it and shows the diff
 GOLDEN_REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "lint_golden.json")
 
