@@ -458,18 +458,16 @@ class TestSummaryUnits:
         assert rules_on(sources, "benchmarks/helpers.py") == ["DET001"]
 
     def test_det004_findings_seed_the_set_escape_bit(self):
-        sources = {
-            "src/repro/s.py":
-                "def order(items):\n"
-                "    s = set(items)\n"
-                "    return [v for v in s]\n"
-                "\n"
-                "def quiet(items):\n"
-                "    s = set(items)\n"
-                "    return [v for v in s]  # lint: allow(DET004) ok\n",
-        }
-        facts = extract_module_facts("src/repro/s.py",
-                                     sources["src/repro/s.py"])
+        facts = extract_module_facts(
+            "src/repro/s.py",
+            "def order(items):\n"
+            "    s = set(items)\n"
+            "    return [v for v in s]\n"
+            "\n"
+            "def quiet(items):\n"
+            "    s = set(items)\n"
+            "    return [v for v in s]  # lint: allow(DET004) ok\n",
+        )
         findings = analyze_file(facts)
         record_set_escapes(facts, findings)
         assert [f.rule for f in findings] == ["DET004"]
