@@ -48,9 +48,10 @@ __all__ = [
 #: a constraint in practice.
 _CSR_TYPECODE = "q"
 
-#: below this edge count the per-edge Python build is faster than paying
-#: numpy's fixed costs — and it is also the differential oracle the
-#: vectorized path is pinned against in the tests.
+#: below this edge count the per-edge Python build and the BFS component
+#: count are faster than paying numpy's fixed costs — and they are also
+#: the differential oracles the vectorized paths are pinned against in
+#: the tests.
 _VECTOR_MIN_EDGES = 256
 
 
@@ -356,23 +357,54 @@ class Graph:
     # ------------------------------------------------------------------
     def is_tree(self) -> bool:
         """True iff the graph is connected and acyclic (n>=1)."""
-        if self._n == 0:
+        if self._n == 0 or self._m != self._n - 1:
             return False
-        if self._m != self._n - 1:
-            return False
-        return self.is_connected()
+        return self._component_count() == 1
 
     def is_forest(self) -> bool:
-        comps = self.connected_components()
-        return self._m == self._n - len(comps)
+        """True iff the graph is acyclic: ``m == n - #components``."""
+        if self._m >= max(self._n, 1):
+            return False
+        return self._m == self._n - self._component_count()
 
     def is_connected(self) -> bool:
-        if self._n == 0:
+        if self._n == 0 or self._m < self._n - 1:
             return False
-        reached = 0
-        for layer in self.bfs_layers([0]):
-            reached += len(layer)
-        return reached == self._n
+        return self._component_count() == 1
+
+    def _component_count(self) -> int:
+        """The number of connected components.
+
+        Below ``_VECTOR_MIN_EDGES`` edges it is the BFS count of
+        :meth:`connected_components`, the oracle.  Above, a numpy
+        hook-and-shortcut pass over the CSR edge list: ``parent`` points
+        every node at the smallest handle of its merged set, each pass
+        hooks every root to the smallest root across its edges and
+        shortcuts ``parent = parent[parent]`` to a fixed point, and an
+        edge whose endpoints share a root drops out for good.  Hooks
+        only go to smaller handles, so the pointers never form a cycle.
+        """
+        n = self._n
+        if self._m < _VECTOR_MIN_EDGES:
+            return len(self.connected_components())
+        indptr = _np.frombuffer(self._indptr, dtype=_np.int64)
+        indices = _np.frombuffer(self._indices, dtype=_np.int64)
+        src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(indptr))
+        once = src < indices
+        lo, hi = src[once], indices[once]
+        parent = _np.arange(n, dtype=_np.int64)
+        while lo.size:
+            _np.minimum.at(parent, hi, lo)
+            while True:
+                up = parent[parent]
+                if _np.array_equal(up, parent):
+                    break
+                parent = up
+            a, b = parent[lo], parent[hi]
+            split = a != b
+            a, b = a[split], b[split]
+            lo, hi = _np.minimum(a, b), _np.maximum(a, b)
+        return int(_np.count_nonzero(parent == _np.arange(n)))
 
     def connected_components(self) -> List[List[int]]:
         indptr, indices = self._indptr, self._indices

@@ -1,10 +1,16 @@
 """Tests for the graph substrate."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.families import FAMILIES, get_family
-from repro.local import Graph, balanced_tree, from_networkx, path_graph, star_graph, to_networkx
+from repro.local import (
+    Graph, balanced_tree, cycle_graph, from_networkx, path_graph,
+    star_graph, to_networkx,
+)
+from repro.local import graph as graph_module
 from repro.shm import SharedGraphPool, shared_graph, worker_attach_specs, worker_detach
 
 
@@ -128,6 +134,80 @@ class TestMaxDegree:
                 attached = shared_graph("max-degree")
                 assert attached.adjacency()[0].readonly
                 assert attached.max_degree() == _max_degree_per_node(g)
+            finally:
+                worker_detach()
+
+
+def _relabelled_path(order):
+    """The path visiting handles in ``order``."""
+    return Graph(len(order), list(zip(order, order[1:])))
+
+
+def _topology_corpus():
+    """Forests and graphs with cycles whose component count stresses the
+    hook-and-shortcut pass: handle orders that hook in long chains, a
+    star that hooks its centre last, isolated nodes."""
+    rng = random.Random(11)
+    graphs = [get_family(name).instance(n, 3)
+              for name in sorted(FAMILIES) for n in (1, 2, 9, 97, 300)]
+    for n in (2, 3, 40, 300):
+        order = list(range(n))
+        graphs.append(_relabelled_path(order[::-1]))
+        rng.shuffle(order)
+        graphs.append(_relabelled_path(order))
+        graphs.append(Graph(n, [(v, n - 1) for v in range(n - 1)]))
+    for n in (3, 4, 300):
+        graphs.append(cycle_graph(n))
+        order = list(range(n))
+        rng.shuffle(order)
+        graphs.append(Graph(n, list(zip(order, order[1:] + order[:1]))))
+    graphs.append(Graph(4, [(u, v) for u in range(4)
+                            for v in range(u + 1, 4)]))
+    # two paths, a cycle and isolated nodes, in interleaved handles
+    graphs.append(Graph(700, [(v, v + 3) for v in range(0, 600, 3)]
+                        + [(v, v + 3) for v in range(1, 300, 3)]
+                        + [(2, 5), (5, 8), (2, 8)]))
+    graphs.append(Graph(600, [(v, v + 2) for v in range(0, 580, 2)]))
+    graphs += [Graph(0, []), Graph(1, []), Graph(5, [])]
+    return graphs
+
+
+def _bfs_facts(g: Graph):
+    """``(is_forest, is_tree, is_connected)`` by their BFS definitions."""
+    components = len(g.connected_components())
+    connected = g.n > 0 and sum(map(len, g.bfs_layers([0]))) == g.n
+    return (g.m == g.n - components,
+            g.n > 0 and g.m == g.n - 1 and connected,
+            connected)
+
+
+class TestComponentCount:
+    """The numpy hook-and-shortcut count against the BFS count."""
+
+    def test_numpy_count_matches_bfs(self, monkeypatch):
+        graphs = _topology_corpus()
+        monkeypatch.setattr(graph_module, "_VECTOR_MIN_EDGES", 0)
+        for g in graphs:
+            assert g._component_count() == len(g.connected_components()), g
+
+    @pytest.mark.parametrize("threshold", [0, None])
+    def test_topology_facts_match_bfs(self, threshold, monkeypatch):
+        graphs = _topology_corpus()
+        if threshold is not None:
+            monkeypatch.setattr(graph_module, "_VECTOR_MIN_EDGES", threshold)
+        for g in graphs:
+            assert (g.is_forest(), g.is_tree(), g.is_connected()) == \
+                _bfs_facts(g), g
+
+    def test_shared_memory_attach(self):
+        g = get_family("random_tree").instance(500, 2)
+        with SharedGraphPool() as pool:
+            pool.publish("topology", g)
+            worker_attach_specs(pool.specs())
+            try:
+                attached = shared_graph("topology")
+                assert attached.is_tree() and attached.is_forest()
+                assert attached._component_count() == 1
             finally:
                 worker_detach()
 
