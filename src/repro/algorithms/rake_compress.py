@@ -15,6 +15,15 @@ Iteratively, for ``i = 1, 2, ...``:
 With ``gamma = 1`` the decomposition has ``O(log n)`` layers; with
 ``gamma ~ n^{1/k}`` it has ``k`` rake layers (Lemma 72) — both shapes are
 checked in tests and regenerated by bench E15.
+
+Every node's layer is recorded as one integer, its removal *step*:
+iteration ``i`` spans ``gamma + 1`` steps, so ``V^R_{i,j}`` is step
+``(i-1)(gamma+1) + j - 1`` and ``V^C_i`` is step ``(i-1)(gamma+1) +
+gamma``.  Steps order exactly like Definition 75's layers.  Both twins
+write the steps into one int64 array, one scatter per removed batch;
+the :class:`Layer` tags are then built once per distinct step and
+gathered per node, and :class:`RakeCompressLayering` commits each node
+at round ``step + 1``.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..local import vec
 from ..local.algorithm import CONTINUE, CommitSchedule, LocalAlgorithm, View
@@ -66,16 +77,45 @@ class Layer:
         return f"C({self.i})"
 
 
+def _layer_at(step: int, gamma: int) -> Layer:
+    """The layer removed at ``step``: the inverse of the step rule."""
+    i, j = divmod(step, gamma + 1)
+    return Layer.compress(i + 1) if j == gamma else Layer.rake(i + 1, j + 1)
+
+
+def _per_step(step: np.ndarray, make) -> List:
+    """``[make(s) for s in step]`` with one ``make`` call per distinct
+    step: a table over the steps present, then one gather."""
+    if step.size == 0:
+        return []
+    present = np.flatnonzero(np.bincount(step))
+    table = np.empty(int(present[-1]) + 1, dtype=object)
+    table[present] = [make(s) for s in present.tolist()]
+    return table[step].tolist()
+
+
 @dataclass
 class Decomposition:
-    """Result of rake-and-compress: per-node layers and structure."""
+    """Result of rake-and-compress: per-node layers and structure.
+
+    ``step`` holds every node's removal step as a read-only int64 array
+    (``R(i,j)`` is ``(i-1)(gamma+1) + j - 1``, ``C(i)`` is
+    ``(i-1)(gamma+1) + gamma``); ``layer_of`` is built from it once,
+    one :class:`Layer` per distinct step.
+    """
 
     graph: Graph
     gamma: int
     ell: int
-    layer_of: List[Layer]
+    step: np.ndarray = field(compare=False)
     compress_paths: Dict[int, List[List[int]]]  # i -> list of paths (in order)
     num_iterations: int
+    layer_of: List[Layer] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.step.flags.writeable = False
+        self.layer_of = _per_step(self.step,
+                                  lambda s: _layer_at(s, self.gamma))
 
     def rake_layer_count(self) -> int:
         return self.num_iterations
@@ -144,7 +184,6 @@ def _rake_compress_np(
     then scatter-decrementing surviving neighbours leaves every *read*
     degree identical to the sequential removal order.
     """
-    np = vec.np
     n = graph.n
     budget = max_iterations if max_iterations is not None else n + 2
     indptr, indices = vec.csr_arrays(graph)
@@ -155,26 +194,26 @@ def _rake_compress_np(
         pinned_mask[pinned_list] = True
     deg = (indptr[1:] - indptr[:-1]) + pinned_mask
     alive = np.ones(n, dtype=bool)
-    layer_of: List[Optional[Layer]] = [None] * n
+    step = np.empty(n, dtype=np.int64)
     compress_paths: Dict[int, List[List[int]]] = {}
     remaining = n
 
-    def batch_remove(nodes_list: List[int], nodes_arr, layer: Layer) -> None:
+    def batch_remove(nodes, s: int) -> None:
         nonlocal remaining
-        alive[nodes_arr] = False
-        for v in nodes_list:
-            layer_of[v] = layer
-        _src, nbr = vec.expand_segments(indptr, indices, nodes_arr)
+        alive[nodes] = False
+        step[nodes] = s
+        _src, nbr = vec.expand_segments(indptr, indices, nodes)
         targets = nbr[alive[nbr]]
         if targets.size:
             np.subtract.at(deg, targets, 1)
-        remaining -= len(nodes_list)
+        remaining -= nodes.size
 
     i = 0
     while remaining > 0:
         i += 1
         if i > budget:
             raise RuntimeError("rake-and-compress exceeded its iteration budget")
+        base = (i - 1) * (gamma + 1)
         # ---- gamma rake sublayers --------------------------------------
         for j in range(1, gamma + 1):
             low = alive & (deg <= 1)
@@ -186,8 +225,7 @@ def _rake_compress_np(
                 if pair.any():
                     chosen = low.copy()
                     chosen[np.maximum(src[pair], nbr[pair])] = False
-                nodes = np.nonzero(chosen)[0]
-                batch_remove(nodes.tolist(), nodes, Layer.rake(i, j))
+                batch_remove(np.nonzero(chosen)[0], base + j - 1)
             if remaining == 0:
                 break
         if remaining == 0:
@@ -204,11 +242,9 @@ def _rake_compress_np(
             promoted.extend(seps)
         if paths_here:
             flat = [v for path in paths_here for v in path]
-            batch_remove(flat, np.array(flat, dtype=np.int64), Layer.compress(i))
+            batch_remove(np.array(flat, dtype=np.int64), base + gamma)
         if promoted:
-            batch_remove(
-                promoted, np.array(promoted, dtype=np.int64), Layer.rake(i + 1, 1)
-            )
+            batch_remove(np.array(promoted, dtype=np.int64), base + gamma + 1)
         if paths_here:
             compress_paths[i] = paths_here
         if not paths_here and not promoted and not bool((alive & (deg <= 1)).any()):
@@ -220,7 +256,7 @@ def _rake_compress_np(
         graph=graph,
         gamma=gamma,
         ell=ell,
-        layer_of=[layer for layer in layer_of],  # type: ignore[misc]
+        step=step,
         compress_paths=compress_paths,
         num_iterations=i,
     )
@@ -241,24 +277,26 @@ def _rake_compress_py(
     deg = [
         graph.degree(v) + (1 if v in pinned_set else 0) for v in graph.nodes()
     ]
-    layer_of: List[Optional[Layer]] = [None] * n
+    step = np.empty(n, dtype=np.int64)
     compress_paths: Dict[int, List[List[int]]] = {}
     remaining = n
 
-    def remove(v: int, layer: Layer) -> None:
+    def remove(nodes: List[int], s: int) -> None:
         nonlocal remaining
-        alive[v] = False
-        layer_of[v] = layer
-        remaining -= 1
-        for w in graph.neighbors(v):
-            if alive[w]:
-                deg[w] -= 1
+        for v in nodes:
+            alive[v] = False
+            remaining -= 1
+            for w in graph.neighbors(v):
+                if alive[w]:
+                    deg[w] -= 1
+        step[nodes] = s
 
     i = 0
     while remaining > 0:
         i += 1
         if i > budget:
             raise RuntimeError("rake-and-compress exceeded its iteration budget")
+        base = (i - 1) * (gamma + 1)
         # ---- gamma rake sublayers --------------------------------------
         for j in range(1, gamma + 1):
             low = [v for v in range(n) if alive[v] and deg[v] <= 1]
@@ -271,8 +309,7 @@ def _rake_compress_py(
                 for w in graph.neighbors(v):
                     if w in chosen and w > v:
                         chosen.discard(w)
-            for v in sorted(chosen):
-                remove(v, Layer.rake(i, j))
+            remove(sorted(chosen), base + j - 1)
             if remaining == 0:
                 break
         if remaining == 0:
@@ -287,11 +324,8 @@ def _rake_compress_py(
             chunks, seps = _split_run(run, ell)
             paths_here.extend(chunks)
             promoted.extend(seps)
-        for path in paths_here:
-            for v in path:
-                remove(v, Layer.compress(i))
-        for v in promoted:
-            remove(v, Layer.rake(i + 1, 1))
+        remove([v for path in paths_here for v in path], base + gamma)
+        remove(promoted, base + gamma + 1)
         if paths_here:
             compress_paths[i] = paths_here
         if not paths_here and not promoted and not _any_low_degree(alive, deg, n):
@@ -303,7 +337,7 @@ def _rake_compress_py(
         graph=graph,
         gamma=gamma,
         ell=ell,
-        layer_of=[layer for layer in layer_of],  # type: ignore[misc]
+        step=step,
         compress_paths=compress_paths,
         num_iterations=i,
     )
@@ -413,9 +447,9 @@ class RakeCompressLayering(LocalAlgorithm):
     The decomposition is an inherently local peeling process: one global
     step (a rake sublayer or a compress step) per synchronous round, and a
     node commits the moment its (sub)layer is removed — ``T_v`` is the
-    removal step, output the ``repr`` of its :class:`Layer` tag.  First
-    removals land at round 1 (a node needs one exchange to learn its
-    neighbours' degrees).  This gives the engines a staggered-commit
+    removal step plus one, output the ``repr`` of its :class:`Layer` tag.
+    First removals land at round 1 (a node needs one exchange to learn
+    its neighbours' degrees).  This gives the engines a staggered-commit
     workload whose commit rounds span the whole execution, unlike the
     all-at-once schedules of Cole–Vishkin or Algorithm A.
 
@@ -433,7 +467,7 @@ class RakeCompressLayering(LocalAlgorithm):
             raise ValueError("gamma and ell must be >= 1")
         self.gamma = gamma
         self.ell = ell
-        self._schedule: Optional[Tuple[List[int], List[str]]] = None
+        self._schedule: Optional[Tuple[np.ndarray, List[str]]] = None
         self._due: Optional[CommitSchedule] = None
         self._schedule_graph: Optional[Graph] = None
 
@@ -446,25 +480,12 @@ class RakeCompressLayering(LocalAlgorithm):
             self._due = None
             self._schedule_graph = graph
 
-    def _rounds(self, graph: Graph) -> Tuple[List[int], List[str]]:
+    def _rounds(self, graph: Graph) -> Tuple[np.ndarray, List[str]]:
         if self._schedule is None:
             dec = rake_compress(graph, self.gamma, self.ell)
-            width = self.gamma + 1  # rounds per iteration: gamma rakes + 1 compress
-            rounds: List[int] = []
-            labels: List[str] = []
-            cache: Dict[Layer, Tuple[int, str]] = {}
-            for layer in dec.layer_of:
-                entry = cache.get(layer)
-                if entry is None:
-                    if layer.kind == "R":
-                        step = (layer.i - 1) * width + (layer.j - 1)
-                    else:
-                        step = (layer.i - 1) * width + self.gamma
-                    entry = (step + 1, repr(layer))
-                    cache[layer] = entry
-                rounds.append(entry[0])
-                labels.append(entry[1])
-            self._schedule = (rounds, labels)
+            gamma = self.gamma
+            labels = _per_step(dec.step, lambda s: repr(_layer_at(s, gamma)))
+            self._schedule = (dec.step + 1, labels)
         return self._schedule
 
     def decide(self, view: View, n: int):

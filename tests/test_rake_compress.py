@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.rake_compress import (
     Layer,
+    RakeCompressLayering,
     gamma_for_k_layers,
     rake_compress,
     validate_decomposition,
 )
 from repro.constructions import build_lower_bound_graph, caterpillar, random_tree
+from repro.families import get_family
 from repro.local import Graph, balanced_tree, path_graph
 
 
@@ -111,3 +113,46 @@ class TestSplitRun:
             assert sum(len(c) for c in chunks) + len(seps) == m
             # separators are interior nodes
             assert 0 not in seps and m - 1 not in seps
+
+
+def _step_rule(layer: Layer, gamma: int) -> int:
+    """R(i,j) -> (i-1)(gamma+1) + j - 1, C(i) -> (i-1)(gamma+1) + gamma."""
+    base = (layer.i - 1) * (gamma + 1)
+    return base + layer.j - 1 if layer.kind == "R" else base + gamma
+
+
+def _per_layer_schedule(dec, gamma: int):
+    """The layering's schedule as a loop over ``layer_of``: the form the
+    step array replaced."""
+    return ([_step_rule(layer, gamma) + 1 for layer in dec.layer_of],
+            [repr(layer) for layer in dec.layer_of])
+
+
+class TestStepEncoding:
+    @pytest.mark.parametrize("gamma,ell", [(1, 2), (2, 2), (3, 4)])
+    def test_step_layer_and_schedule_agree(self, gamma, ell):
+        # sizes on both sides of vec.VEC_MIN_NODES: both twins
+        for family in ("path", "random_tree", "caterpillar", "spider",
+                       "fragmented_forest"):
+            for n in (1, 2, 30, 600):
+                g = get_family(family).instance(n, 5, 0)
+                dec = rake_compress(g, gamma, ell)
+                assert dec.step.dtype.name == "int64"
+                assert not dec.step.flags.writeable
+                assert dec.step.tolist() == [
+                    _step_rule(layer, gamma) for layer in dec.layer_of]
+                algorithm = RakeCompressLayering(gamma, ell)
+                algorithm.setup(g, g.n)
+                rounds, labels = algorithm._rounds(g)
+                assert (rounds.tolist(), labels) == \
+                    _per_layer_schedule(dec, gamma), (family, n)
+
+    def test_steps_order_like_layers(self):
+        dec = rake_compress(path_graph(300), 2, 3)
+        for u in range(0, 300, 7):
+            for v in range(0, 300, 11):
+                assert (dec.step[u] > dec.step[v]) == dec.is_higher(u, v)
+
+    def test_empty_forest(self):
+        dec = rake_compress(Graph(0, []), 1, 2)
+        assert dec.layer_of == [] and dec.step.size == 0

@@ -161,6 +161,7 @@ class TestRakeCompressParity:
                 a, b = both_paths(monkeypatch, lambda: rake_compress(
                     g, gamma, ell, pinned=pinned))
                 assert a.layer_of == b.layer_of, (family, n)
+                assert a.step.tolist() == b.step.tolist(), (family, n)
                 assert a.compress_paths == b.compress_paths, (family, n)
                 assert a.num_iterations == b.num_iterations, (family, n)
                 assert validate_decomposition(a) == []
