@@ -133,7 +133,8 @@ def prufer_decode(seq: Sequence[int]) -> Graph:
     once, so each step joins the *smallest* current leaf to ``seq[i]``
     and the last edge joins the final leaf to ``n - 1`` — the same edges
     in the same order as the textbook min-heap decode, hence the same
-    CSR layout.
+    CSR layout.  The decode of an in-range sequence is a tree by
+    construction, so the range check is the only validation.
     """
     code = np.asarray(seq, dtype=np.int64)
     n = code.size + 2
@@ -155,7 +156,8 @@ def prufer_decode(seq: Sequence[int]) -> Graph:
                 ptr += 1
             leaf = ptr
     leaves.append(leaf)
-    return Graph.from_arrays(n, leaves, np.append(code, n - 1))
+    return Graph.from_arrays(n, leaves, np.append(code, n - 1),
+                             validate=False)
 
 
 def prufer_tree(n: int, rng: random.Random) -> Graph:

@@ -165,6 +165,25 @@ class TestGenerators:
         assert prufer_decode(seq).adjacency() == \
             _heap_decode(seq.tolist()).adjacency()
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_prufer_decode_skips_only_a_redundant_edge_scan(self, n,
+                                                            monkeypatch):
+        # the decode builds its CSR unvalidated; the validated build of
+        # the same endpoint arrays must accept them and agree
+        rng = random.Random(n)
+        seqs = [prufer_sequence(n, rng) for _ in range(3)]
+        seqs += [[0] * (n - 2), [n - 1] * (n - 2)]
+        fast = [prufer_decode(seq) for seq in seqs]
+        build = Graph.from_arrays
+
+        def validated(nodes, edge_u, edge_v, inputs=None, validate=True):
+            return build(nodes, edge_u, edge_v, inputs, validate=True)
+
+        monkeypatch.setattr(Graph, "from_arrays", validated)
+        for seq, graph in zip(seqs, fast):
+            assert graph.adjacency() == prufer_decode(seq).adjacency()
+            assert graph.is_tree()
+
     def test_prufer_decode_edge_cases(self):
         assert list(prufer_decode([]).edges()) == [(0, 1)]
         # a star's sequence repeats its centre; a path's walks its spine
