@@ -94,6 +94,10 @@ class ModuleContext:
     * ``suppressions`` — the module's ``# lint: allow`` comments.
     * ``sites`` — the fact extractor's ``(line, col, rule, message)``
       sites of the :class:`SiteRule` patterns.
+    * ``source_reads`` — ``id`` of each ``Name``/``Attribute`` node the
+      extractor found reading a clock, entropy or identity source, to
+      its dotted path; a parameter, local or comprehension target that
+      rebinds the root name is not a read.
     """
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
@@ -105,6 +109,7 @@ class ModuleContext:
             tree, self.module, path.endswith("__init__.py"))
         self.suppressions = Suppressions(source)
         self.sites: List[RawFinding] = []
+        self.source_reads: Dict[int, str] = {}
         self._module_names: Set[str] = set()
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
         for stmt in tree.body:

@@ -220,39 +220,47 @@ def _is_false(node: ast.expr) -> bool:
     return isinstance(node, ast.Constant) and node.value is False
 
 
-def adjacency_unpack(node: ast.Assign) -> Optional[Tuple[str, List[str]]]:
-    """``(g, names)`` for ``names = g.adjacency()`` (tuple targets
-    unpack), else ``None``."""
+def adjacency_unpack(node: ast.Assign,
+                     ) -> Optional[Tuple[ast.expr, List[str]]]:
+    """``(receiver, names)`` for ``names = receiver.adjacency()`` (tuple
+    targets unpack), else ``None``."""
     value = node.value
     if not (isinstance(value, ast.Call)
             and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "adjacency"
-            and isinstance(value.func.value, ast.Name)):
+            and value.func.attr == "adjacency"):
         return None
     names: List[str] = []
     for target in node.targets:
         elts = (target.elts if isinstance(target, (ast.Tuple, ast.List))
                 else [target])
         names.extend(t.id for t in elts if isinstance(t, ast.Name))
-    return value.func.value.id, names
+    return value.func.value, names
+
+
+def _is_attach_call(node: ast.expr) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else (
+        func.attr if isinstance(func, ast.Attribute) else None)
+    return name in ATTACH_CALLS
 
 
 def attach_binding(node: ast.Assign, attached) -> Tuple[str, List[str]]:
     """What an assignment binds to attached shared memory: ``("graphs",
     names)`` for the name targets of an attach call, ``("arrays",
     names)`` for the arrays unpacked from ``g.adjacency()`` of a graph
-    ``attached(g)`` holds, else ``("", [])``."""
-    value = node.value
-    if isinstance(value, ast.Call):
-        func = value.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if name in ATTACH_CALLS:
-            return "graphs", [t.id for t in node.targets
-                              if isinstance(t, ast.Name)]
+    ``attached(g)`` holds or straight from ``<attach call>.adjacency()``,
+    else ``("", [])``."""
+    if _is_attach_call(node.value):
+        return "graphs", [t.id for t in node.targets
+                          if isinstance(t, ast.Name)]
     unpack = adjacency_unpack(node)
-    if unpack is not None and attached(unpack[0]):
-        return "arrays", unpack[1]
+    if unpack is not None:
+        receiver, names = unpack
+        if _is_attach_call(receiver) or (
+                isinstance(receiver, ast.Name) and attached(receiver.id)):
+            return "arrays", names
     return "", []
 
 

@@ -172,7 +172,9 @@ class WallClockRule(SiteRule):
     runs.  The only sanctioned reader is ``benchmarks/harness.py`` (the
     ``timed`` helper), which the severity config exempts.  The fact
     extractor records one site per attribute chain or imported name in
-    :data:`CLOCK_SOURCES`.
+    :data:`CLOCK_SOURCES`, resolving its root name per scope: a
+    parameter, local or comprehension target that rebinds the imported
+    name is not a clock read.
     """
 
     id = "DET003"

@@ -18,6 +18,7 @@ from ..core import ProjectRule, Rule
 from .determinism import CLOCK_SOURCES
 
 __all__ = [
+    "ENVIRONMENT_SOURCES",
     "is_store_put",
     "store_receiver",
     "StorePayloadPurityRule",
@@ -36,6 +37,10 @@ _IDENTITY_SOURCES = {
     "os.uname", "os.getlogin", "os.getpid", "os.getppid",
     "getpass.getuser",
 }
+
+#: what STORE001 keeps out of writer scopes: DET003's clock/entropy set
+#: plus the identity sources
+ENVIRONMENT_SOURCES = CLOCK_SOURCES | _IDENTITY_SOURCES
 
 
 def store_receiver(node: ast.expr) -> bool:
@@ -65,15 +70,15 @@ class StorePayloadPurityRule(Rule):
     they make persisted bytes depend on when/where the writer ran, and
     a warm store read will no longer byte-match a cold recompute.  Take
     timestamps *outside* the writer scope (or keep them out of persisted
-    payloads entirely, like the sweep's ``cache`` channel).
+    payloads entirely, like the sweep's ``cache`` channel).  The sources
+    are the reads the fact extractor resolved (``ctx.source_reads``), so
+    a local rebinding of a source's name is not a read, as for DET003.
     """
 
     id = "STORE001"
     summary = ("store/artifact writer scope reads wall-clock, entropy or "
                "host identity; persisted payloads must be pure functions "
                "of their keys")
-
-    _SOURCES = CLOCK_SOURCES | _IDENTITY_SOURCES
 
     # -- scope handling -------------------------------------------------
     def visit_Module(self, node: ast.Module) -> None:
@@ -96,7 +101,7 @@ class StorePayloadPurityRule(Rule):
                 continue  # separate scope
             if isinstance(node, ast.Call) and self._is_writer(node):
                 writes = True
-            qual = self._source_qual(node)
+            qual = self.ctx.source_reads.get(id(node))
             if qual is not None:
                 sources.append((node, qual))
                 continue  # one report per attribute chain
@@ -111,7 +116,7 @@ class StorePayloadPurityRule(Rule):
                     "read out, or keep it out of the payload",
                 )
 
-    # -- writers and sources --------------------------------------------
+    # -- writers ---------------------------------------------------------
     @staticmethod
     def _is_writer(node: ast.Call) -> bool:
         func = node.func
@@ -120,17 +125,6 @@ class StorePayloadPurityRule(Rule):
         if isinstance(func, ast.Attribute) and func.attr in _WRITER_NAMES:
             return True
         return is_store_put(node)
-
-    def _source_qual(self, node: ast.AST):
-        if isinstance(node, ast.Attribute):
-            qual = self.ctx.qualname(node)
-            if qual in self._SOURCES:
-                return qual
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            qual = self.ctx.imports.get(node.id)
-            if qual in self._SOURCES:
-                return qual
-        return None
 
 
 class StoreKeyCompletenessRule(ProjectRule):

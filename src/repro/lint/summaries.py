@@ -66,7 +66,7 @@ from .rules.contracts import (
     unsealed,
 )
 from .rules.determinism import CLOCK_SOURCES, clock_message, unseeded_entropy
-from .rules.store import is_store_put, store_receiver
+from .rules.store import ENVIRONMENT_SOURCES, is_store_put, store_receiver
 
 __all__ = [
     "extract_module_facts",
@@ -87,6 +87,8 @@ STORE_KEY_FLOW = "STORE002"
 _DIGEST_NAMES = {"stable_digest", "stable_seed"}
 _ENTRY_NAMES = {"decide", "decide_batch"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                   ast.DictComp)
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +196,14 @@ def _params(node: ast.AST) -> Tuple[str, ...]:
                                  + args.kwonlyargs))
 
 
+def _scope_params(node: ast.AST) -> Tuple[str, ...]:
+    """Every name a ``def`` or ``lambda`` binds as a parameter, ``*args``
+    and ``**kwargs`` included."""
+    args = node.args
+    return _params(node) + tuple(
+        a.arg for a in (args.vararg, args.kwarg) if a is not None)
+
+
 def _root_name(node: ast.AST) -> Optional[str]:
     """The name under an ``a.b[i].c`` chain, if there is one."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -229,11 +239,13 @@ def _bound_names(body: Sequence[ast.stmt]) -> Set[str]:
 
 
 class _Scope:
-    """One lexical scope's attached graphs and arrays (SHM001).
+    """One lexical scope (module, class, def, lambda or comprehension)
+    and its attached graphs and arrays (SHM001).
 
-    A name resolves in the innermost scope binding it — a parameter or
-    a local assignment shadows an attached name of an enclosing scope —
-    and function bodies skip enclosing class scopes, as Python does.
+    A name resolves in the innermost scope binding it — a parameter, a
+    local assignment or a comprehension target shadows an attached name,
+    or a clock import (DET003, STORE001), of an enclosing scope — and
+    function bodies skip enclosing class scopes, as Python does.
     """
 
     def __init__(self, parent: Optional["_Scope"], kind: str,
@@ -429,10 +441,7 @@ class _Extractor:
             self._visit(header, units, views, scope)
         if node.returns is not None:
             self._visit(node.returns, units, views, scope)
-        args = node.args
-        params = _params(node) + tuple(
-            a.arg for a in (args.vararg, args.kwarg) if a is not None)
-        inner = _Scope(scope, "function", node.body, params)
+        inner = _Scope(scope, "function", node.body, _scope_params(node))
         if stated is None:
             for stmt in node.body:
                 self._visit(stmt, (), views, inner)
@@ -479,7 +488,7 @@ class _Extractor:
                 self._site(units, "SHM001", node, SETFLAGS_MESSAGE,
                            f"{root}.setflags(write=True)", root)
         elif isinstance(node, ast.Attribute):
-            qual = self.ctx.qualname(node)
+            qual = self._source(node, self.ctx.qualname(node), scope)
             if qual in CLOCK_SOURCES:
                 # one site per chain: its parts are plain names
                 self._site(units, "DET003", node, clock_message(qual, True),
@@ -489,10 +498,11 @@ class _Extractor:
             if name is not None:
                 self._private(node, name, units, views)
         elif isinstance(node, ast.Name):
-            qual = self.imports.get(node.id)
-            if qual in CLOCK_SOURCES and isinstance(node.ctx, ast.Load):
-                self._site(units, "DET003", node, clock_message(qual, False),
-                           qual)
+            if isinstance(node.ctx, ast.Load):
+                qual = self._source(node, self.imports.get(node.id), scope)
+                if qual in CLOCK_SOURCES:
+                    self._site(units, "DET003", node,
+                               clock_message(qual, False), qual)
         elif isinstance(node, ast.Assign):
             self._assign(node, units, scope)
         elif isinstance(node, ast.AugAssign):
@@ -500,11 +510,43 @@ class _Extractor:
         elif isinstance(node, ast.Lambda):
             self._visit(node.args, units, views, scope)
             named = self._lambdas.get(id(node))
+            inner = _Scope(scope, "function", (node.body,),
+                           _scope_params(node))
             self._visit(node.body, units if named is None
-                        else units + (named,), views, scope)
+                        else units + (named,), views, inner)
+            return
+        elif isinstance(node, _COMPREHENSIONS):
+            self._comprehension(node, units, views, scope)
             return
         for child in ast.iter_child_nodes(node):
             self._visit(child, units, views, scope)
+
+    def _comprehension(self, node: ast.AST, units: Tuple[_Unit, ...],
+                       views: FrozenSet[str], scope: _Scope) -> None:
+        """A comprehension's targets bind in a scope of its own; its
+        first iterable is evaluated in the enclosing scope."""
+        inner = _Scope(scope, "comprehension",
+                       [gen.target for gen in node.generators], ())
+        first = node.generators[0].iter
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.comprehension):
+                for part in ast.iter_child_nodes(child):
+                    self._visit(part, units, views,
+                                scope if part is first else inner)
+            else:
+                self._visit(child, units, views, inner)
+
+    def _source(self, node: ast.expr, qual: Optional[str],
+                scope: _Scope) -> Optional[str]:
+        """``qual`` if ``node`` reads an environment source (a clock,
+        entropy or identity import whose root name no enclosing def,
+        lambda, comprehension or class rebinds), recorded for STORE001;
+        else ``None``."""
+        if qual not in ENVIRONMENT_SOURCES or \
+                scope.owner(_root_name(node)).parent is not None:
+            return None
+        self.ctx.source_reads[id(node)] = qual
+        return qual
 
     # -- site recorders --------------------------------------------------
     def _site(self, units: Tuple[_Unit, ...], rule: str, node: ast.AST,
@@ -560,10 +602,11 @@ class _Extractor:
             for name in attach_binding(node, attached.__contains__)[1]:
                 attached.setdefault(name, node.lineno)
             unpack = adjacency_unpack(node)
-            if unpack is not None and unpack[0] in unit.params \
-                    and unpack[0] != "self":
-                for name in unpack[1]:
-                    unit.adjacency_of.setdefault(name, unpack[0])
+            if unpack is not None and isinstance(unpack[0], ast.Name):
+                param = unpack[0].id
+                if param in unit.params and param != "self":
+                    for name in unpack[1]:
+                        unit.adjacency_of.setdefault(name, param)
 
     def _store(self, target: ast.AST, units: Tuple[_Unit, ...],
                scope: _Scope) -> None:

@@ -151,6 +151,31 @@ class TestDET003WallClock:
     def test_sleep_is_not_a_clock(self):
         assert rule_ids("import time\ntime.sleep(1)\n") == []
 
+    def test_parameter_rebinding_the_clock_name_is_clean(self):
+        src = ("from time import time\n"
+               "def b(time):\n"
+               "    return time.time()\n")
+        assert rule_ids(src) == []
+
+    def test_comprehension_target_rebinding_the_clock_name_is_clean(self):
+        assert rule_ids("from time import time\n"
+                        "x = [time() for time in range(3)]\n") == []
+
+    def test_local_rebinding_is_clean_and_module_read_fires(self):
+        src = ("from time import time\n"
+               "def f():\n"
+               "    time = object\n"
+               "    return time()\n"
+               "g = lambda time: time()\n"
+               "t = time()\n")
+        findings = analyze_source(src, SRC)
+        assert [(f.rule, f.line) for f in findings] == [("DET003", 6)]
+
+    def test_comprehension_first_iterable_reads_the_enclosing_scope(self):
+        src = ("from time import time\n"
+               "x = [time for time in time()]\n")
+        assert rule_ids(src) == ["DET003"]
+
 
 class TestDET004SetIteration:
     def test_for_loop_with_append_fires(self):
@@ -348,6 +373,14 @@ class TestSHM001SharedGraphWrite:
         findings = analyze_source(src, SRC)
         assert [(f.rule, f.line) for f in findings] == [("SHM001", 5)]
 
+    def test_store_into_a_direct_attach_unpack_fires(self):
+        src = ("from repro.shm import shared_graph\n"
+               "def f(key):\n"
+               "    indptr, indices = shared_graph(key).adjacency()\n"
+               "    indptr[0] = 1\n")
+        findings = analyze_source(src, SRC)
+        assert [(f.rule, f.line) for f in findings] == [("SHM001", 4)]
+
     def test_local_graph_stores_are_untracked(self):
         src = ("def f(graph):\n"
                "    indptr, indices = graph.adjacency()\n"
@@ -386,6 +419,13 @@ class TestSTORE001StorePayloadPurity:
                "def save(path):\n"
                "    atomic_write_text(path, str(time()))\n")
         assert rule_ids(src) == ["DET003", "STORE001"]
+
+    def test_parameter_rebinding_the_clock_name_is_clean(self):
+        src = ("from time import time\n"
+               "from repro.store import atomic_write_text\n"
+               "def save(path, time):\n"
+               "    atomic_write_text(path, str(time()))\n")
+        assert rule_ids(src) == []
 
     def test_pure_writer_is_clean(self):
         src = ("from repro.store import atomic_write_json\n"
@@ -767,6 +807,12 @@ GOLDEN_SOURCES = {
         "\n"
         "def unseal(arr):\n"
         "    arr.setflags(write=True)\n"
+        "\n"
+        "\n"
+        "def direct(key):\n"
+        "    indptr, indices = shared_graph(key).adjacency()\n"
+        "    indptr[0] = 1\n"
+        "    scrub(indices)\n"
     ),
     "src/repro/shm_swapped.py": (
         "import numpy as np\n"

@@ -239,6 +239,21 @@ class TestTransitiveSharedWrite:
         }
         assert "IPD003" in rules_on(sources, "src/repro/w.py")
 
+    def test_arrays_unpacked_straight_from_an_attach_call(self):
+        sources = {
+            "src/repro/w.py":
+                "from repro.shm import shared_graph\n"
+                "from .kern import scrub\n"
+                "\n"
+                "def worker(task):\n"
+                "    indptr, indices = shared_graph(task).adjacency()\n"
+                "    scrub(indices)\n",
+            "src/repro/kern.py":
+                "def scrub(g):\n"
+                "    g[0] = 0\n",
+        }
+        assert rules_on(sources, "src/repro/w.py") == ["IPD003"]
+
 
 # ----------------------------------------------------------------------
 # STORE002: payload values missing from the digest key
