@@ -48,10 +48,9 @@ __all__ = [
 #: a constraint in practice.
 _CSR_TYPECODE = "q"
 
-#: below this edge count the per-edge Python build and the BFS component
-#: count are faster than paying numpy's fixed costs — and they are also
-#: the differential oracles the vectorized paths are pinned against in
-#: the tests.
+#: below this edge count the per-edge Python build is faster than paying
+#: numpy's fixed costs — and it is also the differential oracle the
+#: vectorized path is pinned against in the tests.
 _VECTOR_MIN_EDGES = 256
 
 
@@ -373,20 +372,17 @@ class Graph:
         return self._component_count() == 1
 
     def _component_count(self) -> int:
-        """The number of connected components.
+        """The number of connected components, by a numpy
+        hook-and-shortcut pass over the CSR edge list.
 
-        Below ``_VECTOR_MIN_EDGES`` edges it is the BFS count of
-        :meth:`connected_components`, the oracle.  Above, a numpy
-        hook-and-shortcut pass over the CSR edge list: ``parent`` points
-        every node at the smallest handle of its merged set, each pass
-        hooks every root to the smallest root across its edges and
-        shortcuts ``parent = parent[parent]`` to a fixed point, and an
-        edge whose endpoints share a root drops out for good.  Hooks
-        only go to smaller handles, so the pointers never form a cycle.
+        ``parent`` points every node at the smallest handle of its merged
+        set: each pass hooks every root to the smallest root across its
+        edges and shortcuts ``parent = parent[parent]`` to a fixed point,
+        and an edge whose endpoints share a root drops out for good.
+        Hooks only go to smaller handles, so the pointers never form a
+        cycle.  :meth:`connected_components` is the BFS oracle.
         """
         n = self._n
-        if self._m < _VECTOR_MIN_EDGES:
-            return len(self.connected_components())
         indptr = _np.frombuffer(self._indptr, dtype=_np.int64)
         indices = _np.frombuffer(self._indices, dtype=_np.int64)
         src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(indptr))

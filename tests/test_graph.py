@@ -10,7 +10,6 @@ from repro.local import (
     Graph, balanced_tree, cycle_graph, from_networkx, path_graph,
     star_graph, to_networkx,
 )
-from repro.local import graph as graph_module
 from repro.shm import SharedGraphPool, shared_graph, worker_attach_specs, worker_detach
 
 
@@ -184,30 +183,29 @@ def _bfs_facts(g: Graph):
 class TestComponentCount:
     """The numpy hook-and-shortcut count against the BFS count."""
 
-    def test_numpy_count_matches_bfs(self, monkeypatch):
-        graphs = _topology_corpus()
-        monkeypatch.setattr(graph_module, "_VECTOR_MIN_EDGES", 0)
-        for g in graphs:
+    def test_numpy_count_matches_bfs(self):
+        for g in _topology_corpus():
             assert g._component_count() == len(g.connected_components()), g
 
-    @pytest.mark.parametrize("threshold", [0, None])
-    def test_topology_facts_match_bfs(self, threshold, monkeypatch):
-        graphs = _topology_corpus()
-        if threshold is not None:
-            monkeypatch.setattr(graph_module, "_VECTOR_MIN_EDGES", threshold)
-        for g in graphs:
+    def test_topology_facts_match_bfs(self):
+        for g in _topology_corpus():
             assert (g.is_forest(), g.is_tree(), g.is_connected()) == \
                 _bfs_facts(g), g
 
     def test_shared_memory_attach(self):
-        g = get_family("random_tree").instance(500, 2)
+        graphs = {"tree": get_family("random_tree").instance(500, 2),
+                  "edgeless": Graph(5, []), "triangle": cycle_graph(3)}
         with SharedGraphPool() as pool:
-            pool.publish("topology", g)
+            for key, g in graphs.items():
+                pool.publish(key, g)
             worker_attach_specs(pool.specs())
             try:
-                attached = shared_graph("topology")
-                assert attached.is_tree() and attached.is_forest()
-                assert attached._component_count() == 1
+                for key, g in graphs.items():
+                    attached = shared_graph(key)
+                    assert attached._component_count() == \
+                        len(g.connected_components()), key
+                    assert (attached.is_forest(), attached.is_tree(),
+                            attached.is_connected()) == _bfs_facts(g), key
             finally:
                 worker_detach()
 
