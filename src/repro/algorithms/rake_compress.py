@@ -20,16 +20,18 @@ Every node's layer is recorded as one integer, its removal *step*:
 iteration ``i`` spans ``gamma + 1`` steps, so ``V^R_{i,j}`` is step
 ``(i-1)(gamma+1) + j - 1`` and ``V^C_i`` is step ``(i-1)(gamma+1) +
 gamma``.  Steps order exactly like Definition 75's layers.  Both twins
-write the steps into one int64 array, one scatter per removed batch;
-the :class:`Layer` tags are then built once per distinct step and
-gathered per node, and :class:`RakeCompressLayering` commits each node
-at round ``step + 1``.
+write the steps into one int64 array, one scatter per removed batch
+(a node never removed would keep ``-1``, which every gather rejects);
+:attr:`Decomposition.layer_of` builds the :class:`Layer` tags on first
+use, once per distinct step, and :class:`RakeCompressLayering` commits
+each node at round ``step + 1``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,28 +96,31 @@ def _per_step(step: np.ndarray, make) -> List:
     return table[step].tolist()
 
 
-@dataclass
+@dataclass(eq=False)
 class Decomposition:
     """Result of rake-and-compress: per-node layers and structure.
 
     ``step`` holds every node's removal step as a read-only int64 array
     (``R(i,j)`` is ``(i-1)(gamma+1) + j - 1``, ``C(i)`` is
-    ``(i-1)(gamma+1) + gamma``); ``layer_of`` is built from it once,
-    one :class:`Layer` per distinct step.
+    ``(i-1)(gamma+1) + gamma``), the one record of the layers;
+    ``layer_of`` is derived from it on first use.  Decompositions
+    compare by identity.
     """
 
     graph: Graph
     gamma: int
     ell: int
-    step: np.ndarray = field(compare=False)
+    step: np.ndarray
     compress_paths: Dict[int, List[List[int]]]  # i -> list of paths (in order)
     num_iterations: int
-    layer_of: List[Layer] = field(init=False)
 
     def __post_init__(self) -> None:
         self.step.flags.writeable = False
-        self.layer_of = _per_step(self.step,
-                                  lambda s: _layer_at(s, self.gamma))
+
+    @cached_property
+    def layer_of(self) -> List[Layer]:
+        """Every node's :class:`Layer`, one tag per distinct step."""
+        return _per_step(self.step, lambda s: _layer_at(s, self.gamma))
 
     def rake_layer_count(self) -> int:
         return self.num_iterations
@@ -129,7 +134,7 @@ class Decomposition:
 
     def is_higher(self, u: int, v: int) -> bool:
         """Whether u's layer is strictly higher than v's (Definition 75)."""
-        return self.layer_of[u] > self.layer_of[v]
+        return bool(self.step[u] > self.step[v])
 
 
 def gamma_for_k_layers(n: int, k: int, ell: int) -> int:
@@ -194,7 +199,7 @@ def _rake_compress_np(
         pinned_mask[pinned_list] = True
     deg = (indptr[1:] - indptr[:-1]) + pinned_mask
     alive = np.ones(n, dtype=bool)
-    step = np.empty(n, dtype=np.int64)
+    step = np.full(n, -1, dtype=np.int64)
     compress_paths: Dict[int, List[List[int]]] = {}
     remaining = n
 
@@ -277,7 +282,7 @@ def _rake_compress_py(
     deg = [
         graph.degree(v) + (1 if v in pinned_set else 0) for v in graph.nodes()
     ]
-    step = np.empty(n, dtype=np.int64)
+    step = np.full(n, -1, dtype=np.int64)
     compress_paths: Dict[int, List[List[int]]] = {}
     remaining = n
 
