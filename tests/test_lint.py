@@ -847,6 +847,132 @@ GOLDEN_SOURCES = {
         "                             {'family': family, 'extra': extra})\n"
         "    return stamp\n"
     ),
+    "src/repro/hashing.py": (
+        "class Key:\n"
+        "    def __hash__(self, salt=hash('d')):\n"
+        "        inner = lambda: hash('l')\n"
+        "\n"
+        "        def nested():\n"
+        "            return hash('n')\n"
+        "        return hash(('k', salt, inner(), nested()))\n"
+        "\n"
+        "\n"
+        "class Plain:\n"
+        "    def digest(self):\n"
+        "        return hash(('p', self))\n"
+    ),
+    "src/repro/hash_shadow.py": (
+        "def hash(x):\n"
+        "    return 0\n"
+        "\n"
+        "\n"
+        "KEY = hash('a')\n"
+    ),
+    "src/repro/fanout.py": (
+        "import concurrent.futures as cf\n"
+        "from concurrent.futures import as_completed as done\n"
+        "\n"
+        "\n"
+        "def drain(futs):\n"
+        "    return [f.result() for f in done(futs)]\n"
+        "\n"
+        "\n"
+        "def drain_all(futs):\n"
+        "    return [f.result() for f in cf.as_completed(futs)]\n"
+        "\n"
+        "\n"
+        "def label(pool):\n"
+        "    return pool.imap_unordered.__name__\n"
+    ),
+    "src/repro/workers.py": (
+        "from repro.parallel import fork_map\n"
+        "\n"
+        "\n"
+        "def outer(xs):\n"
+        "    def work(x):\n"
+        "        return x\n"
+        "\n"
+        "    def inner():\n"
+        "        return fork_map(work, xs, workers=2)\n"
+        "\n"
+        "    class Runner:\n"
+        "        def go(self):\n"
+        "            return fork_map(work, xs, workers=2)\n"
+        "    return inner(), Runner().go()\n"
+        "\n"
+        "\n"
+        "LOOSE = fork_map(lambda x: x, [1], workers=2)\n"
+        "\n"
+        "\n"
+        "def start(xs):\n"
+        "    return fork_map(len, xs, workers=2, initializer=lambda: None)\n"
+    ),
+    "src/repro/algorithms/caches.py": (
+        "class Batched:\n"
+        "    def __init__(self):\n"
+        "        self._kept = None\n"
+        "\n"
+        "    def setup(self, graph, n):\n"
+        "        self._a = None\n"
+        "\n"
+        "    def __repr__(self):\n"
+        "        self._dunder = 1\n"
+        "        return 'Batched'\n"
+        "\n"
+        "    async def decide_batch(self, views, live, t):\n"
+        "        self._a, self._pair = 1, 2\n"
+        "        self._count += 1\n"
+        "        self._typed: int = 3\n"
+        "        self._kept = 4\n"
+        "\n"
+        "        def helper():\n"
+        "            self._nested = 5\n"
+        "        helper()\n"
+        "\n"
+        "        class Inner:\n"
+        "            def decide_batch(self, views, live, t):\n"
+        "                self._inner = 6\n"
+        "        return Inner\n"
+    ),
+    "src/repro/store_corners.py": (
+        "import functools\n"
+        "import os\n"
+        "import time\n"
+        "\n"
+        "from repro.store import atomic_write_json\n"
+        "\n"
+        "\n"
+        "@functools.lru_cache(maxsize=os.getpid())\n"
+        "def stamped(path, at=time.time()):\n"
+        "    atomic_write_json(path, {'pid': os.getpid()})\n"
+        "\n"
+        "\n"
+        "def with_lambda(path):\n"
+        "    stamp = lambda: time.time()\n"
+        "    atomic_write_json(path, {'t': stamp()})\n"
+        "\n"
+        "\n"
+        "def with_class(path):\n"
+        "    class Meta:\n"
+        "        host = os.uname()\n"
+        "    atomic_write_json(path, {'m': Meta})\n"
+        "\n"
+        "\n"
+        "if os.environ.get('X'):\n"
+        "    def conditional(path):\n"
+        "        atomic_write_json(path, {'pid': os.getpid()})\n"
+        "\n"
+        "\n"
+        "def parent(path):\n"
+        "    at = time.time()\n"
+        "\n"
+        "    def child():\n"
+        "        atomic_write_json(path, {})\n"
+        "    return at, child\n"
+        "\n"
+        "\n"
+        "atomic_write_json('module.json', {})\n"
+    ),
     "src/repro/broken.py": "def f(:\n",
     "benchmarks/harness.py": (
         "import random\n"
