@@ -121,12 +121,9 @@ class FunctionFacts:
     line: int
     params: Tuple[str, ...]
     col: int = 0
-    end_line: int = 0
     class_qual: Optional[str] = None
     # ambient evidence (None = bit not locally generated)
     entropy: Optional[Evidence] = None
-    wall_clock: Optional[Evidence] = None
-    set_escape: Optional[Evidence] = None
     # per-parameter evidence
     private_reads: Dict[str, Evidence] = field(default_factory=dict)
     buffer_writes: Dict[str, Evidence] = field(default_factory=dict)

@@ -1,11 +1,13 @@
 """Rule framework: findings, module context, suppressions, file analysis.
 
-A rule is an :class:`ast.NodeVisitor` subclass over one parsed module.
-The framework hands every rule a shared :class:`ModuleContext` — source,
-tree, parent links, import resolution, suppressions and the fact
-extractor's sites — so individual rules stay small: they pattern-match
-nodes and call :meth:`Rule.report`, or, as a :class:`SiteRule`, report
-the sites the extractor (:mod:`repro.lint.summaries`) recorded for them.
+Every rule gets a shared :class:`ModuleContext` — source, tree, parent
+links, import resolution, suppressions and the fact extractor's sites.
+A :class:`SiteRule` reports the sites the extractor
+(:mod:`repro.lint.summaries`) recorded for it in its one walk over the
+module; a :class:`ProjectRule` reports nothing per module.  DET004, whose
+per-scope set tracking takes two passes, is the one rule left that walks
+the tree itself, as an :class:`ast.NodeVisitor` calling
+:meth:`Rule.report`.
 
 Suppressions are inline comments::
 
@@ -14,7 +16,8 @@ Suppressions are inline comments::
 The reason text after the closing paren is mandatory — an ``allow``
 without one does not suppress and is itself reported (``LINT000``), so
 every silenced finding is explained at the silencing site.  A
-suppression on its own line covers the next line of code.
+suppression on its own line covers the next line of code.  Only a module
+whose source contains ``lint:`` is tokenized.
 """
 
 from __future__ import annotations
@@ -94,10 +97,6 @@ class ModuleContext:
     * ``suppressions`` — the module's ``# lint: allow`` comments.
     * ``sites`` — the fact extractor's ``(line, col, rule, message)``
       sites of the :class:`SiteRule` patterns.
-    * ``source_reads`` — ``id`` of each ``Name``/``Attribute`` node the
-      extractor found reading a clock, entropy or identity source, to
-      its dotted path; a parameter, local or comprehension target that
-      rebinds the root name is not a read.
     """
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
@@ -109,7 +108,6 @@ class ModuleContext:
             tree, self.module, path.endswith("__init__.py"))
         self.suppressions = Suppressions(source)
         self.sites: List[RawFinding] = []
-        self.source_reads: Dict[int, str] = {}
         self._module_names: Set[str] = set()
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
         for stmt in tree.body:
@@ -213,6 +211,8 @@ class Suppressions:
         self.allowed: Dict[int, Set[str]] = {}
         #: (line, col) of allow comments missing the mandatory reason
         self.missing_reason: List[Tuple[int, int]] = []
+        if "lint:" not in source:  # no comment can match: skip tokenizing
+            return
         try:
             tokens = tokenize.generate_tokens(io.StringIO(source).readline)
             for tok in tokens:

@@ -19,9 +19,9 @@ These encode ``docs/engine-contract.md`` at the AST level:
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Set, Tuple
 
-from ..core import Rule, SiteRule
+from ..core import SiteRule
 
 __all__ = [
     "VIEW_PARAMS",
@@ -31,6 +31,9 @@ __all__ = [
     "adjacency_unpack",
     "attach_binding",
     "fork_map_workers",
+    "batch_cache_leaks",
+    "local_callables",
+    "closure_workers",
     "ViewPrivateAccessRule",
     "BatchCacheResetRule",
     "ForkMapClosureRule",
@@ -72,64 +75,67 @@ def private_message(name: str, attr: str) -> str:
 _RESET_METHODS = {"__init__", "setup"}
 
 
-class BatchCacheResetRule(Rule):
+class BatchCacheResetRule(SiteRule):
     """ENG002: per-execution caches not reset in ``setup``.
 
     In a class that defines ``decide_batch``, any ``self._x`` assigned
     inside a non-``setup`` method is a per-execution cache (memoised
     traces, batch state, colour tables).  ``setup(graph, n)`` is the
     engine's only reset hook between executions — a cache it does not
-    reassign leaks the previous graph's state into the next run.
+    reassign leaks the previous graph's state into the next run.  The
+    fact extractor records :func:`batch_cache_leaks` of every class.
     """
 
     id = "ENG002"
     summary = ("BatchedAlgorithm caches assigned outside setup must be "
                "reset in setup (the per-execution reset hook)")
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        methods = [m for m in node.body if isinstance(
-            m, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        names = {m.name for m in methods}
-        if "decide_batch" not in names:
-            self.generic_visit(node)
-            return
-        reset: Set[str] = set()
-        for m in methods:
-            if m.name in _RESET_METHODS:
-                reset |= {attr for attr, _ in self._self_assignments(m)}
-        for m in methods:
-            if m.name in _RESET_METHODS or (
-                    m.name.startswith("__") and m.name.endswith("__")):
-                continue
-            for attr, site in self._self_assignments(m):
-                if attr not in reset:
-                    self.report(site, f"self.{attr} is assigned in "
-                                      f"{m.name}() but never reset in "
-                                      "setup(); per-execution caches "
-                                      "leak across executions")
-        self.generic_visit(node)
 
-    @staticmethod
-    def _self_assignments(
-        method: ast.AST,
-    ) -> List[Tuple[str, ast.AST]]:
-        """``(attr, node)`` for every ``self.attr = ...`` in ``method``."""
-        out: List[Tuple[str, ast.AST]] = []
-        for inner in ast.walk(method):
-            targets: List[ast.expr] = []
-            if isinstance(inner, ast.Assign):
-                targets = inner.targets
-            elif isinstance(inner, (ast.AugAssign, ast.AnnAssign)):
-                targets = [inner.target]
-            for target in targets:
-                nodes = (target.elts if isinstance(
-                    target, (ast.Tuple, ast.List)) else [target])
-                for t in nodes:
-                    if (isinstance(t, ast.Attribute)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == "self"):
-                        out.append((t.attr, t))
-        return out
+def batch_cache_leaks(node: ast.ClassDef) -> List[Tuple[ast.AST, str]]:
+    """ENG002's ``(target, message)`` findings in one class: nothing
+    unless it defines ``decide_batch``; else every ``self.x`` assigned
+    anywhere in a method other than ``__init__``/``setup`` or a dunder
+    and never assigned in ``__init__``/``setup``."""
+    methods = [m for m in node.body if isinstance(
+        m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    if "decide_batch" not in {m.name for m in methods}:
+        return []
+    reset: Set[str] = set()
+    for m in methods:
+        if m.name in _RESET_METHODS:
+            reset |= {attr for attr, _ in _self_assignments(m)}
+    out: List[Tuple[ast.AST, str]] = []
+    for m in methods:
+        if m.name in _RESET_METHODS or (
+                m.name.startswith("__") and m.name.endswith("__")):
+            continue
+        for attr, site in _self_assignments(m):
+            if attr not in reset:
+                out.append((site, f"self.{attr} is assigned in "
+                                  f"{m.name}() but never reset in setup(); "
+                                  "per-execution caches leak across "
+                                  "executions"))
+    return out
+
+
+def _self_assignments(method: ast.AST) -> List[Tuple[str, ast.AST]]:
+    """``(attr, node)`` for every ``self.attr = ...`` in ``method``."""
+    out: List[Tuple[str, ast.AST]] = []
+    for inner in ast.walk(method):
+        targets: List[ast.expr] = []
+        if isinstance(inner, ast.Assign):
+            targets = inner.targets
+        elif isinstance(inner, (ast.AugAssign, ast.AnnAssign)):
+            targets = [inner.target]
+        for target in targets:
+            nodes = (target.elts if isinstance(
+                target, (ast.Tuple, ast.List)) else [target])
+            for t in nodes:
+                if (isinstance(t, ast.Attribute)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id == "self"):
+                    out.append((t.attr, t))
+    return out
 
 
 def fork_map_workers(node: ast.Call) -> List[ast.expr]:
@@ -139,58 +145,51 @@ def fork_map_workers(node: ast.Call) -> List[ast.expr]:
                             if kw.arg in ("fn", "initializer")]
 
 
-class ForkMapClosureRule(Rule):
-    """PAR001: only module-level callables survive fork_map pickling."""
+class ForkMapClosureRule(SiteRule):
+    """PAR001: only module-level callables survive fork_map pickling.
+
+    The fact extractor records :func:`closure_workers` of every call,
+    with the names each enclosing ``def`` binds in its own body
+    (:func:`local_callables`; the def's header counts as inside it).
+    """
 
     id = "PAR001"
     summary = ("fork_map workers must be module-level functions; "
                "lambdas/closures do not pickle")
 
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
-        #: names bound to lambdas or nested defs, per enclosing function
-        self._local_callables: List[Set[str]] = []
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        local: Set[str] = set()
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                local.add(stmt.name)
-            elif isinstance(stmt, ast.Assign) and isinstance(
-                    stmt.value, ast.Lambda):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        local.add(target.id)
-        self._local_callables.append(local)
-        self.generic_visit(node)
-        self._local_callables.pop()
+def local_callables(body: Sequence[ast.stmt]) -> Set[str]:
+    """Names a def body binds to a callable directly: nested defs and
+    ``name = lambda ...``."""
+    local: Set[str] = set()
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local.add(stmt.name)
+        elif isinstance(stmt, ast.Assign) and isinstance(
+                stmt.value, ast.Lambda):
+            local.update(t.id for t in stmt.targets
+                         if isinstance(t, ast.Name))
+    return local
 
-    visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        is_fork_map = (
-            (isinstance(func, ast.Name) and func.id == "fork_map")
-            or (isinstance(func, ast.Attribute) and func.attr == "fork_map")
-        )
-        if is_fork_map:
-            for cand in fork_map_workers(node):
-                self._check_worker(cand)
-        self.generic_visit(node)
-
-    def _check_worker(self, node: ast.expr) -> None:
-        if isinstance(node, ast.Lambda):
-            self.report(node, "lambda passed to fork_map; lambdas do not "
+def closure_workers(node: ast.Call, callables: AbstractSet[str],
+                    ) -> List[Tuple[ast.expr, str]]:
+    """PAR001's ``(worker, message)`` findings at a call spelled
+    ``fork_map(...)``/``<x>.fork_map(...)``: every lambda it ships, and
+    every shipped name in ``callables``."""
+    if _callee_name(node) != "fork_map":
+        return []
+    out: List[Tuple[ast.expr, str]] = []
+    for cand in fork_map_workers(node):
+        if isinstance(cand, ast.Lambda):
+            out.append((cand, "lambda passed to fork_map; lambdas do not "
                               "pickle across the fork — define a module-"
-                              "level worker function")
-        elif isinstance(node, ast.Name):
-            for scope in self._local_callables:
-                if node.id in scope:
-                    self.report(node, f"{node.id} is defined inside a "
-                                      "function; fork_map workers must "
-                                      "be module-level (closures do not "
-                                      "pickle)")
-                    return
+                              "level worker function"))
+        elif isinstance(cand, ast.Name) and cand.id in callables:
+            out.append((cand, f"{cand.id} is defined inside a function; "
+                              "fork_map workers must be module-level "
+                              "(closures do not pickle)"))
+    return out
 
 
 #: calls whose result is an attached shared-memory graph
@@ -237,13 +236,15 @@ def adjacency_unpack(node: ast.Assign,
     return value.func.value, names
 
 
-def _is_attach_call(node: ast.expr) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else (
+def _callee_name(call: ast.Call) -> Optional[str]:
+    """``f`` of a call ``f(...)`` or ``<x>.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else (
         func.attr if isinstance(func, ast.Attribute) else None)
-    return name in ATTACH_CALLS
+
+
+def _is_attach_call(node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and _callee_name(node) in ATTACH_CALLS
 
 
 def attach_binding(node: ast.Assign, attached) -> Tuple[str, List[str]]:

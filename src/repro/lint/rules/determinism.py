@@ -22,7 +22,10 @@ from ..core import Rule, SiteRule
 
 __all__ = [
     "CLOCK_SOURCES",
+    "HASH_MESSAGE",
+    "builtin_hash",
     "clock_message",
+    "unordered_fanout",
     "unseeded_entropy",
     "UnseededRandomRule",
     "BuiltinHashRule",
@@ -103,7 +106,21 @@ class UnseededRandomRule(SiteRule):
                "derive a seed via stable_seed)")
 
 
-class BuiltinHashRule(Rule):
+def builtin_hash(call: ast.Call, ctx) -> bool:
+    """Whether ``call`` is ``hash(...)`` on the builtin (no import, module
+    assignment or module def named ``hash``); the fact extractor exempts
+    calls inside a ``def __hash__``, its header included."""
+    func = call.func
+    return (isinstance(func, ast.Name) and func.id == "hash"
+            and ctx.is_builtin("hash"))
+
+
+HASH_MESSAGE = ("builtin hash() is salted per process (PYTHONHASHSEED); "
+                "derive seeds/digests/task keys from repro.parallel."
+                "stable_seed or stable_digest")
+
+
+class BuiltinHashRule(SiteRule):
     """DET002: builtin ``hash()`` is salted per process.
 
     ``hash(str)``/``hash(tuple-of-str)`` changes with ``PYTHONHASHSEED``,
@@ -111,35 +128,14 @@ class BuiltinHashRule(Rule):
     between processes — exactly the nondeterminism
     ``repro.parallel.stable_seed``/``stable_digest`` exist to prevent.
     Implementing ``__hash__`` in terms of ``hash()`` is fine (it never
-    crosses a process boundary through in-memory dicts/sets alone).
+    crosses a process boundary through in-memory dicts/sets alone).  The
+    fact extractor records a site for every :func:`builtin_hash` call
+    with no enclosing ``def __hash__``.
     """
 
     id = "DET002"
     summary = ("builtin hash() is PYTHONHASHSEED-salted; use "
                "stable_seed/stable_digest for anything reproducible")
-
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
-        self._in_dunder_hash = 0
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        is_hash = node.name == "__hash__"
-        self._in_dunder_hash += is_hash
-        self.generic_visit(node)
-        self._in_dunder_hash -= is_hash
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (isinstance(func, ast.Name) and func.id == "hash"
-                and self.ctx.is_builtin("hash")
-                and not self._in_dunder_hash):
-            self.report(node, "builtin hash() is salted per process "
-                              "(PYTHONHASHSEED); derive seeds/digests/"
-                              "task keys from repro.parallel.stable_seed "
-                              "or stable_digest")
-        self.generic_visit(node)
 
 
 #: wall-clock and OS-entropy sources: DET003's pattern, and part of
@@ -400,40 +396,33 @@ class SetIterationRule(Rule):
         return False
 
 
-class UnorderedPoolRule(Rule):
+_UNORDERED_ATTRS = {"imap_unordered", "map_unordered"}
+_UNORDERED_QUALS = {"concurrent.futures.as_completed", "asyncio.as_completed"}
+
+
+def unordered_fanout(qual: Optional[str],
+                     attr: Optional[str] = None) -> Optional[str]:
+    """DET005's message for an attribute named ``attr`` (``None`` for a
+    name) whose chain resolves to ``qual``, or ``None`` when it is not an
+    unordered fan-out API."""
+    if attr not in _UNORDERED_ATTRS and qual not in _UNORDERED_QUALS:
+        return None
+    name = attr if attr in _UNORDERED_ATTRS else "as_completed"
+    return (f"{name} yields results in completion order; use "
+            "repro.parallel.fork_map so aggregates stay task-ordered")
+
+
+class UnorderedPoolRule(SiteRule):
     """DET005: unordered fan-out APIs.
 
     ``Pool.imap_unordered``/``as_completed`` return results in
     completion order, which varies with scheduling — aggregates built
     from them differ run to run.  ``repro.parallel.fork_map`` (ordered
-    ``pool.map``) is the only sanctioned fan-out.
+    ``pool.map``) is the only sanctioned fan-out.  The fact extractor
+    records a site for every attribute and loaded name
+    :func:`unordered_fanout` accepts.
     """
 
     id = "DET005"
     summary = ("unordered pool API; repro.parallel.fork_map (task-"
                "ordered) is the only sanctioned fan-out")
-
-    _UNORDERED_ATTRS = {"imap_unordered", "map_unordered"}
-    _UNORDERED_QUALS = {
-        "concurrent.futures.as_completed", "asyncio.as_completed",
-    }
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in self._UNORDERED_ATTRS:
-            self.report(node, f"{node.attr} yields results in completion "
-                              "order; use repro.parallel.fork_map so "
-                              "aggregates stay task-ordered")
-        elif self.ctx.qualname(node) in self._UNORDERED_QUALS:
-            self.report(node, "as_completed yields results in completion "
-                              "order; use repro.parallel.fork_map so "
-                              "aggregates stay task-ordered")
-        self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            qual = self.ctx.imports.get(node.id)
-            if qual in self._UNORDERED_QUALS:
-                self.report(node, "as_completed yields results in "
-                                  "completion order; use repro.parallel."
-                                  "fork_map so aggregates stay task-"
-                                  "ordered")

@@ -12,14 +12,15 @@ in-process results to *persisted* artifacts.
 from __future__ import annotations
 
 import ast
-from typing import List, Tuple
 
-from ..core import ProjectRule, Rule
+from ..core import ProjectRule, SiteRule
 from .determinism import CLOCK_SOURCES
 
 __all__ = [
     "ENVIRONMENT_SOURCES",
     "is_store_put",
+    "payload_writer",
+    "purity_message",
     "store_receiver",
     "StorePayloadPurityRule",
     "StoreKeyCompletenessRule",
@@ -60,71 +61,47 @@ def is_store_put(node: ast.Call) -> bool:
             and store_receiver(func.value))
 
 
-class StorePayloadPurityRule(Rule):
+def payload_writer(node: ast.Call) -> bool:
+    """``atomic_write_json``/``atomic_write_text`` (bare or as an
+    attribute) or ``<store>.put(...)``: the calls that persist payloads."""
+    func = node.func
+    if isinstance(func, ast.Name) and func.id in _WRITER_NAMES:
+        return True
+    if isinstance(func, ast.Attribute) and func.attr in _WRITER_NAMES:
+        return True
+    return is_store_put(node)
+
+
+def purity_message(qual: str) -> str:
+    """STORE001's text for a read of the source ``qual``."""
+    return (f"{qual} read in a scope that persists payloads "
+            "(atomic_write_*/store.put); persisted bytes must be pure "
+            "functions of the key — hoist the environmental read out, or "
+            "keep it out of the payload")
+
+
+class StorePayloadPurityRule(SiteRule):
     """STORE001: store payload writers must not read the environment.
 
     A scope (module body or single function, nested defs excluded) that
-    calls a payload writer — ``atomic_write_json``/``atomic_write_text``
-    or ``.put(...)`` on a store — must not also read a wall-clock,
+    calls a :func:`payload_writer` must not also read a wall-clock,
     entropy or host/process-identity source: whatever those values feed,
     they make persisted bytes depend on when/where the writer ran, and
     a warm store read will no longer byte-match a cold recompute.  Take
     timestamps *outside* the writer scope (or keep them out of persisted
-    payloads entirely, like the sweep's ``cache`` channel).  The sources
-    are the reads the fact extractor resolved (``ctx.source_reads``), so
-    a local rebinding of a source's name is not a read, as for DET003.
+    payloads entirely, like the sweep's ``cache`` channel).
+
+    The fact extractor records the sites: per scope, its writer calls
+    and the source reads it resolved for DET003 (a local rebinding of a
+    source's name is not a read).  Lambdas, class bodies and
+    comprehensions belong to the enclosing scope; a def's decorators,
+    defaults and annotations belong to none.
     """
 
     id = "STORE001"
     summary = ("store/artifact writer scope reads wall-clock, entropy or "
                "host identity; persisted payloads must be pure functions "
                "of their keys")
-
-    # -- scope handling -------------------------------------------------
-    def visit_Module(self, node: ast.Module) -> None:
-        self._scope(node.body)
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._scope(node.body)
-        self.generic_visit(node)  # nested defs form their own scopes
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def _scope(self, body: List[ast.stmt]) -> None:
-        writes = False
-        sources: List[Tuple[ast.AST, str]] = []
-        stack: List[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # separate scope
-            if isinstance(node, ast.Call) and self._is_writer(node):
-                writes = True
-            qual = self.ctx.source_reads.get(id(node))
-            if qual is not None:
-                sources.append((node, qual))
-                continue  # one report per attribute chain
-            stack.extend(ast.iter_child_nodes(node))
-        if writes:
-            for node, qual in sources:
-                self.report(
-                    node,
-                    f"{qual} read in a scope that persists payloads "
-                    "(atomic_write_*/store.put); persisted bytes must be "
-                    "pure functions of the key — hoist the environmental "
-                    "read out, or keep it out of the payload",
-                )
-
-    # -- writers ---------------------------------------------------------
-    @staticmethod
-    def _is_writer(node: ast.Call) -> bool:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in _WRITER_NAMES:
-            return True
-        if isinstance(func, ast.Attribute) and func.attr in _WRITER_NAMES:
-            return True
-        return is_store_put(node)
 
 
 class StoreKeyCompletenessRule(ProjectRule):

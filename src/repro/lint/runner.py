@@ -1,10 +1,11 @@
 """File collection, one-pass parallel analysis, deterministic reports.
 
-Each file is read, parsed and tokenized once, inside a
-:func:`repro.parallel.fork_map` worker: the worker extracts the file's
-facts (:func:`repro.lint.summaries.extract_module_facts`), runs the
+Each file is read and parsed once (and tokenized once, if it contains
+``lint:``), inside a :func:`repro.parallel.fork_map` worker: the worker
+extracts the file's facts and rule sites in one walk
+(:func:`repro.lint.summaries.extract_module_facts`), runs the
 intramodule rules over the same parse (:func:`repro.lint.core.
-analyze_file`) and returns both.  The parent links the facts, runs the
+analyze_file`; only DET004 walks it again) and returns both.  The parent links the facts, runs the
 summary fixpoints (:func:`repro.lint.summaries.link_project`) and passes
 the interprocedural findings (IPD001–003, STORE002) through the same
 severity and suppression filter as every other rule.
@@ -27,12 +28,7 @@ from .baseline import BaselineKey, load_baseline, split_findings
 from .config import normalize_path, severity_for
 from .core import Finding, analyze_file, gate
 from .rules import all_rules
-from .summaries import (
-    ModuleFacts,
-    extract_module_facts,
-    link_project,
-    record_set_escapes,
-)
+from .summaries import ModuleFacts, extract_module_facts, link_project
 
 __all__ = ["LintReport", "collect_files", "lint_files", "lint_sources",
            "run_lint"]
@@ -75,10 +71,9 @@ def collect_files(paths: Sequence[str],
 
 def _lint_source(display_path: str, source: str) -> FileResult:
     """One file, one parse: its facts, then the intramodule rules over
-    the same parse, whose DET004 findings seed the set-escape bit."""
+    the same parse."""
     facts = extract_module_facts(display_path, source)
     findings = analyze_file(facts)
-    record_set_escapes(facts, findings)
     facts.context = None  # the parse stays in the process that made it
     return findings, facts
 

@@ -1,31 +1,32 @@
 """Fact extraction, fixpoint propagation, interprocedural findings.
 
 Each file is parsed once and walked once (:func:`extract_module_facts`,
-inside the runner's ``fork_map`` worker).  The walk records every site
-of the rules whose patterns double as summary evidence — DET001 (an
-unseeded draw), DET003 (a clock/entropy source), ENG001 (a ``name._x``
-read) and SHM001 (a store into an attached array, or an un-seal) —
-which those rules report as depth-0 queries
-(:class:`~repro.lint.core.SiteRule`).  For every function unit it
-records the summary bits those sites seed — **draws-entropy**,
-**reads-wall-clock**, **touches-view-internals** and **writes-attached-
-buffers** (the last two per parameter; a store into a parameter is a
-write too) — plus **flows-into-store-keys** (parameters reaching a
-``stable_digest``/``<store>.key`` call) and every resolvable call site.
-The **escapes-set-iteration-order** bit comes from the file's DET004
-findings (:func:`record_set_escapes`).
+inside the runner's ``fork_map`` worker).  The walk records the sites
+of every intramodule rule but DET004 — DET001 (an unseeded draw),
+DET002 (a builtin ``hash()``), DET003 (a clock/entropy source), DET005
+(an unordered fan-out API), ENG001 (a ``name._x`` read), ENG002 (a batch
+cache ``setup`` never resets), PAR001 (a closure shipped to
+``fork_map``), SHM001 (a store into an attached array, or an un-seal)
+and STORE001 (an environment read in a payload writer's scope) — which
+those rules report (:class:`~repro.lint.core.SiteRule`).  For every
+function unit it records the summary bits the DET001, ENG001 and SHM001
+sites seed — **draws-entropy**, **touches-view-internals** and
+**writes-attached-buffers** (the last two per parameter; a store into a
+parameter is a write too) — plus **flows-into-store-keys** (parameters
+reaching a ``stable_digest``/``<store>.key`` call) and every resolvable
+call site.
 
 A unit's bit is its first site that is neither suppressed nor
-configured ``off`` for the base rule, so a *sanctioned* source
-(``benchmarks/harness.py``'s clock) never taints its callers; a base
-rule that is only a warning still taints.  Sites in decorators,
+configured ``off`` for the base rule, so a *sanctioned* draw (one
+carrying ``# lint: allow(DET001) reason``) never taints its callers; a
+base rule that is only a warning still taints.  Sites in decorators,
 defaults, annotations and class bodies belong to the unit that executes
 them.
 
 The parent process links the call graph and propagates each bit to a
 fixpoint, Jacobi-style — every round reads only the previous round's
 state, in sorted function order — so the result is deterministic
-regardless of dict order or worker count.  Ambient bits flow through
+regardless of dict order or worker count.  The entropy bit flows through
 every resolved call edge; per-parameter bits flow only where a caller
 passes one of its own parameters *bare* to a callee parameter.
 :func:`link_project` turns the fixpoint into the interprocedural
@@ -37,7 +38,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
 )
 
 from .callgraph import (
@@ -52,25 +54,33 @@ from .callgraph import (
     module_name_for_path,
 )
 from .config import severity_for
-from .core import Finding, ModuleContext, RawFinding
+from .core import ModuleContext, RawFinding
 from .rules.contracts import (
     SETFLAGS_MESSAGE,
     VIEW_PARAMS,
     WRITEABLE_MESSAGE,
     adjacency_unpack,
     attach_binding,
+    batch_cache_leaks,
+    closure_workers,
     fork_map_workers,
+    local_callables,
     private_message,
     private_read,
     store_message,
     unsealed,
 )
-from .rules.determinism import CLOCK_SOURCES, clock_message, unseeded_entropy
-from .rules.store import ENVIRONMENT_SOURCES, is_store_put, store_receiver
+from .rules.determinism import (
+    CLOCK_SOURCES, HASH_MESSAGE, builtin_hash, clock_message,
+    unordered_fanout, unseeded_entropy,
+)
+from .rules.store import (
+    ENVIRONMENT_SOURCES, is_store_put, payload_writer, purity_message,
+    store_receiver,
+)
 
 __all__ = [
     "extract_module_facts",
-    "record_set_escapes",
     "SummaryTable",
     "link_project",
     "IPD_RANDOM",
@@ -273,6 +283,29 @@ class _Scope:
         return scope
 
 
+@dataclass
+class _PayloadScope:
+    """One STORE001 scope (the module body or a def body): whether it
+    calls a payload writer, and the environment reads it makes."""
+
+    writes: bool = False
+    reads: List[Tuple[ast.expr, str]] = field(default_factory=list)
+
+
+class _Enclosing(NamedTuple):
+    """What a node's enclosing defs mean for the rules.  A def's header
+    (decorators, defaults, annotations) counts as inside the def, but
+    belongs to no STORE001 scope."""
+
+    #: ``view``/``views`` parameters (ENG001)
+    views: FrozenSet[str] = frozenset()
+    #: names the def bodies bind to nested defs and lambdas (PAR001)
+    callables: FrozenSet[str] = frozenset()
+    #: inside a ``def __hash__`` (exempt from DET002)
+    in_hash: bool = False
+    payload: Optional[_PayloadScope] = None
+
+
 class _Unit:
     """A function unit's extraction state."""
 
@@ -315,7 +348,7 @@ class _Extractor:
         #: every name some scope holds as an attached array
         self._arrays: Set[str] = set()
         self._off = {rule: severity_for(self.path, rule, "error") == "off"
-                     for rule in ("DET001", "DET003", "ENG001", "SHM001")}
+                     for rule in ("DET001", "ENG001", "SHM001")}
 
     # -- symbolic call targets ------------------------------------------
     def _call_target(self, func: ast.AST,
@@ -370,9 +403,11 @@ class _Extractor:
         self.facts.exports = exports
         module_unit = self._new_unit(
             f"{self.module}.<module>", "<module>", tree, (), None, {})
-        self._body(tree.body, (module_unit,), frozenset(),
+        enc = _Enclosing(payload=_PayloadScope())
+        self._body(tree.body, (module_unit,), enc,
                    _Scope(None, "module", tree.body, ()), self.module,
                    None, {})
+        self._payload_sites(enc.payload)
         for unit in self.units:
             self._finish(unit)
         return self.facts
@@ -380,12 +415,10 @@ class _Extractor:
     def _new_unit(self, qualname: str, name: str, node: ast.AST,
                   params: Tuple[str, ...], class_qual: Optional[str],
                   names: Dict[str, str]) -> _Unit:
-        line = getattr(node, "lineno", 1)
         facts = FunctionFacts(
             qualname=qualname, name=name, path=self.path,
-            module=self.module, line=line,
+            module=self.module, line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-            end_line=getattr(node, "end_lineno", None) or line,
             params=params, class_qual=class_qual)
         self.facts.functions.append(facts)
         unit = _Unit(facts, names)
@@ -393,7 +426,7 @@ class _Extractor:
         return unit
 
     def _body(self, body: Sequence[ast.stmt], units: Tuple[_Unit, ...],
-              views: FrozenSet[str], scope: _Scope, prefix: str,
+              enc: _Enclosing, scope: _Scope, prefix: str,
               class_qual: Optional[str], outer: Dict[str, str]) -> None:
         """Walk a module, def or class body: its defs and named lambdas
         become units under ``prefix``."""
@@ -406,7 +439,7 @@ class _Extractor:
                 qual = f"{prefix}.{stmt.name}"
                 unit = self._new_unit(qual, stmt.name, stmt,
                                       _params(stmt), class_qual, names)
-                self._def(stmt, units, views, scope, (unit, names))
+                self._def(stmt, units, enc, scope, (unit, names))
                 continue
             if isinstance(stmt, ast.ClassDef):
                 qual = f"{prefix}.{stmt.name}"
@@ -417,7 +450,7 @@ class _Extractor:
                         bases.append(target[1])
                 self.facts.classes[qual] = ClassFacts(
                     qualname=qual, name=stmt.name, bases=tuple(bases))
-                self._class(stmt, units, views, scope, (qual, names))
+                self._class(stmt, units, enc, scope, (qual, names))
                 continue
             if isinstance(stmt, ast.Assign) and isinstance(
                     stmt.value, ast.Lambda):
@@ -427,52 +460,59 @@ class _Extractor:
                             f"{prefix}.{target.id}", target.id, stmt,
                             _params(stmt.value), class_qual, names)
                         break
-            self._visit(stmt, units, views, scope)
+            self._visit(stmt, units, enc, scope)
 
     def _def(self, node: ast.AST, units: Tuple[_Unit, ...],
-             views: FrozenSet[str], scope: _Scope,
+             enc: _Enclosing, scope: _Scope,
              stated: Optional[Tuple[_Unit, Dict[str, str]]] = None,
              ) -> None:
         """A def: its header runs in ``units``, its body in the unit
         ``stated`` names (with the defs its calls can name), if any."""
-        # ENG001 covers the whole def, header included
-        views = views | (set(_params(node)) & VIEW_PARAMS)
+        enc = enc._replace(
+            views=enc.views | (set(_params(node)) & VIEW_PARAMS),
+            callables=enc.callables | local_callables(node.body),
+            in_hash=enc.in_hash or node.name == "__hash__",
+            payload=None)
         for header in node.decorator_list + [node.args]:
-            self._visit(header, units, views, scope)
+            self._visit(header, units, enc, scope)
         if node.returns is not None:
-            self._visit(node.returns, units, views, scope)
+            self._visit(node.returns, units, enc, scope)
+        enc = enc._replace(payload=_PayloadScope())
         inner = _Scope(scope, "function", node.body, _scope_params(node))
         if stated is None:
             for stmt in node.body:
-                self._visit(stmt, (), views, inner)
+                self._visit(stmt, (), enc, inner)
         else:
             unit, names = stated
-            self._body(node.body, (unit,), views, inner,
+            self._body(node.body, (unit,), enc, inner,
                        unit.facts.qualname, None, names)
+        self._payload_sites(enc.payload)
 
     def _class(self, node: ast.ClassDef, units: Tuple[_Unit, ...],
-               views: FrozenSet[str], scope: _Scope,
+               enc: _Enclosing, scope: _Scope,
                stated: Optional[Tuple[str, Dict[str, str]]] = None,
                ) -> None:
         """A class: it all runs in ``units``; its defs become units when
         ``stated`` gives its qualname (and the defs calls can name)."""
+        for target, message in batch_cache_leaks(node):
+            self._report("ENG002", target, message)
         for header in node.decorator_list + node.bases + node.keywords:
-            self._visit(header, units, views, scope)
+            self._visit(header, units, enc, scope)
         inner = _Scope(scope, "class", node.body, ())
         if stated is None:
             for stmt in node.body:
-                self._visit(stmt, units, views, inner)
+                self._visit(stmt, units, enc, inner)
         else:
             qual, names = stated
-            self._body(node.body, units, views, inner, qual, qual, names)
+            self._body(node.body, units, enc, inner, qual, qual, names)
 
     def _visit(self, node: ast.AST, units: Tuple[_Unit, ...],
-               views: FrozenSet[str], scope: _Scope) -> None:
+               enc: _Enclosing, scope: _Scope) -> None:
         if isinstance(node, _FUNCTIONS):
-            self._def(node, units, views, scope)
+            self._def(node, units, enc, scope)
             return
         if isinstance(node, ast.ClassDef):
-            self._class(node, units, views, scope)
+            self._class(node, units, enc, scope)
             return
         for unit in units:
             unit.influences.note_statement(node)
@@ -487,42 +527,54 @@ class _Extractor:
                 root = _root_name(array)
                 self._site(units, "SHM001", node, SETFLAGS_MESSAGE,
                            f"{root}.setflags(write=True)", root)
+            if not enc.in_hash and builtin_hash(node, self.ctx):
+                self._report("DET002", node, HASH_MESSAGE)
+            for worker, message in closure_workers(node, enc.callables):
+                self._report("PAR001", worker, message)
+            if enc.payload is not None and payload_writer(node):
+                enc.payload.writes = True
         elif isinstance(node, ast.Attribute):
-            qual = self._source(node, self.ctx.qualname(node), scope)
+            qual = self.ctx.qualname(node)
+            fanout = unordered_fanout(qual, node.attr)
+            if fanout is not None:
+                self._report("DET005", node, fanout)
+            qual = self._source(node, qual, scope, enc.payload)
             if qual in CLOCK_SOURCES:
                 # one site per chain: its parts are plain names
-                self._site(units, "DET003", node, clock_message(qual, True),
-                           qual)
+                self._report("DET003", node, clock_message(qual, True))
                 return
             name = private_read(node)
             if name is not None:
-                self._private(node, name, units, views)
+                self._private(node, name, units, enc.views)
         elif isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Load):
-                qual = self._source(node, self.imports.get(node.id), scope)
+                qual = self.imports.get(node.id)
+                fanout = unordered_fanout(qual)
+                if fanout is not None:
+                    self._report("DET005", node, fanout)
+                qual = self._source(node, qual, scope, enc.payload)
                 if qual in CLOCK_SOURCES:
-                    self._site(units, "DET003", node,
-                               clock_message(qual, False), qual)
+                    self._report("DET003", node, clock_message(qual, False))
         elif isinstance(node, ast.Assign):
             self._assign(node, units, scope)
         elif isinstance(node, ast.AugAssign):
             self._store(node.target, units, scope)
         elif isinstance(node, ast.Lambda):
-            self._visit(node.args, units, views, scope)
+            self._visit(node.args, units, enc, scope)
             named = self._lambdas.get(id(node))
             inner = _Scope(scope, "function", (node.body,),
                            _scope_params(node))
             self._visit(node.body, units if named is None
-                        else units + (named,), views, inner)
+                        else units + (named,), enc, inner)
             return
         elif isinstance(node, _COMPREHENSIONS):
-            self._comprehension(node, units, views, scope)
+            self._comprehension(node, units, enc, scope)
             return
         for child in ast.iter_child_nodes(node):
-            self._visit(child, units, views, scope)
+            self._visit(child, units, enc, scope)
 
     def _comprehension(self, node: ast.AST, units: Tuple[_Unit, ...],
-                       views: FrozenSet[str], scope: _Scope) -> None:
+                       enc: _Enclosing, scope: _Scope) -> None:
         """A comprehension's targets bind in a scope of its own; its
         first iterable is evaluated in the enclosing scope."""
         inner = _Scope(scope, "comprehension",
@@ -531,32 +583,36 @@ class _Extractor:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.comprehension):
                 for part in ast.iter_child_nodes(child):
-                    self._visit(part, units, views,
+                    self._visit(part, units, enc,
                                 scope if part is first else inner)
             else:
-                self._visit(child, units, views, inner)
+                self._visit(child, units, enc, inner)
 
-    def _source(self, node: ast.expr, qual: Optional[str],
-                scope: _Scope) -> Optional[str]:
+    def _source(self, node: ast.expr, qual: Optional[str], scope: _Scope,
+                payload: Optional[_PayloadScope]) -> Optional[str]:
         """``qual`` if ``node`` reads an environment source (a clock,
         entropy or identity import whose root name no enclosing def,
-        lambda, comprehension or class rebinds), recorded for STORE001;
-        else ``None``."""
+        lambda, comprehension or class rebinds), recorded in its STORE001
+        scope; else ``None``."""
         if qual not in ENVIRONMENT_SOURCES or \
                 scope.owner(_root_name(node)).parent is not None:
             return None
-        self.ctx.source_reads[id(node)] = qual
+        if payload is not None:
+            payload.reads.append((node, qual))
         return qual
 
     # -- site recorders --------------------------------------------------
+    def _report(self, rule: str, node: ast.AST, message: str) -> None:
+        self.ctx.sites.append((node.lineno, node.col_offset, rule, message))
+
     def _site(self, units: Tuple[_Unit, ...], rule: str, node: ast.AST,
               message: Optional[str], detail: str,
               param: Optional[str] = None) -> None:
         """Record a site for its rule (unless it only taints) and seed
         the bit of each unit whose first such site passes the gate."""
-        line = node.lineno
         if message is not None:
-            self.ctx.sites.append((line, node.col_offset, rule, message))
+            self._report(rule, node, message)
+        line = node.lineno
         if self._off[rule] or self.ctx.suppressions.suppresses(line, rule):
             return
         ev = Evidence(self.path, line, detail)
@@ -564,12 +620,16 @@ class _Extractor:
             fn = unit.facts
             if rule == "DET001":
                 fn.entropy = fn.entropy or ev
-            elif rule == "DET003":
-                fn.wall_clock = fn.wall_clock or ev
             elif param in unit.params and param != "self":
                 bits = (fn.private_reads if rule == "ENG001"
                         else fn.buffer_writes)
                 bits.setdefault(param, ev)
+
+    def _payload_sites(self, payload: _PayloadScope) -> None:
+        """STORE001: a scope's environment reads, if it writes payloads."""
+        if payload.writes:
+            for node, qual in payload.reads:
+                self._report("STORE001", node, purity_message(qual))
 
     def _private(self, node: ast.Attribute, name: str,
                  units: Tuple[_Unit, ...], views: FrozenSet[str]) -> None:
@@ -742,26 +802,6 @@ class _Extractor:
         return out
 
 
-def record_set_escapes(facts: ModuleFacts,
-                       findings: Iterable[Finding]) -> None:
-    """Seed the set-escape bit from the file's DET004 findings (already
-    through severity and suppressions): each goes to the innermost unit
-    spanning its line, else to the module body."""
-    units = sorted(facts.functions, key=lambda u: (u.end_line - u.line))
-    for finding in findings:
-        if finding.rule != "DET004":
-            continue
-        ev = Evidence(facts.path, finding.line, "set iteration order escape")
-        for unit in units:
-            if unit.name != "<module>" and \
-                    unit.line <= finding.line <= unit.end_line:
-                break
-        else:
-            unit = facts.functions[0]
-        if unit.set_escape is None:
-            unit.set_escape = ev
-
-
 def extract_module_facts(path: str, source: str) -> ModuleFacts:
     """Parse one file once and extract its facts and rule sites.
 
@@ -917,8 +957,6 @@ def _fix_key_params(graph: CallGraph) -> Tuple[Dict[str, FrozenSet[str]],
 def build_table(graph: CallGraph) -> SummaryTable:
     table = SummaryTable(graph=graph)
     table.ambient["entropy"] = _fix_ambient(graph, "entropy")
-    table.ambient["wall_clock"] = _fix_ambient(graph, "wall_clock")
-    table.ambient["set_escape"] = _fix_ambient(graph, "set_escape")
     table.per_param["private"] = _fix_per_param(graph, "private_reads")
     table.per_param["writes"] = _fix_per_param(graph, "buffer_writes")
     table.key_params, table.has_digest = _fix_key_params(graph)

@@ -602,7 +602,53 @@ class TestRunner:
         monkeypatch.setattr(tokenize, "generate_tokens", counted_tokens)
         report = run_lint(["src"], jobs=1, root=str(tmp_path))
         assert report.files == 3
-        assert calls == {"parse": 3, "tokens": 3}
+        # only third.py contains "lint:", so only it is tokenized
+        assert calls == {"parse": 3, "tokens": 1}
+
+    def test_lint_marker_in_a_string_is_tokenized_but_suppresses_nothing(
+            self, monkeypatch):
+        import tokenize
+
+        from repro.lint.core import Suppressions
+
+        calls = []
+        tokens = tokenize.generate_tokens
+
+        def counted_tokens(*args, **kwargs):
+            calls.append(1)
+            return tokens(*args, **kwargs)
+
+        monkeypatch.setattr(tokenize, "generate_tokens", counted_tokens)
+        src = ("import random\n"
+               "NOTE = '# lint: allow(DET001) not a comment'\n"
+               "x = random.randint(1, 2)\n")
+        suppressions = Suppressions(src)
+        assert calls == [1]
+        assert suppressions.allowed == {}
+        assert suppressions.missing_reason == []
+        assert rule_ids(src) == ["DET001"]
+
+    def test_analyze_file_runs_one_visitor_pass(self, monkeypatch):
+        # every rule but DET004 reports the fact extractor's sites (or
+        # the linked project's findings); only DET004 walks the tree again
+        from repro.lint.core import ProjectRule, Rule, SiteRule, analyze_file
+        from repro.lint.summaries import extract_module_facts
+
+        passes = []
+        run = Rule.run
+
+        def counted_run(self):
+            if not isinstance(self, (SiteRule, ProjectRule)):
+                passes.append(self.id)
+            return run(self)
+
+        monkeypatch.setattr(Rule, "run", counted_run)
+        for path, source in sorted(GOLDEN_SOURCES.items()):
+            if path.endswith("broken.py"):
+                continue
+            passes.clear()
+            analyze_file(extract_module_facts(path, source))
+            assert passes == ["DET004"], path
 
 
 def _run_cli(*args, cwd=REPO):

@@ -16,9 +16,9 @@ import sys
 import pytest
 
 from repro.lint.callgraph import CallGraph, module_name_for_path
-from repro.lint.core import analyze_file, analyze_source
+from repro.lint.core import analyze_source
 from repro.lint.runner import lint_sources
-from repro.lint.summaries import extract_module_facts, record_set_escapes
+from repro.lint.summaries import extract_module_facts
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -471,24 +471,6 @@ class TestSummaryUnits:
         }
         assert rules_on(sources, "benchmarks/alg.py") == ["IPD001"]
         assert rules_on(sources, "benchmarks/helpers.py") == ["DET001"]
-
-    def test_det004_findings_seed_the_set_escape_bit(self):
-        facts = extract_module_facts(
-            "src/repro/s.py",
-            "def order(items):\n"
-            "    s = set(items)\n"
-            "    return [v for v in s]\n"
-            "\n"
-            "def quiet(items):\n"
-            "    s = set(items)\n"
-            "    return [v for v in s]  # lint: allow(DET004) ok\n",
-        )
-        findings = analyze_file(facts)
-        record_set_escapes(facts, findings)
-        assert [f.rule for f in findings] == ["DET004"]
-        escapes = {f.qualname: f.set_escape for f in facts.functions}
-        assert escapes["repro.s.order"].line == 3
-        assert escapes["repro.s.quiet"] is None
 
     def test_cycle_terminates_clean(self):
         sources = {
