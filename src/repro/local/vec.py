@@ -72,16 +72,20 @@ def induced_degrees(indptr, indices, member):
     return counts[indptr[1:]] - counts[indptr[:-1]]
 
 
-def _walk(v: int, prev: int, nb1: List[int], nb2: List[int]) -> List[int]:
-    """Follow the path from ``v`` away from ``prev`` to its end."""
-    out = [v]
+def _walk(v: int, prev: int, nb1: List[int], nb2: List[int],
+          ids: List[int], seen: bytearray) -> List[int]:
+    """Follow the path from rank ``v`` away from rank ``prev`` to its
+    end, marking each rank ``seen``; the node ids along the way."""
+    out = [ids[v]]
+    seen[v] = 1
     cur, pr = v, prev
     while True:
         a = nb1[cur]
         nxt = a if a != pr else nb2[cur]
         if nxt == -1:
             break
-        out.append(nxt)
+        out.append(ids[nxt])
+        seen[nxt] = 1
         pr = cur
         cur = nxt
     return out
@@ -97,6 +101,8 @@ def member_paths(graph: Graph, member) -> List[List[int]]:
     :mod:`repro.algorithms.rake_compress`.  Raises ``ValueError`` when a
     member has more than two member neighbours (the component is not a
     path); cycles cannot occur on the forest inputs the callers pass.
+    The walk runs over member ranks (positions among the sorted
+    members): past the mask scan, its cost follows the members, not n.
     """
     indptr, indices = csr_arrays(graph)
     nodes = np.nonzero(member)[0]
@@ -104,36 +110,35 @@ def member_paths(graph: Graph, member) -> List[List[int]]:
         return []
     src, nbr = expand_segments(indptr, indices, nodes)
     keep = member[nbr]
-    src, nbr = src[keep], nbr[keep]
-    counts = np.bincount(src, minlength=graph.n)[nodes]
-    if counts.size and int(counts.max()) > 2:
+    # a zero-filled table: the scatter touches only the members' pages
+    rank = np.zeros(graph.n, dtype=np.int64)
+    rank[nodes] = np.arange(nodes.size)
+    src, nbr = rank[src[keep]], rank[nbr[keep]]
+    counts = np.bincount(src, minlength=nodes.size)
+    if int(counts.max()) > 2:
         raise ValueError("member component is not a path")
-    nb = np.full((graph.n, 2), -1, dtype=np.int64)
+    nb = np.full((nodes.size, 2), -1, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     within = np.arange(src.size, dtype=np.int64) - np.repeat(starts, counts)
     nb[src, within] = nbr
     nb1 = nb[:, 0].tolist()
     nb2 = nb[:, 1].tolist()
 
-    seen = bytearray(graph.n)
+    ids = nodes.tolist()
+    seen = bytearray(nodes.size)
     paths: List[List[int]] = []
-    for v in nodes.tolist():
+    for v in range(nodes.size):
         if seen[v]:
             continue
         a, b = nb1[v], nb2[v]
-        if a == -1:
-            order = [v]
-        elif b == -1:
-            walk = _walk(v, -1, nb1, nb2)
-            order = walk if v <= walk[-1] else walk[::-1]
+        if b == -1:
+            walk = _walk(v, -1, nb1, nb2, ids, seen)
+            paths.append(walk if walk[0] <= walk[-1] else walk[::-1])
         else:
-            walk_a = _walk(v, b, nb1, nb2)
-            walk_b = _walk(v, a, nb1, nb2)
+            walk_a = _walk(v, b, nb1, nb2, ids, seen)
+            walk_b = _walk(v, a, nb1, nb2, ids, seen)
             if walk_a[-1] <= walk_b[-1]:
-                order = walk_a[::-1] + walk_b[1:]
+                paths.append(walk_a[::-1] + walk_b[1:])
             else:
-                order = walk_b[::-1] + walk_a[1:]
-        for u in order:
-            seen[u] = 1
-        paths.append(order)
+                paths.append(walk_b[::-1] + walk_a[1:])
     return paths

@@ -70,27 +70,53 @@ class TestMemberPaths:
                     assert max(induced[v] for v in range(g.n)
                                if member[v]) > 2
                     continue
-                seen = set()
-                for path in paths:
-                    assert path[0] == min(
-                        min(p) for p in paths if p is path
-                    ) or True  # ordering asserted globally below
-                    for u in path:
-                        assert member[u]
-                        assert u not in seen
-                        seen.add(u)
-                    for a, b in zip(path, path[1:]):
-                        assert b in g.neighbors(a)
-                    if len(path) > 1:
-                        assert path[0] <= path[-1]
-                assert seen == {v for v in range(g.n) if member[v]}
-                firsts = [min(p) for p in paths]
-                assert firsts == sorted(firsts)
+                _assert_member_paths(g, member, paths)
+
+    def test_sparse_masks_of_a_large_tree(self):
+        g = get_family("random_tree").instance(10**5, 3, 0)
+        u = 4321
+        v = g.neighbors(u)[0]
+        picks = random.Random(11).sample(range(g.n), 32)
+        for chosen in ([], [u], [u, v], picks):
+            member = [False] * g.n
+            for w in chosen:
+                member[w] = True
+            paths = vec.member_paths(g, _np_bool(member))
+            _assert_member_paths(g, member, paths)
+        assert vec.member_paths(g, _np_bool([False] * g.n)) == []
+        assert vec.member_paths(g, _np_bool(
+            [w == u for w in range(g.n)])) == [[u]]
+        pair = [w in (u, v) for w in range(g.n)]
+        assert vec.member_paths(g, _np_bool(pair)) == [sorted((u, v))]
 
     def test_raises_on_non_path_component(self):
         g = get_family("star").instance(6, 0, 0)
         with pytest.raises(ValueError):
             vec.member_paths(g, _np_bool([True] * g.n))
+
+
+def _assert_member_paths(g, member, paths):
+    """The checks that determine ``member_paths``' output: every member
+    lies on exactly one path, each path is a maximal run of adjacent
+    members ordered from its smaller endpoint, and paths ascend by their
+    smallest member."""
+    members = {v for v in range(g.n) if member[v]}
+    seen = set()
+    for path in paths:
+        on_path = set(path)
+        for u in path:
+            assert member[u]
+            assert u not in seen
+            seen.add(u)
+            # maximal: no member neighbour lies off the path
+            assert {w for w in g.neighbors(u) if member[w]} <= on_path
+        for a, b in zip(path, path[1:]):
+            assert b in g.neighbors(a)
+        if len(path) > 1:
+            assert path[0] <= path[-1]
+    assert seen == members
+    firsts = [min(p) for p in paths]
+    assert firsts == sorted(firsts)
 
 
 def _np_bool(mask):
