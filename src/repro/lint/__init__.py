@@ -24,9 +24,9 @@ Layout:
 * :mod:`repro.lint.rules` — the rule packs (DET, ENG, IPD, PAR, SHM,
   STORE).
 * :mod:`repro.lint.summaries` / :mod:`repro.lint.callgraph` — the one
-  fact extractor (the sites DET001/DET003/ENG001/SHM001 report, the
-  per-function summary bits), the project call graph and the fixpoints
-  behind the IPD and STORE002 findings.
+  fact extractor (the sites every intramodule rule but DET004 reports,
+  the per-function summary bits), the project call graph and the
+  fixpoints behind the IPD and STORE002 findings.
 * :mod:`repro.lint.runner` / ``python -m repro.lint`` — file
   collection, one :func:`repro.parallel.fork_map` pass per file (the
   linter obeys the ordered-fan-out discipline it enforces) and

@@ -303,6 +303,7 @@ class _Enclosing(NamedTuple):
     callables: FrozenSet[str] = frozenset()
     #: inside a ``def __hash__`` (exempt from DET002)
     in_hash: bool = False
+    #: the STORE001 scope, ``None`` in a def header
     payload: Optional[_PayloadScope] = None
 
 

@@ -130,10 +130,11 @@ def member_paths(graph: Graph, member) -> List[List[int]]:
     for v in range(nodes.size):
         if seen[v]:
             continue
+        # v is the smallest member of its component: an endpoint v is
+        # the path's smaller endpoint
         a, b = nb1[v], nb2[v]
         if b == -1:
-            walk = _walk(v, -1, nb1, nb2, ids, seen)
-            paths.append(walk if walk[0] <= walk[-1] else walk[::-1])
+            paths.append(_walk(v, -1, nb1, nb2, ids, seen))
         else:
             walk_a = _walk(v, b, nb1, nb2, ids, seen)
             walk_b = _walk(v, a, nb1, nb2, ids, seen)

@@ -287,6 +287,13 @@ class TestENG002BatchCacheReset:
                "        self._cache = 2\n")
         assert rule_ids(src) == []
 
+    def test_class_stated_in_a_compound_statement_is_checked(self):
+        src = ("if True:\n"
+               "    class A:\n"
+               "        def decide_batch(self, views, live, t):\n"
+               "            self._x = 1\n")
+        assert rule_ids(src) == ["ENG002"]
+
     def test_non_batched_classes_are_exempt(self):
         src = ("class B:\n"
                "    def work(self):\n"
@@ -470,6 +477,11 @@ class TestSTORE001StorePayloadPurity:
 class TestFramework:
     def test_suppression_with_reason_silences(self):
         src = "import random\nx = random.randint(1, 2)  # lint: allow(DET001) fuzz helper\n"
+        assert rule_ids(src) == []
+
+    def test_suppression_without_spaces_silences(self):
+        src = ("import random\n"
+               "x = random.randint(1, 2)  #lint:allow(DET001) fuzz helper\n")
         assert rule_ids(src) == []
 
     def test_standalone_suppression_covers_next_line(self):
