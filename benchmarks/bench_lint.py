@@ -1,10 +1,11 @@
 """Analyzer cost: whole-tree wall time, summary amortization.
 
 One pass per file — parse, tokenize (if the file contains ``lint:``),
-extract facts and rule sites, run the intramodule rules — then one link of the call graph and one run of the summary
-fixpoints serve every interprocedural rule family.  The strawman
-alternative (each of the four IPD/STORE002 checks running that pass
-for itself) pays the whole cost per rule.  Gates:
+extract facts and rule sites, run the intramodule rules — then one link
+of the call graph and one run of the summary fixpoints serve every
+interprocedural rule family.  The strawman alternative (each of the
+four IPD/STORE002 checks running that pass for itself) pays the whole
+cost per rule.  Gates:
 
 * **amortization >= 2x**: one shared pass feeding all rule families
   beats rerunning the pass per interprocedural family;

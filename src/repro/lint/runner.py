@@ -5,9 +5,10 @@ Each file is read and parsed once (and tokenized once, if it contains
 extracts the file's facts and rule sites in one walk
 (:func:`repro.lint.summaries.extract_module_facts`), runs the
 intramodule rules over the same parse (:func:`repro.lint.core.
-analyze_file`; only DET004 walks it again) and returns both.  The parent links the facts, runs the
-summary fixpoints (:func:`repro.lint.summaries.link_project`) and passes
-the interprocedural findings (IPD001–003, STORE002) through the same
+analyze_file`; only DET004 walks it again) and returns both.  The
+parent links the facts, runs the summary fixpoints
+(:func:`repro.lint.summaries.link_project`) and passes the
+interprocedural findings (IPD001–003, STORE002) through the same
 severity and suppression filter as every other rule.
 
 ``fork_map`` keeps results task-ordered — the fan-out discipline
