@@ -9,7 +9,7 @@ from .dfree_solver import (
     optimal_copy_assignment,
     run_algorithm_a,
 )
-from .fast_decomposition import FastDFreeSolution, run_fast_dfree
+from .fast_decomposition import run_fast_dfree
 from .generic_message import GenericPhaseColoring
 from .generic_phases import (
     default_gammas_25,
@@ -59,7 +59,6 @@ __all__ = [
     "dfree_radius",
     "optimal_copy_assignment",
     "run_algorithm_a",
-    "FastDFreeSolution",
     "run_fast_dfree",
     "GenericPhaseColoring",
     "default_gammas_25",

@@ -8,20 +8,20 @@
 * :func:`run_naive_weighted25` — solves ``Pi^{2.5}`` by having every
   weight node wait for the full active solution before copying:
   node-averaged Theta(worst case), the "no Decline" strawman from the
-  paper's introduction (Section 1.2).
+  paper's introduction (Section 1.2).  It shares the active side and the
+  Copy flood of :mod:`repro.algorithms.weighted25`'s ``Pi^Z``
+  composition; each whole weight component is one Copy component.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, List, Optional, Sequence
 
-from ..lcl.weighted import ACTIVE, WEIGHT, copy_of, decline
+from ..lcl.weighted import decline
 from ..local.algorithm import CONTINUE, LocalAlgorithm, View
 from ..local.graph import Graph
 from ..local.metrics import ExecutionTrace
-from .generic_phases import run_generic_fast_forward
-from ..lcl.levels import compute_levels
+from .weighted25 import apoly_gammas, flood_copy, run_active_side, weight_components
 
 __all__ = ["WaitForWholeGraph", "run_naive_weighted25"]
 
@@ -100,69 +100,24 @@ def run_naive_weighted25(
     so outputs must flood through entire weight trees — per-node times are
     active-time + distance, which drags the average up to the worst case
     (this is the 'grave error' discussed in Section 1.2)."""
-    from .weighted25 import apoly_gammas
-
-    n = graph.n
-    active = [v for v in graph.nodes() if graph.input_of(v) == ACTIVE]
-    weight = set(graph.nodes()) - set(active)
     if gammas is None:
-        gammas = apoly_gammas(n, delta, d, k, "poly")
+        gammas = apoly_gammas(graph.n, delta, d, k, "poly")
+    active, rounds, outputs = run_active_side(graph, ids, k, gammas, "2.5")
 
-    rounds = [0] * n
-    outputs: List = [None] * n
-    if active:
-        levels = compute_levels(graph, k, restrict=active)
-        tr = run_generic_fast_forward(
-            graph, ids, k, gammas, "2.5", levels=levels, restrict=active
-        )
-        for v in active:
-            rounds[v] = tr.rounds[v]
-            outputs[v] = tr.outputs[v]
-
-    # flood every weight component from its active attachment points
-    indptr, indices = graph.adjacency()
+    # flood every weight component from its earliest active attachment
     active_set = set(active)
-    seen = set()
-    for w in sorted(weight):
-        if w in seen:
-            continue
-        comp = [w]
-        seen.add(w)
-        stack = [w]
-        while stack:
-            u = stack.pop()
-            for i in range(indptr[u], indptr[u + 1]):
-                x = indices[i]
-                if x in weight and x not in seen:
-                    seen.add(x)
-                    comp.append(x)
-                    stack.append(x)
+    weight = set(graph.nodes()) - active_set
+    for comp in weight_components(graph, weight):
         sources = [
-            (u, a)
-            for u in comp
-            for a in indices[indptr[u]:indptr[u + 1]]
-            if a in active_set
+            (u, a) for u in comp for a in graph.neighbors(u) if a in active_set
         ]
         if not sources:
             for u in comp:
                 outputs[u] = decline()
                 rounds[u] = 1
             continue
-        src, anchor = min(sources, key=lambda p: (rounds[p[1]], ids[p[1]]))
-        secondary = outputs[anchor]
-        start = rounds[anchor] + 1
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for i in range(indptr[u], indptr[u + 1]):
-                x = indices[i]
-                if x in weight and x not in dist:
-                    dist[x] = dist[u] + 1
-                    queue.append(x)
-        for u in comp:
-            outputs[u] = copy_of(secondary)
-            rounds[u] = start + dist[u]
+        root, _ = min(sources, key=lambda p: (rounds[p[1]], ids[p[1]]))
+        flood_copy(graph, ids, rounds, outputs, active_set, root, comp, 0)
     return ExecutionTrace(
         rounds=rounds, outputs=outputs, algorithm="naive-weighted25", meta={}
     )

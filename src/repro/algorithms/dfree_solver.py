@@ -58,14 +58,18 @@ def dfree_radius(n: int, d: int) -> Tuple[int, int]:
 
 @dataclass
 class DFreeSolution:
-    """Output of Algorithm A plus bookkeeping for the Pi^Z solvers."""
+    """A d-free weight solution, as both solvers return it: Algorithm A
+    here and the fast decomposition of
+    :mod:`repro.algorithms.fast_decomposition`."""
 
     outputs: List[str]
-    rounds: int                      # common termination round R = 3L + 3
-    L: int
+    rounds: List[int]
+    # per-node termination round; Algorithm A's is R = 3L + 3 everywhere
     copy_component_of: Dict[int, List[int]]
-    # for each A-node v that outputs Copy: the connected Copy-component
-    # around it (a subtree of its radius-L ball, Observation 39)
+    # for each A-node v taken as a Copy root: the connected Copy component
+    # around it (Observation 39, Lemma 50), empty if v does not copy
+    iterations: int = 0
+    # the fast solver's decomposition iterations (0 for Algorithm A)
 
 
 def run_algorithm_a(
@@ -109,8 +113,7 @@ def run_algorithm_a(
             outputs[v] = DECLINE
     return DFreeSolution(
         outputs=[o for o in outputs],  # type: ignore[misc]
-        rounds=R,
-        L=L,
+        rounds=[R] * graph.n,
         copy_component_of=copy_component_of,
     )
 

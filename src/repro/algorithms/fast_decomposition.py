@@ -33,44 +33,20 @@ giving the O(1) node-averaged behaviour — bench E16 measures this.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..lcl.dfree import A_INPUT, CONNECT, COPY, DECLINE, W_INPUT
 from ..local import vec
 from ..local.graph import Graph
-from ..local.metrics import ExecutionTrace
+from .dfree_solver import DFreeSolution, _mark_connect_paths
 
-__all__ = ["run_fast_dfree", "FastDFreeSolution", "CONNECT_RADIUS"]
+__all__ = ["run_fast_dfree", "CONNECT_RADIUS"]
 
 CONNECT_RADIUS = 5
 _ROUNDS_PER_ITER = 3
 
 
-class FastDFreeSolution:
-    """Outputs, per-node times, and Copy components of the fast solver."""
-
-    def __init__(
-        self,
-        outputs: List[str],
-        rounds: List[int],
-        copy_component_of: Dict[int, List[int]],
-        iterations: int,
-    ) -> None:
-        self.outputs = outputs
-        self.rounds = rounds
-        self.copy_component_of = copy_component_of
-        self.iterations = iterations
-
-    def as_trace(self) -> ExecutionTrace:
-        return ExecutionTrace(
-            rounds=list(self.rounds),
-            outputs=list(self.outputs),
-            algorithm="fast-dfree",
-            meta={"iterations": self.iterations},
-        )
-
-
-def run_fast_dfree(graph: Graph, d: int, delta: Optional[int] = None) -> FastDFreeSolution:
+def run_fast_dfree(graph: Graph, d: int) -> DFreeSolution:
     """Solve the d-free weight problem with the adapted fast decomposition.
 
     Requires ``d >= 2`` (Corollary 49's hypothesis; Lemma 48 gives each
@@ -87,7 +63,7 @@ def run_fast_dfree(graph: Graph, d: int, delta: Optional[int] = None) -> FastDFr
             raise ValueError(f"node {v} has input {graph.input_of(v)!r}")
 
     # ---- Connect preprocessing: A-nodes within distance 5 --------------
-    _mark_close_connects(graph, a_nodes, outputs)
+    _mark_connect_paths(graph, a_nodes, CONNECT_RADIUS, outputs)
     for v in graph.nodes():
         if outputs[v] == CONNECT:
             rounds[v] = CONNECT_RADIUS
@@ -140,37 +116,12 @@ def run_fast_dfree(graph: Graph, d: int, delta: Optional[int] = None) -> FastDFr
             outputs[v] = DECLINE
             rounds[v] = _ROUNDS_PER_ITER * iter_of[v]
 
-    return FastDFreeSolution(
+    return DFreeSolution(
         outputs=[o for o in outputs],  # type: ignore[misc]
         rounds=rounds,
         copy_component_of=copy_component_of,
         iterations=iters,
     )
-
-
-def _mark_close_connects(
-    graph: Graph, a_nodes: Sequence[int], outputs: List[Optional[str]]
-) -> None:
-    a_set = set(a_nodes)
-    for src in a_nodes:
-        dist = {src: 0}
-        par: Dict[int, Optional[int]] = {src: None}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if dist[u] == CONNECT_RADIUS:
-                continue
-            for w in graph.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    par[w] = u
-                    queue.append(w)
-        for other in dist:
-            if other != src and other in a_set:
-                node: Optional[int] = other
-                while node is not None:
-                    outputs[node] = CONNECT
-                    node = par[node]
 
 
 def _oriented_decomposition(

@@ -22,19 +22,18 @@ orientation per the clarified rules of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..lcl.labeling import (
     SECONDARY_DECLINE,
     compress_label,
     rake_label,
 )
-from ..lcl.levels import compute_levels
-from ..lcl.weighted import ACTIVE, WEIGHT
+from ..lcl.weighted import WEIGHT
 from ..local.graph import Graph
 from ..local.metrics import ExecutionTrace
-from .generic_phases import run_generic_fast_forward
 from .rake_compress import Decomposition, Layer, gamma_for_k_layers, rake_compress
+from .weighted25 import run_active_side, weight_components
 
 __all__ = ["solve_hierarchical_labeling", "run_weight_augmented_solver", "LabelingSolution"]
 
@@ -156,28 +155,17 @@ def run_weight_augmented_solver(
     the labeling rooted at their active-adjacent node and flood
     secondaries along the orientation.
     """
-    n = graph.n
-    active = [v for v in graph.nodes() if graph.input_of(v) == ACTIVE]
+    gammas = [max(2, int(round(graph.n ** (1.0 / k))))] * (k - 1)
+    active, rounds, outputs = run_active_side(
+        graph, ids, k, gammas, "2.5", id_exponent
+    )
     weight = [v for v in graph.nodes() if graph.input_of(v) == WEIGHT]
-    rounds = [0] * n
-    outputs: List = [None] * n
-
-    if active:
-        gammas = [max(2, int(round(n ** (1.0 / k))))] * (k - 1)
-        levels = compute_levels(graph, k, restrict=active)
-        tr = run_generic_fast_forward(
-            graph, ids, k, gammas, "2.5",
-            id_exponent=id_exponent, levels=levels, restrict=active,
-        )
-        for v in active:
-            rounds[v] = tr.rounds[v]
-            outputs[v] = tr.outputs[v]
 
     if weight:
         active_set = set(active)
         roots = []
         weight_set = set(weight)
-        for comp_nodes in _weight_components(graph, weight_set):
+        for comp_nodes in weight_components(graph, weight_set):
             adjacent = [
                 v
                 for v in comp_nodes
@@ -222,7 +210,6 @@ def run_weight_augmented_solver(
                 path.append(u)
                 stack.append(target)
             # unwind
-            base = stack[-1]
             for u in reversed(path):
                 secondary[u] = secondary[sol.out[u]]
                 sec_time[u] = sec_time[sol.out[u]] + 1
@@ -243,22 +230,3 @@ def run_weight_augmented_solver(
         meta={},
     )
 
-
-def _weight_components(graph: Graph, weight_set: Set[int]) -> List[List[int]]:
-    comps = []
-    seen: Set[int] = set()
-    for v in sorted(weight_set):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if w in weight_set and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps

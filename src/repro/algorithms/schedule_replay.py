@@ -124,15 +124,21 @@ def replay_weight_augmented(k: int, **kw) -> ScheduleReplay:
     )
 
 
-def replay_fast_dfree(d: int, delta: Optional[int] = None) -> ScheduleReplay:
+def replay_fast_dfree(d: int) -> ScheduleReplay:
     """Corollary 49's d-free weight solver as a batched algorithm (the
     IDs are unused by the decomposition, as in the paper)."""
     from .fast_decomposition import run_fast_dfree
 
-    return ScheduleReplay(
-        f"fast-dfree-replay(d={d})",
-        lambda graph, ids: run_fast_dfree(graph, d, delta).as_trace(),
-    )
+    def fast_forward(graph: Graph, ids: List[int]) -> ExecutionTrace:
+        sol = run_fast_dfree(graph, d)
+        return ExecutionTrace(
+            rounds=sol.rounds,
+            outputs=sol.outputs,
+            algorithm="fast-dfree",
+            meta={"iterations": sol.iterations},
+        )
+
+    return ScheduleReplay(f"fast-dfree-replay(d={d})", fast_forward)
 
 
 def replay_generic_phases(

@@ -1,7 +1,8 @@
 """The generic algorithm for ``Pi^{3.5}_{Delta,d,k}`` (Section 8.2,
 Theorem 5).
 
-Composition:
+It is :mod:`repro.algorithms.weighted25`'s ``Pi^Z`` composition with two
+choices of its own:
 
 * active nodes run the generic phase algorithm (variant 3.5) with
   ``gamma_i = (log* n)^{alpha_i}``, the Lemma-36 exponents evaluated at
@@ -11,9 +12,7 @@ Composition:
 * weight nodes run the adapted fast-decomposition d-free solver
   (:mod:`repro.algorithms.fast_decomposition`): Decline/Connect nodes
   terminate at O(1) node-averaged time (Corollary 49), Copy components
-  ``C'(v)`` have size ``O(|C(v)|^{x'})`` (Lemma 52);
-* each Copy component floods the output of an active neighbour of its
-  root as secondary output once that active node has committed.
+  ``C'(v)`` have size ``O(|C(v)|^{x'})`` (Lemma 52).
 
 Requires ``d >= 3`` and ``Delta >= d + 3`` (Theorem 5's hypotheses; the
 fast solver itself needs ``d >= 2``).
@@ -21,17 +20,12 @@ fast solver itself needs ``d >= 2``).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-from ..lcl.dfree import A_INPUT, CONNECT as DF_CONNECT, COPY as DF_COPY, W_INPUT
-from ..lcl.levels import compute_levels
-from ..lcl.weighted import ACTIVE, WEIGHT, connect, copy_of, decline
 from ..local.graph import Graph
 from ..local.metrics import ExecutionTrace
 from .fast_decomposition import run_fast_dfree
-from .generic_phases import run_generic_fast_forward
-from .weighted25 import apoly_gammas
+from .weighted25 import apoly_gammas, solve_pi_z
 
 __all__ = ["run_weighted35"]
 
@@ -48,81 +42,15 @@ def run_weighted35(
     """Theorem 5's algorithm for ``Pi^{3.5}_{Delta,d,k}``."""
     if d < 3 or delta < d + 3:
         raise ValueError("Theorem 5 requires d >= 3 and Delta >= d + 3")
-    n = graph.n
-    active = [v for v in graph.nodes() if graph.input_of(v) == ACTIVE]
-    weight = [v for v in graph.nodes() if graph.input_of(v) == WEIGHT]
     if gammas is None:
-        gammas = apoly_gammas(n, delta, d, k, "logstar")
-
-    rounds = [0] * n
-    outputs: List = [None] * n
-
-    if active:
-        levels = compute_levels(graph, k, restrict=active)
-        tr = run_generic_fast_forward(
-            graph, ids, k, gammas, "3.5",
-            id_exponent=id_exponent, levels=levels, restrict=active,
-        )
-        for v in active:
-            rounds[v] = tr.rounds[v]
-            outputs[v] = tr.outputs[v]
-
-    if weight:
-        active_set = set(active)
-        sub, remap = graph.induced_subgraph(weight)
-        inv = {new: old for old, new in remap.items()}
-        dfree_inputs = [
-            A_INPUT
-            if any(w in active_set for w in graph.neighbors(inv[new]))
-            else W_INPUT
-            for new in sub.nodes()
-        ]
-        sub = sub.with_inputs(dfree_inputs)
-        sol = run_fast_dfree(sub, d, delta)
-
-        for new in sub.nodes():
-            old = inv[new]
-            lab = sol.outputs[new]
-            if lab == DF_CONNECT:
-                outputs[old] = connect()
-                rounds[old] = sol.rounds[new]
-            elif lab != DF_COPY:
-                outputs[old] = decline()
-                rounds[old] = sol.rounds[new]
-
-        for a_new, comp in sol.copy_component_of.items():
-            if not comp:
-                continue
-            u = inv[a_new]
-            candidates = [w for w in graph.neighbors(u) if w in active_set]
-            assert candidates, "Copy root without an active neighbour"
-            v = min(candidates, key=lambda w: (rounds[w], ids[w]))
-            secondary = outputs[v]
-            start = max(sol.rounds[a_new], rounds[v] + 1)
-            dist = _component_distances(sub, a_new, set(comp))
-            for w_new in comp:
-                old = inv[w_new]
-                outputs[old] = copy_of(secondary)
-                rounds[old] = start + dist[w_new]
-
-    missing = [v for v in graph.nodes() if outputs[v] is None]
-    if missing:
-        raise RuntimeError(f"weighted35 left {len(missing)} nodes unlabeled")
+        gammas = apoly_gammas(graph.n, delta, d, k, "logstar")
+    rounds, outputs, _ = solve_pi_z(
+        graph, ids, k, gammas, "3.5", id_exponent,
+        lambda forest: run_fast_dfree(forest, d),
+    )
     return ExecutionTrace(
         rounds=rounds,
         outputs=outputs,
         algorithm="weighted35-fast",
         meta={"gammas": list(gammas)},
     )
-
-
-def _component_distances(graph: Graph, source: int, comp: set) -> Dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            if w in comp and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
