@@ -19,6 +19,7 @@ These encode ``docs/engine-contract.md`` at the AST level:
 from __future__ import annotations
 
 import ast
+from collections import deque
 from typing import AbstractSet, List, Optional, Sequence, Set, Tuple
 
 from ..core import SiteRule
@@ -119,9 +120,17 @@ def batch_cache_leaks(node: ast.ClassDef) -> List[Tuple[ast.AST, str]]:
 
 
 def _self_assignments(method: ast.AST) -> List[Tuple[str, ast.AST]]:
-    """``(attr, node)`` for every ``self.attr = ...`` in ``method``."""
+    """``(attr, node)`` for every ``self.attr = ...`` in ``method``.
+
+    The walk stops at nested classes: each binds its own ``self`` and is
+    checked on its own.
+    """
     out: List[Tuple[str, ast.AST]] = []
-    for inner in ast.walk(method):
+    todo = deque([method])
+    while todo:
+        inner = todo.popleft()
+        todo.extend(child for child in ast.iter_child_nodes(inner)
+                    if not isinstance(child, ast.ClassDef))
         targets: List[ast.expr] = []
         if isinstance(inner, ast.Assign):
             targets = inner.targets

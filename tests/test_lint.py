@@ -300,6 +300,17 @@ class TestENG002BatchCacheReset:
                "        self._memo = {}\n")
         assert rule_ids(src) == []
 
+    def test_class_nested_in_a_method_reports_once(self):
+        # the nested class binds its own self and is checked on its own
+        src = ("class A:\n"
+               "    def decide_batch(self, views, live, t):\n"
+               "        class B:\n"
+               "            def decide_batch(self, views, live, t):\n"
+               "                self._x = 1\n"
+               "        return B\n")
+        findings = analyze_source(src, SRC)
+        assert [(f.rule, f.line) for f in findings] == [("ENG002", 5)]
+
 
 class TestPAR001ForkMapClosure:
     def test_lambda_worker_fires(self):
