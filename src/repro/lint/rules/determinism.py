@@ -397,7 +397,8 @@ class SetIterationRule(Rule):
 
 
 _UNORDERED_ATTRS = {"imap_unordered", "map_unordered"}
-_UNORDERED_QUALS = {"concurrent.futures.as_completed", "asyncio.as_completed"}
+#: imports that fire DET005 unless an enclosing scope rebinds the name
+UNORDERED_QUALS = {"concurrent.futures.as_completed", "asyncio.as_completed"}
 
 
 def unordered_fanout(qual: Optional[str],
@@ -405,7 +406,7 @@ def unordered_fanout(qual: Optional[str],
     """DET005's message for an attribute named ``attr`` (``None`` for a
     name) whose chain resolves to ``qual``, or ``None`` when it is not an
     unordered fan-out API."""
-    if attr not in _UNORDERED_ATTRS and qual not in _UNORDERED_QUALS:
+    if attr not in _UNORDERED_ATTRS and qual not in UNORDERED_QUALS:
         return None
     name = attr if attr in _UNORDERED_ATTRS else "as_completed"
     return (f"{name} yields results in completion order; use "
@@ -420,7 +421,9 @@ class UnorderedPoolRule(SiteRule):
     from them differ run to run.  ``repro.parallel.fork_map`` (ordered
     ``pool.map``) is the only sanctioned fan-out.  The fact extractor
     records a site for every attribute and loaded name
-    :func:`unordered_fanout` accepts.
+    :func:`unordered_fanout` accepts, resolving a name, or a chain's
+    root, as DET003 does: a parameter or local that rebinds it shadows
+    the import.
     """
 
     id = "DET005"

@@ -38,8 +38,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set,
-    Tuple,
+    AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
 from .callgraph import (
@@ -71,8 +71,8 @@ from .rules.contracts import (
     unsealed,
 )
 from .rules.determinism import (
-    CLOCK_SOURCES, HASH_MESSAGE, builtin_hash, clock_message,
-    unordered_fanout, unseeded_entropy,
+    CLOCK_SOURCES, HASH_MESSAGE, UNORDERED_QUALS, builtin_hash,
+    clock_message, unordered_fanout, unseeded_entropy,
 )
 from .rules.store import (
     ENVIRONMENT_SOURCES, is_store_put, payload_writer, purity_message,
@@ -536,7 +536,9 @@ class _Extractor:
                 enc.payload.writes = True
         elif isinstance(node, ast.Attribute):
             qual = self.ctx.qualname(node)
-            fanout = unordered_fanout(qual, node.attr)
+            fanout = unordered_fanout(
+                self._unshadowed(node, qual, UNORDERED_QUALS, scope),
+                node.attr)
             if fanout is not None:
                 self._report("DET005", node, fanout)
             qual = self._source(node, qual, scope, enc.payload)
@@ -550,7 +552,8 @@ class _Extractor:
         elif isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Load):
                 qual = self.imports.get(node.id)
-                fanout = unordered_fanout(qual)
+                fanout = unordered_fanout(
+                    self._unshadowed(node, qual, UNORDERED_QUALS, scope))
                 if fanout is not None:
                     self._report("DET005", node, fanout)
                 qual = self._source(node, qual, scope, enc.payload)
@@ -589,16 +592,24 @@ class _Extractor:
             else:
                 self._visit(child, units, enc, inner)
 
+    @staticmethod
+    def _unshadowed(node: ast.expr, qual: Optional[str],
+                    wanted: AbstractSet[str],
+                    scope: _Scope) -> Optional[str]:
+        """``qual`` if it is in ``wanted`` and no enclosing def, lambda,
+        comprehension or class rebinds ``node``'s root name; else
+        ``None``."""
+        if qual in wanted and scope.owner(_root_name(node)).parent is None:
+            return qual
+        return None
+
     def _source(self, node: ast.expr, qual: Optional[str], scope: _Scope,
                 payload: Optional[_PayloadScope]) -> Optional[str]:
         """``qual`` if ``node`` reads an environment source (a clock,
-        entropy or identity import whose root name no enclosing def,
-        lambda, comprehension or class rebinds), recorded in its STORE001
+        entropy or identity import, unshadowed), recorded in its STORE001
         scope; else ``None``."""
-        if qual not in ENVIRONMENT_SOURCES or \
-                scope.owner(_root_name(node)).parent is not None:
-            return None
-        if payload is not None:
+        qual = self._unshadowed(node, qual, ENVIRONMENT_SOURCES, scope)
+        if qual is not None and payload is not None:
             payload.reads.append((node, qual))
         return qual
 

@@ -233,6 +233,29 @@ class TestDET005UnorderedPool:
                "    return [x.result() for x in as_completed(futs)]\n")
         assert rule_ids(src) == ["DET005"]
 
+    def test_shadowing_parameter_is_clean(self):
+        src = ("from asyncio import as_completed\n"
+               "def f(as_completed):\n"
+               "    return as_completed([])\n")
+        assert rule_ids(src) == []
+
+    def test_shadowing_local_is_clean(self):
+        src = ("import concurrent.futures as cf\n"
+               "from asyncio import as_completed\n"
+               "def f(futs):\n"
+               "    as_completed = list\n"
+               "    cf = None\n"
+               "    return as_completed(futs), cf.as_completed(futs)\n")
+        assert rule_ids(src) == []
+
+    def test_module_level_call_fires(self):
+        src = ("from asyncio import as_completed\n"
+               "def f(as_completed):\n"
+               "    return as_completed\n"
+               "done = as_completed([])\n")
+        findings = analyze_source(src, SRC)
+        assert [(f.rule, f.line) for f in findings] == [("DET005", 4)]
+
     def test_fork_map_is_the_sanctioned_fanout(self):
         src = ("from repro.parallel import fork_map\n"
                "def g(x):\n"
