@@ -94,8 +94,9 @@ class StorePayloadPurityRule(SiteRule):
     The fact extractor records the sites: per scope, its writer calls
     and the source reads it resolved for DET003 (a local rebinding of a
     source's name is not a read).  Lambdas, class bodies and
-    comprehensions belong to the enclosing scope; a def's decorators,
-    defaults and annotations belong to none.
+    comprehensions belong to the enclosing scope, as do a def's
+    decorators; its defaults belong to the def's own scope, since they
+    feed the body, and annotations to none.
     """
 
     id = "STORE001"

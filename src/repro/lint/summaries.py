@@ -295,7 +295,8 @@ class _PayloadScope:
 class _Enclosing(NamedTuple):
     """What a node's enclosing defs mean for the rules.  A def's header
     (decorators, defaults, annotations) counts as inside the def, but
-    belongs to no STORE001 scope."""
+    for STORE001 its decorators belong to the enclosing scope, its
+    defaults to the def's own and its annotations to none."""
 
     #: ``view``/``views`` parameters (ENG001)
     views: FrozenSet[str] = frozenset()
@@ -303,7 +304,7 @@ class _Enclosing(NamedTuple):
     callables: FrozenSet[str] = frozenset()
     #: inside a ``def __hash__`` (exempt from DET002)
     in_hash: bool = False
-    #: the STORE001 scope, ``None`` in a def header
+    #: the STORE001 scope, ``None`` in an annotation
     payload: Optional[_PayloadScope] = None
 
 
@@ -468,17 +469,25 @@ class _Extractor:
              stated: Optional[Tuple[_Unit, Dict[str, str]]] = None,
              ) -> None:
         """A def: its header runs in ``units``, its body in the unit
-        ``stated`` names (with the defs its calls can name), if any."""
+        ``stated`` names (with the defs its calls can name), if any.
+
+        For STORE001 a decorator runs in the enclosing scope and a
+        default feeds the body; annotations belong to no scope.
+        """
+        outer, payload = enc.payload, _PayloadScope()
         enc = enc._replace(
             views=enc.views | (set(_params(node)) & VIEW_PARAMS),
             callables=enc.callables | local_callables(node.body),
             in_hash=enc.in_hash or node.name == "__hash__",
             payload=None)
-        for header in node.decorator_list + [node.args]:
-            self._visit(header, units, enc, scope)
+        for header in node.decorator_list:
+            self._visit(header, units, enc._replace(payload=outer), scope)
+        for header in ast.iter_child_nodes(node.args):
+            self._visit(header, units, enc if isinstance(header, ast.arg)
+                        else enc._replace(payload=payload), scope)
         if node.returns is not None:
             self._visit(node.returns, units, enc, scope)
-        enc = enc._replace(payload=_PayloadScope())
+        enc = enc._replace(payload=payload)
         inner = _Scope(scope, "function", node.body, _scope_params(node))
         if stated is None:
             for stmt in node.body:

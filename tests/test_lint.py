@@ -468,6 +468,23 @@ class TestSTORE001StorePayloadPurity:
                "    atomic_write_text(path, str(time()))\n")
         assert rule_ids(src) == []
 
+    def test_default_read_counts_in_the_writer_def(self):
+        src = ("import time\n"
+               "from repro.store import atomic_write_json\n"
+               "def stamped(path, at=time.time()):\n"
+               "    atomic_write_json(path, {'at': at})\n")
+        assert rule_ids(src) == ["DET003", "STORE001"]
+
+    def test_decorator_read_counts_in_the_enclosing_scope(self):
+        # the decorator runs in the module body, which writes nothing
+        src = ("import functools\n"
+               "import os\n"
+               "from repro.store import atomic_write_json\n"
+               "@functools.lru_cache(maxsize=os.getpid())\n"
+               "def save(path):\n"
+               "    atomic_write_json(path, {})\n")
+        assert rule_ids(src) == []
+
     def test_pure_writer_is_clean(self):
         src = ("from repro.store import atomic_write_json\n"
                "def save(path, payload):\n"
