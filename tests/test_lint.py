@@ -22,6 +22,7 @@ from repro.lint.baseline import (
     render_baseline,
     split_findings,
 )
+from repro.lint.cli import _DEFAULT_PATHS
 from repro.lint.config import severity_for
 from repro.lint.core import BAD_SUPPRESSION_RULE, PARSE_ERROR_RULE, Finding
 from repro.lint.runner import collect_files, run_lint
@@ -723,33 +724,23 @@ def _run_cli(*args, cwd=REPO):
     )
 
 
-@pytest.fixture(scope="session")
-def lint_cli():
-    """:func:`_run_cli` memoized per argument tuple: each whole-tree
-    invocation runs once per session, however many tests read it."""
-    runs = {}
-
-    def run(*args):
-        if args not in runs:
-            runs[args] = _run_cli(*args)
-        return runs[args]
-    return run
+@pytest.fixture(scope="module")
+def repo_report():
+    """One in-process analysis of what a bare ``python -m repro.lint``
+    lints from the repo root, shared by the whole-tree tests."""
+    return run_lint(_DEFAULT_PATHS, jobs=1, root=REPO)
 
 
 class TestCLI:
-    def test_repo_is_clean(self, lint_cli):
-        proc = lint_cli("src", "tests", "benchmarks")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "0 errors" in proc.stdout
+    def test_repo_is_clean(self, repo_report):
+        assert repo_report.exit_code == 0, repo_report.to_text()
+        assert "0 errors" in repo_report.to_text()
 
-    def test_json_identical_across_jobs(self, lint_cli):
-        one = lint_cli("src", "tests", "benchmarks", "--format", "json",
-                       "--jobs", "1")
-        four = lint_cli("src", "tests", "benchmarks", "--format", "json",
-                        "--jobs", "4")
-        assert one.returncode == 0 and four.returncode == 0
-        assert one.stdout == four.stdout
-        payload = json.loads(one.stdout)
+    def test_json_identical_across_jobs(self, repo_report):
+        four = run_lint(_DEFAULT_PATHS, jobs=4, root=REPO)
+        assert repo_report.exit_code == 0 and four.exit_code == 0
+        assert repo_report.to_json() == four.to_json()
+        payload = json.loads(repo_report.to_json())
         assert payload["summary"]["errors"] == 0
 
     def test_findings_set_exit_code(self, tmp_path):
@@ -766,15 +757,11 @@ class TestCLI:
                         "IPD001", "IPD002", "IPD003", "STORE002"):
             assert rule_id in proc.stdout
 
-    def test_examples_linted_by_default(self, lint_cli):
-        proc = lint_cli()
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_examples_linted_by_default(self, repo_report):
+        assert repo_report.exit_code == 0, repo_report.to_text()
         # file count covers examples/ on top of src+tests+benchmarks
-        explicit = lint_cli("src", "tests", "benchmarks")
-        count = int(proc.stdout.rsplit(" files", 1)[0].rsplit()[-1])
-        explicit_count = int(
-            explicit.stdout.rsplit(" files", 1)[0].rsplit()[-1])
-        assert count > explicit_count
+        explicit = collect_files(["src", "tests", "benchmarks"], root=REPO)
+        assert repo_report.files > len(explicit)
 
 
 # ----------------------------------------------------------------------
