@@ -3,8 +3,9 @@
 Each Pi^Z entry pins the sha256 of ``repr((rounds, outputs))`` plus the
 trace's ``algorithm`` name and ``meta`` dict, for ``run_apoly``,
 ``run_a35``, ``run_weighted35``, ``run_naive_weighted25`` and
-``run_weight_augmented_solver`` on Pi^Z constructions and on the two
-weighted sweep families.  The d-free entries pin the fast solver's
+``run_weight_augmented_solver`` on Pi^Z constructions, on the two
+weighted sweep families, and on mixed caterpillars whose weight side
+connects as well as copies and declines.  The d-free entries pin the fast solver's
 outputs, rounds and Copy components, and Algorithm A's outputs and Copy
 components, on random ``A``/``W`` caterpillars.  The weight forests fall on both
 sides of ``vec.VEC_MIN_NODES``, so both twins of the fast solver's
@@ -33,7 +34,7 @@ from repro.constructions import build_weighted_construction
 from repro.constructions.lowerbound import paper_lengths
 from repro.families import caterpillar_tree, get_family
 from repro.lcl.dfree import A_INPUT, W_INPUT
-from repro.lcl.weighted import WEIGHT
+from repro.lcl.weighted import ACTIVE, WEIGHT
 from repro.local import random_ids, vec
 
 
@@ -47,6 +48,7 @@ def _digest(value) -> str:
 CONSTRUCTIONS = [(300, 5, 2, 2), (600, 6, 3, 2), (2500, 6, 3, 2), (6000, 6, 3, 3)]
 FAMILIES = [("weighted25_d5k2", (5, 2, 2)), ("weighted35_d6k2", (6, 3, 2))]
 FAMILY_SIZES = [200, 3000]
+MIXED_SIZES = [400, 3000]
 DFREE_SIZES = [120, 900, 5000]
 
 
@@ -62,6 +64,15 @@ def _construction(n_target, delta, d, k):
 def _family(name, n):
     g = get_family(name).instance(n, 0, 0)
     return g, random_ids(g.n, rng=random.Random(n))
+
+
+def _mixed(n):
+    """A random caterpillar with 5% active nodes: its weight components
+    touch several active nodes, so some weight nodes connect."""
+    rng = random.Random(n)
+    g = caterpillar_tree(n, rng)
+    inputs = [ACTIVE if rng.random() < 0.05 else WEIGHT for _ in range(g.n)]
+    return g.with_inputs(inputs), random_ids(g.n, rng=random.Random(n + 1))
 
 
 def _dfree_tree(n, d):
@@ -91,18 +102,24 @@ def _weighted_cases():
         for n in FAMILY_SIZES:
             g, ids = _family(name, n)
             yield f"{name}-{n}", g, ids, params
+    for n in MIXED_SIZES:
+        g, ids = _mixed(n)
+        yield f"mixed-{n}", g, ids, (6, 3, 2)
 
 
-def _solver_applies(solver, delta, d):
-    # Theorem 5's hypotheses: the fast Pi^{3.5} solver refuses the rest
-    return solver != "weighted35" or (d >= 3 and delta >= d + 3)
+def _solver_applies(solver, case, delta, d):
+    if solver == "weighted35":
+        # Theorem 5's hypotheses: the fast Pi^{3.5} solver refuses the rest
+        return d >= 3 and delta >= d + 3
+    # Lemma 69's solver takes one active-adjacent node per weight component
+    return solver != "augmented" or not case.startswith("mixed")
 
 
 def weighted_table():
     table = {}
     for case, g, ids, (delta, d, k) in _weighted_cases():
         for solver, run in SOLVERS.items():
-            if not _solver_applies(solver, delta, d):
+            if not _solver_applies(solver, case, delta, d):
                 continue
             tr = run(g, ids, delta, d, k)
             table[(solver, case)] = (
@@ -135,6 +152,8 @@ WEIGHTED_PINS = {
     ('a35', 'construction-300-5-2-2'): ('0805b24e9a5db2bf336154268e42091bc235ebb3eea826df7f8908b09bcbeeac', 'a_poly-3.5', {'gammas': [4], 'dfree_rounds': 21}),
     ('a35', 'construction-600-6-3-2'): ('f1538c9a31aabd6ed4b86576f727137757162dbba4ad813cd1bb1571b62a7206', 'a_poly-3.5', {'gammas': [3], 'dfree_rounds': 18}),
     ('a35', 'construction-6000-6-3-3'): ('f02ce2bd92e9a7765307ba346a177a23af015b812e1823c9333a216a1de66589', 'a_poly-3.5', {'gammas': [3, 3], 'dfree_rounds': 24}),
+    ('a35', 'mixed-3000'): ('afa2d6d2b1a9bfbc304a1c50a79db93b1509fd578d529906559cd5ec1c1600aa', 'a_poly-3.5', {'gammas': [3], 'dfree_rounds': 21}),
+    ('a35', 'mixed-400'): ('a260ca3e862a49ecac4b2a78211686355220efa36dac3453a09113b2c0f75962', 'a_poly-3.5', {'gammas': [3], 'dfree_rounds': 18}),
     ('a35', 'weighted25_d5k2-200'): ('d4f13f6e14565cde41b877f9ac557573ec8545e99aa5d20875bbfbe43137ae5e', 'a_poly-3.5', {'gammas': [4], 'dfree_rounds': 18}),
     ('a35', 'weighted25_d5k2-3000'): ('f0ac5035c482747078bab49471b58f22bbec60960ab3acca609bb46f4b692eb2', 'a_poly-3.5', {'gammas': [4], 'dfree_rounds': 27}),
     ('a35', 'weighted35_d6k2-200'): ('bc2a11dc9ea9b77c6d3bfd704f36400dc882ffc203f64ba99b67e24e12ff0c1f', 'a_poly-3.5', {'gammas': [3], 'dfree_rounds': 15}),
@@ -143,6 +162,8 @@ WEIGHTED_PINS = {
     ('apoly', 'construction-300-5-2-2'): ('77aebc9d4de4a78d4e8e86885f71f92e33d57fde99d279731e976f88489ef7a3', 'a_poly-2.5', {'gammas': [10], 'dfree_rounds': 21}),
     ('apoly', 'construction-600-6-3-2'): ('f851f352fff2d96dd235dbf2028840b809b1a25a558dfb6ea565fb05404352b6', 'a_poly-2.5', {'gammas': [12], 'dfree_rounds': 18}),
     ('apoly', 'construction-6000-6-3-3'): ('849e88cdd8f7bb3806bf82b3923d2c5f0330065463e143045b7438afa733e61f', 'a_poly-2.5', {'gammas': [6, 15], 'dfree_rounds': 24}),
+    ('apoly', 'mixed-3000'): ('1ce0406963640672364b0f3cde0f9e5d46d815556ef22e1aabe0baad31403ba0', 'a_poly-2.5', {'gammas': [23], 'dfree_rounds': 21}),
+    ('apoly', 'mixed-400'): ('cff802e4fb30500315525554aed017e65e2a60c0d81161b0dd0da856d7e18be1', 'a_poly-2.5', {'gammas': [10], 'dfree_rounds': 18}),
     ('apoly', 'weighted25_d5k2-200'): ('d50febbbea91fa5c05cad485022953c1b156a79935cb3db9212c9215b97e6ace', 'a_poly-2.5', {'gammas': [8], 'dfree_rounds': 18}),
     ('apoly', 'weighted25_d5k2-3000'): ('848fc5eedda4beff07213c415a47bb4b1cd26cb9308b63389043048beb9a0f7b', 'a_poly-2.5', {'gammas': [25], 'dfree_rounds': 27}),
     ('apoly', 'weighted35_d6k2-200'): ('eb8296015b0617ea2c30120d87d824c45be976a25b0a45d4e352755c621a3af2', 'a_poly-2.5', {'gammas': [8], 'dfree_rounds': 15}),
@@ -159,6 +180,8 @@ WEIGHTED_PINS = {
     ('naive', 'construction-300-5-2-2'): ('e31e9bd3808812ce340b4ae63e9030f40b86c2847729f5dad77b9d02a2cf0efb', 'naive-weighted25', {}),
     ('naive', 'construction-600-6-3-2'): ('be05538adfff14061deab3508f82c801b27fe3d7d40b575016e613b0e91d9de5', 'naive-weighted25', {}),
     ('naive', 'construction-6000-6-3-3'): ('15ca4f0926bfd0d9c8526b2a4f41fa06ec907da7c9de87ff4dd364dc1d7bd7b7', 'naive-weighted25', {}),
+    ('naive', 'mixed-3000'): ('7f0e802908a6b0f94a6d936cead53aa434c0c239eaba198413114019a75ad86b', 'naive-weighted25', {}),
+    ('naive', 'mixed-400'): ('9b40d7ac616f40bf1aad02a036d2fee0bec00b216972dd1177095bee4363d85d', 'naive-weighted25', {}),
     ('naive', 'weighted25_d5k2-200'): ('ac83bb02f6f460fa4390a976f4f5996a08684508a6509d5f204203e21cc2b8ff', 'naive-weighted25', {}),
     ('naive', 'weighted25_d5k2-3000'): ('0587318958bda56e60d3fe2bda2cc9876c379f0e41556b5383675e31bb9f054a', 'naive-weighted25', {}),
     ('naive', 'weighted35_d6k2-200'): ('b9c9057f5b510275827edaffa08634f377dda3a868b7eacc881ac8117e8a8468', 'naive-weighted25', {}),
@@ -166,6 +189,8 @@ WEIGHTED_PINS = {
     ('weighted35', 'construction-2500-6-3-2'): ('cef19f6a1deeaa4726ce8315f025fa4aedc719713041925334c8e0bd4d0d57b0', 'weighted35-fast', {'gammas': [3]}),
     ('weighted35', 'construction-600-6-3-2'): ('560e681d835f9b71bf9b870f285a016cc9f0707c27fbbc80cdd0f437c4e39b89', 'weighted35-fast', {'gammas': [3]}),
     ('weighted35', 'construction-6000-6-3-3'): ('beb7163d3c4c60b58004f611c7e7022568fd276cf6a8f1bd14a046cbaa557286', 'weighted35-fast', {'gammas': [3, 3]}),
+    ('weighted35', 'mixed-3000'): ('a17dc6fe8deaccedcc7c8e560c5387fce0d5e54e35891b689ec4bef1cc7d4f95', 'weighted35-fast', {'gammas': [3]}),
+    ('weighted35', 'mixed-400'): ('00f47963f4dddf084a6f12ceaad65d0367e679496076fae7f0e1ab5a14dbefe4', 'weighted35-fast', {'gammas': [3]}),
     ('weighted35', 'weighted35_d6k2-200'): ('4166c7c86b66badf8c5e10ffb52de84d397412b96660969fde86e2bd994b71de', 'weighted35-fast', {'gammas': [3]}),
     ('weighted35', 'weighted35_d6k2-3000'): ('68e0aff9cfb82c5fea2c8ab807346de1785f9686ddf26fc2272ea201a1e42c30', 'weighted35-fast', {'gammas': [3]}),
 }
@@ -212,8 +237,8 @@ def test_dfree_solution_pinned(dfree, key):
 
 def test_weight_forests_straddle_vector_threshold():
     sizes = set()
-    for _case, g, _ids, (delta, d, _k) in _weighted_cases():
-        if _solver_applies("weighted35", delta, d):
+    for case, g, _ids, (delta, d, _k) in _weighted_cases():
+        if _solver_applies("weighted35", case, delta, d):
             sizes.add(sum(1 for v in g.nodes() if g.input_of(v) == WEIGHT))
     sizes.update(_dfree_tree(n, 3).n for n in DFREE_SIZES)
     assert min(sizes) < vec.VEC_MIN_NODES <= max(sizes)
