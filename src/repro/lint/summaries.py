@@ -474,20 +474,23 @@ class _Extractor:
         For STORE001 a decorator runs in the enclosing scope and a
         default feeds the body; annotations belong to no scope.
         """
-        outer, payload = enc.payload, _PayloadScope()
+        outer = enc.payload
         enc = enc._replace(
             views=enc.views | (set(_params(node)) & VIEW_PARAMS),
             callables=enc.callables | local_callables(node.body),
             in_hash=enc.in_hash or node.name == "__hash__",
             payload=None)
-        for header in node.decorator_list:
-            self._visit(header, units, enc._replace(payload=outer), scope)
+        if node.decorator_list:
+            decorator = enc._replace(payload=outer)
+            for header in node.decorator_list:
+                self._visit(header, units, decorator, scope)
+        body = enc._replace(payload=_PayloadScope())
         for header in ast.iter_child_nodes(node.args):
-            self._visit(header, units, enc if isinstance(header, ast.arg)
-                        else enc._replace(payload=payload), scope)
+            self._visit(header, units,
+                        enc if isinstance(header, ast.arg) else body, scope)
         if node.returns is not None:
             self._visit(node.returns, units, enc, scope)
-        enc = enc._replace(payload=payload)
+        enc = body
         inner = _Scope(scope, "function", node.body, _scope_params(node))
         if stated is None:
             for stmt in node.body:
