@@ -32,7 +32,7 @@ E-propagation occupies the next ``k + 1`` rounds, so
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..lcl.hierarchical import B, D, E, W, COLORS_3
 from ..lcl.levels import compute_levels
@@ -40,7 +40,7 @@ from ..local import vec
 from ..local.graph import Graph
 from ..local.ids import id_space_size
 from ..local.metrics import ExecutionTrace
-from .symmetry_breaking import cv_total_rounds, three_color_path
+from .symmetry_breaking import three_color_path
 
 __all__ = [
     "phase_schedule",
