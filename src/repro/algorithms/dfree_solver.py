@@ -13,7 +13,11 @@ Given a forest with inputs ``A`` (weight nodes touching an active node) and
 * everything else declines.
 
 All nodes decide after ``R = 3L + 3`` rounds (worst case O(log n),
-Corollary 38).  Two assignment procedures are provided:
+Corollary 38).  :class:`DFreeSolution` is the one solution shape of both
+d-free solvers (this one and
+:func:`repro.algorithms.fast_decomposition.run_fast_dfree`): per-node
+labels and rounds, and each Copy root's component, which the ``Pi^Z``
+composition floods.  Two assignment procedures are provided:
 
 * :func:`astar_assignment` — the sequential ``A*`` of Lemma 37's proof
   (decline the ``d`` heaviest subtrees under every Copy node), which

@@ -25,6 +25,12 @@ same interface guarantees:
   A-spans declines at its own assignment iteration;
 * per-node time: ``O(iteration at which the output became determined)``.
 
+Before the decomposition, nodes on a path of length <= ``CONNECT_RADIUS``
+between two ``A``-nodes connect, by Algorithm A's own path marking.  The
+result is a :class:`~repro.algorithms.dfree_solver.DFreeSolution`, the
+shape Algorithm A returns, with per-node rounds and the decomposition's
+iteration count.
+
 On the paper's workload family (balanced weight trees of Definition 25)
 the unfinished-node count decays geometrically with the iteration index,
 giving the O(1) node-averaged behaviour — bench E16 measures this.

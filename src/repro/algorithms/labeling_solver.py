@@ -13,11 +13,12 @@ of Lemma 69 / bench E10): each rake sublayer costs one round, each
 compress layer costs ``2*ell`` rounds (path gathering); a node's label
 time is the prefix cost up to its layer.
 
-The weight-augmented solver roots each weight component's decomposition
-at its (unique) active-adjacent node, which then points at the active
-neighbour and copies its output (rule 3); secondaries propagate along the
-orientation per the clarified rules of
-:mod:`repro.lcl.labeling`.
+The weight-augmented solver shares the active side and the weight
+component DFS of :mod:`repro.algorithms.weighted25`'s ``Pi^Z``
+composition.  It roots each weight component's decomposition at its
+(unique) active-adjacent node, which then points at the active neighbour
+and copies its output (rule 3); secondaries propagate along the
+orientation per the clarified rules of :mod:`repro.lcl.labeling`.
 """
 
 from __future__ import annotations
