@@ -10,7 +10,9 @@
   node-averaged Theta(worst case), the "no Decline" strawman from the
   paper's introduction (Section 1.2).  It shares the active side and the
   Copy flood of :mod:`repro.algorithms.weighted25`'s ``Pi^Z``
-  composition; each whole weight component is one Copy component.
+  composition; each whole weight component is one Copy component, so it
+  raises ``ValueError`` on a component with several active-adjacent
+  nodes, where one copied output cannot match every active neighbour.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from ..lcl.weighted import decline
 from ..local.algorithm import CONTINUE, LocalAlgorithm, View
 from ..local.graph import Graph
 from ..local.metrics import ExecutionTrace
-from .weighted25 import apoly_gammas, flood_copy, run_active_side, weight_components
+from .weighted25 import (
+    active_root,
+    apoly_gammas,
+    flood_copy,
+    run_active_side,
+    weight_components,
+)
 
 __all__ = ["WaitForWholeGraph", "run_naive_weighted25"]
 
@@ -99,24 +107,27 @@ def run_naive_weighted25(
     """Strawman for ``Pi^{2.5}``: every weight node copies (no Declines),
     so outputs must flood through entire weight trees — per-node times are
     active-time + distance, which drags the average up to the worst case
-    (this is the 'grave error' discussed in Section 1.2)."""
+    (this is the 'grave error' discussed in Section 1.2).
+
+    Each weight component copies one active output, which P5 accepts only
+    if every active-adjacent node sees it on an active neighbour, so a
+    component with several active-adjacent nodes raises ``ValueError``
+    (:func:`~repro.algorithms.weighted25.active_root`), as Lemma 69's
+    solver does."""
     if gammas is None:
         gammas = apoly_gammas(graph.n, delta, d, k, "poly")
     active, rounds, outputs = run_active_side(graph, ids, k, gammas, "2.5")
 
-    # flood every weight component from its earliest active attachment
+    # flood every weight component from its one active attachment
     active_set = set(active)
     weight = set(graph.nodes()) - active_set
     for comp in weight_components(graph, weight):
-        sources = [
-            (u, a) for u in comp for a in graph.neighbors(u) if a in active_set
-        ]
-        if not sources:
+        root = active_root(graph, comp, active_set, "the naive baseline")
+        if root is None:
             for u in comp:
                 outputs[u] = decline()
                 rounds[u] = 1
             continue
-        root, _ = min(sources, key=lambda p: (rounds[p[1]], ids[p[1]]))
         flood_copy(graph, ids, rounds, outputs, active_set, root, comp, 0)
     return ExecutionTrace(
         rounds=rounds, outputs=outputs, algorithm="naive-weighted25", meta={}

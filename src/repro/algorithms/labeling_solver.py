@@ -34,7 +34,7 @@ from ..lcl.weighted import WEIGHT
 from ..local.graph import Graph
 from ..local.metrics import ExecutionTrace
 from .rake_compress import Decomposition, Layer, gamma_for_k_layers, rake_compress
-from .weighted25 import run_active_side, weight_components
+from .weighted25 import active_root, run_active_side, weight_components
 
 __all__ = ["solve_hierarchical_labeling", "run_weight_augmented_solver", "LabelingSolution"]
 
@@ -74,6 +74,14 @@ def solve_hierarchical_labeling(
 
     ``members`` restricts to an induced subgraph (handles stay global);
     ``pinned`` roots component decompositions at the given nodes.
+
+    The ``(T_v, output)`` pairs (``times`` and labels) are not yet
+    LOCAL-achievable: the decomposition's compress steps split each
+    degree-2 run by a node's offset in its whole run
+    (``rake_compress._split_run``), which is a global fact.  On
+    ``path_graph(1001)`` with ``k = 2``, middle nodes with the same view
+    get ``C1`` or ``R2``, most of them at the same time, 53.  An ID-based
+    split is open work (ROADMAP item 9).
     """
     if members is None:
         sub, remap = graph, {v: v for v in graph.nodes()}
@@ -167,17 +175,10 @@ def run_weight_augmented_solver(
         roots = []
         weight_set = set(weight)
         for comp_nodes in weight_components(graph, weight_set):
-            adjacent = [
-                v
-                for v in comp_nodes
-                if any(w in active_set for w in graph.neighbors(v))
-            ]
-            if len(adjacent) > 1:
-                raise ValueError(
-                    "weight component with several active-adjacent nodes is "
-                    "not supported by the Lemma 69 solver"
-                )
-            roots.extend(adjacent)
+            root = active_root(graph, comp_nodes, active_set,
+                               "the Lemma 69 solver")
+            if root is not None:
+                roots.append(root)
 
         sol = solve_hierarchical_labeling(graph, k, members=weight, pinned=roots)
 

@@ -459,10 +459,15 @@ class RakeCompressLayering(LocalAlgorithm):
     all-at-once schedules of Cole–Vishkin or Algorithm A.
 
     Like :class:`~repro.algorithms.dfree_solver.DFreeAlgorithmA`, the
-    per-node decision rule uses the simulation shortcut: a node's removal
-    step is determined by its radius-``O(t)`` neighbourhood (each peeling
-    step is a 1-hop rule), so the wrapper computes the global schedule
-    once per execution and replays it.  ID-independent by construction.
+    wrapper computes the global schedule once per execution and replays
+    it.  The schedule reads no IDs, but it is not a LOCAL one: a compress
+    step splits each degree-2 run with :func:`_split_run`, by a node's
+    offset in its whole run, which is a global fact.  On
+    ``path_graph(1001)`` with ``(gamma, ell) = (1, 2)``, 400 of the 500
+    middle nodes commit ``C(1)`` at round 2 and 100 commit ``R(2,1)`` at
+    round 3, all with the same radius-3 view.  So the ``(T_v, output)``
+    pairs this solver reports are not yet LOCAL-achievable; an ID-based
+    split, with its rounds charged, is open work (ROADMAP item 9).
     """
 
     name = "rake-compress-layering"

@@ -317,7 +317,9 @@ class ColeVishkin3Coloring(MessageAlgorithm):
     def _batch_init(views) -> dict:
         from ..local.frontier import csr_numpy
 
-        ids = np.asarray(views.ids, dtype=np.int64)
+        ids = views.id_array
+        if ids is None:  # IDs beyond int64: the conversion raises
+            ids = np.asarray(views.ids, dtype=np.int64)
         # degree <= 2 (enforced by setup): a node's neighbours sit in CSR
         # slots indptr[v] and indptr[v] + 1; two -1 pad slots keep both
         # reads in range for the nodes of degree < 2 at the end

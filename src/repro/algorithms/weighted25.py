@@ -23,7 +23,9 @@ n^{alpha_i}``, the Lemma-33 exponents at ``x = log(Delta-1-d)/log(Delta-1)``;
 its node-averaged complexity is ``O(n^{alpha_1})``.  Theorem 5's solver
 (:mod:`repro.algorithms.weighted35`) runs Section 8.1's fast
 decomposition in the ``log*`` regime.  The naive baseline and Lemma 69's
-solver reuse the active side and the component and distance BFS.
+solver reuse the active side and the component and distance BFS, and
+both take only weight components with at most one active-adjacent node
+(:func:`active_root`).
 """
 
 from __future__ import annotations
@@ -228,6 +230,23 @@ def weight_components(graph: Graph, members: Set[int]) -> List[List[int]]:
                     stack.append(w)
         comps.append(comp)
     return comps
+
+
+def active_root(graph: Graph, comp: Sequence[int], active_set: Set[int],
+                solver: str) -> Optional[int]:
+    """The one node of the weight component ``comp`` with an active
+    neighbour, or None when no node has one.  ``ValueError`` naming
+    ``solver`` when several have one: the naive baseline and Lemma 69's
+    solver root each weight component at a single active-adjacent node."""
+    adjacent = [
+        v for v in comp if any(w in active_set for w in graph.neighbors(v))
+    ]
+    if len(adjacent) > 1:
+        raise ValueError(
+            "weight component with several active-adjacent nodes is "
+            f"not supported by {solver}"
+        )
+    return adjacent[0] if adjacent else None
 
 
 def component_distances(graph: Graph, source: int, comp: Set[int]) -> Dict[int, int]:

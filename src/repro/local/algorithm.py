@@ -137,6 +137,10 @@ class View:
     is extracted from scratch — the reference engine's behaviour.  A
     store-backed view is only valid for the round the store was grown
     to; algorithms must not retain views across rounds.
+
+    ``commit_round`` and ``outputs`` are the engine's commit state
+    arrays: an int64 array holding each node's commit round (``-1``
+    until it commits) and an object array holding its label.
     """
 
     __slots__ = ("graph", "center", "round", "_dist", "_store", "_ids",
@@ -148,8 +152,8 @@ class View:
         center: int,
         t: int,
         ids: List[int],
-        commit_round: List[Optional[int]],
-        outputs: List,
+        commit_round: np.ndarray,
+        outputs: np.ndarray,
         store: Optional[BallStore] = None,
     ) -> None:
         self.graph = graph
@@ -234,9 +238,7 @@ class View:
         """
         delta = self._dist[u]
         s = self._commit_round[u]
-        if s is None:
-            return None
-        if s + delta <= self.round:
+        if 0 <= s and s + delta <= self.round:
             return self._outputs[u]
         return None
 
@@ -309,8 +311,9 @@ class BatchedAlgorithm:
         is the sorted, read-only int64 array of not-yet-committed nodes.
         ``nodes`` holds integer handles (an integer numpy array or a
         sequence of ints) and ``labels[i]`` is the output of
-        ``nodes[i]`` (any sequence; a numpy array is converted with
-        ``tolist``, so outputs are plain Python scalars).  Must only
+        ``nodes[i]`` (any sequence; a numpy array's labels land as its
+        ``tolist`` gives them, so outputs are plain Python scalars, and
+        a tuple is one label).  Must only
         commit live nodes, and each at most once; the engine raises
         :class:`~repro.local.simulator.SimulationError` on a non-integer
         or out-of-range handle, misaligned labels or a repeated commit.

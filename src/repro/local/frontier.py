@@ -297,31 +297,40 @@ class BatchedViews:
     :class:`~repro.local.algorithm.View` windows on demand, each over
     its centre's own :class:`~repro.local.algorithm.BallStore`, for the
     per-node adapter; those never sweep the shared frontier.
+
+    ``ids`` is the run's ID list and ``id_array`` the same IDs as the
+    read-only int64 array :func:`~repro.local.ids.validate_ids` built
+    (None when the IDs exceed int64), so array-level algorithms need no
+    conversion of their own.  ``commit_round`` (int64, ``-1`` until a
+    node commits) and ``outputs`` (object) are read-only views of the
+    engine's commit state arrays (writes raise).
     """
 
-    __slots__ = ("graph", "n", "ids", "round", "budget", "commit_round",
-                 "outputs", "stores", "_scheduler")
+    __slots__ = ("graph", "n", "ids", "id_array", "round", "budget",
+                 "commit_round", "outputs", "stores", "_scheduler")
 
     def __init__(
         self,
         graph: Graph,
         ids: List[int],
-        commit_round: List[Optional[int]],
-        outputs: List,
+        commit_round: np.ndarray,
+        outputs: np.ndarray,
         scheduler: FrontierScheduler,
         budget: int = 0,
+        id_array: Optional[np.ndarray] = None,
     ) -> None:
         self.graph = graph
         self.n = graph.n
         self.ids = ids
+        self.id_array = id_array
         self.round = 0
         #: the engine's round budget for this execution — algorithms that
         #: run an inner simulation (schedule-replay fallbacks) must bound
         #: it by this, not by their own hint, so SimulationError behaviour
         #: matches the reference engine under a caller-supplied max_rounds
         self.budget = budget
-        self.commit_round = commit_round
-        self.outputs = outputs
+        self.commit_round = _readonly(commit_round)
+        self.outputs = _readonly(outputs)
         self._scheduler = scheduler
         #: the per-node ball stores behind :meth:`view_of` and the
         #: per-node adapter, by centre; the engine releases a centre's

@@ -31,8 +31,9 @@ assignment is part of the experiment design:
 * :func:`id_space_size` — the canonical ID space size ``n^c``;
 * :func:`validate_ids` — the integer/uniqueness/positivity check every
   simulator entry point applies to caller-supplied assignments: one
-  sorted integer-array pass accepts a valid assignment, and the per-ID
-  loop, its oracle, produces every rejection.
+  sorted integer-array pass accepts a valid assignment and returns it
+  as a read-only int64 array, and the per-ID loop, its oracle, produces
+  every rejection.
 """
 
 from __future__ import annotations
@@ -247,45 +248,60 @@ def make_ids(
 _INTEGER_TYPES = (int, np.integer)
 
 
-def _accepted_as_array(ids, space: Optional[int]) -> bool:
-    """The array accept path of :func:`validate_ids`: True iff every ID
-    is an ``int`` or ``np.integer`` (one ``map(type, ids)`` pass, skipped
-    for an integer ndarray), ``np.asarray`` gives a 1-D integer array,
-    and that array, sorted, has minimum >= 1, maximum <= ``space`` and no
-    adjacent repeat.  False means "ask the loop", never "invalid"."""
+def _accepted_as_array(ids, space: Optional[int]) -> Optional[np.ndarray]:
+    """The array accept path of :func:`validate_ids`: the IDs as a new
+    read-only int64 array iff every ID is an ``int`` or ``np.integer``
+    (one ``map(type, ids)`` pass, skipped for an integer ndarray), they
+    convert to a 1-D int64 array, and that array, sorted, has minimum
+    >= 1, maximum <= ``space`` and no adjacent repeat.  The conversion
+    names its dtype only after the type pass, since an explicit
+    ``dtype=np.int64`` would truncate floats and parse strings.  A
+    uint64 ID beyond int64 either fails to convert or wraps to a
+    negative value, so it never passes.  None means "ask the loop",
+    never "invalid"."""
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
         if not all(issubclass(t, _INTEGER_TYPES) for t in set(map(type, ids))):
-            return False
+            return None
     try:
-        arr = np.asarray(ids)
+        arr = np.array(ids, dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
-        return False
-    if arr.ndim != 1 or arr.dtype.kind not in "iu" or not arr.size:
-        return False
-    arr = np.sort(arr)
-    return bool(
-        arr[0] >= 1
-        and (space is None or int(arr[-1]) <= space)
-        and not (arr[1:] == arr[:-1]).any()
-    )
+        return None
+    if arr.ndim != 1:
+        return None
+    if arr.size:
+        ordered = np.sort(arr)
+        if not (ordered[0] >= 1
+                and (space is None or int(ordered[-1]) <= space)
+                and not (ordered[1:] == ordered[:-1]).any()):
+            return None
+    arr.flags.writeable = False
+    return arr
 
 
-def validate_ids(ids: IdAssignment, space: Optional[int] = None) -> None:
+def validate_ids(
+    ids: IdAssignment, space: Optional[int] = None
+) -> Optional[np.ndarray]:
     """Raise ``ValueError`` unless ``ids`` are unique positive integers in
     range.  Python and numpy integers are accepted.  Anything else
     (floats, strings) is rejected up front, so every engine fails the
     same way instead of the batched engine's int64 arrays silently
     truncating a float ID.
 
-    A valid assignment of Python or numpy integers that fits an integer
-    array is accepted by one sorted-array pass
-    (:func:`_accepted_as_array`).  Every other input, and every
-    rejection, runs the per-ID loop :func:`_validate_ids_loop`, which is
-    also the oracle the array path is tested against: the accepted set,
-    the exception type and its message are the loop's.
+    A valid assignment of Python or numpy integers that fits int64 is
+    accepted by one sorted-array pass (:func:`_accepted_as_array`),
+    which returns the IDs as a read-only int64 array: always a copy,
+    never the caller's array, so a caller can hand it on (the batched
+    engine's ``views.id_array``) without converting the IDs again.
+    Every other input, and every rejection, runs the per-ID loop
+    :func:`_validate_ids_loop`, which is also the oracle the array path
+    is tested against: the accepted set, the exception type and its
+    message are the loop's.  An assignment only the loop accepts (IDs
+    beyond int64) returns None.
     """
-    if not _accepted_as_array(ids, space):
+    arr = _accepted_as_array(ids, space)
+    if arr is None:
         _validate_ids_loop(ids, space)
+    return arr
 
 
 def _validate_ids_loop(ids: IdAssignment, space: Optional[int]) -> None:

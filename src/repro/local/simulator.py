@@ -40,11 +40,14 @@ algorithms and ID assignments — but they trade transparency for speed:
   the message-passing and full-information formulations, exploited
   instead of re-derived per node.
 
-Both engines apply a round's commits through one shared
+Both engines keep a run's commit state as arrays — an int64
+``commit_round`` (``-1`` until the node commits) and an object
+``outputs`` — and apply a round's commits through one shared
 :func:`_apply_commits`: the ``(nodes, labels)`` pair is validated
 (integer handles, alignment, range, repeated commits) and applied with
-array operations — one scatter into the commit flags, one mask over the
-live array.
+array operations — one scatter into each state array and into the
+commit flags, one mask over the live array.  The trace's lists are
+built once per run, with one ``tolist`` per state array.
 
 The structured algorithms in :mod:`repro.algorithms` additionally ship
 "fast-forward" executors that compute the same ``(T_v, output)`` map
@@ -172,7 +175,9 @@ class LocalSimulator:
         id_list: List[int] = list(ids) if ids is not None else sequential_ids(n)
         if len(id_list) != n:
             raise ValueError("ids length must equal n")
-        validate_ids(id_list)
+        # the one int64 conversion of the IDs in a run (None when only
+        # the per-ID loop accepts them, i.e. beyond int64)
+        id_array = validate_ids(id_list)
 
         algorithm.setup(graph, n)
         budget = self._max_rounds
@@ -190,16 +195,16 @@ class LocalSimulator:
                 )
             else:
                 runner = _run_view_reference
+            rounds, outputs = runner(graph, algorithm, id_list, budget)
         elif isinstance(algorithm, MessageAlgorithm) and not has_batch:
             # one shared global state machine is already the batched
             # execution of a message algorithm
-            runner = _run_message_global
+            rounds, outputs = _run_message_global(
+                graph, algorithm, id_list, budget, atlas)
         else:
-            runner = _run_view_batched
-        commit_round, outputs = runner(graph, algorithm, id_list, budget, atlas)
+            rounds, outputs = _run_view_batched(
+                graph, algorithm, id_list, id_array, budget, atlas)
 
-        rounds = [r for r in commit_round if r is not None]
-        assert len(rounds) == n
         return ExecutionTrace(
             rounds=rounds,
             outputs=outputs,
@@ -226,13 +231,36 @@ def _live_array(nodes: np.ndarray) -> np.ndarray:
     return nodes
 
 
+def _commit_state(n: int):
+    """A run's fresh commit state: ``commit_round`` (int64, ``-1`` until
+    the node commits), ``outputs`` (object, None until it commits), the
+    commit-flag ``bytearray`` and the sealed live array of every node."""
+    return (np.full(n, -1, dtype=np.int64), np.empty(n, dtype=object),
+            bytearray(n), _live_array(np.arange(n, dtype=np.int64)))
+
+
+def _label_array(labels, k: int):
+    """A round's ``k`` labels in the form one scatter stores exactly as
+    a per-node loop over ``labels`` would (a numpy ``labels`` array
+    over its ``tolist``): a 1-D numpy array as it is, since the object
+    cast of the scatter converts each element as ``tolist`` does, and
+    anything else as a 1-D object array of its items, so a tuple stays
+    one label (``np.asarray`` would read equal-length tuples as one 2-D
+    array)."""
+    if isinstance(labels, np.ndarray):
+        if labels.ndim == 1:
+            return labels
+        labels = labels.tolist()
+    return np.fromiter(labels, dtype=object, count=k)
+
+
 def _apply_commits(decided, t, commit_round, outputs, live, committed,
                    stores=None):
     """Apply one round's simultaneous commits; return the new live array.
 
     ``decided`` is the round's ``(nodes, labels)`` pair: integer handles
     and their aligned labels (any two sequences; a numpy ``labels``
-    array is converted with ``tolist`` so outputs hold plain Python
+    array lands as its ``tolist`` would, so outputs hold plain Python
     scalars).  Every check and update is an array operation over the
     batch: integer dtype, alignment and range are validated, nodes
     already committed raise, the flags are set in one scatter into the
@@ -241,7 +269,9 @@ def _apply_commits(decided, t, commit_round, outputs, live, committed,
     flat frontier on its next sweep), and one mask over the sorted int64
     ``live`` array drops the committed nodes.  ``live`` is exactly the
     unflagged nodes, so the mask drops fewer nodes than the batch holds
-    iff the batch repeats one.  ``stores`` maps nodes to the per-node
+    iff the batch repeats one.  The round and the labels then land in
+    the ``commit_round`` and ``outputs`` arrays with one scatter each
+    (:func:`_label_array`).  ``stores`` maps nodes to the per-node
     views' ball stores; committed nodes' entries are released.
     """
     try:
@@ -281,26 +311,19 @@ def _apply_commits(decided, t, commit_round, outputs, live, committed,
         raise SimulationError(
             f"node {values[counts > 1][0]} committed twice (round {t})"
         )
-    if isinstance(labels, np.ndarray):
-        labels = labels.tolist()
-    node_list = nodes.tolist()
-    for v, label in zip(node_list, labels):
-        commit_round[v] = t
-        outputs[v] = label
+    commit_round[nodes] = t
+    outputs[nodes] = _label_array(labels, k)
     if stores:
-        for v in node_list:
+        for v in nodes.tolist():
             stores.pop(v, None)
     return _live_array(kept)
 
 
-def _run_view_reference(graph, algorithm, id_list, budget, atlas):
+def _run_view_reference(graph, algorithm, id_list, budget):
     """Exact recompute-every-round semantics: every live node's ball is
     re-extracted from scratch each round.  The cross-check oracle."""
     n = graph.n
-    commit_round: List[Optional[int]] = [None] * n
-    outputs: List = [None] * n
-    committed = bytearray(n)
-    live = _live_array(np.arange(n, dtype=np.int64))
+    commit_round, outputs, committed, live = _commit_state(n)
 
     t = 0
     while len(live):
@@ -316,7 +339,7 @@ def _run_view_reference(graph, algorithm, id_list, budget, atlas):
             (nodes, labels), t, commit_round, outputs, live, committed
         )
         t += 1
-    return commit_round, outputs
+    return commit_round.tolist(), outputs.tolist()
 
 
 class _PerNodeBatchAdapter:
@@ -353,23 +376,24 @@ class _PerNodeBatchAdapter:
         return nodes, labels
 
 
-def _run_view_batched(graph, algorithm, id_list, budget, atlas):
+def _run_view_batched(graph, algorithm, id_list, id_array, budget, atlas):
     """One decide pass for *all* live nodes per round: the algorithm
     decides over the entire live set at once via ``decide_batch``, with
     ball facts from a shared
     :class:`~repro.local.frontier.FrontierScheduler` (flat CSR sweeps
     over the whole live frontier, grown only on demand) — per-node
-    algorithms are wrapped in :class:`_PerNodeBatchAdapter`."""
+    algorithms are wrapped in :class:`_PerNodeBatchAdapter`.
+    ``id_array`` is :func:`~repro.local.ids.validate_ids`' int64 array
+    (None beyond int64), handed to ``decide_batch`` as
+    ``views.id_array``."""
     from .frontier import BatchedViews, FrontierScheduler
 
     n = graph.n
-    commit_round: List[Optional[int]] = [None] * n
-    outputs: List = [None] * n
-    committed = bytearray(n)
-    live = _live_array(np.arange(n, dtype=np.int64))
+    commit_round, outputs, committed, live = _commit_state(n)
     scheduler = FrontierScheduler(graph, committed, atlas=atlas)
     views = BatchedViews(
-        graph, id_list, commit_round, outputs, scheduler, budget=budget
+        graph, id_list, commit_round, outputs, scheduler, budget=budget,
+        id_array=id_array,
     )
     if _has_decide_batch(algorithm):
         batched = algorithm
@@ -389,7 +413,7 @@ def _run_view_batched(graph, algorithm, id_list, budget, atlas):
             live, committed, views.stores,
         )
         t += 1
-    return commit_round, outputs
+    return commit_round.tolist(), outputs.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +433,7 @@ def _run_message_global(graph, algorithm, id_list, budget, atlas):
     )
 
 
-def _run_message_reference(graph, algorithm, id_list, budget, atlas):
+def _run_message_reference(graph, algorithm, id_list, budget):
     """Full-information oracle for message algorithms: each round, each
     live node's state is re-derived from its radius-``t`` ball alone by
     simulating the message dynamics inside the ball, restricted to the
@@ -417,10 +441,7 @@ def _run_message_reference(graph, algorithm, id_list, budget, atlas):
     ``t - d``, exactly the prefix its messages can influence the centre
     by round ``t``)."""
     n = graph.n
-    commit_round: List[Optional[int]] = [None] * n
-    outputs: List = [None] * n
-    committed = bytearray(n)
-    live = _live_array(np.arange(n, dtype=np.int64))
+    commit_round, outputs, committed, live = _commit_state(n)
 
     t = 0
     while len(live):
@@ -438,7 +459,7 @@ def _run_message_reference(graph, algorithm, id_list, budget, atlas):
             (nodes, labels), t, commit_round, outputs, live, committed
         )
         t += 1
-    return commit_round, outputs
+    return commit_round.tolist(), outputs.tolist()
 
 
 def _message_decision_from_ball(graph, algorithm, id_list, n, center, t, dist):

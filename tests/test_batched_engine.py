@@ -18,6 +18,7 @@ import pytest
 
 from repro.families import get_family
 from repro.local import (
+    CONTINUE,
     ID_MODES,
     BallStore,
     BatchedAlgorithm,
@@ -25,7 +26,9 @@ from repro.local import (
     CommitSchedule,
     FrontierScheduler,
     Graph,
+    LocalAlgorithm,
     LocalSimulator,
+    View,
     balanced_tree,
     bit_reversal_ids,
     boundary_clustered_ids,
@@ -90,8 +93,8 @@ class TestFrontierScheduler:
     def test_views_match_fresh_extraction(self, name, graph):
         n = graph.n
         ids = random_ids(n, rng=random.Random(3))
-        commit_round = [None] * n
-        outputs = [None] * n
+        commit_round = np.full(n, -1, dtype=np.int64)
+        outputs = np.empty(n, dtype=object)
         sched = FrontierScheduler(graph, bytearray(n))
         views = BatchedViews(graph, ids, commit_round, outputs, sched)
         for t in range(min(n, 5)):
@@ -162,7 +165,8 @@ class TestFrontierScheduler:
         # mutating shared engine state must raise, not silently corrupt
         # later rounds (same sealing philosophy as the read-only View ball)
         g = path_graph(5)
-        views = BatchedViews(g, [1, 2, 3, 4, 5], [None] * 5, [None] * 5,
+        views = BatchedViews(g, [1, 2, 3, 4, 5], np.full(5, -1, dtype=np.int64),
+                             np.empty(5, dtype=object),
                              FrontierScheduler(g, bytearray(5)))
         views.round = 1
         import pytest as _pytest
@@ -186,9 +190,7 @@ class _PacedByIds(BatchedAlgorithm):
         self._fresh = FrontierScheduler(graph, self._flags)
 
     def decide_batch(self, views, live, t):
-        for v, s in enumerate(views.commit_round):
-            if s is not None:
-                self._flags[v] = 1
+        np.frombuffer(self._flags, dtype=np.uint8)[views.commit_round >= 0] = 1
         self._fresh.grow_to(t)
         assert np.array_equal(views.complete_mask(), self._fresh.complete), t
         assert np.array_equal(views.ball_sizes(), self._fresh.ball_size), t
@@ -384,6 +386,126 @@ class TestBatchedOutputTypes:
         ref = LocalSimulator(engine="reference").run(g, CanonicalTwoColoring(), ids)
         assert all(type(x) is int for x in tr.outputs)
         assert tr.outputs == ref.outputs and tr.rounds == ref.rounds
+
+
+class _LabelsByRound(LocalAlgorithm):
+    """Node ``v`` commits ``labels[v]`` at round ``v % 3``.
+    ``decide_batch`` returns each round's slice of the numpy array
+    ``labels``; ``decide`` returns the matching item of its
+    ``tolist``, which the reference engine commits node by node."""
+
+    name = "labels-by-round"
+
+    def __init__(self, labels) -> None:
+        self._labels = labels
+        self._plain = labels.tolist() if isinstance(labels, np.ndarray) \
+            else list(labels)
+
+    def decide(self, view, n):
+        v = view.center
+        return self._plain[v] if v % 3 <= view.round else CONTINUE
+
+    def decide_batch(self, views, live, t):
+        due = live[live % 3 <= t]
+        if isinstance(self._labels, np.ndarray):
+            return due, self._labels[due]
+        return due, [self._plain[v] for v in due.tolist()]
+
+
+class _NoBatch(_LabelsByRound):
+    """The same algorithm with ``decide_batch`` hidden: the batched
+    engine runs ``decide`` through its per-node adapter."""
+
+    decide_batch = None
+
+
+class _ReadsOutputs(LocalAlgorithm):
+    """Node ``v`` commits at round ``v`` the outputs it sees of the other
+    nodes of its ball, by handle: the output of a node that has not
+    committed yet reads None."""
+
+    name = "reads-outputs"
+
+    def decide(self, view, n):
+        v = view.center
+        if view.round < v:
+            return CONTINUE
+        return tuple(view.output_of(u) for u in sorted(view.nodes()) if u != v)
+
+
+#: each engine form a ``_LabelsByRound`` run takes: the batched engine
+#: with ``decide_batch``, with the per-node adapter, and the reference
+_SCATTER_FORMS = [("batched", _LabelsByRound), ("batched", _NoBatch),
+                  ("reference", _LabelsByRound)]
+
+
+class TestCommitScatter:
+    """One scatter per commit batch stores every label exactly as the
+    per-node loop it replaced did, on every engine form."""
+
+    @pytest.mark.parametrize("engine,form", _SCATTER_FORMS)
+    def test_equal_length_tuples_stay_one_label(self, engine, form):
+        # np.asarray would read these as one 2-D array
+        labels = [("Copy", "D")] * 12
+        tr = LocalSimulator(engine=engine).run(path_graph(12), form(labels))
+        assert tr.outputs == labels
+        assert all(type(x) is tuple for x in tr.outputs)
+        assert tr.rounds == [v % 3 for v in range(12)]
+
+    @pytest.mark.parametrize("engine,form", _SCATTER_FORMS)
+    @pytest.mark.parametrize("labels", [
+        np.arange(10, 22, dtype=np.int64),
+        np.linspace(0.5, 6.0, 12),
+        np.arange(12) % 2 == 0,
+        np.array(list("abcdefghijkl")),
+        np.arange(24, dtype=np.int64).reshape(12, 2),
+    ], ids=["int64", "float64", "bool", "str", "int64-2d"])
+    def test_numpy_labels_land_as_tolist(self, engine, form, labels):
+        tr = LocalSimulator(engine=engine).run(path_graph(12), form(labels))
+        expected = labels.tolist()
+        assert tr.outputs == expected
+        assert [type(x) for x in tr.outputs] == [type(x) for x in expected]
+
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    def test_uncommitted_node_reads_none(self, engine):
+        tr = LocalSimulator(engine=engine).run(path_graph(3), _ReadsOutputs())
+        # round 1: node 2 has not committed; round 2: node 0's round-0
+        # commit has reached distance 2 and node 1's distance 1
+        assert tr.outputs == [(), ((), None), ((), ((), None))]
+        assert tr.rounds == [0, 1, 2]
+
+    def test_view_reads_the_state_arrays(self):
+        g = path_graph(4)
+        commit_round = np.array([0, 2, -1, 1], dtype=np.int64)
+        outputs = np.empty(4, dtype=object)
+        outputs[[0, 1, 3]] = ["a", ("b", "c"), "d"]
+        view = View(g, 2, 2, sequential_ids(4), commit_round, outputs)
+        assert view.output_of(0) == "a"       # round 0 + distance 2
+        assert view.output_of(1) is None      # round 2 + distance 1 > 2
+        assert view.output_of(2) is None      # not committed
+        assert view.output_of(3) == "d"
+        assert not view.has_output(2)
+
+    def test_views_hand_out_state_read_only(self):
+        seen = {}
+
+        class Probe(BatchedAlgorithm):
+            name = "probe"
+
+            def decide_batch(self, views, live, t):
+                seen["views"] = views
+                return live, [0] * len(live)
+
+        ids = random_ids(30, rng=random.Random(6))
+        LocalSimulator().run(path_graph(30), Probe(), ids)
+        views = seen["views"]
+        assert views.id_array.tolist() == ids
+        for arr in (views.id_array, views.commit_round, views.outputs):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        # beyond int64 only the per-ID loop accepts the IDs: no array
+        LocalSimulator().run(path_graph(3), Probe(), [2**63, 5, 7])
+        assert seen["views"].id_array is None
 
 
 class TestAdversarialIds:

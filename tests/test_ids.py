@@ -1,6 +1,7 @@
 """``random_ids``: the vectorized first-n-distinct sampler against its
 sequential oracle, the beyond-int64 fallback, and uniformity;
-``validate_ids``: the array accept path against the per-ID loop."""
+``validate_ids``: the array accept path against the per-ID loop, and the
+read-only int64 array that path returns."""
 
 import random
 from collections import Counter
@@ -136,6 +137,14 @@ VALIDATE_CORPUS = [
 ]
 
 
+#: the accepted corpus cases, each with whether only the per-ID loop
+#: accepts it (an ID beyond int64)
+ACCEPTED_CORPUS = [
+    (ids, space, any(int(x) > 2**63 - 1 for x in ids))
+    for ids, space, expected in VALIDATE_CORPUS if expected is None
+]
+
+
 class TestValidateIdsArrayPath:
     """The array accept path changes speed, never the outcome: every
     input gets the per-ID loop's verdict, exception type and message."""
@@ -157,12 +166,47 @@ class TestValidateIdsArrayPath:
         # np.asarray turns it into a valid int64 array; only the type
         # pass keeps it off the array path
         assert np.asarray([np.array(5), 3]).dtype == np.int64
-        assert not _accepted_as_array([np.array(5), 3], None)
+        assert _accepted_as_array([np.array(5), 3], None) is None
 
     def test_valid_assignments_take_the_array_path(self):
         ids = random_ids(5000, rng=random.Random(2))
-        assert _accepted_as_array(ids, 5000**3)
-        assert _accepted_as_array(np.array(ids), None)
-        assert _accepted_as_array([True, 2], None)
-        assert not _accepted_as_array(ids, max(ids) - 1)
-        assert not _accepted_as_array(ids + ids[:1], None)
+        assert _accepted_as_array(ids, 5000**3) is not None
+        assert _accepted_as_array(np.array(ids), None) is not None
+        assert _accepted_as_array([True, 2], None) is not None
+        assert _accepted_as_array(ids, max(ids) - 1) is None
+        assert _accepted_as_array(ids + ids[:1], None) is None
+
+    @pytest.mark.parametrize(
+        "ids,space,loop_only", ACCEPTED_CORPUS,
+        ids=[repr(case[0]).replace(" ", "") for case in ACCEPTED_CORPUS],
+    )
+    def test_returns_read_only_int64_array(self, ids, space, loop_only):
+        arr = validate_ids(ids, space)
+        if loop_only:
+            assert arr is None
+            return
+        assert arr is not None
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        expected = np.array(ids, dtype=np.int64)
+        assert arr.shape == expected.shape
+        assert np.array_equal(arr, expected)
+
+    def test_corpus_holds_both_accept_paths(self):
+        loop_only = [ids for ids, _space, only in ACCEPTED_CORPUS if only]
+        assert len(loop_only) == 3
+        assert len(ACCEPTED_CORPUS) > len(loop_only)
+
+    def test_ids_beyond_int64_return_none(self):
+        # a uint64 ID past int64 either fails the int64 conversion or
+        # wraps to a negative value; both leave it to the loop
+        assert validate_ids([np.uint64(2**64 - 1), 3]) is None
+        assert validate_ids(np.array([2**64 - 1, 3], dtype=np.uint64)) is None
+        assert validate_ids([2**63, 5]) is None
+
+    def test_caller_array_is_neither_aliased_nor_sealed(self):
+        ids = np.array([3, 1, 2], dtype=np.int64)
+        arr = validate_ids(ids)
+        assert arr is not ids and not np.shares_memory(arr, ids)
+        assert ids.flags.writeable and not arr.flags.writeable
+        ids[0] = 7
+        assert arr.tolist() == [3, 1, 2]

@@ -107,11 +107,14 @@ class TestDistributedCV:
 
 
 class _RoundViews:
-    """The three fields of ``BatchedViews`` that Cole–Vishkin's
-    ``decide_batch`` reads, so a test can step it round by round."""
+    """The four fields of ``BatchedViews`` that Cole–Vishkin's
+    ``decide_batch`` reads, so a test can step it round by round.  No
+    ``id_array``, so ``decide_batch`` converts ``ids`` itself, as it
+    does when only the per-ID loop accepted the IDs."""
 
     def __init__(self, graph, ids):
         self.graph, self.ids, self.n = graph, ids, graph.n
+        self.id_array = None
 
 
 class TestBatchedCVAtScale:

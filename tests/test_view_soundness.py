@@ -12,6 +12,7 @@ carrying the ``"engine"`` trace meta key that shared tooling reads and
 the caller's ``max_rounds``.
 """
 
+import numpy as np
 import pytest
 
 from repro.algorithms import ColeVishkin3Coloring
@@ -56,8 +57,8 @@ class TestViewOutOfBallAccess:
     def test_direct_view_raises_with_and_without_store(self, accessor):
         g = path_graph(6)
         ids = sequential_ids(6)
-        commit = [None] * 6
-        outputs = [None] * 6
+        commit = np.full(6, -1, dtype=np.int64)
+        outputs = np.empty(6, dtype=object)
 
         fresh = View(g, 0, 1, ids, commit, outputs)           # reference shape
         store = BallStore(g, 0)
@@ -73,7 +74,8 @@ class TestViewOutOfBallAccess:
     def test_in_ball_answers_unchanged(self):
         g = path_graph(5, inputs=[10, 11, 12, 13, 14])
         ids = [7, 3, 9, 1, 5]
-        view = View(g, 2, 2, ids, [None] * 5, [None] * 5)
+        view = View(g, 2, 2, ids, np.full(5, -1, dtype=np.int64),
+                    np.empty(5, dtype=object))
         assert [view.id_of(u) for u in sorted(view.nodes())] == ids
         assert view.input_of(0) == 10
 

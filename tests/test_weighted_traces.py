@@ -5,7 +5,8 @@ trace's ``algorithm`` name and ``meta`` dict, for ``run_apoly``,
 ``run_a35``, ``run_weighted35``, ``run_naive_weighted25`` and
 ``run_weight_augmented_solver`` on Pi^Z constructions, on the two
 weighted sweep families, and on mixed caterpillars whose weight side
-connects as well as copies and declines.  The d-free entries pin the fast solver's
+connects as well as copies and declines (all but the naive baseline and
+Lemma 69's solver, which raise there).  The d-free entries pin the fast solver's
 outputs, rounds and Copy components, and Algorithm A's outputs and Copy
 components, on random ``A``/``W`` caterpillars.  The weight forests fall on both
 sides of ``vec.VEC_MIN_NODES``, so both twins of the fast solver's
@@ -111,8 +112,9 @@ def _solver_applies(solver, case, delta, d):
     if solver == "weighted35":
         # Theorem 5's hypotheses: the fast Pi^{3.5} solver refuses the rest
         return d >= 3 and delta >= d + 3
-    # Lemma 69's solver takes one active-adjacent node per weight component
-    return solver != "augmented" or not case.startswith("mixed")
+    # the naive baseline and Lemma 69's solver take one active-adjacent
+    # node per weight component
+    return solver not in ("naive", "augmented") or not case.startswith("mixed")
 
 
 def weighted_table():
@@ -180,8 +182,6 @@ WEIGHTED_PINS = {
     ('naive', 'construction-300-5-2-2'): ('e31e9bd3808812ce340b4ae63e9030f40b86c2847729f5dad77b9d02a2cf0efb', 'naive-weighted25', {}),
     ('naive', 'construction-600-6-3-2'): ('be05538adfff14061deab3508f82c801b27fe3d7d40b575016e613b0e91d9de5', 'naive-weighted25', {}),
     ('naive', 'construction-6000-6-3-3'): ('15ca4f0926bfd0d9c8526b2a4f41fa06ec907da7c9de87ff4dd364dc1d7bd7b7', 'naive-weighted25', {}),
-    ('naive', 'mixed-3000'): ('7f0e802908a6b0f94a6d936cead53aa434c0c239eaba198413114019a75ad86b', 'naive-weighted25', {}),
-    ('naive', 'mixed-400'): ('9b40d7ac616f40bf1aad02a036d2fee0bec00b216972dd1177095bee4363d85d', 'naive-weighted25', {}),
     ('naive', 'weighted25_d5k2-200'): ('ac83bb02f6f460fa4390a976f4f5996a08684508a6509d5f204203e21cc2b8ff', 'naive-weighted25', {}),
     ('naive', 'weighted25_d5k2-3000'): ('0587318958bda56e60d3fe2bda2cc9876c379f0e41556b5383675e31bb9f054a', 'naive-weighted25', {}),
     ('naive', 'weighted35_d6k2-200'): ('b9c9057f5b510275827edaffa08634f377dda3a868b7eacc881ac8117e8a8468', 'naive-weighted25', {}),
@@ -233,6 +233,17 @@ def test_weighted_trace_pinned(weighted, key):
 @pytest.mark.parametrize("key", sorted(DFREE_PINS))
 def test_dfree_solution_pinned(dfree, key):
     assert dfree[key] == DFREE_PINS[key]
+
+
+@pytest.mark.parametrize("solver", ["naive", "augmented"])
+@pytest.mark.parametrize("n", MIXED_SIZES)
+def test_single_root_solvers_reject_mixed_components(solver, n):
+    # a mixed caterpillar's weight components touch several active nodes:
+    # one copied output cannot match all of them (P5), so both solvers
+    # refuse instead of returning a labeling the checker rejects
+    g, ids = _mixed(n)
+    with pytest.raises(ValueError, match="several active-adjacent nodes"):
+        SOLVERS[solver](g, ids, 6, 3, 2)
 
 
 def test_weight_forests_straddle_vector_threshold():
