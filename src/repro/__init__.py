@@ -18,8 +18,8 @@ Quickstart::
 message-passing and batched) on a flat-CSR graph core.  Its default
 batched engine executes one vectorized round over all live nodes at
 once for algorithms with ``decide_batch`` and runs the others
-unmodified (view algorithms node by node over per-node ball stores,
-message algorithms through one shared global execution); pass
+unmodified (view algorithms through the reference loop, message
+algorithms through one shared global execution); pass
 ``engine="reference"`` for the recompute-everything-from-the-view
 oracle when cross-checking semantics.  Use ``run_batch`` to sweep many
 ID assignments over one topology.

@@ -25,10 +25,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..local.algorithm import CONTINUE, LocalAlgorithm, View
+from ..local.algorithm import CONTINUE, CommitSchedule, LocalAlgorithm, View
 from ..local.graph import Graph
 from ..local.ids import id_space_size
-from ..local.message import MessageAlgorithm, NodeInfo
+from ..local.message import MessageAlgorithm, NodeInfo, run_message_dynamics
 
 __all__ = [
     "cv_iterations",
@@ -203,6 +203,7 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         self._iters = 0
         self._total = 0
         self._bstate: Optional[dict] = None
+        self._replay: Optional[CommitSchedule] = None
 
     def setup(self, graph: Graph, n: int) -> None:
         if graph.max_degree() > 2:
@@ -211,6 +212,7 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         self._iters = cv_iterations(space)
         self._total = self._iters + _SHED_ROUNDS
         self._bstate = None  # per-execution batched state
+        self._replay = None
 
     def init_state(self, info: NodeInfo, n: int) -> _CVState:
         return _CVState(info.vid)
@@ -293,7 +295,19 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         uint8 from the second iteration on, and a shedding round only
         touches the nodes holding its colour.  Never touches the
         frontier scheduler (the CV schedule needs no ball facts), so a
-        batched run does zero BFS work."""
+        batched run does zero BFS work.
+
+        IDs beyond int64 (``views.id_array`` is None) have no array
+        form; then the schedule of one global run of the message
+        dynamics streams from a :class:`CommitSchedule`, as
+        ``GenericPhaseColoring`` does on graphs with cycles."""
+        if views.id_array is None:
+            if self._replay is None:
+                self._replay = CommitSchedule(*run_message_dynamics(
+                    views.graph, self, list(views.ids), views.budget,
+                    neighbor_lists=views.neighbor_lists(),
+                ))
+            return self._replay.due(t)
         if t >= self._total:
             return live, self._bstate["comp"][live]
         st = self._bstate
@@ -318,8 +332,6 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         from ..local.frontier import csr_numpy
 
         ids = views.id_array
-        if ids is None:  # IDs beyond int64: the conversion raises
-            ids = np.asarray(views.ids, dtype=np.int64)
         # degree <= 2 (enforced by setup): a node's neighbours sit in CSR
         # slots indptr[v] and indptr[v] + 1; two -1 pad slots keep both
         # reads in range for the nodes of degree < 2 at the end

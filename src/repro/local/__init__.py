@@ -2,7 +2,6 @@
 
 from .algorithm import (
     CONTINUE,
-    BallStore,
     BatchedAlgorithm,
     CommitSchedule,
     LocalAlgorithm,
@@ -38,7 +37,6 @@ from .simulator import ENGINES, LocalSimulator, SimulationError
 
 __all__ = [
     "CONTINUE",
-    "BallStore",
     "BatchedAlgorithm",
     "BatchedViews",
     "CommitSchedule",

@@ -17,13 +17,13 @@ that and nothing more.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["CONTINUE", "BallStore", "View", "LocalAlgorithm", "BatchedAlgorithm",
+__all__ = ["CONTINUE", "View", "LocalAlgorithm", "BatchedAlgorithm",
            "CommitSchedule"]
 
 
@@ -44,85 +44,6 @@ class _Continue:
 CONTINUE = _Continue()
 
 
-class BallStore:
-    """Incrementally grown radius-``t`` ball around one node.
-
-    The reference simulator re-extracts each live node's ball from scratch
-    every round — Θ(Σ_t |ball_t|) per node.  A ``BallStore`` instead grows
-    the ball by exactly one BFS frontier layer per round, so the total work
-    per node over an entire execution is O(edges inside the final ball):
-    amortized O(1) per (node, round) on bounded-degree trees.  The batched
-    engine's per-node views are windows over these stores (see
-    :meth:`repro.local.frontier.BatchedViews.store_of`).
-
-    ``dist`` is the live ``{node: distance}`` mapping; after
-    ``grow_to(t)`` it equals ``graph.ball(center, t)`` including dict
-    insertion order (layer by layer, neighbours in CSR order), so a
-    :class:`View` windowed over it is indistinguishable from a freshly
-    extracted one.
-
-    ``layers`` is usually the centre's list in the shared layer pool:
-    layer ``r`` is the list of nodes at distance exactly ``r``, a pure
-    function of the topology, read and extended by stores of the same
-    centre and by the frontier scheduler alike, so repeated runs over
-    many ID assignments (see
-    :meth:`repro.local.simulator.LocalSimulator.run_batch`) reuse the BFS
-    instead of redoing it.  A layer already in the list is read, a
-    missing one is computed and appended, so the list never holds a
-    layer twice.
-    """
-
-    __slots__ = ("graph", "center", "radius", "dist", "_layers", "_indptr",
-                 "_indices", "_complete")
-
-    def __init__(
-        self, graph: Graph, center: int, layers: Optional[List[List[int]]] = None
-    ) -> None:
-        self.graph = graph
-        self.center = center
-        self.radius = 0
-        self.dist: Dict[int, int] = {center: 0}
-        if layers is None:
-            layers = [[center]]
-        self._layers = layers
-        self._indptr, self._indices = graph.adjacency()
-        self._complete = False
-
-    def grow_to(self, t: int) -> Dict[int, int]:
-        """Expand the ball to radius ``t`` and return the ``dist`` map."""
-        if t < 0:
-            raise ValueError(f"radius must be non-negative, got {t}")
-        dist = self.dist
-        layers = self._layers
-        while self.radius < t and not self._complete:
-            r = self.radius + 1
-            if r < len(layers):
-                layer = layers[r]
-                for w in layer:
-                    dist[w] = r
-            else:
-                indptr, indices = self._indptr, self._indices
-                layer = []
-                for u in layers[r - 1]:
-                    for i in range(indptr[u], indptr[u + 1]):
-                        w = indices[i]
-                        if w not in dist:
-                            dist[w] = r
-                            layer.append(w)
-                layers.append(layer)
-            if not layer:
-                self._complete = True
-            self.radius = r
-        return dist
-
-    @property
-    def complete(self) -> bool:
-        """Whether the BFS has exhausted the component strictly inside the
-        current radius — i.e. the grown ball provably contains the whole
-        component (the O(1) answer to ``View.sees_whole_component``)."""
-        return self._complete
-
-
 class View:
     """The radius-``t`` knowledge of a node in the LOCAL model.
 
@@ -131,20 +52,17 @@ class View:
     inputs, topology, visible outputs) — this is the standard simulation
     shortcut and does not change round counts.
 
-    ``store`` lets the simulator supply an already-grown ball (a
-    :class:`BallStore` at radius ``t``), making the view a thin window
-    over it — the batched engine's per-node views; without one the ball
-    is extracted from scratch — the reference engine's behaviour.  A
-    store-backed view is only valid for the round the store was grown
-    to; algorithms must not retain views across rounds.
+    The ball is extracted afresh (``graph.ball(center, t)``) for every
+    view, so a view holds only its own round; algorithms must not retain
+    views across rounds.
 
     ``commit_round`` and ``outputs`` are the engine's commit state
     arrays: an int64 array holding each node's commit round (``-1``
     until it commits) and an object array holding its label.
     """
 
-    __slots__ = ("graph", "center", "round", "_dist", "_store", "_ids",
-                 "_inputs", "_commit_round", "_outputs")
+    __slots__ = ("graph", "center", "round", "_dist", "_ids",
+                 "_commit_round", "_outputs")
 
     def __init__(
         self,
@@ -154,17 +72,13 @@ class View:
         ids: List[int],
         commit_round: np.ndarray,
         outputs: np.ndarray,
-        store: Optional[BallStore] = None,
     ) -> None:
         self.graph = graph
         self.center = center
         self.round = t
-        self._store = store
-        ball = store.dist if store is not None else graph.ball(center, t)
-        # read-only on both engines: mutating the ball would silently
-        # corrupt every later round of a store-backed node, so make the
-        # misuse raise identically everywhere
-        self._dist = MappingProxyType(ball)
+        # read-only: a mutated ball would answer later queries from
+        # edited distances, so make the misuse raise
+        self._dist = MappingProxyType(graph.ball(center, t))
         self._ids = ids
         self._commit_round = commit_round
         self._outputs = outputs
@@ -197,10 +111,6 @@ class View:
 
     def sees_whole_component(self) -> bool:
         """True iff the view provably contains the whole component."""
-        if self._store is not None:
-            # the store's BFS frontier emptied strictly inside radius t —
-            # same truth value as the scan below, in O(1)
-            return self._store.complete
         for u, d in self._dist.items():
             if d >= self.round:
                 return False
@@ -307,7 +217,7 @@ class BatchedAlgorithm:
         ``(nodes, labels)``.
 
         ``views`` is a :class:`repro.local.frontier.BatchedViews` exposing
-        the shared ball facts and per-node view materialization; ``live``
+        the run's IDs, commit state and shared ball facts; ``live``
         is the sorted, read-only int64 array of not-yet-committed nodes.
         ``nodes`` holds integer handles (an integer numpy array or a
         sequence of ints) and ``labels[i]`` is the output of

@@ -30,24 +30,14 @@ key is new iff its first position is a candidate, and that position is
 the key's first occurrence in the candidate stream.  The stream lists
 centres in order and, per centre, the previous layer in layer order
 with neighbours in CSR order — the per-node BFS order — so every layer
-is byte-identical to what ``BallStore`` produces on its own.
-
-The per-centre layer lists are the atlas's ``("layers", v)`` entries:
-layer ``r`` of centre ``v`` is a plain list of nodes at distance exactly
-``r``, a pure function of the topology.  :meth:`FrontierScheduler.pool`
-hands out centre ``v``'s list, first extended with the layers the flat
-cache holds for ``v`` past the list's end, and the per-node
-:class:`~repro.local.algorithm.BallStore` behind each
-:meth:`BatchedViews.view_of` reads and extends it.  Steps never touch
-the lists, and the flat cache never sees the layers a store grew, so
-the scheduler recomputes those instead of reading them; production
-algorithms read either ball facts or per-node views, never both.
+is byte-identical to the one :meth:`~repro.local.graph.Graph.bfs_layers`
+yields for its centre alone.
 
 Growth is **lazy**: the scheduler only sweeps when something actually asks
 for ball facts at the current round, and allocates its per-node arrays
 only then.  Algorithms whose ``decide_batch`` works from the graph
-directly (e.g. the vectorized Cole–Vishkin) and algorithms that only read
-per-node views never trigger a single sweep.
+directly (e.g. the vectorized Cole–Vishkin) never trigger a single
+sweep.
 """
 
 from __future__ import annotations
@@ -56,7 +46,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algorithm import BallStore, View
 from .graph import Graph
 
 __all__ = ["FrontierScheduler", "BatchedViews", "csr_numpy"]
@@ -125,14 +114,12 @@ class FrontierScheduler:
     committed:
         The engine's commit-flag ``bytearray`` (length ``n``).  Viewed
         zero-copy as uint8: a centre whose flag is set simply drops out of
-        the flat frontier on the next sweep — committed balls stop growing,
-        as the engine stops growing a committed node's ``BallStore``.
+        the flat frontier on the next sweep — committed balls stop growing.
     atlas:
         Optional cross-run topology cache (``run_batch``'s dict).  Its
-        ``"frontier"`` entry is the flat per-radius layer cache and its
-        ``("layers", v)`` entries are the per-centre lists, so every run
-        of a batch, and the per-node views within a run, share one BFS.
-        Without an atlas the scheduler keeps both to itself.
+        ``"frontier"`` entry is the flat per-radius layer cache, so every
+        run of a batch shares one BFS.  Without an atlas the scheduler
+        keeps the cache to itself.
 
     Attributes
     ----------
@@ -140,8 +127,9 @@ class FrontierScheduler:
         Radius every live ball has been grown to.
     complete:
         Bool array; ``complete[v]`` iff ``v``'s BFS exhausted its component
-        strictly inside the current radius (the ``BallStore.complete``
-        truth value, computed for all centres at once).
+        strictly inside the current radius (the
+        ``View.sees_whole_component`` truth value, computed for all
+        centres at once).
     ball_size:
         Int64 array of current ball cardinalities (frozen once a centre
         commits or completes).
@@ -184,26 +172,6 @@ class FrontierScheduler:
         if self._ball_size is None:
             self._ball_size = np.ones(self._n, dtype=np.int64)
         return self._ball_size
-
-    # ------------------------------------------------------------------
-    def pool(self, v: int) -> List[List[int]]:
-        """Centre ``v``'s layer list, the atlas's ``("layers", v)`` entry
-        (shared with ``BallStore`` windows), extended with the layers the
-        flat cache holds for ``v`` past the list's end."""
-        layers = self._atlas.get(("layers", v))
-        if layers is None:
-            layers = self._atlas[("layers", v)] = [[v]]
-        cache = self._cache
-        r = len(layers)
-        while r < len(cache):
-            grown, rows_c, rows_v = cache[r]
-            i = int(np.searchsorted(grown, v))
-            if i == len(grown) or grown[i] != v:
-                break
-            lo, hi = np.searchsorted(rows_c, (v, v + 1)).tolist()
-            layers.append(rows_v[lo:hi].tolist())
-            r += 1
-        return layers
 
     # ------------------------------------------------------------------
     def grow_to(self, t: int) -> None:
@@ -292,11 +260,7 @@ class BatchedViews:
     engine.  It exposes the scheduler's flat per-centre ball facts
     (``complete_mask``/``ball_sizes`` — treat both arrays as read-only)
     for array-level decisions, grown lazily, so algorithms that never
-    ask for ball facts never pay for a single sweep.  It also
-    materializes ordinary radius-``t``
-    :class:`~repro.local.algorithm.View` windows on demand, each over
-    its centre's own :class:`~repro.local.algorithm.BallStore`, for the
-    per-node adapter; those never sweep the shared frontier.
+    ask for ball facts never pay for a single sweep.
 
     ``ids`` is the run's ID list and ``id_array`` the same IDs as the
     read-only int64 array :func:`~repro.local.ids.validate_ids` built
@@ -307,7 +271,7 @@ class BatchedViews:
     """
 
     __slots__ = ("graph", "n", "ids", "id_array", "round", "budget",
-                 "commit_round", "outputs", "stores", "_scheduler")
+                 "commit_round", "outputs", "_scheduler")
 
     def __init__(
         self,
@@ -332,10 +296,6 @@ class BatchedViews:
         self.commit_round = _readonly(commit_round)
         self.outputs = _readonly(outputs)
         self._scheduler = scheduler
-        #: the per-node ball stores behind :meth:`view_of` and the
-        #: per-node adapter, by centre; the engine releases a centre's
-        #: store when it commits
-        self.stores: Dict[int, BallStore] = {}
 
     # -- flat ball facts ----------------------------------------------
     def _grown(self) -> FrontierScheduler:
@@ -370,22 +330,3 @@ class BatchedViews:
         la = np.asarray(live, dtype=np.int64)
         return la[(scheduler.ball_size[la] == self.n)
                   | scheduler.complete[la]]
-
-    # -- per-node views ----------------------------------------------
-    def store_of(self, v: int) -> BallStore:
-        """Live node ``v``'s :class:`BallStore`, grown to the current
-        round.  It grows its layers into ``v``'s list in the shared
-        layer pool, one BFS layer per round, without sweeping the shared
-        frontier."""
-        store = self.stores.get(v)
-        if store is None:
-            store = BallStore(self.graph, v, layers=self._scheduler.pool(v))
-            self.stores[v] = store
-        store.grow_to(self.round)
-        return store
-
-    def view_of(self, v: int) -> View:
-        """The ordinary radius-``t`` :class:`View` of live node ``v``,
-        a window over :meth:`store_of`."""
-        return View(self.graph, v, self.round, self.ids, self.commit_round,
-                    self.outputs, store=self.store_of(v))

@@ -15,7 +15,7 @@ The CSR layout is a pair of flat integer arrays: ``indptr`` of length
 ``n + 1`` and ``indices`` of length ``2m``, where the neighbours of node
 ``v`` are ``indices[indptr[v]:indptr[v+1]]``.  Degrees and neighbour scans
 are O(1)/O(deg) slice operations with no per-node Python list overhead,
-which is what makes the per-node ball stores and frontier sweeps of
+which is what makes the ball extraction and frontier sweeps of
 :mod:`repro.local.simulator` and the checker scans in :mod:`repro.lcl`
 cheap.  Neighbour order matches edge-insertion order (exactly the order the
 old adjacency-list build produced), so all BFS traversals are reproducible
@@ -446,8 +446,8 @@ class Graph:
         sources, layer ``r`` the nodes at distance exactly ``r``.
 
         Stops after the last non-empty layer.  This is the growth primitive
-        behind :class:`repro.local.algorithm.BallStore`: one layer per
-        LOCAL round.
+        behind :meth:`ball`, the reference engine's view extraction: one
+        layer per LOCAL round.
         """
         indptr, indices = self._indptr, self._indices
         seen = {}

@@ -31,14 +31,12 @@ algorithms and ID assignments — but they trade transparency for speed:
   :class:`repro.local.frontier.FrontierScheduler` that grows *all* live
   balls together (one flat CSR sweep per round, or a read of the layers
   an earlier ``run_batch`` sample grew).  Algorithms without
-  ``decide_batch`` run unmodified.  View algorithms go through a
-  per-node adapter: each live node's view is a thin window over its own
-  :class:`repro.local.algorithm.BallStore`, which grows by exactly one
-  BFS frontier layer per round (amortized O(edges in the final ball)
-  per node).  Message algorithms advance through one shared global
-  execution of their state machine — the standard equivalence between
-  the message-passing and full-information formulations, exploited
-  instead of re-derived per node.
+  ``decide_batch`` run unmodified.  Message algorithms advance through
+  one shared global execution of their state machine — the standard
+  equivalence between the message-passing and full-information
+  formulations, exploited instead of re-derived per node.  View
+  algorithms run the reference loop, so their views are the reference
+  engine's own.
 
 Both engines keep a run's commit state as arrays — an int64
 ``commit_round`` (``-1`` until the node commits) and an object
@@ -57,6 +55,7 @@ simulator.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -94,16 +93,17 @@ class LocalSimulator:
     Engine contract
     ---------------
     ``engine="batched"`` (the default) and ``engine="reference"`` must
-    be observationally identical: same ``(T_v, output)`` maps, same view
-    contents (including dict iteration order of ``View.nodes()`` — ball
-    stores and the frontier scheduler reproduce per-node BFS layer order
-    exactly), same ``SimulationError`` behaviour.  Whatever the batched
-    engine carries across rounds (ball stores, the shared layer pool,
-    global message execution, batched label arrays) is purely a cache of
-    what the reference engine would recompute.  Use ``reference`` as the
-    cross-check oracle whenever an algorithm misuses the view API (e.g.
-    retains views across rounds) or when validating a new algorithm;
-    use ``batched`` everywhere else.
+    be observationally identical: same ``(T_v, output)`` maps, same
+    ``SimulationError`` and ``TypeError`` behaviour.  :meth:`_run` is
+    the one dispatch: the batched engine runs ``decide_batch`` when the
+    algorithm has one, a message algorithm otherwise runs the global
+    dynamics (batched) or its causal-cone oracle (reference), and a
+    view algorithm with only ``decide`` runs the reference loop on
+    either engine.  Whatever the batched engine carries across rounds
+    (the frontier scheduler's layers, global message execution, batched
+    label arrays) is purely a cache of what the reference engine would
+    recompute.  Use ``reference`` as the cross-check oracle when
+    validating a new algorithm; use ``batched`` everywhere else.
     """
 
     def __init__(
@@ -139,13 +139,12 @@ class LocalSimulator:
         batch through one atlas dict.  On the batched engine, the
         frontier scheduler keeps the layers it grows in the atlas's flat
         per-radius layer cache, so a later run that grows the same balls
-        reads them from it instead of re-scanning edges; per-node ball
-        stores read and extend the per-centre layer lists the scheduler
-        hands out, extended from that cache; message algorithms reuse
-        the per-node neighbour lists.  Per-run work that depends on the
-        IDs — the dynamics themselves, the dist fills — is still paid
-        per sample.  ``algorithm.setup`` is invoked per run; algorithms
-        must reset any per-execution caches there.
+        reads them from it instead of re-scanning edges, and message
+        algorithms reuse the per-node neighbour lists.  Per-run work
+        that depends on the IDs — the dynamics themselves — is still
+        paid per sample, and the reference loops share nothing.
+        ``algorithm.setup`` is invoked per run; algorithms must reset
+        any per-execution caches there.
         """
         batch_cache: Dict = {}
         return [
@@ -162,9 +161,8 @@ class LocalSimulator:
         algorithm,
         ids: Optional[Sequence[int]],
         # shared per-batch topology cache: "frontier" -> the scheduler's
-        # flat per-radius layer cache, ("layers", v) -> BFS layer list of
-        # node v (ball stores), "neighbors" -> per-node adjacency tuples
-        # (message algorithms); None outside run_batch
+        # flat per-radius layer cache, "neighbors" -> per-node adjacency
+        # tuples (global message dynamics); None outside run_batch
         atlas: Optional[Dict] = None,
     ) -> ExecutionTrace:
         from .message import MessageAlgorithm  # deferred: message.py imports us
@@ -179,32 +177,33 @@ class LocalSimulator:
         # the per-ID loop accepts them, i.e. beyond int64)
         id_array = validate_ids(id_list)
 
+        batched = self.engine == "batched"
+        if batched and _has_decide_batch(algorithm):
+            runner = partial(_run_batched, id_array=id_array, atlas=atlas)
+        elif isinstance(algorithm, MessageAlgorithm):
+            # one shared global state machine is already the batched
+            # execution of a message algorithm
+            runner = (partial(_run_message_global, atlas=atlas) if batched
+                      else _run_message_reference)
+        elif callable(getattr(algorithm, "decide", None)):
+            # a view algorithm without decide_batch: the reference loop,
+            # on either engine
+            runner = _run_view_reference
+        elif _has_decide_batch(algorithm):
+            raise TypeError(
+                f"{algorithm.name} only implements decide_batch; "
+                f"run it with engine='batched'"
+            )
+        else:
+            raise TypeError(
+                f"{algorithm.name} implements neither decide nor decide_batch"
+            )
+
         algorithm.setup(graph, n)
         budget = self._max_rounds
         if budget is None:
             budget = algorithm.max_rounds_hint(n)
-
-        has_batch = _has_decide_batch(algorithm)
-        if self.engine == "reference":
-            if isinstance(algorithm, MessageAlgorithm):
-                runner = _run_message_reference
-            elif has_batch and not callable(getattr(algorithm, "decide", None)):
-                raise TypeError(
-                    f"{algorithm.name} only implements decide_batch; "
-                    f"run it with engine='batched'"
-                )
-            else:
-                runner = _run_view_reference
-            rounds, outputs = runner(graph, algorithm, id_list, budget)
-        elif isinstance(algorithm, MessageAlgorithm) and not has_batch:
-            # one shared global state machine is already the batched
-            # execution of a message algorithm
-            rounds, outputs = _run_message_global(
-                graph, algorithm, id_list, budget, atlas)
-        else:
-            rounds, outputs = _run_view_batched(
-                graph, algorithm, id_list, id_array, budget, atlas)
-
+        rounds, outputs = runner(graph, algorithm, id_list, budget)
         return ExecutionTrace(
             rounds=rounds,
             outputs=outputs,
@@ -254,8 +253,7 @@ def _label_array(labels, k: int):
     return np.fromiter(labels, dtype=object, count=k)
 
 
-def _apply_commits(decided, t, commit_round, outputs, live, committed,
-                   stores=None):
+def _apply_commits(decided, t, commit_round, outputs, live, committed):
     """Apply one round's simultaneous commits; return the new live array.
 
     ``decided`` is the round's ``(nodes, labels)`` pair: integer handles
@@ -271,8 +269,7 @@ def _apply_commits(decided, t, commit_round, outputs, live, committed,
     unflagged nodes, so the mask drops fewer nodes than the batch holds
     iff the batch repeats one.  The round and the labels then land in
     the ``commit_round`` and ``outputs`` arrays with one scatter each
-    (:func:`_label_array`).  ``stores`` maps nodes to the per-node
-    views' ball stores; committed nodes' entries are released.
+    (:func:`_label_array`).
     """
     try:
         nodes, labels = decided
@@ -313,15 +310,14 @@ def _apply_commits(decided, t, commit_round, outputs, live, committed,
         )
     commit_round[nodes] = t
     outputs[nodes] = _label_array(labels, k)
-    if stores:
-        for v in nodes.tolist():
-            stores.pop(v, None)
     return _live_array(kept)
 
 
 def _run_view_reference(graph, algorithm, id_list, budget):
     """Exact recompute-every-round semantics: every live node's ball is
-    re-extracted from scratch each round.  The cross-check oracle."""
+    re-extracted from scratch each round.  The cross-check oracle, and
+    the one loop for view algorithms without ``decide_batch`` on either
+    engine."""
     n = graph.n
     commit_round, outputs, committed, live = _commit_state(n)
 
@@ -342,50 +338,13 @@ def _run_view_reference(graph, algorithm, id_list, budget):
     return commit_round.tolist(), outputs.tolist()
 
 
-class _PerNodeBatchAdapter:
-    """Run an unmodified per-node ``decide`` under the batched engine.
-
-    Each live node's view is a window over its own ball store
-    (:meth:`~repro.local.frontier.BatchedViews.store_of`), grown by one
-    BFS layer per round into the node's list in the shared layer pool;
-    the adapter never sweeps the shared frontier.  The round's
-    invariants are hoisted out of the per-node loop, and the live array
-    is iterated through ``tolist`` so views keep plain ``int`` centres.
-    """
-
-    __slots__ = ("_algorithm", "name")
-
-    def __init__(self, algorithm) -> None:
-        self._algorithm = algorithm
-        self.name = algorithm.name
-
-    def decide_batch(self, views, live, t):
-        n = views.n
-        decide = self._algorithm.decide
-        graph, ids = views.graph, views.ids
-        commit_round, outputs = views.commit_round, views.outputs
-        store_of = views.store_of
-        nodes, labels = [], []
-        for v in live.tolist():
-            view = View(graph, v, t, ids, commit_round, outputs,
-                        store=store_of(v))
-            decision = decide(view, n)
-            if decision is not CONTINUE:
-                nodes.append(v)
-                labels.append(decision)
-        return nodes, labels
-
-
-def _run_view_batched(graph, algorithm, id_list, id_array, budget, atlas):
-    """One decide pass for *all* live nodes per round: the algorithm
-    decides over the entire live set at once via ``decide_batch``, with
+def _run_batched(graph, algorithm, id_list, budget, id_array, atlas):
+    """One ``decide_batch`` pass for *all* live nodes per round, with
     ball facts from a shared
     :class:`~repro.local.frontier.FrontierScheduler` (flat CSR sweeps
-    over the whole live frontier, grown only on demand) — per-node
-    algorithms are wrapped in :class:`_PerNodeBatchAdapter`.
-    ``id_array`` is :func:`~repro.local.ids.validate_ids`' int64 array
-    (None beyond int64), handed to ``decide_batch`` as
-    ``views.id_array``."""
+    over the whole live frontier, grown only on demand).  ``id_array``
+    is :func:`~repro.local.ids.validate_ids`' int64 array (None beyond
+    int64), handed to ``decide_batch`` as ``views.id_array``."""
     from .frontier import BatchedViews, FrontierScheduler
 
     n = graph.n
@@ -395,22 +354,14 @@ def _run_view_batched(graph, algorithm, id_list, id_array, budget, atlas):
         graph, id_list, commit_round, outputs, scheduler, budget=budget,
         id_array=id_array,
     )
-    if _has_decide_batch(algorithm):
-        batched = algorithm
-    elif callable(getattr(algorithm, "decide", None)):
-        batched = _PerNodeBatchAdapter(algorithm)
-    else:
-        raise TypeError(
-            f"{algorithm.name} implements neither decide nor decide_batch"
-        )
 
     t = 0
     while len(live):
         _budget_check(algorithm, t, budget, live)
         views.round = t
         live = _apply_commits(
-            batched.decide_batch(views, live, t), t, commit_round, outputs,
-            live, committed, views.stores,
+            algorithm.decide_batch(views, live, t), t, commit_round, outputs,
+            live, committed,
         )
         t += 1
     return commit_round.tolist(), outputs.tolist()

@@ -2,9 +2,9 @@
 
 The observational batched-vs-reference engine contract is pinned in
 ``tests/test_engine_equivalence.py``; this module goes one level down:
-the :class:`~repro.local.frontier.FrontierScheduler` must grow layer
-pools byte-identical to per-node :class:`~repro.local.algorithm.BallStore`
-growth (same lists, same order), also when stores grew a pool first.
+the :class:`~repro.local.frontier.FrontierScheduler` must grow layers
+byte-identical to the reference's own per-node BFS,
+:meth:`~repro.local.graph.Graph.bfs_layers` (same lists, same order).
 Plus coverage for the adversarial ID modes, the cached trace
 percentiles, the sweep's auto-engine / id-mode axes, and
 :class:`~repro.local.algorithm.CommitSchedule` against the live-set
@@ -20,7 +20,6 @@ from repro.families import get_family
 from repro.local import (
     CONTINUE,
     ID_MODES,
-    BallStore,
     BatchedAlgorithm,
     BatchedViews,
     CommitSchedule,
@@ -69,79 +68,47 @@ def _scheduler_corpus():
 SCHED_CORPUS = _scheduler_corpus()
 
 
+def _cached_layers(atlas, v):
+    """Centre ``v``'s layers as the scheduler's flat cache (the atlas's
+    ``"frontier"`` entry) holds them: layer 0, then layer ``r`` of every
+    radius whose entry grew ``v``, up to the first that did not."""
+    layers = [[v]]
+    for grown, rows_c, rows_v in atlas["frontier"][1:]:
+        if v not in grown:
+            break
+        layers.append(rows_v[rows_c == v].tolist())
+    return layers
+
+
 class TestFrontierScheduler:
     @pytest.mark.parametrize(
         "name,graph", SCHED_CORPUS, ids=[c[0] for c in SCHED_CORPUS]
     )
-    def test_layers_match_ballstore(self, name, graph):
+    def test_layers_match_bfs(self, name, graph):
         n = graph.n
-        sched = FrontierScheduler(graph, bytearray(n))
-        radius = n + 1
-        sched.grow_to(radius)
+        atlas = {}
+        sched = FrontierScheduler(graph, bytearray(n), atlas=atlas)
+        sched.grow_to(n + 1)
         for v in range(n):
-            store = BallStore(graph, v)
-            store.grow_to(radius)
-            # identical lists in identical order, including the trailing
-            # empty layer the BallStore convention records
-            assert sched.pool(v) == store._layers, (name, v)
-            assert bool(sched.complete[v]) == store.complete, (name, v)
-            assert int(sched.ball_size[v]) == len(store.dist), (name, v)
-
-    @pytest.mark.parametrize(
-        "name,graph", SCHED_CORPUS, ids=[c[0] for c in SCHED_CORPUS]
-    )
-    def test_views_match_fresh_extraction(self, name, graph):
-        n = graph.n
-        ids = random_ids(n, rng=random.Random(3))
-        commit_round = np.full(n, -1, dtype=np.int64)
-        outputs = np.empty(n, dtype=object)
-        sched = FrontierScheduler(graph, bytearray(n))
-        views = BatchedViews(graph, ids, commit_round, outputs, sched)
-        for t in range(min(n, 5)):
-            views.round = t
-            for v in range(n):
-                view = views.view_of(v)
-                # same dict contents AND iteration order as a from-scratch
-                # extraction — the engine-contract requirement
-                assert list(view.nodes().items()) == \
-                    list(graph.ball(v, t).items()), (name, v, t)
-
-    def test_write_back_skips_layers_a_store_grew(self):
-        # a per-node store grows centre 0's pool ahead of the scheduler;
-        # the scheduler recomputes those layers, and pool() must not
-        # append them a second time
-        g = balanced_tree(2, 4)
-        sched = FrontierScheduler(g, bytearray(g.n))
-        BallStore(g, 0, layers=sched.pool(0)).grow_to(2)
-        sched.grow_to(g.n)
-        fresh = BallStore(g, 0)
-        fresh.grow_to(g.n)
-        assert sched.pool(0) == fresh._layers
-        assert int(sched.ball_size[0]) == g.n
+            bfs = list(graph.bfs_layers([v]))
+            # identical lists in identical order, then the empty layer
+            # at which the ball completed
+            assert _cached_layers(atlas, v) == bfs + [[]], (name, v)
+            assert bool(sched.complete[v]), (name, v)
+            assert int(sched.ball_size[v]) == sum(map(len, bfs)), (name, v)
 
     def test_committed_centers_stop_growing(self):
         g = path_graph(9)
         committed = bytearray(9)
-        sched = FrontierScheduler(g, committed)
+        atlas = {}
+        sched = FrontierScheduler(g, committed, atlas=atlas)
         sched.grow_to(2)
         committed[4] = 1
         sched.grow_to(4)
-        # node 4's pool froze at radius 2; its neighbours kept growing
-        assert len(sched.pool(4)) == 3
-        assert len(sched.pool(3)) == 5
+        # node 4's layers froze at radius 2; its neighbours kept growing
+        assert len(_cached_layers(atlas, 4)) == 3
+        assert len(_cached_layers(atlas, 3)) == 5
         assert int(sched.ball_size[4]) == 5
-
-    def test_atlas_layers_shared_with_ballstore_format(self):
-        g = balanced_tree(2, 2)
-        atlas = {}
-        sched = FrontierScheduler(g, bytearray(g.n), atlas=atlas)
-        sched.grow_to(3)
-        # the sweep filled the flat cache; pool(0) hands out the exact
-        # atlas list run_batch shares, extended from that cache
-        assert sched.pool(0) is atlas[("layers", 0)]
-        store = BallStore(g, 0, layers=sched.pool(0))
-        store.grow_to(3)
-        assert store.dist == g.ball(0, 3)
 
     def test_lazy_growth(self):
         g = path_graph(50)
@@ -220,11 +187,7 @@ class TestLayerCache:
     ])
     def test_mixed_rounds_match_a_fresh_scheduler(self, family, n):
         (g,) = get_family(family).instances(n, seed=3, count=1)
-        full = []
-        for v in range(g.n):
-            store = BallStore(g, v)
-            store.grow_to(g.n)
-            full.append(store._layers)
+        full = [list(g.bfs_layers([v])) + [[]] for v in range(g.n)]
         rng = random.Random(8)
         atlas = {}
         traces = []
@@ -233,12 +196,10 @@ class TestLayerCache:
             trace = LocalSimulator()._run(
                 g, _PacedByIds(), random_ids(g.n, rng=rng), atlas=atlas)
             traces.append(trace)
-            # every list holds the BallStore layers, through the radius
-            # its centre reached; pool() extends lists made after an
-            # earlier sample with the layers later samples cached
-            reader = FrontierScheduler(g, bytearray(g.n), atlas=atlas)
+            # the cache holds every centre's BFS layers, through the
+            # radius this sample grew it to at least
             for v in range(g.n):
-                layers = reader.pool(v)
+                layers = _cached_layers(atlas, v)
                 assert layers == full[v][:len(layers)], v
                 assert len(layers) > trace.rounds[v], v
         # a node is grown to radius r in a run iff it commits at round
@@ -414,7 +375,7 @@ class _LabelsByRound(LocalAlgorithm):
 
 class _NoBatch(_LabelsByRound):
     """The same algorithm with ``decide_batch`` hidden: the batched
-    engine runs ``decide`` through its per-node adapter."""
+    engine runs ``decide`` through the reference loop."""
 
     decide_batch = None
 
@@ -434,7 +395,7 @@ class _ReadsOutputs(LocalAlgorithm):
 
 
 #: each engine form a ``_LabelsByRound`` run takes: the batched engine
-#: with ``decide_batch``, with the per-node adapter, and the reference
+#: with ``decide_batch`` and without it, and the reference
 _SCATTER_FORMS = [("batched", _LabelsByRound), ("batched", _NoBatch),
                   ("reference", _LabelsByRound)]
 

@@ -4,12 +4,12 @@ The contract (see :class:`repro.local.simulator.LocalSimulator`) is that
 both engines are observationally identical: same ``(T_v, output)`` maps
 on every graph, algorithm and ID assignment.  This suite pins it over a
 seeded corpus covering all algorithm formulations — view-based (native
-``decide_batch`` and, with ``decide_batch`` hidden, the batched engine's
-per-node adapter), message-passing (vectorized ``decide_batch`` and
-global dynamics vs the causal-cone oracle) and pure batched — plus the
-CSR substrate invariants the batched engine leans on (ball equality with
-a naive BFS, networkx round-trips, shared BFS-layer reuse in
-``run_batch``).
+``decide_batch`` and, with ``decide_batch`` hidden, the reference loop
+the batched engine then runs), message-passing (vectorized
+``decide_batch`` and global dynamics vs the causal-cone oracle) and pure
+batched — plus the one dispatch both engines share and the CSR substrate
+invariants the batched engine leans on (ball equality with a naive BFS,
+networkx round-trips).
 """
 
 import random
@@ -32,7 +32,6 @@ from repro.lcl.dfree import A_INPUT, W_INPUT
 from repro.local import (
     CONTINUE,
     ENGINES,
-    BallStore,
     BatchedAlgorithm,
     Graph,
     LocalAlgorithm,
@@ -100,7 +99,7 @@ def view_algorithms():
 
 def per_node(algorithm):
     """``algorithm`` with ``decide_batch`` hidden: the batched engine then
-    runs its per-node form — ``decide`` through the per-node adapter, or
+    runs its per-node form — ``decide`` through the reference loop, or
     the message hooks through the global dynamics."""
     algorithm.decide_batch = None
     return algorithm
@@ -108,9 +107,10 @@ def per_node(algorithm):
 
 # The forms the run_batch tests run: both engines on the algorithm as
 # given, and "incremental" — the batched engine with ``decide_batch``
-# hidden, where each node carries its own state from round to round (a
-# BallStore grown one BFS layer per round, or its message state) rather
-# than have the reference engine re-derive it from the ball.
+# hidden, which runs view algorithms through the reference loop and
+# message algorithms through the global dynamics, where each node
+# carries its message state from round to round rather than have the
+# reference engine re-derive it from the ball.
 RUN_FORMS = ENGINES + ("incremental",)
 
 
@@ -175,8 +175,8 @@ class TestViewEngineEquivalence:
         "make", [lambda: per_node(CanonicalTwoColoring()), FirstVisibleOutput],
         ids=["two-coloring-per-node", "first-visible-output"])
     def test_adapter_never_sweeps_the_shared_frontier(self, make, monkeypatch):
-        # per-node views grow their own ball stores; the shared frontier
-        # scheduler stays at radius 0 for the whole run
+        # a view algorithm without decide_batch runs the reference loop
+        # on the batched engine too: no frontier scheduler is built
         from repro.local import frontier
 
         schedulers = []
@@ -193,7 +193,20 @@ class TestViewEngineEquivalence:
         ref = LocalSimulator(engine="reference").run(graph, make(), ids)
         assert tr.rounds == ref.rounds and tr.outputs == ref.outputs
         assert max(tr.rounds) > 1
-        assert [s.radius for s in schedulers] == [0]
+        assert schedulers == []
+
+    def test_no_hook_raises_the_same_type_error_on_both_engines(self):
+        class Hookless(BatchedAlgorithm):
+            name = "hookless"
+            decide_batch = None
+
+        messages = set()
+        for engine in ENGINES:
+            with pytest.raises(TypeError) as err:
+                LocalSimulator(engine=engine).run(path_graph(3), Hookless())
+            messages.add(str(err.value))
+        assert messages == {
+            "hookless implements neither decide nor decide_batch"}
 
 
 class TestMessageEngineEquivalence:
@@ -427,6 +440,24 @@ class TestBatchedEngine:
             g, lambda: GenericPhaseColoring(k, gammas, variant), ids
         )
 
+    @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5)],
+                             ids=["path4", "cycle5"])
+    def test_cole_vishkin_ids_beyond_int64(self, g):
+        # no int64 array of these IDs exists: decide_batch streams the
+        # global message dynamics, also between small-ID samples
+        big = [2**63, 5, 7, 2**64 + 3, 9][:g.n]
+        samples = [big, random_ids(g.n, rng=random.Random(3)), big]
+        ref = LocalSimulator(engine="reference").run_batch(
+            g, ColeVishkin3Coloring(), samples)
+        for engine in ENGINES:
+            tr = LocalSimulator(engine=engine).run(
+                g, ColeVishkin3Coloring(), big)
+            assert (tr.rounds, tr.outputs) == (ref[0].rounds, ref[0].outputs)
+            batch = LocalSimulator(engine=engine).run_batch(
+                g, ColeVishkin3Coloring(), samples)
+            assert [(t.rounds, t.outputs) for t in batch] == [
+                (t.rounds, t.outputs) for t in ref]
+
     def test_message_algorithm_without_decide_batch_falls_back(self):
         g = path_graph(11)
         ids = random_ids(11, rng=random.Random(2))
@@ -470,27 +501,6 @@ class TestRunBatch:
         batch = sim.run_batch(g, make(), samples)
         assert batch[0].outputs == samples[0]
         assert batch[1].outputs == samples[1]
-
-    def test_batched_engine_reuses_atlas_grown_by_incremental(self):
-        # one shared atlas: incremental runs grow the per-centre layer
-        # lists with their per-node BallStores; the native run's frontier
-        # scheduler cannot read those (it reads its flat layer cache),
-        # so it recomputes the layers without touching the lists, and
-        # must still produce the same traces
-        g = balanced_tree(2, 3)
-        rng = random.Random(11)
-        samples = [random_ids(g.n, rng=rng) for _ in range(3)]
-        atlas = {}
-        sim, make = in_form("incremental", CanonicalTwoColoring)
-        inc = [sim._run(g, make(), ids, atlas=atlas) for ids in samples]
-        assert len(atlas[("layers", 0)]) > 1
-        bat = [
-            LocalSimulator(engine="batched")._run(
-                g, CanonicalTwoColoring(), ids, atlas=atlas)
-            for ids in samples
-        ]
-        for a, b in zip(inc, bat):
-            assert a.rounds == b.rounds and a.outputs == b.outputs
 
 
 def _ids_as_outputs(graph, ids):
@@ -545,12 +555,6 @@ class TestCSRSubstrate:
         for v in range(0, graph.n, 2):
             for radius in (0, 1, 2, graph.n):
                 assert graph.ball(v, radius) == naive_ball(graph, v, radius)
-
-    @pytest.mark.parametrize("name,graph,ids", CORPUS, ids=[c[0] for c in CORPUS])
-    def test_ballstore_grows_to_exact_balls(self, name, graph, ids):
-        store = BallStore(graph, 0)
-        for t in range(graph.n + 1):
-            assert store.grow_to(t) == graph.ball(0, t)
 
     def test_networkx_roundtrip_preserves_csr(self):
         g = balanced_tree(3, 2).with_inputs(

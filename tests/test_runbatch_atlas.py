@@ -1,15 +1,13 @@
 """Fuzz ``LocalSimulator.run_batch`` atlas reuse against fresh runs.
 
-``run_batch`` shares a per-topology cache across ID samples: BFS layer
-lists for view algorithms, neighbour tuples for message algorithms.  The
-contract is that a cached (shared-layer) run is indistinguishable from a
-fresh per-run store — pinned here over seeded corpora drawn from the
-family generators, deliberately including disconnected graphs and
-single-node components (the shapes where frontier exhaustion and
-``sees_whole_component`` short-circuits are easiest to get wrong).
-Within one run the per-node views' ball stores and the frontier
-scheduler also share the layer lists; ``_ViewsThenReady`` drives both in
-the same round.
+``run_batch`` shares a per-topology cache across ID samples: the
+frontier scheduler's flat layer cache for ``decide_batch`` algorithms,
+neighbour tuples for message algorithms.  The contract is that a cached
+run is indistinguishable from a fresh one — pinned here over seeded
+corpora drawn from the family generators, deliberately including
+disconnected graphs and single-node components (the shapes where
+frontier exhaustion and ``sees_whole_component`` short-circuits are
+easiest to get wrong).
 """
 
 import random
@@ -21,7 +19,6 @@ from repro.families import get_family
 from repro.local import (
     CONTINUE,
     ENGINES,
-    BatchedAlgorithm,
     CommitSchedule,
     Graph,
     LocalAlgorithm,
@@ -72,9 +69,7 @@ class _MinIdRank(LocalAlgorithm):
 
 class _FirstVisibleOutput(LocalAlgorithm):
     """Causality probe with ID-dependent commit rounds: min-ID node roots,
-    everyone else commits when an output turns visible.  Under run_batch
-    this makes later samples grow balls past what earlier samples cached,
-    exercising the cached->expanding transition of the shared pool."""
+    everyone else commits when an output turns visible."""
 
     name = "first-visible-output"
 
@@ -88,24 +83,6 @@ class _FirstVisibleOutput(LocalAlgorithm):
             if u != me and view.output_of(u) is not None:
                 return view.round
         return CONTINUE
-
-
-class _ViewsThenReady(BatchedAlgorithm):
-    """Reads every live node's view, then asks for the flat readiness
-    facts, in the same round: per-node stores grow the layer pool ahead
-    of the frontier scheduler, which must neither read those layers nor
-    hand them out twice.  Commits ``_MinIdRank``'s outputs
-    for the ready nodes, cross-checked against the views."""
-
-    name = "views-then-ready"
-
-    def decide_batch(self, views, live, t):
-        decide = _MinIdRank().decide
-        own = {v: decide(views.view_of(v), views.n) for v in live.tolist()}
-        ready = views.ready(live)
-        per_node = [v for v, d in own.items() if d is not CONTINUE]
-        assert ready.tolist() == per_node, (t, ready.tolist(), per_node)
-        return ready, [own[v] for v in ready.tolist()]
 
 
 class _DegreeSum2(MessageAlgorithm):
@@ -148,9 +125,8 @@ def _id_samples(g, seed, k=3):
 
 
 # Both engines on the algorithm as given, and "incremental": the batched
-# engine with ``decide_batch`` hidden, so view algorithms decide per node
-# over BallStores grown one layer per round and message algorithms run
-# the global dynamics.
+# engine with ``decide_batch`` hidden, so view algorithms run the
+# reference loop and message algorithms the global dynamics.
 FORMS = ENGINES + ("incremental",)
 
 
@@ -178,18 +154,6 @@ def test_view_batch_equals_fresh_runs(name, graph, form):
             fresh = sim.run(graph, make(), ids)
             assert trace.rounds == fresh.rounds, (name, form)
             assert trace.outputs == fresh.outputs, (name, form)
-
-
-@pytest.mark.parametrize("name,graph", CORPUS, ids=[c[0] for c in CORPUS])
-def test_views_then_ready_matches_reference(name, graph):
-    # single runs and one 3-sample run_batch over a shared atlas
-    samples = _id_samples(graph, seed=hashlib_seed(name) + 2)
-    batch = LocalSimulator().run_batch(graph, _ViewsThenReady(), samples)
-    for ids, trace in zip(samples, batch):
-        ref = LocalSimulator(engine="reference").run(graph, _MinIdRank(), ids)
-        solo = LocalSimulator().run(graph, _ViewsThenReady(), ids)
-        assert solo.rounds == ref.rounds and solo.outputs == ref.outputs
-        assert trace.rounds == ref.rounds and trace.outputs == ref.outputs
 
 
 @pytest.mark.parametrize("name,graph", CORPUS, ids=[c[0] for c in CORPUS])

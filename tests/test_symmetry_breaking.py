@@ -22,7 +22,7 @@ from repro.local import (
     path_graph,
     random_ids,
 )
-from repro.local.ids import id_space_size, make_ids
+from repro.local.ids import id_space_size, make_ids, validate_ids
 from repro.analysis import log_star
 
 
@@ -108,13 +108,12 @@ class TestDistributedCV:
 
 class _RoundViews:
     """The four fields of ``BatchedViews`` that Cole–Vishkin's
-    ``decide_batch`` reads, so a test can step it round by round.  No
-    ``id_array``, so ``decide_batch`` converts ``ids`` itself, as it
-    does when only the per-ID loop accepted the IDs."""
+    ``decide_batch`` reads on int64 IDs, so a test can step it round by
+    round; ``id_array`` is the int64 array the engine hands it."""
 
     def __init__(self, graph, ids):
         self.graph, self.ids, self.n = graph, ids, graph.n
-        self.id_array = None
+        self.id_array = validate_ids(ids)
 
 
 class TestBatchedCVAtScale:

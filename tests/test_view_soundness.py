@@ -6,8 +6,8 @@ a buggy algorithm cheat the LOCAL model); they must raise ``KeyError``
 exactly like ``distance`` — identically on both engines.  ``output_of``
 had a subtler variant (None before the out-of-ball node commits, KeyError
 after — a distinguishable out-of-horizon signal) and now raises always.
-Also pinned here: negative-radius validation in ``Graph.ball`` /
-``BallStore.grow_to``, and message algorithms run by ``LocalSimulator``
+Also pinned here: negative-radius validation in ``Graph.ball``, and
+message algorithms run by ``LocalSimulator``
 carrying the ``"engine"`` trace meta key that shared tooling reads and
 the caller's ``max_rounds``.
 """
@@ -19,7 +19,6 @@ from repro.algorithms import ColeVishkin3Coloring
 from repro.local import (
     CONTINUE,
     ENGINES,
-    BallStore,
     LocalAlgorithm,
     LocalSimulator,
     View,
@@ -54,22 +53,17 @@ class TestViewOutOfBallAccess:
             LocalSimulator(engine=engine).run(g, _ProbeOutOfBall(accessor))
 
     @pytest.mark.parametrize("accessor", ["id_of", "input_of", "output_of"])
-    def test_direct_view_raises_with_and_without_store(self, accessor):
+    def test_direct_view_raises_outside_its_ball(self, accessor):
         g = path_graph(6)
         ids = sequential_ids(6)
         commit = np.full(6, -1, dtype=np.int64)
         outputs = np.empty(6, dtype=object)
 
-        fresh = View(g, 0, 1, ids, commit, outputs)           # reference shape
-        store = BallStore(g, 0)
-        store.grow_to(1)
-        windowed = View(g, 0, 1, ids, commit, outputs, store=store)
-
-        for view in (fresh, windowed):
-            assert view.contains(1)
-            getattr(view, accessor)(1)  # in-ball: fine
-            with pytest.raises(KeyError):
-                getattr(view, accessor)(5)  # distance 5 > radius 1
+        view = View(g, 0, 1, ids, commit, outputs)
+        assert view.contains(1)
+        getattr(view, accessor)(1)  # in-ball: fine
+        with pytest.raises(KeyError):
+            getattr(view, accessor)(5)  # distance 5 > radius 1
 
     def test_in_ball_answers_unchanged(self):
         g = path_graph(5, inputs=[10, 11, 12, 13, 14])
@@ -86,12 +80,6 @@ class TestNegativeRadius:
         with pytest.raises(ValueError):
             g.ball(0, -1)
         assert g.ball(0, 0) == {0: 0}
-
-    def test_ballstore_rejects_negative_radius(self):
-        store = BallStore(path_graph(4), 0)
-        with pytest.raises(ValueError):
-            store.grow_to(-1)
-        assert store.grow_to(0) == {0: 0}
 
 
 class TestMessageSimulatorDelegation:

@@ -225,12 +225,17 @@ def test_weighted_corpus_is_complete(weighted):
     assert set(weighted) == set(WEIGHTED_PINS)
 
 
-@pytest.mark.parametrize("key", sorted(WEIGHTED_PINS))
+def _pin_id(key):
+    """A pin's test id, from its key: ``algorithm_a-120-2``."""
+    return "-".join(map(str, key))
+
+
+@pytest.mark.parametrize("key", sorted(WEIGHTED_PINS), ids=_pin_id)
 def test_weighted_trace_pinned(weighted, key):
     assert weighted[key] == WEIGHTED_PINS[key]
 
 
-@pytest.mark.parametrize("key", sorted(DFREE_PINS))
+@pytest.mark.parametrize("key", sorted(DFREE_PINS), ids=_pin_id)
 def test_dfree_solution_pinned(dfree, key):
     assert dfree[key] == DFREE_PINS[key]
 
