@@ -141,7 +141,9 @@ def _oriented_decomposition(
     which caps oriented-chain depth by the iteration count.
 
     Dispatches to the flat-array peeling at sweep sizes; the per-node
-    twin below is the differential oracle and no-numpy fallback.
+    twin below is its differential oracle and the path for small inputs.
+    Both twins trace compress runs with
+    :func:`repro.local.vec.member_paths`.
     """
     if vec.use_vector_path(graph.n):
         return _oriented_decomposition_np(graph, members)
@@ -253,8 +255,9 @@ def _oriented_decomposition_py(
         if not alive:
             break
         # compress: runs of >= 3 degree-2 nodes; interiors unoriented
-        runs = _runs_of_degree2(graph, alive, deg)
-        for run in runs:
+        run_mask = vec.np.zeros(graph.n, dtype=bool)
+        run_mask[sorted(v for v in alive if deg[v] == 2)] = True
+        for run in vec.member_paths(graph, run_mask):
             if len(run) < 3:
                 continue
             for v in run:
@@ -266,37 +269,6 @@ def _oriented_decomposition_py(
                     if w in alive:
                         deg[w] -= 1
     return parent, iter_of, i
-
-
-def _runs_of_degree2(graph: Graph, alive: Set[int], deg: Dict[int, int]) -> List[List[int]]:
-    member = {v for v in alive if deg[v] == 2}
-    runs: List[List[int]] = []
-    seen: Set[int] = set()
-    for start in sorted(member):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if w in member and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        ends = [u for u in sorted(comp)
-                if sum(1 for w in graph.neighbors(u) if w in comp) <= 1]
-        order = [min(ends)] if ends else [min(comp)]
-        prev = None
-        while True:
-            nxt = [w for w in graph.neighbors(order[-1])
-                   if w in comp and w != prev]
-            if not nxt:
-                break
-            prev = order[-1]
-            order.append(nxt[0])
-        runs.append(order)
-    return runs
 
 
 def _unassigned_span(

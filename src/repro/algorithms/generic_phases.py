@@ -193,63 +193,16 @@ def _commit(v, label, t, rounds, outputs, alive) -> None:
 def _alive_level_paths(
     graph: Graph, levels: Sequence[int], alive: Sequence[bool], i: int
 ) -> List[List[int]]:
-    """Maximal paths of alive level-``i`` nodes, in path order.
-
-    At sweep sizes the member mask goes through
-    :func:`repro.local.vec.member_paths` (same component order, same
-    path orientation); the per-node tracer below is the differential
-    twin and the no-numpy fallback.
-    """
-    if vec.use_vector_path(graph.n):
-        np = vec.np
-        member = np.array(alive, dtype=bool) & (
-            np.array(levels, dtype=np.int64) == i
-        )
-        try:
-            return vec.member_paths(graph, member)
-        except ValueError:
-            raise AssertionError(f"level-{i} alive component is not a path")
-    return _alive_level_paths_py(graph, levels, alive, i)
-
-
-def _alive_level_paths_py(
-    graph: Graph, levels: Sequence[int], alive: Sequence[bool], i: int
-) -> List[List[int]]:
-    members = {v for v in graph.nodes() if alive[v] and levels[v] == i}
-    paths: List[List[int]] = []
-    seen: set = set()
-    indptr, indices = graph.adjacency()
-
-    def same(v: int) -> List[int]:
-        return [w for w in indices[indptr[v]:indptr[v + 1]] if w in members]
-
-    for v in sorted(members):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in same(u):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        degs = {u: sum(1 for w in same(u) if w in comp) for u in comp}
-        assert all(d <= 2 for d in degs.values()), (
-            f"level-{i} alive component is not a path"
-        )
-        ends = [u for u in sorted(comp) if degs[u] <= 1]
-        order = [min(ends)]
-        prev = None
-        while True:
-            nxt = [w for w in same(order[-1]) if w != prev and w in comp]
-            if not nxt:
-                break
-            prev = order[-1]
-            order.append(nxt[0])
-        seen.update(comp)
-        paths.append(order)
-    return paths
+    """Maximal paths of alive level-``i`` nodes, in path order, traced by
+    :func:`repro.local.vec.member_paths`."""
+    np = vec.np
+    member = np.array(alive, dtype=bool) & (
+        np.array(levels, dtype=np.int64) == i
+    )
+    try:
+        return vec.member_paths(graph, member)
+    except ValueError:
+        raise AssertionError(f"level-{i} alive component is not a path")
 
 
 def _canonical_2coloring(path: Sequence[int], ids: Sequence[int]) -> List[str]:

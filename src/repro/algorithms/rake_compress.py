@@ -122,16 +122,6 @@ class Decomposition:
         """Every node's :class:`Layer`, one tag per distinct step."""
         return _per_step(self.step, lambda s: _layer_at(s, self.gamma))
 
-    def rake_layer_count(self) -> int:
-        return self.num_iterations
-
-    def nodes_in(self, layer_i: int, kind: str) -> List[int]:
-        return [
-            v
-            for v, layer in enumerate(self.layer_of)
-            if layer.i == layer_i and layer.kind == kind
-        ]
-
     def is_higher(self, u: int, v: int) -> bool:
         """Whether u's layer is strictly higher than v's (Definition 75)."""
         return bool(self.step[u] > self.step[v])
@@ -160,7 +150,8 @@ def rake_compress(
 
     At sweep sizes the rake/compress passes run as flat numpy sweeps
     (:func:`_rake_compress_np`); :func:`_rake_compress_py` is the
-    per-node twin the differential tests pin it against.
+    per-node twin the differential tests pin it against.  Both twins
+    trace the compress runs with :func:`repro.local.vec.member_paths`.
     """
     if gamma < 1 or ell < 1:
         raise ValueError("gamma and ell must be >= 1")
@@ -320,7 +311,10 @@ def _rake_compress_py(
         if remaining == 0:
             break
         # ---- compress ---------------------------------------------------
-        runs = _degree2_runs(graph, alive, deg, exclude=pinned_set)
+        runs = vec.member_paths(graph, np.array(
+            [alive[v] and deg[v] == 2 and v not in pinned_set
+             for v in range(n)], dtype=bool,
+        ))
         paths_here: List[List[int]] = []
         promoted: List[int] = []
         for run in runs:
@@ -350,53 +344,6 @@ def _rake_compress_py(
 
 def _any_low_degree(alive: Sequence[bool], deg: Sequence[int], n: int) -> bool:
     return any(alive[v] and deg[v] <= 1 for v in range(n))
-
-
-def _degree2_runs(
-    graph: Graph,
-    alive: Sequence[bool],
-    deg: Sequence[int],
-    exclude: Optional[set] = None,
-) -> List[List[int]]:
-    """Maximal paths of alive degree-2 nodes, in path order."""
-    exclude = exclude or set()
-    member = {
-        v
-        for v in graph.nodes()
-        if alive[v] and deg[v] == 2 and v not in exclude
-    }
-    runs: List[List[int]] = []
-    seen: set = set()
-
-    def nbrs(v: int) -> List[int]:
-        return [w for w in graph.neighbors(v) if w in member]
-
-    for start in sorted(member):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in nbrs(u):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        ends = [u for u in sorted(comp)
-                if len([w for w in nbrs(u) if w in comp]) <= 1]
-        if not ends:  # a full cycle cannot happen in a forest
-            raise AssertionError("degree-2 run formed a cycle in a forest")
-        order = [min(ends)]
-        prev = None
-        while True:
-            nxt = [w for w in nbrs(order[-1]) if w != prev and w in comp]
-            if not nxt:
-                break
-            prev = order[-1]
-            order.append(nxt[0])
-        seen.update(comp)
-        runs.append(order)
-    return runs
 
 
 def _split_run(run: List[int], ell: int) -> Tuple[List[List[int]], List[int]]:

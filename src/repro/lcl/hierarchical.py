@@ -147,20 +147,6 @@ class HierarchicalColoring(LCLProblem):
             bad.append(Violation(v, f"label {out} not allowed at level {lv}"))
         return bad
 
-    def verify_with_levels(
-        self, graph: Graph, levels: Sequence[int], outputs: Sequence
-    ):
-        """Full verification against externally supplied levels."""
-        from .problem import LCLResult
-
-        violations = self.validate_alphabet(graph, outputs)
-        if not violations:
-            for v in graph.nodes():
-                violations.extend(
-                    self.check_node_with_levels(graph, levels, outputs, v)
-                )
-        return LCLResult(violations)
-
 
 def valid_coloring25(graph: Graph, k: int) -> List[str]:
     """A canonical valid k-hierarchical 2½-coloring: ``D`` below level
@@ -168,9 +154,10 @@ def valid_coloring25(graph: Graph, k: int) -> List[str]:
     the level-``k`` paths, ``E`` at level ``k+1``.
 
     Valid whenever every level-``k`` component is a path — trees and
-    grids qualify; a graph whose level-``k`` nodes form an odd cycle does
-    not.  Benchmark and test call sites assert validity through the
-    checker.
+    grids qualify.  A level-``k`` component that is not a path, such as
+    a cycle (even an even one), raises ``ValueError`` from
+    :func:`repro.lcl.levels.level_paths`.
+    Benchmark and test call sites assert validity through the checker.
     """
     from .levels import compute_levels, level_paths
 

@@ -120,48 +120,16 @@ def nodes_of_level(levels: List[int], i: int) -> List[int]:
 
 
 def level_paths(graph: Graph, levels: List[int], i: int) -> List[List[int]]:
-    """Connected components induced by the level-``i`` nodes, each returned
-    in path order when it is a path (which peeling guarantees for i <= k:
-    peeled nodes had degree <= 2 among same-or-higher levels).
+    """The maximal paths induced by the level-``i`` nodes, traced by
+    :func:`repro.local.vec.member_paths`: ascending by smallest member,
+    each ordered from its smaller endpoint, a single node as a
+    one-element list.
 
-    Components that are single nodes come back as one-element lists.
+    For ``i <= k`` peeling leaves each level-``i`` node at most two
+    level-``i`` neighbours, so every component is a path or a cycle, and
+    on a forest a path.  Raises ``ValueError`` when a component is not a
+    path: a node with three level-``i`` neighbours (possible at level
+    ``k + 1``), or a cycle.
     """
-    members = set(nodes_of_level(levels, i))
-    seen = set()
-    comps: List[List[int]] = []
-    for start in sorted(members):
-        if start in seen:
-            continue
-        comp = _trace_component(graph, members, start)
-        seen.update(comp)
-        comps.append(comp)
-    return comps
-
-
-def _trace_component(graph: Graph, members: set, start: int) -> List[int]:
-    """Collect the component of ``start`` inside ``members``; return it in
-    path order if it is a path, otherwise in BFS order."""
-    same = lambda v: [w for w in graph.neighbors(v) if w in members]  # noqa: E731
-    comp = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in same(v):
-            if w not in comp:
-                comp.add(w)
-                frontier.append(w)
-    degs = {v: sum(1 for w in same(v) if w in comp) for v in comp}
-    if any(d > 2 for d in degs.values()):
-        return sorted(comp)
-    endpoints = [v for v in sorted(comp) if degs[v] <= 1]
-    if not endpoints:  # cycle: impossible in a tree, defensive
-        return sorted(comp)
-    order = [min(endpoints)]
-    prev = None
-    while True:
-        nxt = [w for w in same(order[-1]) if w in comp and w != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+    np = vec.np
+    return vec.member_paths(graph, np.asarray(levels, dtype=np.int64) == i)

@@ -6,8 +6,13 @@ count neighbours inside a node subset, expand a node subset to its
 incident directed edges, and trace the maximal paths induced by a subset
 whose induced degree is at most 2.  This module provides those primitives
 as flat numpy passes over the graph's CSR arrays so the solvers scale to
-``n = 10^6`` — each caller keeps its per-node Python twin as the
-differential oracle and as the path for small inputs.
+``n = 10^6``.  Each solver keeps a per-node Python twin of its peeling
+and matching passes, as the differential oracle and as the path for
+small inputs.  Path tracing is shared instead: both twins of every
+solver, and :func:`repro.lcl.levels.level_paths`, call
+:func:`member_paths`, whose one oracle is ``_assert_member_paths`` in
+``tests/test_vec.py``.  A member component that is not a path (a node
+with three member neighbours, or a cycle) raises ``ValueError``.
 
 Dispatch convention: a caller uses the vector path when
 ``n >= VEC_MIN_NODES`` — reference ``vec.VEC_MIN_NODES`` through the
@@ -75,7 +80,8 @@ def induced_degrees(indptr, indices, member):
 def _walk(v: int, prev: int, nb1: List[int], nb2: List[int],
           ids: List[int], seen: bytearray) -> List[int]:
     """Follow the path from rank ``v`` away from rank ``prev`` to its
-    end, marking each rank ``seen``; the node ids along the way."""
+    end, marking each rank ``seen``; the node ids along the way.  A step
+    onto a rank already seen closes a cycle and raises ``ValueError``."""
     out = [ids[v]]
     seen[v] = 1
     cur, pr = v, prev
@@ -84,6 +90,8 @@ def _walk(v: int, prev: int, nb1: List[int], nb2: List[int],
         nxt = a if a != pr else nb2[cur]
         if nxt == -1:
             break
+        if seen[nxt]:
+            raise ValueError("member component is a cycle")
         out.append(ids[nxt])
         seen[nxt] = 1
         pr = cur
@@ -95,14 +103,11 @@ def member_paths(graph: Graph, member) -> List[List[int]]:
     """Maximal paths induced by the boolean ``member`` mask.
 
     Components are returned in ascending order of their smallest member;
-    each path is ordered from its smaller endpoint — exactly the
-    convention of the per-node tracers in :mod:`repro.lcl.levels`,
-    :mod:`repro.algorithms.generic_phases` and
-    :mod:`repro.algorithms.rake_compress`.  Raises ``ValueError`` when a
-    member has more than two member neighbours (the component is not a
-    path); cycles cannot occur on the forest inputs the callers pass.
-    The walk runs over member ranks (positions among the sorted
-    members): past the mask scan, its cost follows the members, not n.
+    each path is ordered from its smaller endpoint.  Raises
+    ``ValueError`` when a component is not a path: a member has more
+    than two member neighbours, or the component is a cycle.  The walk
+    runs over member ranks (positions among the sorted members): past
+    the mask scan, its cost follows the members, not n.
     """
     indptr, indices = csr_arrays(graph)
     nodes = np.nonzero(member)[0]

@@ -4,12 +4,11 @@ The contract (see :class:`repro.local.simulator.LocalSimulator`) is that
 both engines are observationally identical: same ``(T_v, output)`` maps
 on every graph, algorithm and ID assignment.  This suite pins it over a
 seeded corpus covering all algorithm formulations — view-based (native
-``decide_batch`` and, with ``decide_batch`` hidden, the reference loop
-the batched engine then runs), message-passing (vectorized
-``decide_batch`` and global dynamics vs the causal-cone oracle) and pure
-batched — plus the one dispatch both engines share and the CSR substrate
-invariants the batched engine leans on (ball equality with a naive BFS,
-networkx round-trips).
+``decide_batch``; with only ``decide``, both engines run the reference
+loop), message-passing (vectorized ``decide_batch`` and global dynamics
+vs the causal-cone oracle) and pure batched — plus the one dispatch
+both engines share and the CSR substrate invariants the batched engine
+leans on (ball equality with a naive BFS, networkx round-trips).
 """
 
 import random
@@ -36,6 +35,7 @@ from repro.local import (
     Graph,
     LocalAlgorithm,
     LocalSimulator,
+    MessageAlgorithm,
     balanced_tree,
     cycle_graph,
     from_networkx,
@@ -105,34 +105,22 @@ def per_node(algorithm):
     return algorithm
 
 
-# The forms the run_batch tests run: both engines on the algorithm as
-# given, and "incremental" — the batched engine with ``decide_batch``
-# hidden, which runs view algorithms through the reference loop and
-# message algorithms through the global dynamics, where each node
-# carries its message state from round to round rather than have the
-# reference engine re-derive it from the ball.
-RUN_FORMS = ENGINES + ("incremental",)
-
-
-def in_form(form, make_algorithm):
-    """The simulator and algorithm factory of a run form."""
-    if form == "incremental":
-        return (LocalSimulator(engine="batched"),
-                lambda: per_node(make_algorithm()))
-    return LocalSimulator(engine=form), make_algorithm
-
-
 def assert_equivalent(graph, make_algorithm, ids):
-    """Run the batched engine — natively and, for algorithms that also
-    have a per-node form, with ``decide_batch`` hidden — and require
-    (T_v, output) maps identical to the reference oracle; returns the
-    reference and native batched traces."""
+    """Run the batched engine — natively and, for a message algorithm
+    with ``decide_batch``, with it hidden, so that the global message
+    dynamics run — and require (T_v, output) maps identical to the
+    reference oracle; returns the reference and native batched traces.
+    A view algorithm with ``decide_batch`` hidden would run the
+    reference loop itself, so it gets no second run."""
     ref = LocalSimulator(engine="reference").run(graph, make_algorithm(), ids)
     bat = LocalSimulator(engine="batched").run(graph, make_algorithm(), ids)
     runs = [("batched", bat)]
-    if callable(getattr(make_algorithm(), "decide_batch", None)):
+    algorithm = make_algorithm()
+    if isinstance(algorithm, MessageAlgorithm) and callable(
+        getattr(algorithm, "decide_batch", None)
+    ):
         runs.append(("per-node", LocalSimulator(engine="batched").run(
-            graph, per_node(make_algorithm()), ids)))
+            graph, per_node(algorithm), ids)))
     for form, tr in runs:
         assert tr.rounds == ref.rounds, form
         assert tr.outputs == ref.outputs, form
@@ -482,23 +470,23 @@ class TestIdValidation:
 
 
 class TestRunBatch:
-    @pytest.mark.parametrize("form", RUN_FORMS)
-    def test_batch_matches_individual_runs(self, form):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_batch_matches_individual_runs(self, engine):
         g = balanced_tree(2, 3)
         rng = random.Random(7)
         samples = [random_ids(g.n, rng=rng) for _ in range(4)]
-        sim, make = in_form(form, CanonicalTwoColoring)
-        batch = sim.run_batch(g, make(), samples)
+        batch = LocalSimulator(engine=engine).run_batch(
+            g, CanonicalTwoColoring(), samples)
         for ids, tr in zip(samples, batch):
             solo = LocalSimulator().run(g, CanonicalTwoColoring(), ids)
             assert tr.rounds == solo.rounds and tr.outputs == solo.outputs
 
-    @pytest.mark.parametrize("form", RUN_FORMS)
-    def test_batch_resets_per_run_caches(self, form):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_batch_resets_per_run_caches(self, engine):
         g = path_graph(6)
         samples = [[6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6]]
-        sim, make = in_form(form, lambda: WaitForWholeGraph(_ids_as_outputs))
-        batch = sim.run_batch(g, make(), samples)
+        batch = LocalSimulator(engine=engine).run_batch(
+            g, WaitForWholeGraph(_ids_as_outputs), samples)
         assert batch[0].outputs == samples[0]
         assert batch[1].outputs == samples[1]
 

@@ -14,7 +14,7 @@ from repro.algorithms.generic_phases import (
 )
 from repro.constructions import build_lower_bound_graph
 from repro.lcl import Coloring25, Coloring35, compute_levels
-from repro.local import LocalSimulator, random_ids
+from repro.local import LocalSimulator, cycle_graph, random_ids
 
 CASES = [
     (1, [12]),
@@ -47,6 +47,14 @@ class TestFastForwardValidity:
         lb = build_lower_bound_graph([4, 4])
         with pytest.raises(ValueError):
             run_generic_fast_forward(lb.graph, random_ids(lb.graph.n), 2, [3], "4.5")
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_cycle_is_not_a_level_path(self, n):
+        # every node of a cycle is level 1 and the component closes on
+        # itself; the sizes sit on both sides of vec.VEC_MIN_NODES
+        with pytest.raises(AssertionError,
+                           match="level-1 alive component is not a path"):
+            run_generic_fast_forward(cycle_graph(n), random_ids(n), 2, [3])
 
 
 class _MessageForm(GenericPhaseColoring):

@@ -2,11 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constructions import build_lower_bound_graph, caterpillar, random_tree
 from repro.lcl import compute_levels, level_paths, nodes_of_level
-from repro.local import balanced_tree, path_graph, star_graph
+from repro.local import balanced_tree, cycle_graph, path_graph, star_graph
 
 
 class TestComputeLevels:
@@ -77,6 +78,14 @@ class TestLevelPaths:
         levels = compute_levels(lb.graph, 2)
         covered = [v for p in level_paths(lb.graph, levels, 1) for v in p]
         assert sorted(covered) == sorted(nodes_of_level(levels, 1))
+
+    @pytest.mark.parametrize("g", [cycle_graph(8), star_graph(3)],
+                             ids=["cycle8", "star3"])
+    def test_non_path_component_raises(self, g):
+        # a level component that is a cycle or has a branch node has no
+        # path order to colour along
+        with pytest.raises(ValueError):
+            level_paths(g, [1] * g.n, 1)
 
 
 @settings(max_examples=30, deadline=None)

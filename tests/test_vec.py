@@ -27,7 +27,7 @@ from repro.algorithms.rake_compress import (
 from repro.families import get_family
 from repro.lcl.dfree import A_INPUT, W_INPUT
 from repro.lcl.levels import compute_levels
-from repro.local import Graph, random_ids
+from repro.local import Graph, cycle_graph, disjoint_union, path_graph, random_ids
 from repro.local import vec
 
 TREEISH = ("path", "random_tree", "bounded_tree_d3", "caterpillar",
@@ -93,6 +93,20 @@ class TestMemberPaths:
         g = get_family("star").instance(6, 0, 0)
         with pytest.raises(ValueError):
             vec.member_paths(g, _np_bool([True] * g.n))
+
+    @pytest.mark.parametrize("g", [
+        cycle_graph(6),
+        cycle_graph(3),
+        disjoint_union([path_graph(3), cycle_graph(5)]),
+    ], ids=["cycle6", "cycle3", "path3+cycle5"])
+    def test_raises_on_cycle_component(self, g):
+        # every member of a cycle has two member neighbours, so the walk
+        # finds no endpoint and must notice that it came back round
+        with pytest.raises(ValueError):
+            vec.member_paths(g, _np_bool([True] * g.n))
+        # the last node lies on the cycle: without it, all are paths
+        member = [v < g.n - 1 for v in range(g.n)]
+        _assert_member_paths(g, member, vec.member_paths(g, _np_bool(member)))
 
 
 def _assert_member_paths(g, member, paths):
