@@ -22,15 +22,7 @@ from .labeling_solver import (
     run_weight_augmented_solver,
     solve_hierarchical_labeling,
 )
-from .schedule_replay import (
-    ScheduleReplay,
-    replay_a35,
-    replay_apoly,
-    replay_fast_dfree,
-    replay_generic_phases,
-    replay_weight_augmented,
-    replay_weighted35,
-)
+from .schedule_replay import ScheduleReplay, replay_apoly, replay_weighted35
 from .rake_compress import (
     Decomposition,
     Layer,
@@ -69,11 +61,7 @@ __all__ = [
     "run_weight_augmented_solver",
     "solve_hierarchical_labeling",
     "ScheduleReplay",
-    "replay_a35",
     "replay_apoly",
-    "replay_fast_dfree",
-    "replay_generic_phases",
-    "replay_weight_augmented",
     "replay_weighted35",
     "Decomposition",
     "Layer",

@@ -25,7 +25,7 @@ algorithm.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from ..local.algorithm import BatchedAlgorithm, CommitSchedule
 from ..local.graph import Graph
@@ -34,11 +34,7 @@ from ..local.metrics import ExecutionTrace
 __all__ = [
     "ScheduleReplay",
     "replay_apoly",
-    "replay_a35",
     "replay_weighted35",
-    "replay_weight_augmented",
-    "replay_fast_dfree",
-    "replay_generic_phases",
 ]
 
 FastForward = Callable[[Graph, List[int]], ExecutionTrace]
@@ -91,17 +87,6 @@ def replay_apoly(delta: int, d: int, k: int, **kw) -> ScheduleReplay:
     )
 
 
-def replay_a35(delta: int, d: int, k: int, **kw) -> ScheduleReplay:
-    """The Algorithm-A-weighted ``Pi^{3.5}`` baseline as a batched
-    algorithm."""
-    from .weighted25 import run_a35
-
-    return ScheduleReplay(
-        f"a35-replay(delta={delta},d={d},k={k})",
-        lambda graph, ids: run_a35(graph, ids, delta, d, k, **kw),
-    )
-
-
 def replay_weighted35(delta: int, d: int, k: int, **kw) -> ScheduleReplay:
     """Theorem 5's ``Pi^{3.5}`` solver (fast d-free weight side) as a
     batched algorithm."""
@@ -111,59 +96,3 @@ def replay_weighted35(delta: int, d: int, k: int, **kw) -> ScheduleReplay:
         f"weighted35-replay(delta={delta},d={d},k={k})",
         lambda graph, ids: run_weighted35(graph, ids, delta, d, k, **kw),
     )
-
-
-def replay_weight_augmented(k: int, **kw) -> ScheduleReplay:
-    """Lemma 69's weight-augmented 2½-coloring solver as a batched
-    algorithm."""
-    from .labeling_solver import run_weight_augmented_solver
-
-    return ScheduleReplay(
-        f"weight-augmented-replay(k={k})",
-        lambda graph, ids: run_weight_augmented_solver(graph, ids, k, **kw),
-    )
-
-
-def replay_fast_dfree(d: int) -> ScheduleReplay:
-    """Corollary 49's d-free weight solver as a batched algorithm (the
-    IDs are unused by the decomposition, as in the paper)."""
-    from .fast_decomposition import run_fast_dfree
-
-    def fast_forward(graph: Graph, ids: List[int]) -> ExecutionTrace:
-        sol = run_fast_dfree(graph, d)
-        return ExecutionTrace(
-            rounds=sol.rounds,
-            outputs=sol.outputs,
-            algorithm="fast-dfree",
-            meta={"iterations": sol.iterations},
-        )
-
-    return ScheduleReplay(f"fast-dfree-replay(d={d})", fast_forward)
-
-
-def replay_generic_phases(
-    k: int,
-    variant: str = "2.5",
-    gammas: Optional[Sequence[int]] = None,
-    **kw,
-) -> ScheduleReplay:
-    """The generic phase algorithm as a batched algorithm.  With
-    ``gammas=None`` the phase schedule defaults per instance from
-    ``graph.n`` (Lemma 14's choices for the variant)."""
-    from .generic_phases import (
-        default_gammas_25,
-        default_gammas_35,
-        run_generic_fast_forward,
-    )
-
-    def fast_forward(graph: Graph, ids: List[int]) -> ExecutionTrace:
-        gs = gammas
-        if gs is None:
-            gs = (
-                default_gammas_25(graph.n, k)
-                if variant == "2.5"
-                else default_gammas_35(graph.n, k)
-            )
-        return run_generic_fast_forward(graph, ids, k, gs, variant, **kw)
-
-    return ScheduleReplay(f"generic-phases-replay(k={k},{variant})", fast_forward)

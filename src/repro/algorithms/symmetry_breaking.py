@@ -329,13 +329,13 @@ class ColeVishkin3Coloring(MessageAlgorithm):
 
     @staticmethod
     def _batch_init(views) -> dict:
-        from ..local.frontier import csr_numpy
+        from ..local.vec import csr_arrays
 
         ids = views.id_array
         # degree <= 2 (enforced by setup): a node's neighbours sit in CSR
         # slots indptr[v] and indptr[v] + 1; two -1 pad slots keep both
         # reads in range for the nodes of degree < 2 at the end
-        ip, ix = csr_numpy(views.graph)
+        ip, ix = csr_arrays(views.graph)
         start, deg = ip[:-1], np.diff(ip)
         slots = np.concatenate((ix, (-1, -1)))
         a = np.where(deg >= 1, slots[start], -1)

@@ -16,11 +16,14 @@ the spirit of Figures 1/2 and [BBK+23b]'s density results — classify an
    orbit sizes from orbit--stabilizer, never materializing the raw
    space.
 2. **Decide** each canonical problem with
-   :func:`~repro.gap.decider.decide_node_averaged_class`, fanned over a
-   ``fork`` pool with the same task-order aggregation discipline as
-   :class:`~repro.sweep.SweepRunner`: the JSON payload is
-   **byte-identical at every worker count**.
-4. **Cross-validate**: problems with a registered empirical witness (a
+   :func:`~repro.gap.decider.decide_node_averaged_class`, in contiguous
+   chunks fanned over a ``fork`` pool with the same task-order
+   aggregation discipline as :class:`~repro.sweep.SweepRunner`: the
+   JSON payload is **byte-identical at every worker count**.  With a
+   result store, the store is both cache and checkpoint: verdicts it
+   holds are reused, and each new one is written the moment it is
+   decided, so a killed census resumes where it stopped.
+3. **Cross-validate**: problems with a registered empirical witness (a
    :data:`repro.sweep.ALGORITHMS` entry solving the node-form problem on
    a witness family) are swept through the existing
    ``SweepRunner``/checker-kernel path, the node-averaged growth across
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -229,44 +233,34 @@ def _decode_verdict(payload: object) -> Optional[Tuple[str, str]]:
     return klass, detail
 
 
-def _decide_task(task: Tuple[Encoding, int, int]) -> Tuple[str, str]:
-    """One canonical problem: rebuild it from its encoding inside the
-    worker (nothing but tuples crosses the pool boundary — the
-    :class:`SweepRunner` discipline) and decide its Theorem-7 class."""
-    encoding, ell, max_functions = task
-    verdict = decide_encoding(encoding, ell, max_functions)
-    return verdict.klass, verdict.detail
+#: one census worker task: (encodings, ell, max_functions, store root,
+#: store salt); the root and salt are ``None`` without a store
+_Chunk = Tuple[Tuple[Encoding, ...], int, int, Optional[str], Optional[str]]
 
 
-def _task_spec_label(task: Tuple[Encoding, int, int]) -> str:
-    return f"census decide {spec_name(task[0])}"
-
-
-def _decide_shard(
-    task: Tuple[Tuple[Encoding, ...], int, int, str, str],
-) -> List[Tuple[str, str]]:
-    """One store shard: decide every encoding in the shard, writing each
-    verdict through the store **as soon as it is decided** — the
-    checkpoint that makes a killed census resumable.  Each worker opens
-    its own :class:`ResultStore` handle (same root/salt; concurrent
-    writers are safe because every write is atomic and the shards —
-    split by canonical-form digest — never share a key)."""
+def _decide_chunk(task: _Chunk) -> List[Tuple[str, str]]:
+    """Decide a chunk of canonical problems, rebuilt from their
+    encodings inside the worker (only tuples cross the pool boundary).
+    With a store root, each verdict is written through the store **as
+    soon as it is decided** — the checkpoint that makes a killed census
+    resumable.  Each worker opens its own :class:`ResultStore` handle;
+    concurrent writes are safe because every write is atomic and no
+    encoding occurs in two chunks, so no two workers share a key."""
     encodings, ell, max_functions, root, salt = task
-    store = ResultStore(root, salt=salt)
+    store = None if root is None else ResultStore(root, salt=salt)
     out: List[Tuple[str, str]] = []
     for enc in encodings:
         verdict = decide_encoding(enc, ell, max_functions)
-        store.put(verdict_key(store, enc, ell, max_functions),
-                  verdict.to_payload())
+        if store is not None:
+            store.put(verdict_key(store, enc, ell, max_functions),
+                      verdict.to_payload())
         out.append((verdict.klass, verdict.detail))
     return out
 
 
-def _shard_spec_label(
-    task: Tuple[Tuple[Encoding, ...], int, int, str, str],
-) -> str:
+def _chunk_spec_label(task: _Chunk) -> str:
     encodings = task[0]
-    return (f"census shard of {len(encodings)} problem(s) "
+    return (f"census chunk of {len(encodings)} problem(s) "
             f"starting {spec_name(encodings[0])}")
 
 
@@ -433,18 +427,17 @@ class _ProgressReporter:
         self.emit()
 
     def on_decided(self, count: int) -> None:
-        """Decide-phase tick (the ``fork_map`` ``on_result`` hook)."""
-        self.decided = count
+        """Decide-phase tick: ``count`` problems, capped at ``pending``."""
+        self.decided = min(count, self.pending)
         self.emit()
 
 
 # ----------------------------------------------------------------------
 # the census
 # ----------------------------------------------------------------------
-#: store-path shards are split into chunks of this many problems so the
-#: pool load-balances and progress ticks stay fine-grained; chunking is
-#: invisible in the payload (results re-keyed by encoding)
-_SHARD_CHUNK = 256
+#: the most problems one worker task decides, so progress ticks and
+#: checkpoints stay fine-grained; chunking never reaches the payload
+_MAX_CHUNK = 256
 
 
 def _decide_space(
@@ -456,26 +449,26 @@ def _decide_space(
     workers: int,
     max_problems: Optional[int],
     store: Optional[ResultStore],
-    resume: bool,
     stats_out: Optional[Dict[str, int]],
     reporter: _ProgressReporter,
 ) -> Tuple[List[Encoding], Dict[Encoding, int], int, bool,
            Dict[Encoding, Tuple[str, str]]]:
-    """The shared enumerate→resume→decide pipeline behind
+    """The shared enumerate→look up→decide pipeline behind
     :func:`run_census` and :func:`run_atlas`.
 
     Streams the orderly enumeration (stopping after ``max_problems``
-    canonical forms, the sorted prefix), reads resumable verdicts back
-    from the store, and fans the rest over ``fork_map`` — digest-sharded
-    into the store checkpoints when one is given.  Returns ``(canonical
-    encodings, orbit sizes, raw count, truncated, verdict map)``.
+    canonical forms, the sorted prefix), reuses every verdict the store
+    (if any) holds, and fans the rest over ``fork_map`` in contiguous
+    chunks, four per worker as ``fork_map`` chunks its own tasks.
+    Returns ``(canonical encodings, orbit sizes, raw count, truncated,
+    verdict map)``.
     """
     if max_labels < 1 or max_inputs < 1:
         raise ValueError("max_labels and max_inputs must be >= 1")
     if delta < 2:
         raise ValueError("delta must be >= 2")
-    if resume and store is None:
-        raise ValueError("resume requires a store")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
     encodings: List[Encoding] = []
     orbit: Dict[Encoding, int] = {}
@@ -495,10 +488,10 @@ def _decide_space(
     reporter.emit(force=True)
 
     decided_map: Dict[Encoding, Tuple[str, str]] = {}
-    if store is not None and resume:
+    if store is not None:
         for enc in encodings:
-            payload = store.get(verdict_key(store, enc, ell, max_functions))
-            verdict = None if payload is None else _decode_verdict(payload)
+            verdict = _decode_verdict(
+                store.get(verdict_key(store, enc, ell, max_functions)))
             if verdict is not None:
                 decided_map[enc] = verdict
     pending = [enc for enc in encodings if enc not in decided_map]
@@ -508,64 +501,18 @@ def _decide_space(
     reporter.store_hits = len(encodings) - len(pending)
     reporter.pending = len(pending)
 
-    on_result = reporter.on_decided if reporter.enabled else None
-    if store is not None and pending:
-        # shard by canonical-form digest so concurrent workers never
-        # write the same key and a shard's checkpoints survive a kill;
-        # each shard is split into chunks for load balancing (chunks of
-        # one shard share its digest class, so the key-disjointness
-        # argument is untouched)
-        shards: Dict[int, List[Encoding]] = {}
-        for enc in pending:
-            k = verdict_key(store, enc, ell, max_functions)
-            shards.setdefault(int(k.digest, 16) % max(1, workers),
-                              []).append(enc)
-        shard_tasks = []
-        for i in sorted(shards):
-            encs = shards[i]
-            for start in range(0, len(encs), _SHARD_CHUNK):
-                shard_tasks.append((
-                    tuple(encs[start:start + _SHARD_CHUNK]),
-                    ell, max_functions, store.root, store.salt,
-                ))
-        if on_result is not None:
-            sizes = [len(t[0]) for t in shard_tasks]
-            done = [0]
-            for idx, size in enumerate(sizes):
-                done.append(done[idx] + size)
-            counter = _ChunkCounter(done, reporter)
-            shard_results = fork_map(_decide_shard, shard_tasks, workers,
-                                     label=_shard_spec_label,
-                                     on_result=counter.on_task)
-        else:
-            shard_results = fork_map(_decide_shard, shard_tasks, workers,
-                                     label=_shard_spec_label)
-        for (encs, _ell, _mf, _root, _salt), results in zip(
-                shard_tasks, shard_results):
-            for enc, verdict in zip(encs, results):
-                decided_map[enc] = verdict
-    elif pending:
-        tasks = [(enc, ell, max_functions) for enc in pending]
-        decided = fork_map(_decide_task, tasks, workers,
-                           label=_task_spec_label, on_result=on_result)
-        for enc, verdict in zip(pending, decided):
-            decided_map[enc] = verdict
+    step = max(1, min(_MAX_CHUNK, math.ceil(len(pending) / (4 * workers))))
+    root, salt = (None, None) if store is None else (store.root, store.salt)
+    chunks = [(tuple(pending[i:i + step]), ell, max_functions, root, salt)
+              for i in range(0, len(pending), step)]
+    results = fork_map(_decide_chunk, chunks, workers,
+                       label=_chunk_spec_label,
+                       on_result=lambda done: reporter.on_decided(done * step))
+    for chunk, verdicts in zip(chunks, results):
+        decided_map.update(zip(chunk[0], verdicts))
     reporter.decided = len(pending)
     reporter.emit(force=True)
     return encodings, orbit, raw, truncated, decided_map
-
-
-class _ChunkCounter:
-    """Translate completed-chunk counts into completed-problem counts
-    for the progress line (runs in the parent; nothing pickles)."""
-
-    def __init__(self, cumulative: List[int],
-                 reporter: _ProgressReporter) -> None:
-        self._cumulative = cumulative
-        self._reporter = reporter
-
-    def on_task(self, tasks_done: int) -> None:
-        self._reporter.on_decided(self._cumulative[tasks_done])
 
 
 def run_census(
@@ -578,7 +525,6 @@ def run_census(
     max_problems: Optional[int] = None,
     cross_validate: bool = True,
     store: object = None,
-    resume: bool = False,
     stats_out: Optional[Dict[str, int]] = None,
     progress: bool = False,
 ) -> Dict:
@@ -592,20 +538,18 @@ def run_census(
     truncated run's checkpoints are exactly the full run's first entries.
 
     ``store`` (a :class:`repro.store.ResultStore`, a path, or ``None``)
-    checkpoints every verdict the moment it is decided, with workers
-    sharded by canonical-form digest so no two workers touch the same
-    key.  ``resume`` additionally reads already-decided verdicts back
-    from the store before fanning out, so a killed census continues from
-    its checkpoints instead of restarting.  The payload is byte-identical
-    with the store absent, cold, or resumed; reuse counts go into
-    ``stats_out`` (``{"reused": ..., "computed": ...}``), never into the
-    payload.  ``progress`` prints a periodic stderr status line and is
-    equally payload-invisible.
+    is both cache and checkpoint: verdicts it already holds are reused,
+    and every other verdict is written to it the moment it is decided,
+    so a killed census continues from its checkpoints instead of
+    restarting.  The payload is byte-identical with the store absent,
+    cold or warm; reuse counts go into ``stats_out`` (``{"reused": ...,
+    "computed": ...}``), never into the payload.  ``progress`` prints a
+    periodic stderr status line and is equally payload-invisible.
     """
     reporter = _ProgressReporter(progress)
     encodings, orbit, raw, truncated, decided_map = _decide_space(
         max_labels, delta, max_inputs, ell, max_functions, workers,
-        max_problems, as_store(store), resume, stats_out, reporter,
+        max_problems, as_store(store), stats_out, reporter,
     )
 
     verdicts: Dict[Encoding, str] = {}
@@ -699,7 +643,6 @@ def run_atlas(
     workers: int = 1,
     max_problems: Optional[int] = None,
     store: object = None,
-    resume: bool = False,
     stats_out: Optional[Dict[str, int]] = None,
     progress: bool = False,
 ) -> Dict:
@@ -708,22 +651,22 @@ def run_atlas(
     computed rather than drawn.
 
     Shares the full enumerate→decide pipeline (and therefore the store
-    checkpoints, resume semantics, truncation and byte-identity
-    contracts) with :func:`run_census`, but emits the publishable
-    artifact: per problem the exact constraint sets as bit masks over
-    the tuple-lex-ranked multiset list (``white_mask``/``black_mask`` —
-    the compact lossless form), the orbit size, the verdict, and the
-    verdict→Figure-2-region map; plus *landmarks* locating the named
-    registry problems (:data:`repro.gap.problems.PROBLEMS`) inside the
-    atlas.  When a ``store`` is given and the atlas is complete (not
-    truncated), the payload is also published under :func:`atlas_key`
-    for ``python -m repro.serve atlas``.
+    reuse and checkpoints, truncation and byte-identity contracts) with
+    :func:`run_census`, but emits the publishable artifact: per problem
+    the exact constraint sets as bit masks over the tuple-lex-ranked
+    multiset list (``white_mask``/``black_mask`` — the compact lossless
+    form), the orbit size, the verdict, and the verdict→Figure-2-region
+    map; plus *landmarks* locating the named registry problems
+    (:data:`repro.gap.problems.PROBLEMS`) inside the atlas.  When a
+    ``store`` is given and the atlas is complete (not truncated), the
+    payload is also published under :func:`atlas_key` for ``python -m
+    repro.serve atlas``.
     """
     store = as_store(store)
     reporter = _ProgressReporter(progress)
     encodings, orbit, raw, truncated, decided_map = _decide_space(
         max_labels, delta, max_inputs, ell, max_functions, workers,
-        max_problems, store, resume, stats_out, reporter,
+        max_problems, store, stats_out, reporter,
     )
 
     problems: Dict[str, Dict] = {}
@@ -793,7 +736,7 @@ def run_atlas(
         "problems": problems,
     }
     if store is not None and not truncated:
-        # lint: allow(STORE002) workers/progress/resume/stats plumbing cannot reach payload bytes (CI byte-compares workers 1 vs 4), the max_problems budget is normalized away above, and truncated atlases are never stored
+        # lint: allow(STORE002) workers/progress/stats plumbing cannot reach payload bytes (CI byte-compares workers 1 vs 4), the max_problems budget is normalized away above, and truncated atlases are never stored
         store.put(
             atlas_key(store, max_labels, max_inputs, delta, ell,
                       max_functions),
@@ -851,19 +794,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "JSON payload")
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="content-addressed result store directory: "
-                        "checkpoint every verdict the moment it is "
-                        "decided (workers sharded by canonical-form "
-                        "digest); the JSON payload is byte-identical "
-                        "with or without a store")
-    parser.add_argument("--resume", action="store_true",
-                        help="reuse verdicts already checkpointed in "
-                        "--store instead of recomputing them — a killed "
-                        "census continues where it stopped")
+                        "reuse the verdicts it holds and checkpoint "
+                        "every other verdict the moment it is decided, "
+                        "so a killed census continues where it stopped; "
+                        "the JSON payload is byte-identical with or "
+                        "without a store")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write JSON here instead of stdout")
     args = parser.parse_args(argv)
-    if args.resume and not args.store:
-        parser.error("--resume requires --store")
 
     stats: Dict[str, int] = {}
     common = dict(
@@ -871,7 +809,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_inputs=args.max_inputs, ell=args.ell,
         max_functions=args.max_functions, workers=args.workers,
         max_problems=args.max_problems,
-        store=args.store, resume=args.resume, stats_out=stats,
+        store=args.store, stats_out=stats,
         progress=args.progress,
     )
     if args.atlas:

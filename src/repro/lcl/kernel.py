@@ -962,9 +962,9 @@ class CompiledProperColoring(CompiledChecker):
         self._codes = {label: label for label in problem.sigma_out}
 
     def _compile_graph(self, graph: Graph):
-        from ..local.frontier import csr_numpy
+        from ..local.vec import csr_arrays
 
-        indptr, indices = csr_numpy(graph)
+        indptr, indices = csr_arrays(graph)
         owners = np.repeat(np.arange(graph.n, dtype=np.int64),
                            np.diff(indptr))
         return indices, owners

@@ -419,7 +419,7 @@ class UnorderedPoolRule(SiteRule):
     ``Pool.imap_unordered``/``as_completed`` return results in
     completion order, which varies with scheduling — aggregates built
     from them differ run to run.  ``repro.parallel.fork_map`` (ordered
-    ``pool.map``) is the only sanctioned fan-out.  The fact extractor
+    ``pool.imap``) is the only sanctioned fan-out.  The fact extractor
     records a site for every attribute and loaded name
     :func:`unordered_fanout` accepts, resolving a name, or a chain's
     root, as DET003 does: a parameter or local that rebinds it shadows

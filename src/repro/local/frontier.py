@@ -47,8 +47,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .graph import Graph
+from .vec import csr_arrays
 
-__all__ = ["FrontierScheduler", "BatchedViews", "csr_numpy"]
+__all__ = ["FrontierScheduler", "BatchedViews"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -66,18 +67,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.flags.writeable = False
     return view
-
-
-def csr_numpy(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """Zero-copy read-only int64 views over the graph's CSR ``array('q')``
-    pair — the shared entry point for vectorized code (the frontier
-    scheduler, ``decide_batch`` implementations) that wants the adjacency
-    as numpy arrays.
-    """
-    indptr, indices = graph.adjacency()
-    ip = np.frombuffer(indptr, dtype=np.int64)
-    ix = np.frombuffer(indices, dtype=np.int64) if len(indices) else _EMPTY
-    return _readonly(ip), _readonly(ix)
 
 
 def _atlas_neighbor_lists(
@@ -143,7 +132,7 @@ class FrontierScheduler:
         self, graph: Graph, committed: bytearray, atlas: Optional[Dict] = None
     ) -> None:
         self._n = graph.n
-        self._indptr, self._indices = csr_numpy(graph)
+        self._indptr, self._indices = csr_arrays(graph)
         self._committed = np.frombuffer(committed, dtype=np.uint8)
         self._atlas = {} if atlas is None else atlas
         cache = self._atlas.get(_CACHE_KEY)

@@ -45,13 +45,16 @@ def use_vector_path(n: int) -> bool:
     return n >= VEC_MIN_NODES
 
 
-def csr_arrays(graph: Graph):
-    """The graph's CSR pair as zero-copy int64 numpy views."""
-    indptr, indices = graph.adjacency()
-    return (
-        np.frombuffer(indptr, dtype=np.int64),
-        np.frombuffer(indices, dtype=np.int64),
-    )
+def csr_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
+    """The graph's CSR pair as zero-copy read-only int64 numpy views —
+    the one entry point for vectorized code (the solver passes here,
+    the frontier scheduler, the checker kernel, ``decide_batch``
+    implementations) that wants the adjacency as numpy arrays.  The
+    views alias the graph's own storage, so a write raises."""
+    indptr, indices = (np.frombuffer(buf, dtype=np.int64)
+                       for buf in graph.adjacency())
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
 
 
 def expand_segments(indptr, indices, nodes):

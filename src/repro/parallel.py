@@ -13,7 +13,7 @@ count** and parallelism only changes wall-clock time.
   have always used, now shared).
 * :func:`stable_digest` — the same digest as a short hex string, for
   deterministic artifact names.
-* :func:`fork_map` — ordered ``pool.map`` over a fork-context pool,
+* :func:`fork_map` — ordered ``pool.imap`` over a fork-context pool,
   falling back to an in-process loop at ``workers=1`` and failing loudly
   on platforms without ``fork`` (spawn workers re-import fresh registries,
   so dynamically registered families/algorithms/problems would vanish
@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import traceback
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = ["stable_seed", "stable_digest", "fork_map", "ForkTaskError"]
 
@@ -88,11 +88,21 @@ def _call_labeled(packed: Tuple[Callable, object, str]):
         ) from exc
 
 
+def _drain(results: Iterable[_R],
+           on_result: Optional[Callable[[int], None]]) -> List[_R]:
+    """Collect ``results``, calling ``on_result`` after each one."""
+    out: List[_R] = []
+    for res in results:
+        out.append(res)
+        if on_result is not None:
+            on_result(len(out))
+    return out
+
+
 def fork_map(
     fn: Callable[[_T], _R],
     tasks: Sequence[_T],
     workers: int,
-    chunk_denominator: int = 4,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple[object, ...] = (),
     label: Optional[Callable[[_T], str]] = None,
@@ -105,17 +115,16 @@ def fork_map(
     ``initializer`` (if any) runs once in the calling process so the
     executor-local state it sets up (e.g. shared-memory graph attachments)
     is visible exactly as it would be in a worker.  Otherwise the tasks
-    fan over a fork-context pool — ``pool.map``, never ``imap_unordered``,
+    fan over a fork-context pool — ``pool.imap``, never ``imap_unordered``,
     because deterministic aggregates require results in task order.  Fork
     workers inherit the parent's registries, so dynamically registered
     families/algorithms/problems stay resolvable by name.
 
     ``on_result`` (if given) is called **in the parent**, in task order,
     with the count of completed tasks after each one finishes — the
-    progress hook.  The pool path switches from ``pool.map`` to the
-    ordered ``pool.imap`` so completions surface incrementally; results
-    still arrive in task order, so aggregates stay byte-identical and the
-    callback neither crosses the pool boundary nor needs to pickle.
+    progress hook.  Both paths collect results through the same loop, so
+    aggregates stay byte-identical and the callback neither crosses the
+    pool boundary nor needs to pickle.
 
     A task that raises surfaces as :class:`ForkTaskError` whose message
     names the task — ``label(task)`` when the caller supplies a labeller
@@ -134,32 +143,23 @@ def fork_map(
     if workers == 1 or len(tasks) <= 1:
         if initializer is not None:
             initializer(*initargs)
-        out: List[_R] = []
-        for p in packed:
-            out.append(_call_labeled(p))
-            if on_result is not None:
-                on_result(len(out))
-        return out
+        return _drain(map(_call_labeled, packed), on_result)
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         # spawn workers re-import a fresh registry, so dynamically
         # registered entries would vanish mid-run — fail loudly instead
-        # of crashing deep inside pool.map
+        # of crashing deep inside the pool
         raise RuntimeError(
             "parallel runs need a fork-capable platform (spawn workers "
             "cannot see dynamically registered families/algorithms/"
             "problems); use workers=1"
         )
     processes = min(workers, len(tasks))
-    chunksize = max(1, len(tasks) // (processes * chunk_denominator))
+    chunksize = max(1, len(tasks) // (processes * 4))
     with ctx.Pool(
         processes=processes, initializer=initializer, initargs=initargs
     ) as pool:
-        if on_result is None:
-            return pool.map(_call_labeled, packed, chunksize=chunksize)
-        results: List[_R] = []
-        for res in pool.imap(_call_labeled, packed, chunksize=chunksize):
-            results.append(res)
-            on_result(len(results))
-        return results
+        return _drain(
+            pool.imap(_call_labeled, packed, chunksize=chunksize), on_result
+        )

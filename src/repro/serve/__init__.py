@@ -185,14 +185,14 @@ def _atlas(args: argparse.Namespace) -> int:
                   f"or publish via python -m repro.gap.census --atlas "
                   f"--store)", file=sys.stderr)
             return EXIT_MISS
-        # build through the census pipeline with resume, so verdicts
-        # already checkpointed in this store are reused, and the
-        # complete atlas is published under the same key we just missed
+        # build through the census pipeline, which reuses the verdicts
+        # already checkpointed in this store and publishes the complete
+        # atlas under the same key we just missed
         payload = run_atlas(
             max_labels=args.max_labels, delta=args.delta,
             max_inputs=args.max_inputs, ell=args.ell,
             max_functions=args.max_functions, workers=args.workers,
-            store=store, resume=True,
+            store=store,
         )
         print("computed and stored", file=sys.stderr)
     else:

@@ -602,19 +602,6 @@ class TestScheduleReplay:
         assert tr.rounds == ff.rounds
         assert tr.outputs == ff.outputs
 
-    def test_generic_replay_matches_fast_forward(self):
-        from repro.algorithms import replay_generic_phases
-        from repro.algorithms.generic_phases import run_generic_fast_forward
-
-        g = balanced_tree(2, 5)
-        ids = random_ids(g.n, rng=random.Random(13))
-        ff = run_generic_fast_forward(g, list(ids), 3, [3, 5], "2.5")
-        tr = LocalSimulator(engine="batched").run(
-            g, replay_generic_phases(3, variant="2.5", gammas=[3, 5]),
-            ids=ids)
-        assert tr.rounds == ff.rounds
-        assert tr.outputs == ff.outputs
-
     def test_replay_rejects_per_node_engines(self):
         from repro.algorithms import replay_apoly
 

@@ -14,8 +14,8 @@ The store's contract has three legs, each pinned here:
   and curve queries from the store, byte-identical to fresh computes,
   and exits 3 (not garbage) on a miss without ``--build``.
 
-Also here: ``fork_map``'s labeled worker-error wrapping (the store's
-shard workers rely on it to name a failing key).
+Also here: ``fork_map``'s labeled worker-error wrapping (the census's
+chunk workers rely on it to name a failing chunk).
 """
 
 import json
@@ -27,7 +27,7 @@ import time
 
 import pytest
 
-from repro.gap.census import census_json, run_census, verdict_key
+from repro.gap.census import census_json, run_atlas, run_census, verdict_key
 from repro.parallel import ForkTaskError, fork_map
 from repro.store import (
     CODE_SALT,
@@ -330,19 +330,54 @@ class TestCensusStore:
         plain = census_json(workers=1, max_problems=40, **CENSUS_KW)
         s2 = {}
         resumed = census_json(workers=4, max_problems=40, store=store,
-                              resume=True, stats_out=s2, **CENSUS_KW)
+                              stats_out=s2, **CENSUS_KW)
         assert resumed == plain
         assert s2 == {"reused": 10, "computed": 30}
         # a fully-warm resume recomputes nothing
         s3 = {}
         warm = census_json(workers=1, max_problems=40, store=store,
-                           resume=True, stats_out=s3, **CENSUS_KW)
+                           stats_out=s3, **CENSUS_KW)
         assert warm == plain
         assert s3 == {"reused": 40, "computed": 0}
 
-    def test_resume_requires_store(self):
-        with pytest.raises(ValueError):
-            run_census(resume=True, **CENSUS_KW)
+    def test_store_always_reuses(self, tmp_path):
+        # a store is both cache and checkpoint: a second run with
+        # nothing but the store recomputes nothing
+        store = str(tmp_path / "cas")
+        first = census_json(workers=1, store=store, **CENSUS_KW)
+        stats = {}
+        again = census_json(workers=1, store=store, stats_out=stats,
+                            **CENSUS_KW)
+        assert again == first
+        assert stats == {"reused": 298, "computed": 0}
+
+    def test_atlas_reuses_census_verdicts(self, tmp_path):
+        # the ml3/d2 canonical stream starts with the 298 ml2/d2 forms,
+        # whose verdicts the census left in the store
+        store = str(tmp_path / "cas")
+        run_census(max_labels=2, delta=2, cross_validate=False,
+                   store=store)
+        stats = {}
+        atlas = run_atlas(max_labels=3, delta=2, max_problems=500,
+                          store=store, stats_out=stats)
+        assert stats == {"reused": 298, "computed": 202}
+        assert atlas == run_atlas(max_labels=3, delta=2, max_problems=500)
+
+    def test_chunking_invisible_in_payload(self, tmp_path):
+        # 41 problems put chunk boundaries mid-list at every worker
+        # count: chunks of 11 at workers 1, 4 at workers 3, 3 at 4
+        plain = census_json(workers=1, max_problems=41, **CENSUS_KW)
+        for workers in (1, 3, 4):
+            store = str(tmp_path / f"cas{workers}")
+            for expected in ({"reused": 0, "computed": 41},
+                             {"reused": 41, "computed": 0}):
+                stats = {}
+                assert census_json(workers=workers, max_problems=41,
+                                   store=store, stats_out=stats,
+                                   **CENSUS_KW) == plain
+                assert stats == expected
+            assert census_json(workers=workers, max_problems=41,
+                               **CENSUS_KW) == plain
 
     def test_corrupt_checkpoint_recomputed(self, tmp_path):
         store_root = tmp_path / "cas"
@@ -360,14 +395,15 @@ class TestCensusStore:
         plain = census_json(workers=1, max_problems=5, **CENSUS_KW)
         stats = {}
         resumed = census_json(workers=1, max_problems=5,
-                              store=str(store_root), resume=True,
-                              stats_out=stats, **CENSUS_KW)
+                              store=str(store_root), stats_out=stats,
+                              **CENSUS_KW)
         assert resumed == plain
         assert stats == {"reused": 4, "computed": 1}
 
     def test_sigkilled_census_resumes_byte_identical(self, tmp_path):
-        """Kill a census mid-decide; --resume finishes from the
-        checkpoints to the exact bytes of an uninterrupted run."""
+        """Kill a census mid-decide; a rerun on the same store finishes
+        from the checkpoints to the exact bytes of an uninterrupted
+        run."""
         store_root = tmp_path / "cas"
         out = tmp_path / "atlas.json"
         env = dict(os.environ)
@@ -406,7 +442,7 @@ class TestCensusStore:
         resume = _run_cli([
             "repro.gap.census", "--max-labels", "2", "--delta", "2",
             "--no-cross-validate", "--workers", "4",
-            "--store", str(store_root), "--resume", "--out", str(out),
+            "--store", str(store_root), "--out", str(out),
         ], cwd=REPO)
         assert "store: reused=" in resume.stderr
         reused = int(resume.stderr.split("reused=")[1].split()[0])

@@ -251,3 +251,7 @@ class TestDispatch:
         indptr, indices = vec.csr_arrays(g)
         assert indptr.tolist() == list(g.adjacency()[0])
         assert indices.tolist() == list(g.adjacency()[1])
+        for arr in (indptr, indices):
+            with pytest.raises(ValueError):
+                arr[0] = 7
+        assert list(g.adjacency()[1])[0] == 1
