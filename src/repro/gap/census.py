@@ -233,27 +233,30 @@ def _decode_verdict(payload: object) -> Optional[Tuple[str, str]]:
     return klass, detail
 
 
-#: one census worker task: (encodings, ell, max_functions, store root,
-#: store salt); the root and salt are ``None`` without a store
-_Chunk = Tuple[Tuple[Encoding, ...], int, int, Optional[str], Optional[str]]
+#: one census worker task: (encodings, their verdict keys, ell,
+#: max_functions, store root, store salt); without a store every key,
+#: the root and the salt are ``None``
+_Chunk = Tuple[Tuple[Encoding, ...], Tuple[Optional[StoreKey], ...], int,
+               int, Optional[str], Optional[str]]
 
 
 def _decide_chunk(task: _Chunk) -> List[Tuple[str, str]]:
     """Decide a chunk of canonical problems, rebuilt from their
     encodings inside the worker (only tuples cross the pool boundary).
     With a store root, each verdict is written through the store **as
-    soon as it is decided** — the checkpoint that makes a killed census
-    resumable.  Each worker opens its own :class:`ResultStore` handle;
-    concurrent writes are safe because every write is atomic and no
-    encoding occurs in two chunks, so no two workers share a key."""
-    encodings, ell, max_functions, root, salt = task
+    soon as it is decided**, under the key the store lookup in
+    :func:`_decide_space` already computed — the checkpoint that makes
+    a killed census resumable.  Each worker opens its own
+    :class:`ResultStore` handle; concurrent writes are safe because
+    every write is atomic and no encoding occurs in two chunks, so no
+    two workers share a key."""
+    encodings, keys, ell, max_functions, root, salt = task
     store = None if root is None else ResultStore(root, salt=salt)
     out: List[Tuple[str, str]] = []
-    for enc in encodings:
+    for enc, key in zip(encodings, keys):
         verdict = decide_encoding(enc, ell, max_functions)
         if store is not None:
-            store.put(verdict_key(store, enc, ell, max_functions),
-                      verdict.to_payload())
+            store.put(key, verdict.to_payload())
         out.append((verdict.klass, verdict.detail))
     return out
 
@@ -488,10 +491,11 @@ def _decide_space(
     reporter.emit(force=True)
 
     decided_map: Dict[Encoding, Tuple[str, str]] = {}
+    keys: Dict[Encoding, StoreKey] = {}
     if store is not None:
         for enc in encodings:
-            verdict = _decode_verdict(
-                store.get(verdict_key(store, enc, ell, max_functions)))
+            key = keys[enc] = verdict_key(store, enc, ell, max_functions)
+            verdict = _decode_verdict(store.get(key))
             if verdict is not None:
                 decided_map[enc] = verdict
     pending = [enc for enc in encodings if enc not in decided_map]
@@ -503,7 +507,9 @@ def _decide_space(
 
     step = max(1, min(_MAX_CHUNK, math.ceil(len(pending) / (4 * workers))))
     root, salt = (None, None) if store is None else (store.root, store.salt)
-    chunks = [(tuple(pending[i:i + step]), ell, max_functions, root, salt)
+    chunks = [(tuple(pending[i:i + step]),
+               tuple(keys.get(enc) for enc in pending[i:i + step]),
+               ell, max_functions, root, salt)
               for i in range(0, len(pending), step)]
     results = fork_map(_decide_chunk, chunks, workers,
                        label=_chunk_spec_label,

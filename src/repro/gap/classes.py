@@ -15,6 +15,13 @@ says any mix of allowed endpoint choices stays feasible, which for two
 outgoing edges is precisely the rectangle property.  The function
 ``f_{Pi,k}`` of Definition 74 is therefore a choice of rectangle for
 every maximal class; :mod:`repro.gap.testing` enumerates these choices.
+
+The module-level functions compute each query from the constraint
+predicates (``g`` and the path relation by a per-label DP over
+:func:`node_feasible`).  They are the oracle: :class:`GapCache` answers
+the same queries from compiled bitmask tables (a path relation is a
+composition of per-node transfer rows, the automaton view of a path),
+and the differential tests pin the two equal.
 """
 
 from __future__ import annotations
@@ -134,64 +141,173 @@ class GapCache:
     """Per-problem compile cache for the Section-11 machinery.
 
     One Theorem-7 decision runs the testing procedure once per candidate
-    function, and every run recomputes the same ``g`` label-sets, path
-    relations, and feasibility checks from scratch.  All of those are
-    pure functions of the problem, so — mirroring the per-graph compile
-    cache of :class:`repro.lcl.kernel.CompiledChecker` — a ``GapCache``
-    computes each distinct query once and shares it across every testing
-    run of the decision (and across the maximal-rectangle enumeration,
-    keyed per canonical relation).
+    function, and every run asks the same ``g``, feasibility and path
+    relation questions.  With ``memoize=True`` a ``GapCache`` compiles
+    the problem once — mirroring the per-graph compile cache of
+    :class:`repro.lcl.kernel.CompiledChecker` — and answers every query
+    from integer tables shared by all testing runs of the decision:
 
-    ``memoize=False`` keeps the exact same interface but computes every
-    query directly — the baseline the decider benchmark compares against.
-    Queries are keyed on the (hashable) argument tuples; results are
-    independent of argument order wherever the underlying functions are,
-    so cache hits can never change a verdict — only the work done to
-    reach it (pinned by the equivalence tests).
+    * each (input, output) pair gets an int code, ``input index *
+      |Sigma_out| + output index``, and :meth:`BlackWhiteLCL.allows` runs
+      once per distinct sorted code multiset;
+    * a label-set is a ``Sigma_out`` bitmask (bit ``j`` is
+      ``sigma_out[j]``) behind a memoized frozenset → mask translation,
+      so the API still takes and returns frozensets;
+    * one table, ``g(colour, incoming (input, mask) multiset, out input)
+      → mask``, answers :meth:`g_single_node` and :meth:`node_feasible`
+      (which pulls one free edge out as the outgoing one) — the rake
+      steps 2a/2b and ``is_constant_good``;
+    * the same table yields the *transfer rows* of compress paths:
+      ``row(colour, pendant, fixed pair, next input)`` is the mask of
+      labels a path node's next edge can take, kept per node type as one
+      table over the fixed edge's reachable-label masks, and
+      :meth:`path_relation` composes one such table per node by bit
+      propagation (the automaton view of a path), at every path length,
+      1 included;
+    * maximal rectangles are kept per canonical relation.
+
+    ``memoize=False`` keeps the same interface but answers every query
+    with the module-level functions — the one oracle the compiled tables
+    are tested against, and the decider benchmark's baseline.  Both
+    paths return identical frozensets, so the cache only changes the
+    work done, never a verdict (pinned by the differential tests).
     """
 
     def __init__(self, problem: BlackWhiteLCL, memoize: bool = True) -> None:
         self.problem = problem
         self.memoize = memoize
-        self._feasible: Dict = {}
-        self._g: Dict = {}
-        self._leaf: Dict = {}
-        self._relations: Dict = {}
         self._rectangles: Dict = {}
         #: whole-rake-closure memo, filled by the testing procedure: the
         #: closure is a pure function of (entries, delta) and identical
         #: across all DFS candidates that share a choice prefix
         self.rake: Dict = {}
+        if memoize:
+            self._compile()
+
+    def _compile(self) -> None:
+        outs, ins = self.problem.sigma_out, self.problem.sigma_in
+        n = len(outs)
+        self._n_out = n
+        self._bit = {lab: j for j, lab in enumerate(outs)}
+        self._base = {inp: k * n for k, inp in enumerate(ins)}
+        self._pairs = [(inp, lab) for inp in ins for lab in outs]
+        #: the output indices of each mask, ascending
+        self._bits = [tuple(j for j in range(n) if mask >> j & 1)
+                      for mask in range(1 << n)]
+        self._sets = [frozenset(outs[j] for j in js) for js in self._bits]
+        self._masks: Dict[LabelSet, int] = {}
+        self._allowed: Dict = {}
+        self._g_masks: Dict = {}
+        self._rows: Dict = {}
+        self._leaf: Dict = {}
+        self._relations: Dict = {}
+
+    # -- compiled tables -----------------------------------------------
+    def _mask(self, labels: LabelSet) -> int:
+        mask = self._masks.get(labels)
+        if mask is None:
+            bit = self._bit
+            mask = self._masks[labels] = sum(1 << bit[lab] for lab in labels)
+        return mask
+
+    def _allows(self, color: str, codes: Tuple[int, ...]) -> bool:
+        key = (color, codes)
+        hit = self._allowed.get(key)
+        if hit is None:
+            pairs = self._pairs
+            hit = self._allowed[key] = self.problem.allows(
+                color, [pairs[c] for c in codes])
+        return hit
+
+    def _g_mask(self, color: str, incoming: Tuple[Tuple[int, int], ...],
+                out: int) -> int:
+        """``g`` as a mask: the labels the edge with input code base
+        ``out`` can take while every incoming edge (a sorted tuple of
+        (input code base, mask)) takes a label of its mask."""
+        key = (color, incoming, out)
+        hit = self._g_masks.get(key)
+        if hit is None:
+            hit = 0
+            bits = self._bits
+            pools = [[base + j for j in bits[mask]] for base, mask in incoming]
+            for combo in itertools.product(*pools):
+                for j in range(self._n_out):
+                    if not hit >> j & 1 and self._allows(
+                            color, tuple(sorted(combo + (out + j,)))):
+                        hit |= 1 << j
+            self._g_masks[key] = hit
+        return hit
+
+    def _incoming(self, pairs) -> List[Tuple[int, int]]:
+        base = self._base
+        return [(base[inp], self._mask(ls)) for inp, ls in pairs]
+
+    def _row(self, color: str, pendant: Tuple, inp, nxt) -> Tuple[int, ...]:
+        """A path node's transfer row: ``row[reach]`` is the mask of labels
+        its edge with input ``nxt`` can take while its edge with input
+        ``inp`` carries a label of ``reach`` and each pendant edge a label
+        of its label-set."""
+        key = (color, pendant, inp, nxt)
+        row = self._rows.get(key)
+        if row is None:
+            pend, a = self._incoming(pendant), self._base[inp]
+            single = [
+                self._g_mask(color, tuple(sorted(pend + [(a, 1 << j)])),
+                             self._base[nxt])
+                for j in range(self._n_out)
+            ]
+            table = [0] * len(self._bits)
+            for reach, js in enumerate(self._bits):
+                for j in js:
+                    table[reach] |= single[j]
+            row = self._rows[key] = tuple(table)
+        return row
+
+    def _compiled_relation(self, colors, edge_inputs, pendant, out_inputs):
+        m = len(colors)
+        assert len(edge_inputs) == m - 1 and len(pendant) == m
+        ins = (out_inputs[0], *edge_inputs, out_inputs[1])
+        rows = [self._row(colors[i], pendant[i], ins[i], ins[i + 1])
+                for i in range(m)]
+        outs, bits = self.problem.sigma_out, self._bits
+        relation = []
+        for left in range(self._n_out):
+            reach = 1 << left
+            for row in rows:
+                reach = row[reach]
+            relation += [(outs[left], outs[r]) for r in bits[reach]]
+        return frozenset(relation)
 
     # -- cached entry points -------------------------------------------
     def node_feasible(self, color, fixed, free) -> bool:
         if not self.memoize:
             return node_feasible(self.problem, color, fixed, free)
-        key = (color, tuple(fixed), tuple(free))
-        hit = self._feasible.get(key)
-        if hit is None:
-            hit = self._feasible[key] = node_feasible(
-                self.problem, color, fixed, free
-            )
-        return hit
+        bit = self._bit
+        entries = [(self._base[inp], 1 << bit[lab]) for inp, lab in fixed]
+        entries += self._incoming(free)
+        if not entries:
+            return self._allows(color, ())
+        # feasible iff the last edge's label-set meets g of all the others
+        out, mask = entries.pop()
+        entries.sort()
+        return bool(self._g_mask(color, tuple(entries), out) & mask)
 
     def g_single_node(self, color, incoming, out_input) -> LabelSet:
         if not self.memoize:
             return g_single_node(self.problem, color, incoming, out_input)
-        key = (color, tuple(incoming), out_input)
-        hit = self._g.get(key)
-        if hit is None:
-            hit = self._g[key] = g_single_node(
-                self.problem, color, incoming, out_input
-            )
-        return hit
+        return self._sets[self._g_mask(
+            color, tuple(sorted(self._incoming(incoming))),
+            self._base[out_input])]
 
     def leaf_label_sets(self, color) -> Dict[object, LabelSet]:
         if not self.memoize:
             return leaf_label_sets(self.problem, color)
         hit = self._leaf.get(color)
         if hit is None:
-            hit = self._leaf[color] = leaf_label_sets(self.problem, color)
+            hit = self._leaf[color] = {
+                inp: self.g_single_node(color, [], inp)
+                for inp in self.problem.sigma_in
+            }
         return hit
 
     def path_relation(
@@ -201,15 +317,11 @@ class GapCache:
             return path_relation(
                 self.problem, colors, edge_inputs, pendant, out_inputs
             )
-        key = (
-            tuple(colors), tuple(edge_inputs),
-            tuple(tuple(p) for p in pendant), tuple(out_inputs),
-        )
+        key = (tuple(colors), tuple(edge_inputs),
+               tuple(map(tuple, pendant)), tuple(out_inputs))
         hit = self._relations.get(key)
         if hit is None:
-            hit = self._relations[key] = path_relation(
-                self.problem, colors, edge_inputs, pendant, out_inputs
-            )
+            hit = self._relations[key] = self._compiled_relation(*key)
         return hit
 
     def maximal_rectangles(self, relation) -> List[Tuple[LabelSet, LabelSet]]:

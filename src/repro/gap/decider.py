@@ -25,10 +25,15 @@ Performance
 The census (:mod:`repro.gap.census`) decides whole enumerated problem
 spaces, so the search is engineered like the verification kernel:
 
-* one :class:`~repro.gap.classes.GapCache` per decision memoizes the
-  ``g``/relation/feasibility queries and the maximal rectangles per
-  canonical relation across every testing run of the DFS (disable with
-  ``memoize=False`` — the benchmark baseline);
+* one :class:`~repro.gap.classes.GapCache` per decision compiles the
+  problem into bitmask tables — ``Sigma_out`` label-sets as masks, one
+  ``g`` table, and per-node transfer rows that a compress path's
+  relation composes by bit propagation — and shares them, the rake
+  closures and the maximal rectangles per canonical relation across
+  every testing run of the DFS.  ``memoize=False`` answers each query
+  with the module-level predicate functions of
+  :mod:`repro.gap.classes` instead: the one oracle the tables are tested
+  against, and the benchmark baseline;
 * the candidate-function DFS keeps **one** live choice dict and a
   trail/undo stack instead of copying the dict per branch;
 * :func:`decide_node_averaged_class` makes a **single** DFS pass with

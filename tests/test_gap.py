@@ -1,9 +1,13 @@
 """Tests for the Section-11 gap machinery: black-white formalism, classes,
 testing procedure, and the Theorem-7 decider."""
 
+import itertools
+from functools import lru_cache
+
 import pytest
 
 from repro.gap import (
+    GapCache,
     RectangleChooser,
     decide_node_averaged_class,
     find_good_function,
@@ -14,8 +18,11 @@ from repro.gap import (
     node_feasible,
     path_relation,
 )
+from repro.gap.canonical import iter_space
+from repro.gap.census import _decode, spec_to_problem
 from repro.gap.problems import all_equal, edge_2coloring, edge_3coloring, free_labeling
 from repro.lcl import BlackWhiteLCL, two_color_tree
+from repro.lcl.blackwhite import BLACK, WHITE
 from repro.local import path_graph
 
 
@@ -170,16 +177,23 @@ class TestDeciderMemoization:
                 assert memo.witness.choices == cold.witness.choices
 
     def test_census_space_verdicts_identical(self):
-        # same equivalence over (a slice of) the enumerated census space
-        from repro.gap.census import _decode, enumerate_space, spec_to_problem
-
-        encodings, _, _ = enumerate_space(max_labels=2, delta=2)
-        for enc in encodings[::7]:
-            memo = decide_node_averaged_class(
-                spec_to_problem(_decode(enc)), memoize=True)
-            cold = decide_node_averaged_class(
-                spec_to_problem(_decode(enc)), memoize=False)
-            assert (memo.klass, memo.detail) == (cold.klass, cold.detail)
+        # same equivalence, witness choices included, over all of ml2/Δ2
+        # and evenly spaced slices of ml3/Δ2 and ml2/Δ3; at delta 3 the
+        # compiled transfer rows carry pendants
+        for max_labels, delta, count in ((2, 2, None), (3, 2, 32),
+                                         (2, 3, 96)):
+            for enc in _space_slice(max_labels, delta, count):
+                memo = decide_node_averaged_class(
+                    spec_to_problem(_decode(enc)), delta=delta, memoize=True)
+                cold = decide_node_averaged_class(
+                    spec_to_problem(_decode(enc)), delta=delta,
+                    memoize=False)
+                assert (memo.klass, memo.detail) == \
+                    (cold.klass, cold.detail), enc
+                if memo.witness is None:
+                    assert cold.witness is None
+                else:
+                    assert memo.witness.choices == cold.witness.choices, enc
 
     def test_find_good_function_accepts_shared_cache(self):
         from repro.gap import GapCache
@@ -227,3 +241,97 @@ class TestDeciderMemoization:
             problem, RectangleChooser({}), combo_budget=3, cache=cache)
         assert starved.reason == "combination budget exceeded"
         assert cache.rake == {}
+
+
+@lru_cache(maxsize=None)
+def _space_slice(max_labels, delta, count):
+    """``count`` evenly spaced canonical problems of an enumerated space
+    (all of them when ``count`` is ``None``)."""
+    encodings = [enc for enc, _ in iter_space(max_labels, delta)]
+    if count is None:
+        return tuple(encodings)
+    step = len(encodings) / count
+    return tuple(encodings[int(i * step)] for i in range(count))
+
+
+def _pair_sets(problem):
+    """Every (input, label-set) edge of the problem, the empty label-set
+    included — a superset of every reachable pendant or incoming edge."""
+    outs = problem.sigma_out
+    sets = [frozenset(c) for r in range(len(outs) + 1)
+            for c in itertools.combinations(outs, r)]
+    return [(inp, ls) for inp in problem.sigma_in for ls in sets]
+
+
+def _assert_compiled_matches_oracle(problem, delta):
+    """Every compiled ``GapCache`` query equals the module-level oracle.
+    One cache answers all queries, so a table keyed too coarsely (a row
+    without its pendant, say) serves a stale answer and fails here."""
+    cache = GapCache(problem)
+    edges = _pair_sets(problem)
+    fixed_options = [[]] + [
+        [(inp, lab)] * k
+        for inp in problem.sigma_in for lab in problem.sigma_out
+        for k in (1, 2)
+    ]
+    for color in (WHITE, BLACK):
+        opp = BLACK if color == WHITE else WHITE
+        assert cache.leaf_label_sets(color) == \
+            leaf_label_sets(problem, color)
+        for x in range(delta + 1):
+            for free in itertools.combinations_with_replacement(edges, x):
+                free = list(free)
+                for out_inp in problem.sigma_in:
+                    assert cache.g_single_node(color, free, out_inp) == \
+                        g_single_node(problem, color, free, out_inp)
+                for fixed in fixed_options:
+                    assert cache.node_feasible(color, fixed, free) == \
+                        node_feasible(problem, color, fixed, free)
+        for length in range(1, 5):
+            colors = [color if i % 2 == 0 else opp for i in range(length)]
+            pendants = [[[] for _ in colors]]
+            for i in range(length):
+                for edge in edges:
+                    pendant = [[] for _ in colors]
+                    pendant[i] = [edge]
+                    pendants.append(pendant)
+            for edge_inputs in itertools.product(problem.sigma_in,
+                                                 repeat=length - 1):
+                for outs in itertools.product(problem.sigma_in, repeat=2):
+                    for pendant in pendants:
+                        args = (colors, list(edge_inputs), pendant, outs)
+                        assert cache.path_relation(*args) == \
+                            path_relation(problem, *args), (length, pendant)
+
+
+class TestCompiledCache:
+    """The compiled ``GapCache`` tables against the module-level oracle:
+    ``path_relation`` at lengths 1-4 with no pendant and with each single
+    pendant, and ``node_feasible`` / ``g_single_node`` with 0..delta
+    incoming label-sets, the empty one included."""
+
+    @pytest.mark.parametrize("factory", _REGISTRY)
+    @pytest.mark.parametrize("delta", [2, 3])
+    def test_registry_problems(self, factory, delta):
+        _assert_compiled_matches_oracle(factory(), delta)
+
+    @pytest.mark.parametrize("max_labels,delta,count", [
+        (2, 2, None), (3, 2, 24), (2, 3, 48),
+    ])
+    def test_census_spaces(self, max_labels, delta, count):
+        for enc in _space_slice(max_labels, delta, count):
+            _assert_compiled_matches_oracle(
+                spec_to_problem(_decode(enc)), delta)
+
+    def test_one_allows_call_per_code_multiset(self):
+        problem = edge_3coloring()
+        seen = []
+        allows = problem.allows
+
+        def counted(color, pairs):
+            seen.append((color, tuple(sorted(pairs))))
+            return allows(color, pairs)
+
+        problem.allows = counted
+        decide_node_averaged_class(problem, delta=3)
+        assert seen and len(seen) == len(set(seen))
