@@ -27,21 +27,14 @@ ID assignments over one topology.
 
 __version__ = "1.0.0"
 
-from . import (  # noqa: F401
-    algorithms,
-    analysis,
-    constructions,
-    families,
-    gap,
-    lcl,
-    local,
-)
+import importlib
 
-# repro.sweep is importable but not imported eagerly: it doubles as the
-# ``python -m repro.sweep`` CLI, and runpy warns when the module it is
-# about to execute was already pulled in by the package import.
-
-__all__ = [
+# The subpackages load on first attribute access (PEP 562), so a tool
+# that needs one of them — ``python -m repro.lint`` needs neither numpy
+# nor the decider — does not pay for the others.  ``repro.sweep`` is not
+# listed: it doubles as the ``python -m repro.sweep`` CLI, and runpy
+# warns when the module it is about to execute was already imported.
+_SUBPACKAGES = (
     "algorithms",
     "analysis",
     "constructions",
@@ -49,5 +42,16 @@ __all__ = [
     "gap",
     "lcl",
     "local",
-    "__version__",
-]
+)
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBPACKAGES))

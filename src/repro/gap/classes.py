@@ -163,8 +163,12 @@ class GapCache:
       table over the fixed edge's reachable-label masks, and
       :meth:`path_relation` composes one such table per node by bit
       propagation (the automaton view of a path), at every path length,
-      1 included;
-    * maximal rectangles are kept per canonical relation.
+      1 included; the composed *reach tuple* becomes a frozenset once
+      per distinct tuple (:meth:`reach_relation`);
+    * maximal rectangles are kept per canonical relation;
+    * the testing procedure keeps two whole-step memos here, ``rake``
+      (rake closures) and ``compress`` (compress plans, which walk the
+      pendant product over shared prefixes of the same rows).
 
     ``memoize=False`` keeps the same interface but answers every query
     with the module-level functions — the one oracle the compiled tables
@@ -181,6 +185,10 @@ class GapCache:
         #: closure is a pure function of (entries, delta) and identical
         #: across all DFS candidates that share a choice prefix
         self.rake: Dict = {}
+        #: compress-plan memo, filled the same way: step 2f's distinct
+        #: relations are a pure function of (rake-closed entries, delta,
+        #: ell), so every candidate reaching that state replays one plan
+        self.compress: Dict = {}
         if memoize:
             self._compile()
 
@@ -200,7 +208,9 @@ class GapCache:
         self._g_masks: Dict = {}
         self._rows: Dict = {}
         self._leaf: Dict = {}
-        self._relations: Dict = {}
+        self._reach_relations: Dict = {}
+        #: every left label reaches only itself on the left outgoing edge
+        self.start_reach = tuple(1 << j for j in range(n))
 
     # -- compiled tables -----------------------------------------------
     def _mask(self, labels: LabelSet) -> int:
@@ -242,11 +252,20 @@ class GapCache:
         base = self._base
         return [(base[inp], self._mask(ls)) for inp, ls in pairs]
 
-    def _row(self, color: str, pendant: Tuple, inp, nxt) -> Tuple[int, ...]:
+    def transfer_row(
+        self, color: str, pendant: Tuple, inp, nxt
+    ) -> Tuple[int, ...]:
         """A path node's transfer row: ``row[reach]`` is the mask of labels
         its edge with input ``nxt`` can take while its edge with input
         ``inp`` carries a label of ``reach`` and each pendant edge a label
-        of its label-set."""
+        of its label-set.
+
+        A path is composed on a *reach tuple*: entry ``j`` is the mask of
+        labels the current edge can take while the left outgoing edge
+        carries ``sigma_out[j]``.  It starts at :attr:`start_reach` and
+        each node maps it through its row, ``tuple(map(row.__getitem__,
+        reach))``; :meth:`reach_relation` reads the relation off the
+        result."""
         key = (color, pendant, inp, nxt)
         row = self._rows.get(key)
         if row is None:
@@ -263,20 +282,19 @@ class GapCache:
             row = self._rows[key] = tuple(table)
         return row
 
-    def _compiled_relation(self, colors, edge_inputs, pendant, out_inputs):
-        m = len(colors)
-        assert len(edge_inputs) == m - 1 and len(pendant) == m
-        ins = (out_inputs[0], *edge_inputs, out_inputs[1])
-        rows = [self._row(colors[i], pendant[i], ins[i], ins[i + 1])
-                for i in range(m)]
-        outs, bits = self.problem.sigma_out, self._bits
-        relation = []
-        for left in range(self._n_out):
-            reach = 1 << left
-            for row in rows:
-                reach = row[reach]
-            relation += [(outs[left], outs[r]) for r in bits[reach]]
-        return frozenset(relation)
+    def reach_relation(
+        self, reach: Tuple[int, ...]
+    ) -> FrozenSet[Tuple[object, object]]:
+        """The relation of a composed path's reach tuple: left label
+        ``sigma_out[j]`` pairs with every right label of ``reach[j]``.
+        Each distinct reach tuple becomes a frozenset once per cache."""
+        hit = self._reach_relations.get(reach)
+        if hit is None:
+            outs, bits = self.problem.sigma_out, self._bits
+            hit = self._reach_relations[reach] = frozenset(
+                (outs[left], outs[r])
+                for left, mask in enumerate(reach) for r in bits[mask])
+        return hit
 
     # -- cached entry points -------------------------------------------
     def node_feasible(self, color, fixed, free) -> bool:
@@ -317,12 +335,15 @@ class GapCache:
             return path_relation(
                 self.problem, colors, edge_inputs, pendant, out_inputs
             )
-        key = (tuple(colors), tuple(edge_inputs),
-               tuple(map(tuple, pendant)), tuple(out_inputs))
-        hit = self._relations.get(key)
-        if hit is None:
-            hit = self._relations[key] = self._compiled_relation(*key)
-        return hit
+        m = len(colors)
+        assert len(edge_inputs) == m - 1 and len(pendant) == m
+        ins = (out_inputs[0], *edge_inputs, out_inputs[1])
+        reach = self.start_reach
+        for i in range(m):
+            row = self.transfer_row(colors[i], tuple(pendant[i]), ins[i],
+                                    ins[i + 1])
+            reach = tuple(map(row.__getitem__, reach))
+        return self.reach_relation(reach)
 
     def maximal_rectangles(self, relation) -> List[Tuple[LabelSet, LabelSet]]:
         if not self.memoize:

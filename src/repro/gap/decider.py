@@ -34,6 +34,13 @@ spaces, so the search is engineered like the verification kernel:
   with the module-level predicate functions of
   :mod:`repro.gap.classes` instead: the one oracle the tables are tested
   against, and the benchmark baseline;
+* the compress step is a pure function of the rake-closed entry set,
+  ``delta`` and ``ell``, so the cache keeps one *compress plan* per such
+  state (:mod:`repro.gap.testing`): the step's distinct relations, built
+  once by walking the pendant product over shared row prefixes.  A DFS
+  candidate replays only its rectangle lookups over those few
+  relations, charging the budget item by item as the oracle's per-item
+  loop does;
 * the candidate-function DFS keeps **one** live choice dict and a
   trail/undo stack instead of copying the dict per branch;
 * :func:`decide_node_averaged_class` makes a **single** DFS pass with
@@ -165,7 +172,7 @@ def is_constant_good(
     ``delta = 2`` an interior path node already has both its edges, so no
     pendant fits (extensional ``delta = 2`` problems — the census space —
     reject every degree-3 multiset); for larger ``delta`` each node takes
-    up to one reachable pendant, mirroring ``_pendant_options``.
+    up to one reachable pendant, mirroring ``_pendant_choices``.
     """
     if cache is None:
         cache = GapCache(problem, memoize=False)

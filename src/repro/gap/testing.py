@@ -17,13 +17,27 @@ procedure closes the set of *reachable label-sets* under
 the closure is finite (label-sets live in ``2^{Sigma_out}``), so the
 procedure terminates.  Reachable entries are tagged with the colour of
 the subtree root and the input on the outgoing edge.
+
+Given the entry set, neither step's enumeration depends on ``f``: only
+the compress rectangles come from the chooser.  A memoizing
+:class:`~repro.gap.classes.GapCache` therefore keeps both per reachable
+state: the rake closure of an entry set, and the *compress plan* of a
+rake-closed one — step 2f's distinct relations in first-occurrence
+order, each with its first item index, path length and endpoints.  A
+plan is built once per state by walking the pendant product over shared
+prefixes of the transfer rows; each candidate then replays only its
+rectangle lookups.  Budget units are charged where the per-item loop of
+an uncached run charges them, so every outcome is identical.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
+)
 
 from ..lcl.blackwhite import BLACK, WHITE, BlackWhiteLCL
 from .classes import GapCache, LabelSet
@@ -33,6 +47,8 @@ __all__ = ["Entry", "RectangleChooser", "TestOutcome", "run_testing_procedure"]
 Entry = Tuple[str, object, LabelSet]  # (root color, outgoing-edge input, label-set)
 
 Relation = FrozenSet[Tuple[object, object]]
+
+Endpoints = Tuple[str, object, str]  # (first colour, out input, last colour)
 
 
 def _entry_key(e: Entry) -> Tuple[str, str, List[str]]:
@@ -93,9 +109,15 @@ def run_testing_procedure(
     ``cache`` shares the problem's :class:`GapCache` across runs — one
     decision runs this procedure once per candidate function, and the
     ``g``/relation/feasibility queries repeat almost verbatim between
-    candidates.  The budget accounting counts enumerated combinations,
-    not computed ones, so cached and uncached runs return identical
-    outcomes.
+    candidates.  A memoizing cache also holds each reachable state's rake
+    closure and compress plan: step 2f then replays the plan's distinct
+    relations (a ``chooser.choose`` lookup each, ``UnseenRelation``
+    raised at the first unseen one) instead of composing a relation per
+    item; ``memoize=False`` runs the per-item loop, the oracle.  The
+    budget accounting counts enumerated combinations, not computed ones —
+    ``|Sigma_out|^2`` units per compress item, charged at the item where
+    the per-item loop charges them — so cached and uncached runs return
+    identical outcomes.
     """
     if cache is None:
         cache = GapCache(problem, memoize=False)
@@ -108,6 +130,7 @@ def run_testing_procedure(
 
     relations: Set[Relation] = set()
     budget = combo_budget
+    cost = len(problem.sigma_out) ** 2  # budget units per step-2f item
 
     for iteration in range(1, max_iterations + 1):
         before = len(entries)
@@ -130,39 +153,56 @@ def run_testing_procedure(
 
         # ---- compress step (2f) --------------------------------------
         new_from_compress: Set[Entry] = set()
-        for length in range(ell, 2 * ell + 1):
-            for first_color in (WHITE, BLACK):
-                colors = [
-                    first_color if i % 2 == 0 else _opp(first_color)
-                    for i in range(length)
-                ]
-                pendant_options = _pendant_options(entries, colors, delta)
-                for pendants in pendant_options:
-                    for edge_inp in problem.sigma_in:
-                        edge_inputs = [edge_inp] * (length - 1)
-                        for out_inp in problem.sigma_in:
-                            budget -= len(problem.sigma_out) ** 2
-                            if budget < 0:
-                                return TestOutcome(False, "combination budget exceeded")
-                            rel = cache.path_relation(
-                                colors, edge_inputs, pendants,
-                                (out_inp, out_inp),
-                            )
-                            relations.add(rel)
-                            if not rel:
-                                return TestOutcome(
-                                    False,
-                                    f"empty compress relation (length {length})",
-                                    entries, relations, iteration,
-                                )
-                            s1, s2 = chooser.choose(rel)
-                            if not s1 or not s2:
-                                return TestOutcome(
-                                    False, "chooser returned an empty rectangle",
-                                    entries, relations, iteration,
-                                )
-                            new_from_compress.add((colors[0], out_inp, frozenset(s1)))
-                            new_from_compress.add((colors[-1], out_inp, frozenset(s2)))
+        if cache.memoize:
+            # replay this state's plan: each distinct relation is checked
+            # at its first item and every item is charged, so budget
+            # exhaustion and every outcome match the per-item loop below
+            plan = _compress_plan(cache, status[1], delta, ell, budget)
+            for rel, first, length, ends in plan.steps:
+                if budget < (first + 1) * cost:
+                    return TestOutcome(False, "combination budget exceeded")
+                relations.add(rel)
+                if not rel:
+                    return TestOutcome(
+                        False, f"empty compress relation (length {length})",
+                        entries, relations, iteration,
+                    )
+                s1, s2 = chooser.choose(rel)
+                if not s1 or not s2:
+                    return TestOutcome(
+                        False, "chooser returned an empty rectangle",
+                        entries, relations, iteration,
+                    )
+                s1, s2 = frozenset(s1), frozenset(s2)
+                for first_color, out_inp, last_color in ends:
+                    new_from_compress.add((first_color, out_inp, s1))
+                    new_from_compress.add((last_color, out_inp, s2))
+            budget -= plan.items * cost
+            if not plan.complete or budget < 0:
+                return TestOutcome(False, "combination budget exceeded")
+        else:
+            for length, colors, edge_inputs, pendants, out_inp in \
+                    _compress_items(entries, problem.sigma_in, delta, ell):
+                budget -= cost
+                if budget < 0:
+                    return TestOutcome(False, "combination budget exceeded")
+                rel = cache.path_relation(
+                    colors, edge_inputs, pendants, (out_inp, out_inp),
+                )
+                relations.add(rel)
+                if not rel:
+                    return TestOutcome(
+                        False, f"empty compress relation (length {length})",
+                        entries, relations, iteration,
+                    )
+                s1, s2 = chooser.choose(rel)
+                if not s1 or not s2:
+                    return TestOutcome(
+                        False, "chooser returned an empty rectangle",
+                        entries, relations, iteration,
+                    )
+                new_from_compress.add((colors[0], out_inp, frozenset(s1)))
+                new_from_compress.add((colors[-1], out_inp, frozenset(s2)))
         entries |= new_from_compress
 
         if len(entries) == before:
@@ -250,10 +290,131 @@ def _compute_rake_closure(
             return ("ok", frozenset(entries), combos)
 
 
-def _pendant_options(
+def _path_colors(first_color: str, length: int) -> List[str]:
+    return [first_color if i % 2 == 0 else _opp(first_color)
+            for i in range(length)]
+
+
+def _compress_items(
+    entries: Set[Entry], sigma_in: Sequence, delta: int, ell: int,
+) -> Iterator[Tuple[int, List[str], List, Tuple, object]]:
+    """Step 2f's items, ``(length, colors, edge_inputs, pendants, out
+    input)``, in enumeration order: path length, first colour, pendant
+    combination (the product of :func:`_pendant_choices`, node 0
+    outermost), edge input, out input."""
+    for length in range(ell, 2 * ell + 1):
+        for first_color in (WHITE, BLACK):
+            colors = _path_colors(first_color, length)
+            for pendants in itertools.product(
+                    *_pendant_choices(entries, colors, delta)):
+                for edge_inp in sigma_in:
+                    edge_inputs = [edge_inp] * (length - 1)
+                    for out_inp in sigma_in:
+                        yield length, colors, edge_inputs, pendants, out_inp
+
+
+class _CompressPlan(NamedTuple):
+    """Step 2f of one rake-closed state, as the per-item enumeration
+    meets it.  ``steps`` lists the distinct relations in first-occurrence
+    order as ``(relation, first item index, path length, endpoints)``,
+    the endpoints being the ``(first colour, out input, last colour)`` of
+    every item with that relation.  ``items`` counts the items
+    enumerated, and ``complete`` is false when the budget cut the
+    enumeration short there."""
+
+    steps: Tuple[Tuple[Relation, int, int, Tuple[Endpoints, ...]], ...]
+    items: int
+    complete: bool
+
+
+def _compress_plan(
+    cache: GapCache, entries: FrozenSet[Entry], delta: int, ell: int,
+    budget: int,
+) -> _CompressPlan:
+    """Step 2f's plan for the rake-closed ``entries``, memoized like
+    :func:`_rake_closure`: a complete plan serves every budget (the
+    replay charges each item where the per-item loop would), a plan the
+    budget cut short only the budget that cut it, so it is not cached."""
+    key = (entries, delta, ell)
+    plan = cache.compress.get(key)
+    if plan is None:
+        plan = _compute_compress_plan(cache, entries, delta, ell, budget)
+        if plan.complete:
+            cache.compress[key] = plan
+    return plan
+
+
+def _compute_compress_plan(
+    cache: GapCache, entries: FrozenSet[Entry], delta: int, ell: int,
+    budget: int,
+) -> _CompressPlan:
+    """Enumerate step 2f's items in :func:`_compress_items` order without
+    building a relation per item: per path length and first colour, the
+    pendant product is walked over shared prefixes of the transfer rows
+    (:func:`_walk_reaches`), one reach tuple per edge-input pair, and
+    each item is charged its budget units."""
+    problem = cache.problem
+    cost = len(problem.sigma_out) ** 2
+    pairs = [(edge, out) for edge in problem.sigma_in
+             for out in problem.sigma_in]
+    seen: Dict[Tuple[int, ...], Dict[Endpoints, None]] = {}  # by reach
+    steps: List[Tuple[Tuple[int, ...], int, int, Dict[Endpoints, None]]] = []
+    items = 0
+
+    def plan(complete: bool) -> _CompressPlan:
+        return _CompressPlan(
+            tuple((cache.reach_relation(reach), first, length, tuple(ends))
+                  for reach, first, length, ends in steps),
+            items, complete)
+
+    for length in range(ell, 2 * ell + 1):
+        for first_color in (WHITE, BLACK):
+            colors = _path_colors(first_color, length)
+            choices = _pendant_choices(entries, colors, delta)
+            # rows[i][c][p]: node i's row under pendant choice c, pair p
+            rows = [
+                [tuple(cache.transfer_row(color, tuple(pendant),
+                                          out if i == 0 else edge,
+                                          out if i == length - 1 else edge)
+                       for edge, out in pairs)
+                 for pendant in choices[i]]
+                for i, color in enumerate(colors)
+            ]
+            ends = [(colors[0], out, colors[-1]) for _, out in pairs]
+            start = [cache.start_reach] * len(pairs)
+            for reaches in _walk_reaches(rows, 0, start):
+                for end, reach in zip(ends, reaches):
+                    budget -= cost
+                    if budget < 0:
+                        return plan(False)
+                    endpoints = seen.get(reach)
+                    if endpoints is None:
+                        endpoints = seen[reach] = {}
+                        steps.append((reach, items, length, endpoints))
+                    endpoints[end] = None
+                    items += 1
+    return plan(True)
+
+
+def _walk_reaches(rows, i: int, reaches: List[Tuple[int, ...]]):
+    """Yield, per pendant combination of nodes ``i..`` in product order,
+    the reach tuples of every edge-input pair: ``reaches`` holds the
+    pairs' tuples composed through nodes ``0..i-1``, so each prefix of
+    the product is composed once."""
+    if i == len(rows):
+        yield reaches
+        return
+    for per_pair in rows[i]:
+        yield from _walk_reaches(rows, i + 1, [
+            tuple(map(row.__getitem__, reach))
+            for row, reach in zip(per_pair, reaches)
+        ])
+
+
+def _pendant_choices(
     entries: Set[Entry], colors: Sequence[str], delta: int
 ) -> List[List[List[Tuple[object, LabelSet]]]]:
-    """Pendant (input, label-set) combinations per path node.
+    """Per path node, the pendant (input, label-set) lists it may take.
 
     For ``delta = 2`` paths have no pendants; for larger delta each node
     independently takes up to ``delta - 2`` pendants from the reachable
@@ -262,13 +423,10 @@ def _pendant_options(
     effects; documented approximation of the full closure).
     """
     if delta <= 2:
-        return [[[] for _ in colors]]
-    options: List[List[List[Tuple[object, LabelSet]]]] = []
-    per_node_choices = []
-    for c in colors:
-        child = sorted((e for e in entries if e[0] == _opp(c)),
-                       key=_entry_key)
-        per_node_choices.append([[]] + [[(e[1], e[2])] for e in child])
-    for combo in itertools.product(*per_node_choices):
-        options.append([list(p) for p in combo])
-    return options
+        return [[[]] for _ in colors]
+    child = {
+        c: [[(e[1], e[2])] for e in sorted(
+            (e for e in entries if e[0] == c), key=_entry_key)]
+        for c in (WHITE, BLACK)
+    }
+    return [[[]] + child[_opp(c)] for c in colors]

@@ -20,6 +20,7 @@ from repro.gap import (
 )
 from repro.gap.canonical import iter_space
 from repro.gap.census import _decode, spec_to_problem
+from repro.gap.testing import UnseenRelation, run_testing_procedure
 from repro.gap.problems import all_equal, edge_2coloring, edge_3coloring, free_labeling
 from repro.lcl import BlackWhiteLCL, two_color_tree
 from repro.lcl.blackwhite import BLACK, WHITE
@@ -243,13 +244,180 @@ class TestDeciderMemoization:
         assert cache.rake == {}
 
 
+class _OracleCache(GapCache):
+    """``memoize=False`` — the per-item compress loop, every budget check
+    and chooser call included — with the oracle's path relations kept
+    per path, so sweeping every budget stays affordable."""
+
+    def __init__(self, problem):
+        super().__init__(problem, memoize=False)
+        self._paths = {}
+
+    def path_relation(self, colors, edge_inputs, pendant, out_inputs):
+        key = (tuple(colors), tuple(edge_inputs), tuple(map(tuple, pendant)),
+               tuple(out_inputs))
+        hit = self._paths.get(key)
+        if hit is None:
+            hit = self._paths[key] = super().path_relation(
+                colors, edge_inputs, pendant, out_inputs)
+        return hit
+
+
+def _outcome(problem, chooser, delta, budget, cache):
+    """What the decider sees of one testing run."""
+    try:
+        out = run_testing_procedure(problem, chooser, delta=delta,
+                                    combo_budget=budget, cache=cache)
+    except UnseenRelation as unseen:
+        return ("unseen", unseen.relation)
+    return (out.good, out.reason, out.entries, out.relations, out.iterations)
+
+
+def _choosers(problem, delta):
+    """An empty chooser, a full one (the first maximal rectangle of every
+    relation a run meets, added until no run raises) and the full one
+    less its last choice, which raises late in the run."""
+    full, added = RectangleChooser(), []
+    while True:
+        try:
+            run_testing_procedure(problem, full, delta=delta)
+            break
+        except UnseenRelation as unseen:
+            full.choices[unseen.relation] = \
+                maximal_rectangles(unseen.relation)[0]
+            added.append(unseen.relation)
+    partial = RectangleChooser(full.choices)
+    if added:
+        del partial.choices[added[-1]]
+    return [RectangleChooser(), partial, full]
+
+
+def _x_agree_y_proper():
+    """Two inputs, so step 2f's items differ by edge-input pair: a white
+    node's ``x`` edges agree and its ``y`` edges differ, a black node's
+    ``x`` edges avoid label 2.  The testing run closes in two
+    iterations."""
+    def white(pairs):
+        ys = [o for i, o in pairs if i == "y"]
+        return (len({o for i, o in pairs if i == "x"}) <= 1
+                and len(ys) == len(set(ys)))
+
+    def black(pairs):
+        return all(o != 2 for i, o in pairs if i == "x")
+
+    return BlackWhiteLCL("x-agree-y-proper", ("x", "y"), (0, 1, 2),
+                         white, black)
+
+
+def _proper_x_not_2():
+    """Two inputs: proper at both colours, and a black node's ``x`` edges
+    avoid label 2.  Compress entries make the second rake closure fail."""
+    def white(pairs):
+        outs = [o for _, o in pairs]
+        return len(outs) == len(set(outs))
+
+    def black(pairs):
+        return white(pairs) and all(o != 2 for i, o in pairs if i == "x")
+
+    return BlackWhiteLCL("proper-x-not-2", ("x", "y"), (0, 1, 2),
+                         white, black)
+
+
+def _plan_problems():
+    """The registry problems at delta 2 and 3, two two-input problems at
+    delta 2 (at delta 3 their full runs cost tens of thousands of budget
+    units), and three of the first O(1) problems of ml2/delta3, whose
+    compress paths carry pendants (one input; two inputs, closing in two
+    iterations and in one)."""
+    ids, problems = [], []
+    for factory in _REGISTRY:
+        for delta in (2, 3):
+            ids.append(f"{factory.__name__}-d{delta}")
+            problems.append((factory, delta))
+    for factory in (_x_agree_y_proper, _proper_x_not_2):
+        ids.append(f"{factory.__name__[1:]}-d2")
+        problems.append((factory, 2))
+    for index in (21, 1329, 1332):
+        ids.append(f"ml2d3-{index}")
+        problems.append((index, 3))
+    return pytest.mark.parametrize("source,delta", problems, ids=ids)
+
+
+def _plan_problem(source):
+    if callable(source):
+        return source()
+    return spec_to_problem(_decode(_space_slice(2, 3, None)[source]))
+
+
+class TestCompressPlan:
+    """The memoized compress plan against the per-item loop."""
+
+    @_plan_problems()
+    def test_every_budget_matches_per_item_loop(self, source, delta):
+        # budgets 0 .. the full run's consumption, so the budget runs out
+        # in every rake closure and at every item of step 2f; one memo is
+        # shared by the whole ascending sweep (plans cut short are built
+        # again at the next budget), one holds the full run's plans
+        problem = _plan_problem(source)
+        choosers = _choosers(problem, delta)
+        oracle, shared, warm = \
+            _OracleCache(problem), GapCache(problem), GapCache(problem)
+        _outcome(problem, choosers[-1], delta, 200_000, warm)
+        budget = 0
+        while True:
+            for chooser in choosers:
+                want = _outcome(problem, chooser, delta, budget, oracle)
+                assert _outcome(problem, chooser, delta, budget,
+                                shared) == want, budget
+                assert _outcome(problem, chooser, delta, budget,
+                                warm) == want, budget
+            if want[1] != "combination budget exceeded":
+                break
+            budget += 1
+        # the full run met compress relations, so the sweep ran out of
+        # budget inside step 2f; only edge-2coloring at delta 3 fails in
+        # its first rake closure
+        assert want[3] or (problem.name, delta) == ("edge-2coloring", 3)
+
+    @_plan_problems()
+    def test_empty_rectangle_matches_per_item_loop(self, source, delta):
+        problem = _plan_problem(source)
+        full = _choosers(problem, delta)[-1]
+        cache = GapCache(problem)
+        for relation, (s1, s2) in full.choices.items():
+            for empty in ((frozenset(), s2), (s1, frozenset())):
+                chooser = RectangleChooser({**full.choices, relation: empty})
+                want = _outcome(problem, chooser, delta, 200_000,
+                                _OracleCache(problem))
+                assert want[1] == "chooser returned an empty rectangle"
+                assert _outcome(problem, chooser, delta, 200_000,
+                                cache) == want
+
+    def test_truncated_compress_plan_not_cached(self):
+        # a budget that pays for the first rake closure and one compress
+        # item: the plan cut short there must never enter the shared memo
+        problem = free_labeling()
+        chooser = _choosers(problem, 2)[-1]
+        warm = GapCache(problem)
+        run_testing_procedure(problem, chooser, cache=warm)
+        (closure,) = warm.rake.values()
+        budget = closure[-1] + len(problem.sigma_out) ** 2
+        cache = GapCache(problem)
+        starved = run_testing_procedure(
+            problem, chooser, combo_budget=budget, cache=cache)
+        assert starved.reason == "combination budget exceeded"
+        assert cache.rake and cache.compress == {}
+        assert run_testing_procedure(problem, chooser, cache=cache).good
+        assert list(cache.compress) == list(warm.compress)
+
+
 @lru_cache(maxsize=None)
 def _space_slice(max_labels, delta, count):
     """``count`` evenly spaced canonical problems of an enumerated space
     (all of them when ``count`` is ``None``)."""
-    encodings = [enc for enc, _ in iter_space(max_labels, delta)]
     if count is None:
-        return tuple(encodings)
+        return tuple(enc for enc, _ in iter_space(max_labels, delta))
+    encodings = _space_slice(max_labels, delta, None)
     step = len(encodings) / count
     return tuple(encodings[int(i * step)] for i in range(count))
 

@@ -757,6 +757,21 @@ class TestCLI:
                         "IPD001", "IPD002", "IPD003", "STORE002"):
             assert rule_id in proc.stdout
 
+    def test_runner_import_skips_numpy(self):
+        # the package loads its subpackages lazily, so the pure-AST
+        # analyzer never pays for numpy (or the simulator and decider)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.lint.runner\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.split('.')[0] == 'numpy'))"],
+            cwd=REPO, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_examples_linted_by_default(self, repo_report):
         assert repo_report.exit_code == 0, repo_report.to_text()
         # file count covers examples/ on top of src+tests+benchmarks
