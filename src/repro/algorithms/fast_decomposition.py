@@ -140,19 +140,10 @@ def _oriented_decomposition(
     parent -> v per Observation 46); compress-chunk nodes get no parent,
     which caps oriented-chain depth by the iteration count.
 
-    Dispatches to the flat-array peeling at sweep sizes; the per-node
-    twin below is its differential oracle and the path for small inputs.
-    Both twins trace compress runs with
-    :func:`repro.local.vec.member_paths`.
+    The peeling is a flat-array pass that traces compress runs with
+    :func:`repro.local.vec.member_paths`; ``tests/test_vec.py`` keeps
+    the per-node peeling as its oracle.
     """
-    if vec.use_vector_path(graph.n):
-        return _oriented_decomposition_np(graph, members)
-    return _oriented_decomposition_py(graph, members)
-
-
-def _oriented_decomposition_np(
-    graph: Graph, members: Set[int]
-) -> Tuple[Dict[int, Optional[int]], Dict[int, int], int]:
     np = vec.np
     n = graph.n
     indptr, indices = vec.csr_arrays(graph)
@@ -217,57 +208,6 @@ def _oriented_decomposition_np(
         p = parents[v]
         parent[v] = None if p == -1 else p
         iter_of[v] = iters[v]
-    return parent, iter_of, i
-
-
-def _oriented_decomposition_py(
-    graph: Graph, members: Set[int]
-) -> Tuple[Dict[int, Optional[int]], Dict[int, int], int]:
-    alive = set(members)
-    deg = {
-        v: sum(1 for w in graph.neighbors(v) if w in members) for v in members
-    }
-    parent: Dict[int, Optional[int]] = {}
-    iter_of: Dict[int, int] = {}
-    i = 0
-    while alive:
-        i += 1
-        if i > graph.n + 2:
-            raise RuntimeError("oriented decomposition exceeded budget")
-        # rake
-        low = [v for v in sorted(alive) if deg[v] <= 1]
-        chosen = set(low)
-        for v in low:
-            if v not in chosen:
-                continue
-            for w in graph.neighbors(v):
-                if w in chosen and w > v:
-                    chosen.discard(w)
-        for v in sorted(chosen):
-            alive_nbrs = [w for w in graph.neighbors(v) if w in alive and w != v]
-            alive_nbrs = [w for w in alive_nbrs if w not in chosen]
-            parent[v] = alive_nbrs[0] if alive_nbrs else None
-            iter_of[v] = i
-            alive.discard(v)
-            for w in graph.neighbors(v):
-                if w in alive:
-                    deg[w] -= 1
-        if not alive:
-            break
-        # compress: runs of >= 3 degree-2 nodes; interiors unoriented
-        run_mask = vec.np.zeros(graph.n, dtype=bool)
-        run_mask[sorted(v for v in alive if deg[v] == 2)] = True
-        for run in vec.member_paths(graph, run_mask):
-            if len(run) < 3:
-                continue
-            for v in run:
-                parent[v] = None
-                iter_of[v] = i
-                alive.discard(v)
-            for v in run:
-                for w in graph.neighbors(v):
-                    if w in alive:
-                        deg[w] -= 1
     return parent, iter_of, i
 
 

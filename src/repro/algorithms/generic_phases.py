@@ -163,7 +163,7 @@ def run_generic_fast_forward(
                 )
     _propagate_exempt(
         graph, levels, alive, rounds, outputs, k,
-        start_time=s_k + 1 + time_offset, allow_level_k_plus=True,
+        start_time=s_k + 1 + time_offset,
     )
     meta["remaining_after_phase"][k] = sum(alive)
 
@@ -222,32 +222,15 @@ def _propagate_exempt(
     outputs: List,
     k: int,
     start_time: int,
-    allow_level_k_plus: bool = False,
 ) -> None:
     """Iterated E-assignment: an alive node of level ``2..k`` with a
     lower-level neighbour labeled ``W/B/E`` outputs ``E``; one step per
-    round, at most ``k`` steps (levels strictly increase along chains)."""
-    if vec.use_vector_path(graph.n):
-        _propagate_exempt_np(
-            graph, levels, alive, rounds, outputs, k, start_time
-        )
-        return
-    _propagate_exempt_py(graph, levels, alive, rounds, outputs, k, start_time)
+    round, at most ``k`` steps (levels strictly increase along chains).
 
-
-def _propagate_exempt_np(
-    graph: Graph,
-    levels: Sequence[int],
-    alive: List[bool],
-    rounds: List[int],
-    outputs: List,
-    k: int,
-    start_time: int,
-) -> None:
-    """Vectorized stepping: each round gathers the eligible nodes' incident
-    edges once instead of scanning every node's neighbourhood in Python.
-    Commits still go through ``_commit`` so the caller's list state stays
-    the source of truth."""
+    Each step gathers the eligible nodes' incident edges once instead of
+    scanning every node's neighbourhood in Python; ``tests/test_vec.py``
+    keeps the per-node scan as its oracle.  Commits still go through
+    ``_commit`` so the caller's list state stays the source of truth."""
     np = vec.np
     n = graph.n
     indptr, indices = vec.csr_arrays(graph)
@@ -269,37 +252,5 @@ def _propagate_exempt_np(
             _commit(v, E, start_time + step, rounds, outputs, alive)
         elig[newly] = False
         trig[newly] = True
-        step += 1
-        assert step <= k + 1, "E-propagation exceeded its window"
-
-
-def _propagate_exempt_py(
-    graph: Graph,
-    levels: Sequence[int],
-    alive: List[bool],
-    rounds: List[int],
-    outputs: List,
-    k: int,
-    start_time: int,
-) -> None:
-    indptr, indices = graph.adjacency()
-    step = 0
-    while True:
-        newly = []
-        for v in graph.nodes():
-            if not alive[v]:
-                continue
-            lv = levels[v]
-            if lv < 2 or lv > k:
-                continue
-            for i in range(indptr[v], indptr[v + 1]):
-                w = indices[i]
-                if 0 < levels[w] < lv and outputs[w] in (W, B, E):
-                    newly.append(v)
-                    break
-        if not newly:
-            break
-        for v in newly:
-            _commit(v, E, start_time + step, rounds, outputs, alive)
         step += 1
         assert step <= k + 1, "E-propagation exceeded its window"

@@ -19,7 +19,7 @@ checked in tests and regenerated by bench E15.
 Every node's layer is recorded as one integer, its removal *step*:
 iteration ``i`` spans ``gamma + 1`` steps, so ``V^R_{i,j}`` is step
 ``(i-1)(gamma+1) + j - 1`` and ``V^C_i`` is step ``(i-1)(gamma+1) +
-gamma``.  Steps order exactly like Definition 75's layers.  Both twins
+gamma``.  Steps order exactly like Definition 75's layers.  The passes
 write the steps into one int64 array, one scatter per removed batch
 (a node never removed would keep ``-1``, which every gather rejects);
 :attr:`Decomposition.layer_of` builds the :class:`Layer` tags on first
@@ -148,38 +148,22 @@ def rake_compress(
     used to root a decomposition at a designated node (e.g. the
     active-adjacent weight node of Definition 67 instances).
 
-    At sweep sizes the rake/compress passes run as flat numpy sweeps
-    (:func:`_rake_compress_np`); :func:`_rake_compress_py` is the
-    per-node twin the differential tests pin it against.  Both twins
-    trace the compress runs with :func:`repro.local.vec.member_paths`.
+    The rake and compress passes are flat numpy sweeps, and compress
+    runs are traced with :func:`repro.local.vec.member_paths`.  They
+    equal the sequential per-node removal that ``tests/test_vec.py``
+    keeps as their oracle: a rake sublayer's removable low-degree nodes
+    pair up into a matching (two adjacent degree-<=1 nodes form a 2-node
+    component), so dropping the larger endpoint of every low–low edge
+    reproduces the sequential smaller-handle rule; removed batches are
+    independent sets (rake) or mutually non-adjacent runs (compress), so
+    marking the batch dead and then scatter-decrementing surviving
+    neighbours leaves every *read* degree identical to the sequential
+    removal order.
     """
     if gamma < 1 or ell < 1:
         raise ValueError("gamma and ell must be >= 1")
     if not graph.is_forest():
         raise ValueError("rake-and-compress requires a forest")
-    if vec.use_vector_path(graph.n):
-        return _rake_compress_np(graph, gamma, ell, max_iterations, pinned)
-    return _rake_compress_py(graph, gamma, ell, max_iterations, pinned)
-
-
-def _rake_compress_np(
-    graph: Graph,
-    gamma: int,
-    ell: int,
-    max_iterations: Optional[int],
-    pinned: Sequence[int],
-) -> Decomposition:
-    """Vectorized rake-and-compress.
-
-    Per-pass equivalences with the per-node twin: a rake sublayer's
-    removable low-degree nodes pair up into a matching (two adjacent
-    degree-<=1 nodes form a 2-node component), so dropping the larger
-    endpoint of every low–low edge reproduces the sequential
-    smaller-handle rule; removed batches are independent sets (rake) or
-    mutually non-adjacent runs (compress), so marking the batch dead and
-    then scatter-decrementing surviving neighbours leaves every *read*
-    degree identical to the sequential removal order.
-    """
     n = graph.n
     budget = max_iterations if max_iterations is not None else n + 2
     indptr, indices = vec.csr_arrays(graph)
@@ -256,94 +240,6 @@ def _rake_compress_np(
         compress_paths=compress_paths,
         num_iterations=i,
     )
-
-
-def _rake_compress_py(
-    graph: Graph,
-    gamma: int,
-    ell: int,
-    max_iterations: Optional[int],
-    pinned: Sequence[int],
-) -> Decomposition:
-    n = graph.n
-    budget = max_iterations if max_iterations is not None else n + 2
-
-    pinned_set = set(pinned)
-    alive = [True] * n
-    deg = [
-        graph.degree(v) + (1 if v in pinned_set else 0) for v in graph.nodes()
-    ]
-    step = np.full(n, -1, dtype=np.int64)
-    compress_paths: Dict[int, List[List[int]]] = {}
-    remaining = n
-
-    def remove(nodes: List[int], s: int) -> None:
-        nonlocal remaining
-        for v in nodes:
-            alive[v] = False
-            remaining -= 1
-            for w in graph.neighbors(v):
-                if alive[w]:
-                    deg[w] -= 1
-        step[nodes] = s
-
-    i = 0
-    while remaining > 0:
-        i += 1
-        if i > budget:
-            raise RuntimeError("rake-and-compress exceeded its iteration budget")
-        base = (i - 1) * (gamma + 1)
-        # ---- gamma rake sublayers --------------------------------------
-        for j in range(1, gamma + 1):
-            low = [v for v in range(n) if alive[v] and deg[v] <= 1]
-            # keep sublayers independent: drop the larger-handle endpoint
-            # of any edge between two removable nodes
-            chosen = set(low)
-            for v in low:
-                if v not in chosen:
-                    continue
-                for w in graph.neighbors(v):
-                    if w in chosen and w > v:
-                        chosen.discard(w)
-            remove(sorted(chosen), base + j - 1)
-            if remaining == 0:
-                break
-        if remaining == 0:
-            break
-        # ---- compress ---------------------------------------------------
-        runs = vec.member_paths(graph, np.array(
-            [alive[v] and deg[v] == 2 and v not in pinned_set
-             for v in range(n)], dtype=bool,
-        ))
-        paths_here: List[List[int]] = []
-        promoted: List[int] = []
-        for run in runs:
-            if len(run) < ell:
-                continue
-            chunks, seps = _split_run(run, ell)
-            paths_here.extend(chunks)
-            promoted.extend(seps)
-        remove([v for path in paths_here for v in path], base + gamma)
-        remove(promoted, base + gamma + 1)
-        if paths_here:
-            compress_paths[i] = paths_here
-        if not paths_here and not promoted and not _any_low_degree(alive, deg, n):
-            raise RuntimeError(
-                "decomposition stalled (neither rake nor compress applies)"
-            )
-
-    return Decomposition(
-        graph=graph,
-        gamma=gamma,
-        ell=ell,
-        step=step,
-        compress_paths=compress_paths,
-        num_iterations=i,
-    )
-
-
-def _any_low_degree(alive: Sequence[bool], deg: Sequence[int], n: int) -> bool:
-    return any(alive[v] and deg[v] <= 1 for v in range(n))
 
 
 def _split_run(run: List[int], ell: int) -> Tuple[List[List[int]], List[int]]:

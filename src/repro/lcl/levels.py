@@ -35,22 +35,12 @@ def compute_levels(graph: Graph, k: int, restrict: Optional[Iterable[int]] = Non
     weighted problems, whose active components are leveled independently of
     the weight nodes).
 
-    Dispatches to a flat-array peeling (:func:`_compute_levels_np`) at
-    sweep sizes; :func:`_compute_levels_py` is the per-node twin the
-    differential tests pin it against.
+    The peeling is a flat-array pass: one boolean sweep and one
+    scatter-decrement per level instead of per-node neighbour scans.
+    ``tests/test_vec.py`` keeps the per-node peeling as its oracle.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if vec.use_vector_path(graph.n):
-        return _compute_levels_np(graph, k, restrict)
-    return _compute_levels_py(graph, k, restrict)
-
-
-def _compute_levels_np(
-    graph: Graph, k: int, restrict: Optional[Iterable[int]]
-) -> List[int]:
-    """Vectorized peeling: one boolean sweep + one scatter-decrement per
-    level instead of per-node neighbour scans."""
     np = vec.np
     n = graph.n
     indptr, indices = vec.csr_arrays(graph)
@@ -75,44 +65,6 @@ def _compute_levels_np(
             np.subtract.at(deg, targets, 1)
     level[alive] = k + 1
     return level.tolist()
-
-
-def _compute_levels_py(
-    graph: Graph, k: int, restrict: Optional[Iterable[int]]
-) -> List[int]:
-    n = graph.n
-    indptr, indices = graph.adjacency()
-    if restrict is None:
-        active = bytearray([1]) * n
-    else:
-        active = bytearray(n)
-        for v in restrict:
-            active[v] = 1
-
-    level = [0] * n
-    alive = bytearray(active)
-    deg = [0] * n
-    for v in range(n):
-        if active[v]:
-            deg[v] = sum(
-                1 for i in range(indptr[v], indptr[v + 1]) if active[indices[i]]
-            )
-
-    remaining = [v for v in range(n) if active[v]]
-    for i in range(1, k + 1):
-        peel = [v for v in remaining if deg[v] <= 2]
-        for v in peel:
-            level[v] = i
-            alive[v] = 0
-        for v in peel:
-            for j in range(indptr[v], indptr[v + 1]):
-                w = indices[j]
-                if alive[w]:
-                    deg[w] -= 1
-        remaining = [v for v in remaining if alive[v]]
-    for v in remaining:
-        level[v] = k + 1
-    return level
 
 
 def nodes_of_level(levels: List[int], i: int) -> List[int]:

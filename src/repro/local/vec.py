@@ -1,4 +1,4 @@
-"""Shared numpy sweeps over CSR graphs for the array-form solver ports.
+"""Shared numpy sweeps over CSR graphs for the array-form solver passes.
 
 The centralized solvers (levels, generic phases, rake-and-compress, the
 oriented fast decomposition) all iterate the same three primitives:
@@ -6,18 +6,13 @@ count neighbours inside a node subset, expand a node subset to its
 incident directed edges, and trace the maximal paths induced by a subset
 whose induced degree is at most 2.  This module provides those primitives
 as flat numpy passes over the graph's CSR arrays so the solvers scale to
-``n = 10^6``.  Each solver keeps a per-node Python twin of its peeling
-and matching passes, as the differential oracle and as the path for
-small inputs.  Path tracing is shared instead: both twins of every
-solver, and :func:`repro.lcl.levels.level_paths`, call
-:func:`member_paths`, whose one oracle is ``_assert_member_paths`` in
-``tests/test_vec.py``.  A member component that is not a path (a node
-with three member neighbours, or a cycle) raises ``ValueError``.
-
-Dispatch convention: a caller uses the vector path when
-``n >= VEC_MIN_NODES`` — reference ``vec.VEC_MIN_NODES`` through the
-module (not a ``from``-import) so tests can pin it to 0 and force the
-vector path onto the small differential corpus.
+``n = 10^6``.  Each solver pass has one body, a numpy sweep run at every
+size; its per-node Python oracle lives in ``tests/test_vec.py``.  Path
+tracing is shared: every solver pass, and
+:func:`repro.lcl.levels.level_paths`, calls :func:`member_paths`, whose
+one oracle is ``_assert_member_paths`` in ``tests/test_vec.py``.  A
+member component that is not a path (a node with three member
+neighbours, or a cycle) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,20 +24,11 @@ import numpy as np
 from .graph import Graph
 
 __all__ = [
-    "VEC_MIN_NODES",
     "csr_arrays",
     "expand_segments",
     "induced_degrees",
     "member_paths",
 ]
-
-#: below this node count the per-node Python paths win on constant factors
-VEC_MIN_NODES = 256
-
-
-def use_vector_path(n: int) -> bool:
-    """The dispatch predicate every ported solver shares."""
-    return n >= VEC_MIN_NODES
 
 
 def csr_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:

@@ -51,7 +51,8 @@ class TestFastForwardValidity:
     @pytest.mark.parametrize("n", [100, 300])
     def test_cycle_is_not_a_level_path(self, n):
         # every node of a cycle is level 1 and the component closes on
-        # itself; the sizes sit on both sides of vec.VEC_MIN_NODES
+        # itself; before path tracing raised on a cycle, n = 100 met an
+        # unrelated ValueError and n = 300 hung
         with pytest.raises(AssertionError,
                            match="level-1 alive component is not a path"):
             run_generic_fast_forward(cycle_graph(n), random_ids(n), 2, [3])

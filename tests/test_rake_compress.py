@@ -139,7 +139,6 @@ class TestStepEncoding:
     @pytest.mark.parametrize("gamma,ell", sorted(PINNED_SCHEDULES))
     def test_step_layer_and_schedule_agree(self, gamma, ell):
         schedules = []
-        # sizes on both sides of vec.VEC_MIN_NODES: both twins
         for family in ("path", "random_tree", "caterpillar", "spider",
                        "fragmented_forest"):
             for n in (1, 2, 30, 600):

@@ -1,31 +1,39 @@
-"""Differential tests pinning the array-form solver ports to their
-per-node Python twins.
+"""Differential tests pinning the array-form solver passes to per-node
+Python oracles.
 
-Every vectorized solver (levels, generic phases, rake-and-compress, the
-oriented fast decomposition) dispatches on ``vec.use_vector_path(n)``;
-these tests force each path in turn by monkeypatching
-``vec.VEC_MIN_NODES`` and assert the results are *identical* — outputs,
-rounds, layers, iteration counts — over a corpus of families, sizes,
-restrictions and pins.  The Python twins are the oracles; the numpy
-sweeps must be observationally indistinguishable from them.
+Each centralized solver pass (levels, the generic phases'
+E-propagation, rake-and-compress, the oriented fast decomposition) has
+one production body: a numpy sweep over the graph's CSR arrays, run at
+every size.  This module keeps the per-node Python form of each pass as
+its oracle and asserts the two are *identical* — outputs, rounds,
+layers, iteration counts — over a corpus of families, sizes (the empty
+graph included), restrictions and pins.  The two passes that only a
+public entry reaches, ``generic_phases._propagate_exempt`` and
+``fast_decomposition._oriented_decomposition``, are also swapped for
+their oracle with ``monkeypatch.setattr`` on the module attribute and
+compared end to end.
 """
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.algorithms import fast_decomposition, generic_phases
 from repro.algorithms.fast_decomposition import (
-    _oriented_decomposition_np,
-    _oriented_decomposition_py,
+    _oriented_decomposition,
     run_fast_dfree,
 )
-from repro.algorithms.generic_phases import run_generic_fast_forward
+from repro.algorithms.generic_phases import _commit, run_generic_fast_forward
 from repro.algorithms.rake_compress import (
+    Decomposition,
+    _split_run,
     rake_compress,
     validate_decomposition,
 )
 from repro.families import get_family
 from repro.lcl.dfree import A_INPUT, W_INPUT
+from repro.lcl.hierarchical import B, E, W
 from repro.lcl.levels import compute_levels
 from repro.local import Graph, cycle_graph, disjoint_union, path_graph, random_ids
 from repro.local import vec
@@ -35,21 +43,12 @@ TREEISH = ("path", "random_tree", "bounded_tree_d3", "caterpillar",
 ALL_SHAPES = TREEISH + ("cycle", "star", "grid", "complete_binary_tree")
 
 
-def force_vector(monkeypatch):
-    monkeypatch.setattr(vec, "VEC_MIN_NODES", 0)
-
-
-def force_python(monkeypatch):
-    monkeypatch.setattr(vec, "VEC_MIN_NODES", 10**18)
-
-
-def both_paths(monkeypatch, fn):
-    """Run ``fn()`` once per dispatch path and return both results."""
-    force_vector(monkeypatch)
-    vec_result = fn()
-    force_python(monkeypatch)
-    py_result = fn()
-    return vec_result, py_result
+def _instance(family, n, seed):
+    """``family``'s instance, or the empty graph at ``n = 0``, which no
+    family builds."""
+    if n == 0:
+        return Graph(0, [])
+    return get_family(family).instance(n, seed, 0)
 
 
 class TestMemberPaths:
@@ -143,26 +142,228 @@ def _induced_degrees_py(g, member):
     ]
 
 
+# ----------------------------------------------------------------------
+# per-node oracles of the four solver passes
+# ----------------------------------------------------------------------
+def _compute_levels_py(graph, k, restrict=None):
+    """``levels.compute_levels`` as a per-node peeling."""
+    n = graph.n
+    indptr, indices = graph.adjacency()
+    if restrict is None:
+        active = bytearray([1]) * n
+    else:
+        active = bytearray(n)
+        for v in restrict:
+            active[v] = 1
+
+    level = [0] * n
+    alive = bytearray(active)
+    deg = [0] * n
+    for v in range(n):
+        if active[v]:
+            deg[v] = sum(
+                1 for i in range(indptr[v], indptr[v + 1]) if active[indices[i]]
+            )
+
+    remaining = [v for v in range(n) if active[v]]
+    for i in range(1, k + 1):
+        peel = [v for v in remaining if deg[v] <= 2]
+        for v in peel:
+            level[v] = i
+            alive[v] = 0
+        for v in peel:
+            for j in range(indptr[v], indptr[v + 1]):
+                w = indices[j]
+                if alive[w]:
+                    deg[w] -= 1
+        remaining = [v for v in remaining if alive[v]]
+    for v in remaining:
+        level[v] = k + 1
+    return level
+
+
+def _propagate_exempt_py(graph, levels, alive, rounds, outputs, k,
+                         start_time):
+    """``generic_phases._propagate_exempt`` as a per-node scan."""
+    indptr, indices = graph.adjacency()
+    step = 0
+    while True:
+        newly = []
+        for v in graph.nodes():
+            if not alive[v]:
+                continue
+            lv = levels[v]
+            if lv < 2 or lv > k:
+                continue
+            for i in range(indptr[v], indptr[v + 1]):
+                w = indices[i]
+                if 0 < levels[w] < lv and outputs[w] in (W, B, E):
+                    newly.append(v)
+                    break
+        if not newly:
+            break
+        for v in newly:
+            _commit(v, E, start_time + step, rounds, outputs, alive)
+        step += 1
+        assert step <= k + 1, "E-propagation exceeded its window"
+
+
+def _rake_compress_py(graph, gamma, ell, max_iterations=None, pinned=()):
+    """``rake_compress.rake_compress`` as a sequential per-node removal."""
+    n = graph.n
+    budget = max_iterations if max_iterations is not None else n + 2
+
+    pinned_set = set(pinned)
+    alive = [True] * n
+    deg = [
+        graph.degree(v) + (1 if v in pinned_set else 0) for v in graph.nodes()
+    ]
+    step = np.full(n, -1, dtype=np.int64)
+    compress_paths = {}
+    remaining = n
+
+    def remove(nodes, s):
+        nonlocal remaining
+        for v in nodes:
+            alive[v] = False
+            remaining -= 1
+            for w in graph.neighbors(v):
+                if alive[w]:
+                    deg[w] -= 1
+        step[nodes] = s
+
+    i = 0
+    while remaining > 0:
+        i += 1
+        if i > budget:
+            raise RuntimeError("rake-and-compress exceeded its iteration budget")
+        base = (i - 1) * (gamma + 1)
+        # ---- gamma rake sublayers --------------------------------------
+        for j in range(1, gamma + 1):
+            low = [v for v in range(n) if alive[v] and deg[v] <= 1]
+            # keep sublayers independent: drop the larger-handle endpoint
+            # of any edge between two removable nodes
+            chosen = set(low)
+            for v in low:
+                if v not in chosen:
+                    continue
+                for w in graph.neighbors(v):
+                    if w in chosen and w > v:
+                        chosen.discard(w)
+            remove(sorted(chosen), base + j - 1)
+            if remaining == 0:
+                break
+        if remaining == 0:
+            break
+        # ---- compress ---------------------------------------------------
+        runs = vec.member_paths(graph, np.array(
+            [alive[v] and deg[v] == 2 and v not in pinned_set
+             for v in range(n)], dtype=bool,
+        ))
+        paths_here = []
+        promoted = []
+        for run in runs:
+            if len(run) < ell:
+                continue
+            chunks, seps = _split_run(run, ell)
+            paths_here.extend(chunks)
+            promoted.extend(seps)
+        remove([v for path in paths_here for v in path], base + gamma)
+        remove(promoted, base + gamma + 1)
+        if paths_here:
+            compress_paths[i] = paths_here
+        if not paths_here and not promoted and not any(
+                alive[v] and deg[v] <= 1 for v in range(n)):
+            raise RuntimeError(
+                "decomposition stalled (neither rake nor compress applies)"
+            )
+
+    return Decomposition(
+        graph=graph,
+        gamma=gamma,
+        ell=ell,
+        step=step,
+        compress_paths=compress_paths,
+        num_iterations=i,
+    )
+
+
+def _oriented_decomposition_py(graph, members):
+    """``fast_decomposition._oriented_decomposition`` as a per-node
+    peeling."""
+    alive = set(members)
+    deg = {
+        v: sum(1 for w in graph.neighbors(v) if w in members) for v in members
+    }
+    parent = {}
+    iter_of = {}
+    i = 0
+    while alive:
+        i += 1
+        if i > graph.n + 2:
+            raise RuntimeError("oriented decomposition exceeded budget")
+        # rake
+        low = [v for v in sorted(alive) if deg[v] <= 1]
+        chosen = set(low)
+        for v in low:
+            if v not in chosen:
+                continue
+            for w in graph.neighbors(v):
+                if w in chosen and w > v:
+                    chosen.discard(w)
+        for v in sorted(chosen):
+            alive_nbrs = [w for w in graph.neighbors(v) if w in alive and w != v]
+            alive_nbrs = [w for w in alive_nbrs if w not in chosen]
+            parent[v] = alive_nbrs[0] if alive_nbrs else None
+            iter_of[v] = i
+            alive.discard(v)
+            for w in graph.neighbors(v):
+                if w in alive:
+                    deg[w] -= 1
+        if not alive:
+            break
+        # compress: runs of >= 3 degree-2 nodes; interiors unoriented
+        run_mask = np.zeros(graph.n, dtype=bool)
+        run_mask[sorted(v for v in alive if deg[v] == 2)] = True
+        for run in vec.member_paths(graph, run_mask):
+            if len(run) < 3:
+                continue
+            for v in run:
+                parent[v] = None
+                iter_of[v] = i
+                alive.discard(v)
+            for v in run:
+                for w in graph.neighbors(v):
+                    if w in alive:
+                        deg[w] -= 1
+    return parent, iter_of, i
+
+
 class TestLevelsParity:
     @pytest.mark.parametrize("family", ALL_SHAPES)
-    def test_full_graph(self, family, monkeypatch):
-        for n in (1, 2, 16, 90, 300):
-            g = get_family(family).instance(n, 5, 0)
+    def test_full_graph(self, family):
+        for n in (0, 1, 2, 16, 90, 300):
+            g = _instance(family, n, 5)
             for k in (1, 2, 4):
-                a, b = both_paths(
-                    monkeypatch, lambda: compute_levels(g, k)
-                )
-                assert a == b, (family, n, k)
+                assert compute_levels(g, k) == _compute_levels_py(g, k), (
+                    family, n, k)
 
-    def test_restrict(self, monkeypatch):
+    def test_restrict(self):
         rng = random.Random(3)
         for family in TREEISH:
             g = get_family(family).instance(150, 9, 0)
             restrict = [v for v in range(g.n) if rng.random() < 0.6]
-            a, b = both_paths(
-                monkeypatch, lambda: compute_levels(g, 3, restrict)
-            )
-            assert a == b, family
+            assert compute_levels(g, 3, restrict) == _compute_levels_py(
+                g, 3, restrict), family
+
+
+def _with_oracle(monkeypatch, module, name, oracle, fn):
+    """``fn()`` run as is, then with ``module.name`` swapped for
+    ``oracle``: both results."""
+    result = fn()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, oracle)
+        return result, fn()
 
 
 class TestGenericPhasesParity:
@@ -170,11 +371,14 @@ class TestGenericPhasesParity:
     def test_full_trace(self, variant, monkeypatch):
         for family in ("path", "random_tree", "caterpillar",
                        "fragmented_forest"):
-            for n in (2, 40, 250):
-                g = get_family(family).instance(n, 13, 0)
-                ids = random_ids(g.n, rng=random.Random(n))
-                a, b = both_paths(monkeypatch, lambda: run_generic_fast_forward(
-                    g, ids, 3, [3, 5], variant))
+            for n in (0, 2, 40, 250):
+                g = _instance(family, n, 13)
+                ids = random_ids(g.n, rng=random.Random(n)) if g.n else []
+                a, b = _with_oracle(
+                    monkeypatch, generic_phases, "_propagate_exempt",
+                    _propagate_exempt_py,
+                    lambda: run_generic_fast_forward(
+                        g, ids, 3, [3, 5], variant))
                 assert a.rounds == b.rounds, (family, n, variant)
                 assert a.outputs == b.outputs, (family, n, variant)
 
@@ -182,24 +386,27 @@ class TestGenericPhasesParity:
         g = get_family("random_tree").instance(200, 4, 0)
         ids = random_ids(g.n, rng=random.Random(8))
         restrict = [v for v in range(g.n) if v % 3 != 0]
-        a, b = both_paths(monkeypatch, lambda: run_generic_fast_forward(
-            g, ids, 3, [3, 5], "2.5", restrict=restrict, time_offset=7))
+        a, b = _with_oracle(
+            monkeypatch, generic_phases, "_propagate_exempt",
+            _propagate_exempt_py,
+            lambda: run_generic_fast_forward(
+                g, ids, 3, [3, 5], "2.5", restrict=restrict, time_offset=7))
         assert a.rounds == b.rounds
         assert a.outputs == b.outputs
 
 
 class TestRakeCompressParity:
     @pytest.mark.parametrize("gamma,ell", [(1, 2), (1, 3), (2, 2), (3, 4)])
-    def test_decomposition_identical(self, gamma, ell, monkeypatch):
+    def test_decomposition_identical(self, gamma, ell):
         rng = random.Random(gamma * 10 + ell)
         for family in TREEISH:
-            for n in (1, 2, 30, 200):
-                g = get_family(family).instance(n, 2, 0)
+            for n in (0, 1, 2, 30, 200):
+                g = _instance(family, n, 2)
                 # pin at most one node: pinning both endpoints of a 2-node
                 # component would (correctly) stall either implementation
                 pinned = [rng.randrange(g.n)] if g.n > 2 else []
-                a, b = both_paths(monkeypatch, lambda: rake_compress(
-                    g, gamma, ell, pinned=pinned))
+                a = rake_compress(g, gamma, ell, pinned=pinned)
+                b = _rake_compress_py(g, gamma, ell, pinned=pinned)
                 assert a.layer_of == b.layer_of, (family, n)
                 assert a.step.tolist() == b.step.tolist(), (family, n)
                 assert a.compress_paths == b.compress_paths, (family, n)
@@ -211,16 +418,16 @@ class TestFastDecompositionParity:
     def test_oriented_decomposition(self):
         rng = random.Random(3)
         for family in TREEISH:
-            for n in (1, 2, 8, 50, 300):
-                g = get_family(family).instance(n, 17, 0)
+            for n in (0, 1, 2, 8, 50, 300):
+                g = _instance(family, n, 17)
                 if not g.is_forest():
                     continue
                 for frac in (1.0, 0.7, 0.3):
                     members = {
                         v for v in range(g.n) if rng.random() < frac
                     }
-                    a = _oriented_decomposition_py(g, set(members))
-                    b = _oriented_decomposition_np(g, set(members))
+                    a = _oriented_decomposition(g, set(members))
+                    b = _oriented_decomposition_py(g, set(members))
                     assert a == b, (family, n, frac)
 
     def test_run_fast_dfree_end_to_end(self, monkeypatch):
@@ -233,19 +440,16 @@ class TestFastDecompositionParity:
                 for _ in range(g.n)
             ]
             gi = g.with_inputs(inputs)
-            a, b = both_paths(monkeypatch, lambda: run_fast_dfree(gi, 3))
+            a, b = _with_oracle(
+                monkeypatch, fast_decomposition, "_oriented_decomposition",
+                _oriented_decomposition_py, lambda: run_fast_dfree(gi, 3))
             assert a.outputs == b.outputs
             assert a.rounds == b.rounds
             assert a.copy_component_of == b.copy_component_of
             assert a.iterations == b.iterations
 
 
-class TestDispatch:
-    def test_use_vector_path_threshold(self, monkeypatch):
-        monkeypatch.setattr(vec, "VEC_MIN_NODES", 100)
-        assert vec.use_vector_path(100) is True
-        assert vec.use_vector_path(99) is False
-
+class TestCsrArrays:
     def test_csr_arrays_zero_copy(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         indptr, indices = vec.csr_arrays(g)

@@ -8,9 +8,7 @@ weighted sweep families, and on mixed caterpillars whose weight side
 connects as well as copies and declines (all but the naive baseline and
 Lemma 69's solver, which raise there).  The d-free entries pin the fast solver's
 outputs, rounds and Copy components, and Algorithm A's outputs and Copy
-components, on random ``A``/``W`` caterpillars.  The weight forests fall on both
-sides of ``vec.VEC_MIN_NODES``, so both twins of the fast solver's
-oriented decomposition run.
+components, on random ``A``/``W`` caterpillars.
 
 Print the table afresh with ``PYTHONPATH=src python
 tests/test_weighted_traces.py``.
@@ -36,7 +34,7 @@ from repro.constructions.lowerbound import paper_lengths
 from repro.families import caterpillar_tree, get_family
 from repro.lcl.dfree import A_INPUT, W_INPUT
 from repro.lcl.weighted import ACTIVE, WEIGHT
-from repro.local import random_ids, vec
+from repro.local import random_ids
 
 
 def _digest(value) -> str:
@@ -249,15 +247,6 @@ def test_single_root_solvers_reject_mixed_components(solver, n):
     g, ids = _mixed(n)
     with pytest.raises(ValueError, match="several active-adjacent nodes"):
         SOLVERS[solver](g, ids, 6, 3, 2)
-
-
-def test_weight_forests_straddle_vector_threshold():
-    sizes = set()
-    for case, g, _ids, (delta, d, _k) in _weighted_cases():
-        if _solver_applies("weighted35", case, delta, d):
-            sizes.add(sum(1 for v in g.nodes() if g.input_of(v) == WEIGHT))
-    sizes.update(_dfree_tree(n, 3).n for n in DFREE_SIZES)
-    assert min(sizes) < vec.VEC_MIN_NODES <= max(sizes)
 
 
 if __name__ == "__main__":
