@@ -121,11 +121,14 @@ def run_generic_fast_forward(
     outputs: List = [None] * n
     alive = [member[v] for v in range(n)]
     meta: Dict = {"phase_starts": list(starts), "remaining_after_phase": {}}
+    # every node labeled W/B/E so far: where E-propagation spreads from
+    labeled: List[int] = []
 
     # level-(k+1) nodes: E as soon as the level is known
     for v in range(n):
         if member[v] and levels[v] == k + 1:
             _commit(v, E, k + 2 + time_offset, rounds, outputs, alive)
+            labeled.append(v)
 
     for i in range(1, k):
         gamma = gammas[i - 1]
@@ -137,8 +140,9 @@ def run_generic_fast_forward(
             else:
                 for v, col in zip(path, _canonical_2coloring(path, ids)):
                     _commit(v, col, decide_at + time_offset, rounds, outputs, alive)
+                labeled.extend(path)
         _propagate_exempt(
-            graph, levels, alive, rounds, outputs, k,
+            graph, levels, alive, rounds, outputs, labeled, k,
             start_time=decide_at + 1 + time_offset,
         )
         meta["remaining_after_phase"][i] = sum(alive)
@@ -155,6 +159,7 @@ def run_generic_fast_forward(
                 # node knows its whole path after exactly ecc exchanges
                 ecc = max(idx, m - 1 - idx)
                 _commit(v, col, s_k + ecc + time_offset, rounds, outputs, alive)
+            labeled.extend(path)
         else:
             cv_colors, t_cv = three_color_path([ids[v] for v in path], space)
             for v, c in zip(path, cv_colors):
@@ -162,7 +167,7 @@ def run_generic_fast_forward(
                     v, COLORS_3[c], s_k + t_cv + time_offset, rounds, outputs, alive
                 )
     _propagate_exempt(
-        graph, levels, alive, rounds, outputs, k,
+        graph, levels, alive, rounds, outputs, labeled, k,
         start_time=s_k + 1 + time_offset,
     )
     meta["remaining_after_phase"][k] = sum(alive)
@@ -220,6 +225,7 @@ def _propagate_exempt(
     alive: List[bool],
     rounds: List[int],
     outputs: List,
+    labeled: List[int],
     k: int,
     start_time: int,
 ) -> None:
@@ -227,17 +233,20 @@ def _propagate_exempt(
     lower-level neighbour labeled ``W/B/E`` outputs ``E``; one step per
     round, at most ``k`` steps (levels strictly increase along chains).
 
+    ``labeled`` lists every node labeled ``W/B/E`` so far (the caller
+    knows what it committed), and the pass appends its own commits.
     Each step gathers the eligible nodes' incident edges once instead of
     scanning every node's neighbourhood in Python; ``tests/test_vec.py``
-    keeps the per-node scan as its oracle.  Commits still go through
-    ``_commit`` so the caller's list state stays the source of truth."""
+    keeps the per-node scan of ``outputs`` as its oracle.  Commits still
+    go through ``_commit`` so the caller's list state stays the source
+    of truth."""
     np = vec.np
     n = graph.n
     indptr, indices = vec.csr_arrays(graph)
     lv = np.array(levels, dtype=np.int64)
     elig = np.array(alive, dtype=bool) & (lv >= 2) & (lv <= k)
     trig = np.zeros(n, dtype=bool)
-    trig[[v for v in range(n) if outputs[v] in (W, B, E)]] = True
+    trig[np.array(labeled, dtype=np.intp)] = True
     step = 0
     while True:
         candidates = np.nonzero(elig)[0]
@@ -248,8 +257,10 @@ def _propagate_exempt(
         newly = np.unique(src[hit])
         if newly.size == 0:
             break
-        for v in newly.tolist():
+        newly_list = newly.tolist()
+        for v in newly_list:
             _commit(v, E, start_time + step, rounds, outputs, alive)
+        labeled.extend(newly_list)
         elig[newly] = False
         trig[newly] = True
         step += 1

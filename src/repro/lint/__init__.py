@@ -15,18 +15,17 @@ Layout:
 
 * :mod:`repro.lint.core` — the rule framework: :class:`Finding`,
   :class:`Rule`, :class:`ModuleContext` (shared import/scope
-  resolution), inline ``# lint: allow(RULE-ID) reason`` suppressions,
-  and single-file analysis.
+  resolution), inline ``# lint: allow(RULE-ID) reason`` suppressions
+  (the only way to accept a finding), and single-file analysis.
 * :mod:`repro.lint.config` — per-directory severity overrides
   (DET rules are errors in ``src/``, relaxed in ``benchmarks/``).
-* :mod:`repro.lint.baseline` — the JSON baseline file so CI gates on
-  regressions only; every baselined finding must carry a reason.
 * :mod:`repro.lint.rules` — the rule packs (DET, ENG, IPD, PAR, SHM,
   STORE).
 * :mod:`repro.lint.summaries` / :mod:`repro.lint.callgraph` — the one
-  fact extractor (the sites every intramodule rule but DET004 reports,
-  the per-function summary bits), the project call graph and the
-  fixpoints behind the IPD and STORE002 findings.
+  fact extractor, whose walk is the only one over a parse (the sites
+  every intramodule rule reports, the per-function summary bits), the
+  project call graph and the fixpoints behind the IPD and STORE002
+  findings.
 * :mod:`repro.lint.runner` / ``python -m repro.lint`` — file
   collection, one :func:`repro.parallel.fork_map` pass per file (the
   linter obeys the ordered-fan-out discipline it enforces) and

@@ -38,6 +38,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
     "module_name_for_path",
+    "statements",
     "CallSite",
     "FunctionFacts",
     "ClassFacts",
@@ -209,11 +210,29 @@ def _resolve_relative(module: str, is_package: bool, level: int,
     return base
 
 
+#: the fields that hold statement lists, or the handlers and cases whose
+#: bodies do, in the order ``ast.iter_child_nodes`` yields them
+_STATEMENT_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
+def statements(tree: ast.Module) -> List[ast.AST]:
+    """Every statement of a module, in the order ``ast.walk`` yields
+    them (breadth-first), among the exception handlers and match cases
+    whose bodies hold statements; no expression is visited."""
+    todo: List[ast.AST] = [tree]
+    for node in todo:  # grows as it goes: breadth-first
+        for name in _STATEMENT_FIELDS:
+            todo.extend(getattr(node, name, ()))
+    return todo
+
+
 def build_import_map(tree: ast.Module, module: str,
                      is_package: bool) -> Dict[str, str]:
-    """Local name → absolute dotted path for every import binding."""
+    """Local name → absolute dotted path for every import binding, in
+    :func:`statements` order: a name bound twice keeps its first
+    position and its last binding, as over the whole tree."""
     out: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in statements(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:

@@ -1,7 +1,7 @@
 """``python -m repro.lint`` — the analyzer's command line.
 
-Exit codes: 0 clean (or warnings only), 1 non-baselined errors found,
-2 usage / baseline errors.
+Exit codes: 0 clean (or warnings only), 1 errors found, 2 usage errors
+(a bad option or a path that does not exist).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .baseline import BaselineError, prune_baseline, render_baseline
 from .runner import run_lint
 
 __all__ = ["main"]
@@ -36,18 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="fork_map workers for file analysis (default: 1)")
     parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="JSON baseline of known findings (each needs a reason)")
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="write current findings as a baseline skeleton to FILE "
-             "(edit in per-entry reasons afterwards) and exit")
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the --baseline file in place dropping stale "
-             "entries (findings no longer present), keeping each "
-             "surviving entry's reason")
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the active rules and exit")
     return parser
@@ -67,35 +54,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p for p in _DEFAULT_PATHS if os.path.exists(p)]
     if opts.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if opts.prune_baseline and not opts.baseline:
-        parser.error("--prune-baseline requires --baseline")
     try:
-        report = run_lint(paths, jobs=opts.jobs,
-                          baseline_path=opts.baseline)
-    except BaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report = run_lint(paths, jobs=opts.jobs)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if opts.prune_baseline:
-        try:
-            dropped = prune_baseline(opts.baseline, report.stale_baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"pruned {dropped} stale entr"
-              f"{'y' if dropped == 1 else 'ies'} from {opts.baseline}")
-        report.stale_baseline = []
-
-    if opts.write_baseline:
-        with open(opts.write_baseline, "w", encoding="utf-8") as fh:
-            fh.write(render_baseline(
-                report.findings, reason="FILL IN: why is this intentional?"))
-        print(f"wrote {len(report.findings)} entries to "
-              f"{opts.write_baseline}; edit in per-entry reasons")
-        return 0
 
     out = report.to_json() if opts.format == "json" else report.to_text()
     sys.stdout.write(out)

@@ -4,10 +4,8 @@ Every rule gets a shared :class:`ModuleContext` — source, tree, parent
 links, import resolution, suppressions and the fact extractor's sites.
 A :class:`SiteRule` reports the sites the extractor
 (:mod:`repro.lint.summaries`) recorded for it in its one walk over the
-module; a :class:`ProjectRule` reports nothing per module.  DET004, whose
-per-scope set tracking takes two passes, is the one rule left that walks
-the tree itself, as an :class:`ast.NodeVisitor` calling
-:meth:`Rule.report`.
+module; a :class:`ProjectRule` reports nothing per module.  No rule
+walks the parse.
 
 Suppressions are inline comments::
 
@@ -151,13 +149,14 @@ class ModuleContext:
         return self._parents.get(node)
 
 
-class Rule(ast.NodeVisitor):
+class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``id``/``summary``/``default_severity`` and override
-    ``visit_*`` methods, reporting via :meth:`report`.  One instance is
-    created per (rule, module) pair, so per-module state lives on
-    ``self``.
+    Subclasses set ``id``/``summary``/``default_severity``; one instance
+    is created per (rule, module) pair, and :meth:`run` returns its
+    ``(line, col, message)`` findings in that module.  No rule walks the
+    parse: a :class:`SiteRule` reads the sites the fact extractor
+    recorded, a :class:`ProjectRule` reports from the linked project.
     """
 
     id: str = "RULE000"
@@ -166,14 +165,9 @@ class Rule(ast.NodeVisitor):
 
     def __init__(self, ctx: ModuleContext) -> None:
         self.ctx = ctx
-        self.raw: List[Tuple[int, int, str]] = []
-
-    def report(self, node: ast.AST, message: str) -> None:
-        self.raw.append((node.lineno, node.col_offset, message))
 
     def run(self) -> List[Tuple[int, int, str]]:
-        self.visit(self.ctx.tree)
-        return self.raw
+        raise NotImplementedError
 
 
 class SiteRule(Rule):

@@ -16,15 +16,18 @@ clocks and iteration orders are all pinned.  These rules encode the
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core import Rule, SiteRule
+from ..core import SiteRule
 
 __all__ = [
     "CLOCK_SOURCES",
     "HASH_MESSAGE",
+    "SET_ITERATION_NODES",
+    "annotated_set_params",
     "builtin_hash",
     "clock_message",
+    "set_iteration",
     "unordered_fanout",
     "unseeded_entropy",
     "UnseededRandomRule",
@@ -208,192 +211,201 @@ class _ScopeSets:
         self.names.discard(name)
 
 
-class SetIterationRule(Rule):
+#: the nodes DET004 reads: the statements of its assignment pass and
+#: its firing points
+SET_ITERATION_NODES = (
+    ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For, ast.ListComp,
+    ast.GeneratorExp, ast.List, ast.Tuple, ast.Call,
+)
+_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+
+
+def annotated_set_params(node: ast.AST) -> List[str]:
+    """The parameters of a def annotated as sets (``s: Set[int]``)."""
+    params = []
+    args = node.args
+    for arg in (args.posonlyargs + args.args + args.kwonlyargs):
+        ann = arg.annotation
+        if ann is None:
+            continue
+        if isinstance(ann, ast.Subscript):
+            ann = ann.value
+        name = ann.attr if isinstance(ann, ast.Attribute) else (
+            ann.id if isinstance(ann, ast.Name) else None)
+        if name in _SET_ANNOTATIONS:
+            params.append(arg.arg)
+    return params
+
+
+def set_iteration(nodes: Sequence[ast.AST], set_params: Iterable[str],
+                  ctx) -> List[Tuple[ast.AST, str]]:
+    """DET004's ``(node, message)`` sites in one scope.
+
+    A scope is the module body or a def body.  The defs nested in it are
+    scopes of their own, and a def's decorators, defaults and
+    annotations belong to no scope.  ``nodes`` are the scope's
+    :data:`SET_ITERATION_NODES` in post-order (the fact extractor's walk
+    records each as it leaves it); ``set_params`` are the names holding
+    sets on entry.
+
+    The assignment pass replays ``nodes`` in reverse post-order (a
+    statement before the statements it contains, a later statement
+    before an earlier one), reading the set names it has tracked so far;
+    the check pass then reports the iterations that escape.
+    """
+    sets = _ScopeSets()
+    for name in set_params:
+        sets.track(name)
+    order = nodes[::-1]
+    for node in order:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                _note_assignment(target, node.value, sets, ctx)
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            _note_assignment(node.target, node.value, sets, ctx)
+        elif isinstance(node, ast.AugAssign):
+            if isinstance(node.target, ast.Name) and not isinstance(
+                    node.op, _SET_OPS):
+                sets.taint(node.target.id)
+        elif isinstance(node, ast.For):
+            for n in ast.walk(node.target):
+                if isinstance(n, ast.Name):
+                    sets.taint(n.id)
+    sites = []
+    for node in order:
+        site = _escape(node, sets, ctx)
+        if site is not None:
+            sites.append(site)
+    return sites
+
+
+def _note_assignment(target: ast.AST, value: ast.AST, sets: _ScopeSets,
+                     ctx) -> None:
+    if not isinstance(target, ast.Name):
+        return
+    if _is_set_expr(value, sets, ctx):
+        sets.track(target.id)
+    else:
+        sets.taint(target.id)
+
+
+def _is_set_expr(node: ast.AST, sets: _ScopeSets, ctx) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in sets.names
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
+        return (_is_set_expr(node.left, sets, ctx)
+                or _is_set_expr(node.right, sets, ctx))
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("set", "frozenset") \
+                and ctx.is_builtin(func.id):
+            return True
+        if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
+            return _is_set_expr(func.value, sets, ctx)
+    return False
+
+
+def _escape(node: ast.AST, sets: _ScopeSets,
+            ctx) -> Optional[Tuple[ast.AST, str]]:
+    """The DET004 site at ``node``, if its set iteration escapes."""
+    if isinstance(node, ast.For) and _is_set_expr(node.iter, sets, ctx):
+        if _body_is_order_sensitive(node.body):
+            return node.iter, _msg("for loop")
+    elif isinstance(node, ast.ListComp):
+        if _comp_over_set(node, sets, ctx) and not _consumed_by(
+                node, _ORDER_FREE_CONSUMERS, ctx):
+            return node, _msg("list comprehension")
+    elif isinstance(node, ast.GeneratorExp):
+        if _comp_over_set(node, sets, ctx) and _consumed_by(
+                node, _ORDER_SENSITIVE_CONSUMERS, ctx, attr="join"):
+            return node, _msg("generator")
+    elif isinstance(node, (ast.List, ast.Tuple)) and isinstance(
+            node.ctx, ast.Load):
+        # [*s] / (*s,) freeze set order exactly like list(s)/tuple(s)
+        starred_set = any(
+            isinstance(elt, ast.Starred)
+            and _is_set_expr(elt.value, sets, ctx)
+            for elt in node.elts)
+        if starred_set and not _consumed_by(
+                node, _ORDER_FREE_CONSUMERS, ctx):
+            return node, _msg("starred unpacking")
+    elif isinstance(node, ast.Call):
+        func = node.func
+        sensitive = (
+            isinstance(func, ast.Name)
+            and func.id in _ORDER_SENSITIVE_CONSUMERS
+            and ctx.is_builtin(func.id)
+        ) or (isinstance(func, ast.Attribute) and func.attr == "join")
+        if sensitive and node.args and _is_set_expr(
+                node.args[0], sets, ctx):
+            # sorted(list(s)) / min(tuple(s)): the wrapper's arbitrary
+            # order never reaches output — not an escape
+            if not _consumed_by(node, _ORDER_FREE_CONSUMERS, ctx):
+                return node, _msg("conversion")
+        elif sensitive or (
+                isinstance(func, ast.Name) and func.id == "print"
+                and ctx.is_builtin("print")):
+            # f(*s) splats set order into positional arguments
+            for arg in node.args:
+                if isinstance(arg, ast.Starred) and _is_set_expr(
+                        arg.value, sets, ctx):
+                    return node, _msg("star-argument")
+    return None
+
+
+def _msg(kind: str) -> str:
+    return (f"{kind} over a set has no deterministic order; wrap the "
+            "iterable in sorted(...) before it reaches ordered output")
+
+
+def _comp_over_set(comp, sets: _ScopeSets, ctx) -> bool:
+    return _is_set_expr(comp.generators[0].iter, sets, ctx)
+
+
+def _consumed_by(node: ast.AST, names: Set[str], ctx,
+                 attr: Optional[str] = None) -> bool:
+    parent = ctx.parent(node)
+    if not isinstance(parent, ast.Call) or node not in parent.args:
+        return False
+    func = parent.func
+    if isinstance(func, ast.Name):
+        return func.id in names and ctx.is_builtin(func.id)
+    if attr is not None and isinstance(func, ast.Attribute):
+        return func.attr == attr
+    return False
+
+
+def _body_is_order_sensitive(body: List[ast.stmt]) -> bool:
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                return True
+            if isinstance(node, ast.AugAssign):
+                return True
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) and node.func.attr in (
+                    "append", "extend", "insert", "appendleft"):
+                return True
+    return False
+
+
+class SetIterationRule(SiteRule):
     """DET004: unordered iteration escaping into ordered results.
 
     Iterating a ``set`` has no guaranteed order; when the elements flow
     into a list, a generator a caller will sequence, a joined string or
     an accumulator, the result depends on hash-table layout.  Wrap the
     iterable in ``sorted(...)``.  Order-free reductions (``sum``,
-    ``min``, membership scans, building another set) are fine.
+    ``min``, membership scans, building another set) are fine.  The fact
+    extractor records each scope's :data:`SET_ITERATION_NODES` in its
+    walk and reports :func:`set_iteration`'s sites at the scope's end.
     """
 
     id = "DET004"
     summary = ("iteration over a set flows into ordered results; wrap "
                "the iterable in sorted(...)")
-
-    # -- scope handling -------------------------------------------------
-    def visit_Module(self, node: ast.Module) -> None:
-        self._scope(node, [])
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        # reached only for nested scopes via _scope's deferred walk
-        self._scope(node, self._annotated_set_params(node))
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    @staticmethod
-    def _annotated_set_params(node: ast.FunctionDef) -> List[str]:
-        params = []
-        args = node.args
-        for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-            ann = arg.annotation
-            if ann is None:
-                continue
-            if isinstance(ann, ast.Subscript):
-                ann = ann.value
-            name = ann.attr if isinstance(ann, ast.Attribute) else (
-                ann.id if isinstance(ann, ast.Name) else None)
-            if name in _SET_ANNOTATIONS:
-                params.append(arg.arg)
-        return params
-
-    def _scope(self, scope_node: ast.AST, set_params: List[str]) -> None:
-        sets = _ScopeSets()
-        for name in set_params:
-            sets.track(name)
-        body = (scope_node.body if isinstance(scope_node.body, list)
-                else [scope_node.body])
-        nested: List[ast.FunctionDef] = []
-        # pass 1: collect assignments (order-independent within scope)
-        for stmt in self._walk_scope(body, nested):
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    self._note_assignment(target, stmt.value, sets)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                self._note_assignment(stmt.target, stmt.value, sets)
-            elif isinstance(stmt, ast.AugAssign):
-                if isinstance(stmt.target, ast.Name) and not isinstance(
-                        stmt.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
-                    sets.taint(stmt.target.id)
-            elif isinstance(stmt, ast.For):
-                for n in ast.walk(stmt.target):
-                    if isinstance(n, ast.Name):
-                        sets.taint(n.id)
-        # pass 2: find escaping iterations
-        for stmt in self._walk_scope(body, []):
-            self._check_node(stmt, sets)
-        for fn in nested:
-            self.visit_FunctionDef(fn)
-
-    @staticmethod
-    def _walk_scope(body: List[ast.stmt], nested: List[ast.FunctionDef]):
-        """Walk statements/expressions without entering nested defs."""
-        stack: List[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested.append(node)
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _note_assignment(self, target: ast.AST, value: ast.AST,
-                         sets: _ScopeSets) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        if self._is_set_expr(value, sets):
-            sets.track(target.id)
-        else:
-            sets.taint(target.id)
-
-    def _is_set_expr(self, node: ast.AST, sets: _ScopeSets) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return node.id in sets.names
-        if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
-            return (self._is_set_expr(node.left, sets)
-                    or self._is_set_expr(node.right, sets))
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in ("set", "frozenset") \
-                    and self.ctx.is_builtin(func.id):
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
-                return self._is_set_expr(func.value, sets)
-        return False
-
-    # -- firing points --------------------------------------------------
-    def _check_node(self, node: ast.AST, sets: _ScopeSets) -> None:
-        if isinstance(node, ast.For) and self._is_set_expr(node.iter, sets):
-            if self._body_is_order_sensitive(node.body):
-                self.report(node.iter, self._msg("for loop"))
-        elif isinstance(node, ast.ListComp):
-            if self._comp_over_set(node, sets) and not self._consumed_by(
-                    node, _ORDER_FREE_CONSUMERS):
-                self.report(node, self._msg("list comprehension"))
-        elif isinstance(node, ast.GeneratorExp):
-            if self._comp_over_set(node, sets) and self._consumed_by(
-                    node, _ORDER_SENSITIVE_CONSUMERS, attr="join"):
-                self.report(node, self._msg("generator"))
-        elif isinstance(node, (ast.List, ast.Tuple)) and isinstance(
-                node.ctx, ast.Load):
-            # [*s] / (*s,) freeze set order exactly like list(s)/tuple(s)
-            starred_set = any(
-                isinstance(elt, ast.Starred)
-                and self._is_set_expr(elt.value, sets)
-                for elt in node.elts)
-            if starred_set and not self._consumed_by(
-                    node, _ORDER_FREE_CONSUMERS):
-                self.report(node, self._msg("starred unpacking"))
-        elif isinstance(node, ast.Call):
-            func = node.func
-            sensitive = (
-                isinstance(func, ast.Name)
-                and func.id in _ORDER_SENSITIVE_CONSUMERS
-                and self.ctx.is_builtin(func.id)
-            ) or (isinstance(func, ast.Attribute) and func.attr == "join")
-            if sensitive and node.args and self._is_set_expr(
-                    node.args[0], sets):
-                # sorted(list(s)) / min(tuple(s)): the wrapper's arbitrary
-                # order never reaches output — not an escape
-                if not self._consumed_by(node, _ORDER_FREE_CONSUMERS):
-                    self.report(node, self._msg("conversion"))
-            elif sensitive or (
-                    isinstance(func, ast.Name) and func.id == "print"
-                    and self.ctx.is_builtin("print")):
-                # f(*s) splats set order into positional arguments
-                for arg in node.args:
-                    if isinstance(arg, ast.Starred) and self._is_set_expr(
-                            arg.value, sets):
-                        self.report(node, self._msg("star-argument"))
-                        break
-
-    @staticmethod
-    def _msg(kind: str) -> str:
-        return (f"{kind} over a set has no deterministic order; wrap the "
-                "iterable in sorted(...) before it reaches ordered output")
-
-    def _comp_over_set(self, comp, sets: _ScopeSets) -> bool:
-        return self._is_set_expr(comp.generators[0].iter, sets)
-
-    def _consumed_by(self, node: ast.AST, names: Set[str],
-                     attr: Optional[str] = None) -> bool:
-        parent = self.ctx.parent(node)
-        if not isinstance(parent, ast.Call) or node not in parent.args:
-            return False
-        func = parent.func
-        if isinstance(func, ast.Name):
-            return func.id in names and self.ctx.is_builtin(func.id)
-        if attr is not None and isinstance(func, ast.Attribute):
-            return func.attr == attr
-        return False
-
-    @staticmethod
-    def _body_is_order_sensitive(body: List[ast.stmt]) -> bool:
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                    return True
-                if isinstance(node, ast.AugAssign):
-                    return True
-                if isinstance(node, ast.Call) and isinstance(
-                        node.func, ast.Attribute) and node.func.attr in (
-                        "append", "extend", "insert", "appendleft"):
-                    return True
-        return False
 
 
 _UNORDERED_ATTRS = {"imap_unordered", "map_unordered"}

@@ -2,10 +2,10 @@
 
 Each file is read and parsed once (and tokenized once, if it contains
 ``lint:``), inside a :func:`repro.parallel.fork_map` worker: the worker
-extracts the file's facts and rule sites in one walk
-(:func:`repro.lint.summaries.extract_module_facts`), runs the
-intramodule rules over the same parse (:func:`repro.lint.core.
-analyze_file`; only DET004 walks it again) and returns both.  The
+extracts the file's facts and every intramodule rule's sites in one
+walk (:func:`repro.lint.summaries.extract_module_facts`), gates the
+sites into findings (:func:`repro.lint.core.analyze_file`, which walks
+nothing) and returns both.  The
 parent links the facts, runs the summary fixpoints
 (:func:`repro.lint.summaries.link_project`) and passes the
 interprocedural findings (IPD001–003, STORE002) through the same
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..parallel import fork_map
-from .baseline import BaselineKey, load_baseline, split_findings
 from .config import normalize_path, severity_for
 from .core import Finding, analyze_file, gate
 from .rules import all_rules
@@ -44,7 +43,7 @@ def collect_files(paths: Sequence[str],
 
     Directories expand to every ``*.py`` beneath them; files are taken
     as given.  Display paths are root-relative and posix-style so the
-    report (and baseline keys) are machine-independent.
+    report is machine-independent.
     """
     root = os.path.abspath(root)
     out: Dict[str, str] = {}
@@ -107,9 +106,7 @@ class LintReport:
     """The outcome of one lint run over a set of files."""
 
     files: int
-    findings: List[Finding]                       # active (not baselined)
-    baselined: List[Tuple[Finding, str]] = field(default_factory=list)
-    stale_baseline: List[BaselineKey] = field(default_factory=list)
+    findings: List[Finding]
 
     @property
     def errors(self) -> List[Finding]:
@@ -129,37 +126,20 @@ class LintReport:
             "files": self.files,
             "errors": len(self.errors),
             "warnings": len(self.warnings),
-            "baselined": len(self.baselined),
-            "stale_baseline": len(self.stale_baseline),
         }
 
     def to_json(self) -> str:
         payload = {
             "findings": [f.to_json() for f in self.findings],
-            "baselined": [
-                dict(f.to_json(), reason=reason)
-                for f, reason in self.baselined
-            ],
-            "stale_baseline": [
-                {"file": file, "rule": rule, "line": line}
-                for file, rule, line in self.stale_baseline
-            ],
             "summary": self.summary(),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         lines = [f.render() for f in self.findings]
-        for key in self.stale_baseline:
-            file, rule, line = key
-            lines.append(f"{file}:{line}: stale baseline entry for {rule} "
-                         "(finding no longer present — prune it)")
         s = self.summary()
-        lines.append(
-            f"{s['files']} files: {s['errors']} errors, "
-            f"{s['warnings']} warnings, {s['baselined']} baselined, "
-            f"{s['stale_baseline']} stale baseline entries"
-        )
+        lines.append(f"{s['files']} files: {s['errors']} errors, "
+                     f"{s['warnings']} warnings")
         return "\n".join(lines) + "\n"
 
 
@@ -177,16 +157,9 @@ def lint_sources(sources: Mapping[str, str]) -> List[Finding]:
                            for path in sorted(sources)])
 
 
-def run_lint(
-    paths: Sequence[str],
-    jobs: int = 1,
-    baseline_path: Optional[str] = None,
-    root: str = ".",
-) -> LintReport:
-    """Lint ``paths`` with ``jobs`` workers, honouring a baseline file."""
+def run_lint(paths: Sequence[str], jobs: int = 1,
+             root: str = ".") -> LintReport:
+    """Lint ``paths`` (relative to ``root``) with ``jobs`` workers."""
     tasks = collect_files(paths, root=root)
-    findings = lint_files(tasks, jobs=jobs)
-    baseline = load_baseline(baseline_path) if baseline_path else {}
-    active, matched, stale = split_findings(findings, baseline)
-    return LintReport(files=len(tasks), findings=active,
-                      baselined=matched, stale_baseline=stale)
+    return LintReport(files=len(tasks),
+                      findings=lint_files(tasks, jobs=jobs))

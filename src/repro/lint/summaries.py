@@ -1,14 +1,17 @@
 """Fact extraction, fixpoint propagation, interprocedural findings.
 
 Each file is parsed once and walked once (:func:`extract_module_facts`,
-inside the runner's ``fork_map`` worker).  The walk records the sites
-of every intramodule rule but DET004 — DET001 (an unseeded draw),
-DET002 (a builtin ``hash()``), DET003 (a clock/entropy source), DET005
-(an unordered fan-out API), ENG001 (a ``name._x`` read), ENG002 (a batch
-cache ``setup`` never resets), PAR001 (a closure shipped to
-``fork_map``), SHM001 (a store into an attached array, or an un-seal)
-and STORE001 (an environment read in a payload writer's scope) — which
-those rules report (:class:`~repro.lint.core.SiteRule`).  For every
+inside the runner's ``fork_map`` worker); no rule walks the parse
+again.  The walk records the sites of every intramodule rule — DET001
+(an unseeded draw), DET002 (a builtin ``hash()``), DET003 (a
+clock/entropy source), DET004 (a set iteration escaping into order,
+replayed per scope at the scope's end), DET005 (an unordered fan-out
+API), ENG001 (a ``name._x`` read), ENG002 (a batch cache ``setup``
+never resets), PAR001 (a closure shipped to ``fork_map``), SHM001 (a
+store into an attached array, or an un-seal) and STORE001 (an
+environment read in a payload writer's scope) — which those rules
+report (:class:`~repro.lint.core.SiteRule`).  It visits no expression
+context or operator node: no fact reads them.  For every
 function unit it records the summary bits the DET001, ENG001 and SHM001
 sites seed — **draws-entropy**, **touches-view-internals** and
 **writes-attached-buffers** (the last two per parameter; a store into a
@@ -52,6 +55,7 @@ from .callgraph import (
     StorePut,
     dotted_chain,
     module_name_for_path,
+    statements,
 )
 from .config import severity_for
 from .core import ModuleContext, RawFinding
@@ -71,8 +75,9 @@ from .rules.contracts import (
     unsealed,
 )
 from .rules.determinism import (
-    CLOCK_SOURCES, HASH_MESSAGE, UNORDERED_QUALS, builtin_hash,
-    clock_message, unordered_fanout, unseeded_entropy,
+    CLOCK_SOURCES, HASH_MESSAGE, SET_ITERATION_NODES, UNORDERED_QUALS,
+    annotated_set_params, builtin_hash, clock_message, set_iteration,
+    unordered_fanout, unseeded_entropy,
 )
 from .rules.store import (
     ENVIRONMENT_SOURCES, is_store_put, payload_writer, purity_message,
@@ -99,6 +104,26 @@ _ENTRY_NAMES = {"decide", "decide_batch"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp,
                    ast.DictComp)
+#: the nodes :meth:`_Influences.note_statement` records def-use facts of
+_ASSIGNMENTS = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For,
+                ast.withitem, ast.NamedExpr)
+#: expression contexts and operators: leaves no fact reads
+_LEAF_FIELDS = frozenset({"ctx", "op", "ops"})
+
+
+def _children(node: ast.AST) -> List[ast.AST]:
+    """``ast.iter_child_nodes(node)`` without the leaves no fact reads:
+    expression contexts (``ctx``) and operators (``op``, ``ops``)."""
+    out: List[ast.AST] = []
+    for name in node._fields:
+        if name in _LEAF_FIELDS:
+            continue
+        value = getattr(node, name, None)
+        if isinstance(value, ast.AST):
+            out.append(value)
+        elif isinstance(value, list):
+            out.extend(item for item in value if isinstance(item, ast.AST))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +132,15 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp,
 def _name_roots(node: ast.AST) -> Set[str]:
     """Every plain name appearing in ``node`` — the (coarse) set of
     local values the expression can depend on."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    roots: Set[str] = set()
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name):
+            roots.add(node.id)
+        else:
+            todo.extend(_children(node))
+    return roots
 
 
 def _arg_roots(call: ast.Call) -> Set[str]:
@@ -244,7 +277,7 @@ def _bound_names(body: Sequence[ast.stmt]) -> Set[str]:
             stack.append(node.iter)
             stack.extend(node.ifs)
             continue
-        stack.extend(ast.iter_child_nodes(node))
+        stack.extend(_children(node))
     return bound - declared
 
 
@@ -296,7 +329,8 @@ class _Enclosing(NamedTuple):
     """What a node's enclosing defs mean for the rules.  A def's header
     (decorators, defaults, annotations) counts as inside the def, but
     for STORE001 its decorators belong to the enclosing scope, its
-    defaults to the def's own and its annotations to none."""
+    defaults to the def's own and its annotations to none; for DET004
+    it all belongs to no scope."""
 
     #: ``view``/``views`` parameters (ENG001)
     views: FrozenSet[str] = frozenset()
@@ -306,6 +340,9 @@ class _Enclosing(NamedTuple):
     in_hash: bool = False
     #: the STORE001 scope, ``None`` in an annotation
     payload: Optional[_PayloadScope] = None
+    #: the DET004 scope's :data:`SET_ITERATION_NODES` in post-order,
+    #: ``None`` in a def header
+    sets: Optional[List[ast.AST]] = None
 
 
 class _Unit:
@@ -349,6 +386,8 @@ class _Extractor:
         self._lambdas: Dict[int, _Unit] = {}
         #: every name some scope holds as an attached array
         self._arrays: Set[str] = set()
+        #: name → the calls assigned to it, built on first use
+        self._producers: Optional[Dict[str, List[ast.Call]]] = None
         self._off = {rule: severity_for(self.path, rule, "error") == "off"
                      for rule in ("DET001", "ENG001", "SHM001")}
 
@@ -405,11 +444,12 @@ class _Extractor:
         self.facts.exports = exports
         module_unit = self._new_unit(
             f"{self.module}.<module>", "<module>", tree, (), None, {})
-        enc = _Enclosing(payload=_PayloadScope())
+        enc = _Enclosing(payload=_PayloadScope(), sets=[])
         self._body(tree.body, (module_unit,), enc,
                    _Scope(None, "module", tree.body, ()), self.module,
                    None, {})
         self._payload_sites(enc.payload)
+        self._set_sites(enc.sets, ())
         for unit in self.units:
             self._finish(unit)
         return self.facts
@@ -472,22 +512,25 @@ class _Extractor:
         ``stated`` names (with the defs its calls can name), if any.
 
         For STORE001 a decorator runs in the enclosing scope and a
-        default feeds the body; annotations belong to no scope.
+        default feeds the body; annotations belong to no scope.  For
+        DET004 the body is a scope of its own and the header in none.
         """
         outer = enc.payload
         enc = enc._replace(
             views=enc.views | (set(_params(node)) & VIEW_PARAMS),
             callables=enc.callables | local_callables(node.body),
             in_hash=enc.in_hash or node.name == "__hash__",
-            payload=None)
+            payload=None, sets=None)
         if node.decorator_list:
             decorator = enc._replace(payload=outer)
             for header in node.decorator_list:
                 self._visit(header, units, decorator, scope)
-        body = enc._replace(payload=_PayloadScope())
-        for header in ast.iter_child_nodes(node.args):
+        body = enc._replace(payload=_PayloadScope(), sets=[])
+        default = body._replace(sets=None)
+        for header in _children(node.args):
             self._visit(header, units,
-                        enc if isinstance(header, ast.arg) else body, scope)
+                        enc if isinstance(header, ast.arg) else default,
+                        scope)
         if node.returns is not None:
             self._visit(node.returns, units, enc, scope)
         enc = body
@@ -500,6 +543,7 @@ class _Extractor:
             self._body(node.body, (unit,), enc, inner,
                        unit.facts.qualname, None, names)
         self._payload_sites(enc.payload)
+        self._set_sites(enc.sets, annotated_set_params(node))
 
     def _class(self, node: ast.ClassDef, units: Tuple[_Unit, ...],
                enc: _Enclosing, scope: _Scope,
@@ -527,8 +571,9 @@ class _Extractor:
         if isinstance(node, ast.ClassDef):
             self._class(node, units, enc, scope)
             return
-        for unit in units:
-            unit.influences.note_statement(node)
+        if isinstance(node, _ASSIGNMENTS):
+            for unit in units:
+                unit.influences.note_statement(node)
         if isinstance(node, ast.Call):
             for unit in units:
                 unit.calls.append(node)
@@ -583,11 +628,13 @@ class _Extractor:
             self._visit(node.body, units if named is None
                         else units + (named,), enc, inner)
             return
-        elif isinstance(node, _COMPREHENSIONS):
+        if isinstance(node, _COMPREHENSIONS):
             self._comprehension(node, units, enc, scope)
-            return
-        for child in ast.iter_child_nodes(node):
-            self._visit(child, units, enc, scope)
+        else:
+            for child in _children(node):
+                self._visit(child, units, enc, scope)
+        if enc.sets is not None and isinstance(node, SET_ITERATION_NODES):
+            enc.sets.append(node)
 
     def _comprehension(self, node: ast.AST, units: Tuple[_Unit, ...],
                        enc: _Enclosing, scope: _Scope) -> None:
@@ -596,9 +643,9 @@ class _Extractor:
         inner = _Scope(scope, "comprehension",
                        [gen.target for gen in node.generators], ())
         first = node.generators[0].iter
-        for child in ast.iter_child_nodes(node):
+        for child in _children(node):
             if isinstance(child, ast.comprehension):
-                for part in ast.iter_child_nodes(child):
+                for part in _children(child):
                     self._visit(part, units, enc,
                                 scope if part is first else inner)
             else:
@@ -654,6 +701,12 @@ class _Extractor:
         if payload.writes:
             for node, qual in payload.reads:
                 self._report("STORE001", node, purity_message(qual))
+
+    def _set_sites(self, nodes: List[ast.AST],
+                   set_params: Sequence[str]) -> None:
+        """DET004: a scope's set iterations that escape into order."""
+        for node, message in set_iteration(nodes, set_params, self.ctx):
+            self._report("DET004", node, message)
 
     def _private(self, node: ast.Attribute, name: str,
                  units: Tuple[_Unit, ...], views: FrozenSet[str]) -> None:
@@ -816,14 +869,16 @@ class _Extractor:
     def _producers_of(self, name: str) -> List[ast.Call]:
         """Call expressions assigned to ``name`` anywhere in the module
         (coarse: cross-unit assignments are rare for store keys)."""
-        out: List[ast.Call] = []
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.Assign) and isinstance(
-                    node.value, ast.Call):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and target.id == name:
-                        out.append(node.value)
-        return out
+        if self._producers is None:
+            self._producers = {}
+            for node in statements(self.ctx.tree):
+                if isinstance(node, ast.Assign) and isinstance(
+                        node.value, ast.Call):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            self._producers.setdefault(
+                                target.id, []).append(node.value)
+        return self._producers.get(name, [])
 
 
 def extract_module_facts(path: str, source: str) -> ModuleFacts:

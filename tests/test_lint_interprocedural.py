@@ -595,47 +595,9 @@ class TestTwoPhaseRunner:
                          "--jobs", "4"], REPO)
         assert j1.stdout == j4.stdout
 
-    def test_prune_baseline_round_trip(self, project, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        # 1. write a skeleton covering current findings, stamp reasons
-        result = self._lint(["src", "--write-baseline", str(baseline)],
-                            str(project))
-        assert result.returncode == 0
-        doc = json.loads(baseline.read_text())
-        for entry in doc["findings"]:
-            entry["reason"] = "fixture: known and intentional"
-        # 2. add a stale entry for a finding that does not exist
-        doc["findings"].append({
-            "file": "src/repro/algorithms/gone.py", "rule": "DET001",
-            "line": 3, "reason": "stale: file was deleted"})
-        baseline.write_text(json.dumps(doc))
-        # 3. a plain run reports the stale entry but keeps the file
-        before = baseline.read_text()
-        result = self._lint(["src", "--baseline", str(baseline)],
-                            str(project))
-        assert "stale baseline entry" in result.stdout
-        assert baseline.read_text() == before
-        # 4. --prune-baseline rewrites in place, dropping only the
-        #    stale entry and preserving hand-written reasons
-        result = self._lint(
-            ["src", "--baseline", str(baseline), "--prune-baseline"],
-            str(project))
-        assert result.returncode == 0
-        assert "pruned 1 stale entry" in result.stdout
-        pruned = json.loads(baseline.read_text())
-        files = {e["file"] for e in pruned["findings"]}
-        assert "src/repro/algorithms/gone.py" not in files
-        assert all(e["reason"] == "fixture: known and intentional"
-                   for e in pruned["findings"])
-        # 5. a second prune is a byte-level no-op
-        before = baseline.read_text()
-        result = self._lint(
-            ["src", "--baseline", str(baseline), "--prune-baseline"],
-            str(project))
-        assert "pruned 0 stale entries" in result.stdout
-        assert baseline.read_text() == before
-
-    def test_prune_requires_baseline(self, project):
-        result = self._lint(["src", "--prune-baseline"], str(project))
-        assert result.returncode == 2
-        assert "--prune-baseline requires --baseline" in result.stderr
+    def test_usage_errors_exit_2(self, project):
+        for args in (["src", "--baseline", "b.json"], ["missing"],
+                     ["src", "--jobs", "0"]):
+            result = self._lint(args, str(project))
+            assert result.returncode == 2, args
+            assert result.stdout == "", args

@@ -182,9 +182,12 @@ def _compute_levels_py(graph, k, restrict=None):
     return level
 
 
-def _propagate_exempt_py(graph, levels, alive, rounds, outputs, k,
+def _propagate_exempt_py(graph, levels, alive, rounds, outputs, labeled, k,
                          start_time):
-    """``generic_phases._propagate_exempt`` as a per-node scan."""
+    """``generic_phases._propagate_exempt`` as a per-node scan of
+    ``outputs``, which checks the caller's ``labeled`` list against it."""
+    assert sorted(labeled) == [v for v in graph.nodes()
+                               if outputs[v] in (W, B, E)]
     indptr, indices = graph.adjacency()
     step = 0
     while True:
@@ -204,6 +207,7 @@ def _propagate_exempt_py(graph, levels, alive, rounds, outputs, k,
             break
         for v in newly:
             _commit(v, E, start_time + step, rounds, outputs, alive)
+        labeled.extend(newly)
         step += 1
         assert step <= k + 1, "E-propagation exceeded its window"
 
