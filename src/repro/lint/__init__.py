@@ -22,10 +22,10 @@ Layout:
 * :mod:`repro.lint.rules` — the rule packs (DET, ENG, IPD, PAR, SHM,
   STORE).
 * :mod:`repro.lint.summaries` / :mod:`repro.lint.callgraph` — the one
-  fact extractor, whose walk is the only one over a parse (the sites
-  every intramodule rule reports, the per-function summary bits), the
-  project call graph and the fixpoints behind the IPD and STORE002
-  findings.
+  fact extractor, whose walk is the only one over a parse but DET004's
+  lazy parent map (the sites every intramodule rule reports, the
+  per-function summary bits), the project call graph and the fixpoints
+  behind the IPD and STORE002 findings.
 * :mod:`repro.lint.runner` / ``python -m repro.lint`` — file
   collection, one :func:`repro.parallel.fork_map` pass per file (the
   linter obeys the ordered-fan-out discipline it enforces) and

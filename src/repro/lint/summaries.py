@@ -2,7 +2,10 @@
 
 Each file is parsed once and walked once (:func:`extract_module_facts`,
 inside the runner's ``fork_map`` worker); no rule walks the parse
-again.  The walk records the sites of every intramodule rule — DET001
+again, but DET004's replay builds the lazy
+:meth:`~repro.lint.core.ModuleContext.parent` map (one more
+whole-module walk) in a file where a list, generator or call iterates
+a set.  The walk records the sites of every intramodule rule — DET001
 (an unseeded draw), DET002 (a builtin ``hash()``), DET003 (a
 clock/entropy source), DET004 (a set iteration escaping into order,
 replayed per scope at the scope's end), DET005 (an unordered fan-out
@@ -386,8 +389,6 @@ class _Extractor:
         self._lambdas: Dict[int, _Unit] = {}
         #: every name some scope holds as an attached array
         self._arrays: Set[str] = set()
-        #: name → the calls assigned to it, built on first use
-        self._producers: Optional[Dict[str, List[ast.Call]]] = None
         self._off = {rule: severity_for(self.path, rule, "error") == "off"
                      for rule in ("DET001", "ENG001", "SHM001")}
 
@@ -869,16 +870,14 @@ class _Extractor:
     def _producers_of(self, name: str) -> List[ast.Call]:
         """Call expressions assigned to ``name`` anywhere in the module
         (coarse: cross-unit assignments are rare for store keys)."""
-        if self._producers is None:
-            self._producers = {}
-            for node in statements(self.ctx.tree):
-                if isinstance(node, ast.Assign) and isinstance(
-                        node.value, ast.Call):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            self._producers.setdefault(
-                                target.id, []).append(node.value)
-        return self._producers.get(name, [])
+        out: List[ast.Call] = []
+        for node in statements(self.ctx.tree):
+            if isinstance(node, ast.Assign) and isinstance(
+                    node.value, ast.Call):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id == name:
+                        out.append(node.value)
+        return out
 
 
 def extract_module_facts(path: str, source: str) -> ModuleFacts:

@@ -33,7 +33,7 @@ from repro.algorithms.rake_compress import (
 )
 from repro.families import get_family
 from repro.lcl.dfree import A_INPUT, W_INPUT
-from repro.lcl.hierarchical import B, E, W
+from repro.lcl.hierarchical import B, D, E, W
 from repro.lcl.levels import compute_levels
 from repro.local import Graph, cycle_graph, disjoint_union, path_graph, random_ids
 from repro.local import vec
@@ -385,6 +385,24 @@ class TestGenericPhasesParity:
                         g, ids, 3, [3, 5], variant))
                 assert a.rounds == b.rounds, (family, n, variant)
                 assert a.outputs == b.outputs, (family, n, variant)
+
+    @pytest.mark.parametrize("variant", ["2.5", "3.5"])
+    def test_phase_k_colours_paths(self, variant, monkeypatch):
+        # at k = 2 these trees keep level-2 paths alive into phase k, so
+        # the oracle's entry check also covers phase k's labeled nodes
+        for family in ("random_tree", "fragmented_forest",
+                       "bounded_tree_d3"):
+            g = _instance(family, 250, 13)
+            ids = random_ids(g.n, rng=random.Random(250))
+            a, b = _with_oracle(
+                monkeypatch, generic_phases, "_propagate_exempt",
+                _propagate_exempt_py,
+                lambda: run_generic_fast_forward(g, ids, 2, [3], variant))
+            levels = compute_levels(g, 2)
+            assert any(levels[v] == 2 and a.outputs[v] not in (D, E)
+                       for v in g.nodes()), family
+            assert a.rounds == b.rounds, (family, variant)
+            assert a.outputs == b.outputs, (family, variant)
 
     def test_restrict_and_offset(self, monkeypatch):
         g = get_family("random_tree").instance(200, 4, 0)
