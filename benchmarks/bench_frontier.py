@@ -14,7 +14,7 @@ Gates:
 * every sample's outputs and rounds equal
   :func:`~repro.algorithms.two_coloring_fast_forward`, and the reference
   run's equal the first sample's;
-* the first sample runs at least 32x faster than the reference engine,
+* the first sample runs at least 64x faster than the reference engine,
   so the expansion path has a bound of its own;
 * each cached sample runs at least 5x faster than the first.
 """
@@ -29,7 +29,7 @@ from repro.local import LocalSimulator, random_ids
 
 N = 1024
 SAMPLES = 3
-MIN_EXPAND_SPEEDUP = 32.0
+MIN_EXPAND_SPEEDUP = 64.0
 MIN_SPEEDUP = 5.0
 
 

@@ -159,17 +159,15 @@ def run_generic_fast_forward(
                 # node knows its whole path after exactly ecc exchanges
                 ecc = max(idx, m - 1 - idx)
                 _commit(v, col, s_k + ecc + time_offset, rounds, outputs, alive)
-            labeled.extend(path)
         else:
             cv_colors, t_cv = three_color_path([ids[v] for v in path], space)
             for v, c in zip(path, cv_colors):
                 _commit(
                     v, COLORS_3[c], s_k + t_cv + time_offset, rounds, outputs, alive
                 )
-    _propagate_exempt(
-        graph, levels, alive, rounds, outputs, labeled, k,
-        start_time=s_k + 1 + time_offset,
-    )
+    # phases 1..k commit every alive path of their level and level k + 1
+    # committed up front, so no E-propagation can follow phase k: the
+    # stranded check below would raise on any node one could commit
     meta["remaining_after_phase"][k] = sum(alive)
 
     stranded = [v for v in range(n) if alive[v]]

@@ -3,35 +3,38 @@
 Array-level ``decide_batch`` implementations ask for ball facts —
 completeness and size — for every live centre at once.  **One**
 scheduler answers them by growing *all* live balls together: the
-round-``r`` frontier of every live centre lives in two flat int64 arrays
-``(centers, nodes)`` (grouped by centre), and one vectorized step per
-round advances every frontier at once.
+round-``r`` frontier of every live centre lives in one flat sorted int64
+array of ``(center, node)`` keys, ``(center << b) | node`` with
+``b = max(1, (n - 1).bit_length())``, and one vectorized step per round
+advances every frontier at once.  A key takes ``2b + 1`` bits in the
+dedup below, so graphs of more than ``2**31`` nodes are rejected.
 
 Layers live in a flat per-radius cache, the ``"frontier"`` entry of the
 atlas ``LocalSimulator.run_batch`` shares across ID samples.  Radius
 ``r``'s entry holds the centres grown to ``r`` as a sorted int64 array
-and their layer-``r`` nodes as two centre-grouped int64 arrays
-``(centers, nodes)`` in per-node BFS order; a centre without rows has an
-empty layer ``r``, i.e. a ball that completed.  A step whose centres the
-entry all holds is served straight from its arrays, so a later ID sample
-that grows the same balls re-reads every layer without scanning an edge.
-A step with any other centre expands all of its centres and the result
-replaces radius ``r``'s entry.  The cache holds O(rows + grown centres)
-bytes, never an ``n``-length array per radius.
+and their layer-``r`` nodes as one sorted key array, so each centre's
+layer is a contiguous run of keys in ascending node order; a centre
+without keys has an empty layer ``r``, i.e. a ball that completed.  A
+step whose centres the entry all holds is served straight from its
+arrays, so a later ID sample that grows the same balls re-reads every
+layer without scanning an edge.  A step with any other centre expands
+all of its centres and the result replaces radius ``r``'s entry.  The
+cache holds O(keys + grown centres) bytes, never an ``n``-length array
+per radius.
 
 Expansion is one vectorized CSR sweep over the round's frontier.
 Deduplication uses the standard two-layer BFS identity on undirected
 graphs: a neighbour of a node at distance ``r - 1`` is at distance
-``r - 2``, ``r - 1`` or ``r``, so a candidate is new iff its
-``(center, node)`` key is in neither of the two layers before it — no
-per-centre visited sets are needed.  One sort of the keys of both
-layers and of the candidates, concatenated in that order, decides it: a
-key is new iff its first position is a candidate, and that position is
-the key's first occurrence in the candidate stream.  The stream lists
-centres in order and, per centre, the previous layer in layer order
-with neighbours in CSR order — the per-node BFS order — so every layer
-is byte-identical to the one :meth:`~repro.local.graph.Graph.bfs_layers`
-yields for its centre alone.
+``r - 2``, ``r - 1`` or ``r``, so a candidate is new iff its key is in
+neither of the two layers before it — no per-centre visited sets are
+needed.  One sort decides it: the keys of both layers shifted left by
+one bit and the candidates' keys shifted with the low bit set, sorted
+together, put every layer key right before its own candidates; an odd
+entry is new iff its predecessor is smaller by more than 1 (neither its
+layer key nor a copy of itself), and those entries shifted back are the
+next layer, already sorted.  Each layer holds the same nodes as the one
+:meth:`~repro.local.graph.Graph.bfs_layers` yields for its centre
+alone, in ascending order.
 
 Growth is **lazy**: the scheduler only sweeps when something actually asks
 for ball facts at the current round, and allocates its per-node arrays
@@ -54,10 +57,13 @@ __all__ = ["FrontierScheduler", "BatchedViews"]
 _EMPTY = np.empty(0, dtype=np.int64)
 
 #: the atlas entry holding the flat per-radius layer cache: a list whose
-#: item ``r >= 1`` is radius ``r``'s entry ``(grown, rows_c, rows_v)`` —
-#: the sorted centres grown to ``r`` and their layer-``r`` nodes grouped
-#: by centre in per-node BFS order (item 0, radius 0, is implicit)
+#: item ``r >= 1`` is radius ``r``'s entry ``(grown, keys)`` — the
+#: sorted centres grown to ``r`` and the sorted ``(center << b) | node``
+#: keys of their layer-``r`` nodes (item 0, radius 0, is implicit)
 _CACHE_KEY = "frontier"
+
+#: the largest ``n`` whose ``2b + 1``-bit dedup keys fit in an int64
+_MAX_NODES = 2 ** 31
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -131,24 +137,28 @@ class FrontierScheduler:
     def __init__(
         self, graph: Graph, committed: bytearray, atlas: Optional[Dict] = None
     ) -> None:
-        self._n = graph.n
+        n = graph.n
+        if n > _MAX_NODES:
+            raise ValueError(
+                f"the frontier scheduler keys (center, node) pairs in an "
+                f"int64 and grows at most {_MAX_NODES} nodes, got n={n}")
+        self._n = n
+        self._bits = max(1, (n - 1).bit_length())
         self._indptr, self._indices = csr_arrays(graph)
         self._committed = np.frombuffer(committed, dtype=np.uint8)
         self._atlas = {} if atlas is None else atlas
         cache = self._atlas.get(_CACHE_KEY)
         if cache is None:
             cache = self._atlas[_CACHE_KEY] = [None]
-        self._cache: List[Optional[Tuple[np.ndarray, np.ndarray,
-                                         np.ndarray]]] = cache
+        self._cache: List[Optional[Tuple[np.ndarray, np.ndarray]]] = cache
         self.radius = 0
         self._complete: Optional[np.ndarray] = None
         self._ball_size: Optional[np.ndarray] = None
-        # layers `radius` and `radius - 1` of every still-growing centre,
-        # grouped by centre — all the two-layer dedup needs; the current
-        # layer is None until the first sweep
-        self._cur_c: Optional[np.ndarray] = None
-        self._cur_v: Optional[np.ndarray] = None
-        self._prev_c = self._prev_v = _EMPTY
+        # the sorted keys of layers `radius` and `radius - 1` of every
+        # still-growing centre — all the two-layer dedup needs; the
+        # current layer is None until the first sweep
+        self._cur: Optional[np.ndarray] = None
+        self._prev = _EMPTY
 
     @property
     def complete(self) -> np.ndarray:
@@ -173,16 +183,19 @@ class FrontierScheduler:
         ``r``'s cache entry if it holds every live centre, else expand
         the round and make the result that entry."""
         r = self.radius + 1
-        cur_c, cur_v = self._cur_c, self._cur_v
-        if cur_c is None:
-            cur_c = cur_v = np.arange(self._n, dtype=np.int64)
-        if len(cur_c):
+        b = self._bits
+        cur = self._cur
+        if cur is None:
+            nodes = np.arange(self._n, dtype=np.int64)
+            cur = (nodes << b) | nodes
+        cur_c = cur >> b
+        if len(cur):
             # committed centres leave the flat frontier permanently
             keep = self._committed[cur_c] == 0
             if not keep.all():
-                cur_c, cur_v = cur_c[keep], cur_v[keep]
-        if not len(cur_c):
-            self._prev_c = self._prev_v = self._cur_c = self._cur_v = _EMPTY
+                cur, cur_c = cur[keep], cur_c[keep]
+        if not len(cur):
+            self._prev = self._cur = _EMPTY
             self.radius = r
             return
 
@@ -192,54 +205,44 @@ class FrontierScheduler:
         entry = cache[r] if r < len(cache) else None
         if entry is None or not _member(centers, entry[0]).all():
             # some centre was never grown to r: expand the whole round
-            entry = (centers,) + self._expand(cur_c, cur_v)
+            entry = (centers, self._expand(cur))
             if r < len(cache):
                 cache[r] = entry
             else:
                 cache.append(entry)
         # a cached entry's other centres committed earlier in this run;
-        # the next step's commit filter drops their rows
-        _, rows_c, rows_v = entry
-        sizes = (np.searchsorted(rows_c, centers, side="right")
-                 - np.searchsorted(rows_c, centers))
+        # the next step's commit filter drops their keys
+        keys = entry[1]
+        sizes = (np.searchsorted(keys, (centers + 1) << b)
+                 - np.searchsorted(keys, centers << b))
         self.ball_size[centers] += sizes
         self.complete[centers[sizes == 0]] = True
-        self._prev_c, self._prev_v = cur_c, cur_v
-        self._cur_c, self._cur_v = rows_c, rows_v
+        self._prev, self._cur = cur, keys
         self.radius = r
 
-    def _expand(self, cur_c: np.ndarray,
-                cur_v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The next layer ``(centers, nodes)`` of the centres in ``cur``
-        (their last layer), deduplicated against it and the layer before
-        it."""
-        prev_c, prev_v = self._prev_c, self._prev_v
+    def _expand(self, cur: np.ndarray) -> np.ndarray:
+        """The sorted keys of the next layer of the centres in ``cur``
+        (the keys of their last layer), deduplicated against it and the
+        layer before it."""
+        b = self._bits
+        cur_v = cur & ((1 << b) - 1)
         indptr = self._indptr
         first = indptr[cur_v]
         deg = indptr[cur_v + 1] - first
         total = int(deg.sum())
         if not total:
-            return _EMPTY, _EMPTY
-        cand_c = np.repeat(cur_c, deg)
+            return _EMPTY
         slots = np.arange(total, dtype=np.int64) + np.repeat(
             first - (np.cumsum(deg) - deg), deg)
-        cand_v = self._indices[slots]
-        n = self._n
-        keys = np.concatenate((prev_c * n + prev_v, cur_c * n + cur_v,
-                               cand_c * n + cand_v))
-        order = np.argsort(keys)
-        keys = keys[order]
-        lead = np.empty(len(keys), dtype=bool)
-        lead[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=lead[1:])
-        # first position of each key (the sort need not be stable: take
-        # the least position of each run of equal keys), as an offset
-        # into the candidates
-        pos = np.minimum.reduceat(order, np.flatnonzero(lead))
-        pos -= len(keys) - total
-        fresh = np.zeros(total, dtype=bool)
-        fresh[pos[pos >= 0]] = True
-        return cand_c[fresh], cand_v[fresh]
+        cand = np.repeat(cur - cur_v, deg) | self._indices[slots]
+        # layer keys even, candidate keys odd, behind a sentinel that is
+        # smaller than every key by more than 1
+        keys = np.concatenate(((-2,), self._prev << 1, cur << 1,
+                               (cand << 1) | 1))
+        keys.sort()
+        head = keys[1:]
+        fresh = head[((head & 1) == 1) & (head - keys[:-1] > 1)]
+        return fresh >> 1
 
 
 class BatchedViews:

@@ -2,9 +2,10 @@
 
 The observational batched-vs-reference engine contract is pinned in
 ``tests/test_engine_equivalence.py``; this module goes one level down:
-the :class:`~repro.local.frontier.FrontierScheduler` must grow layers
-byte-identical to the reference's own per-node BFS,
-:meth:`~repro.local.graph.Graph.bfs_layers` (same lists, same order).
+the :class:`~repro.local.frontier.FrontierScheduler` must grow the
+layers of the reference's own per-node BFS,
+:meth:`~repro.local.graph.Graph.bfs_layers` (same sets, in ascending
+order).
 Plus coverage for the adversarial ID modes, the cached trace
 percentiles, the sweep's auto-engine / id-mode axes, and
 :class:`~repro.local.algorithm.CommitSchedule` against the live-set
@@ -12,6 +13,7 @@ filter it replaced.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,16 +70,60 @@ def _scheduler_corpus():
 SCHED_CORPUS = _scheduler_corpus()
 
 
-def _cached_layers(atlas, v):
+def _random_graph(seed):
+    """A seeded ``Graph`` of at most 60 nodes made of one to five pieces
+    (isolated nodes, trees, cycles of either parity, dense random
+    blocks), a few random edges bridging some of them, and the node
+    numbers shuffled so that the pieces interleave."""
+    rng = random.Random(seed)
+    edges = set()
+    n = 0
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(("isolated", "tree", "cycle", "dense"))
+        size = 1 if kind == "isolated" else rng.randint(3, 12)
+        if kind == "tree":
+            edges |= {(n + rng.randrange(j), n + j) for j in range(1, size)}
+        elif kind == "cycle":
+            edges |= {(n + j, n + (j + 1) % size) for j in range(size)}
+        elif kind == "dense":
+            edges |= {(n + i, n + j) for j in range(size) for i in range(j)
+                      if rng.random() < 0.6}
+        n += size
+    for _ in range(rng.randint(0, 2)):
+        if n > 1:
+            edges.add(tuple(rng.sample(range(n), 2)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v]))
+                            for u, v in edges}))
+
+
+RANDOM_SEEDS = range(30)
+
+
+def _key_bits(n):
+    """The node field's width in the cache's ``(center << b) | node``
+    keys."""
+    return max(1, (n - 1).bit_length())
+
+
+def _cached_layers(atlas, v, n):
     """Centre ``v``'s layers as the scheduler's flat cache (the atlas's
     ``"frontier"`` entry) holds them: layer 0, then layer ``r`` of every
     radius whose entry grew ``v``, up to the first that did not."""
+    b = _key_bits(n)
     layers = [[v]]
-    for grown, rows_c, rows_v in atlas["frontier"][1:]:
+    for grown, keys in atlas["frontier"][1:]:
         if v not in grown:
             break
-        layers.append(rows_v[rows_c == v].tolist())
+        layers.append((keys[(keys >> b) == v] & ((1 << b) - 1)).tolist())
     return layers
+
+
+def _sorted_bfs_layers(graph, v):
+    """:meth:`Graph.bfs_layers` of centre ``v`` alone, each layer in
+    ascending order, as the cache holds it."""
+    return [sorted(layer) for layer in graph.bfs_layers([v])]
 
 
 class TestFrontierScheduler:
@@ -90,12 +136,87 @@ class TestFrontierScheduler:
         sched = FrontierScheduler(graph, bytearray(n), atlas=atlas)
         sched.grow_to(n + 1)
         for v in range(n):
-            bfs = list(graph.bfs_layers([v]))
-            # identical lists in identical order, then the empty layer
+            bfs = _sorted_bfs_layers(graph, v)
+            # identical layers in ascending order, then the empty layer
             # at which the ball completed
-            assert _cached_layers(atlas, v) == bfs + [[]], (name, v)
+            assert _cached_layers(atlas, v, n) == bfs + [[]], (name, v)
             assert bool(sched.complete[v]), (name, v)
             assert int(sched.ball_size[v]) == sum(map(len, bfs)), (name, v)
+
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_random_graphs_match_bfs_under_random_commits(self, seed):
+        g = _random_graph(seed)
+        n, b = g.n, _key_bits(g.n)
+        oracle = [_sorted_bfs_layers(g, v) for v in range(n)]
+        rng = random.Random(1000 + seed)
+        atlas = {}
+        for rate in (rng.choice((0.05, 0.2)), rng.choice((0.0, 0.1))):
+            # the second run shares the first's atlas: with other commits
+            # it re-reads some radii and expands others again
+            committed = bytearray(n)
+            sched = FrontierScheduler(g, committed, atlas=atlas)
+            frozen = [None] * n  # the radius a centre committed at
+            for r in range(1, n + 2):
+                sched.grow_to(r)
+                for v in range(n):
+                    rho = r if frozen[v] is None else frozen[v]
+                    assert int(sched.ball_size[v]) == sum(
+                        map(len, oracle[v][:rho + 1])), (seed, r, v)
+                    assert bool(sched.complete[v]) == (
+                        len(oracle[v]) <= rho), (seed, r, v)
+                # the centres this step grew: neither committed nor
+                # complete before it
+                growing = [v for v in range(n)
+                           if frozen[v] is None and len(oracle[v]) >= r]
+                if not growing:
+                    break
+                # a step writes or reads radius r's entry only, so this
+                # checks every cached layer after every step
+                grown, keys = atlas["frontier"][r]
+                assert set(growing) <= set(grown.tolist()), (seed, r)
+                assert np.all(keys[1:] > keys[:-1]), (seed, r)
+                layers = {int(c): [] for c in grown}
+                for key in keys.tolist():
+                    layers[key >> b].append(key & ((1 << b) - 1))
+                assert len(layers) == len(grown), (seed, r)
+                for c, layer in layers.items():
+                    want = oracle[c][r] if r < len(oracle[c]) else []
+                    assert layer == want, (seed, r, c)
+                for v in range(n):
+                    if frozen[v] is None and rng.random() < rate:
+                        committed[v] = 1
+                        frozen[v] = r
+
+    def test_random_corpus_covers_every_shape(self):
+        # isolated nodes, several components, odd cycles, dense pieces
+        shapes = set()
+        for seed in RANDOM_SEEDS:
+            g = _random_graph(seed)
+            assert 1 <= g.n <= 60
+            components = {min(sum(_sorted_bfs_layers(g, v), []))
+                          for v in range(g.n)}
+            degrees = [len(g.neighbors(v)) for v in range(g.n)]
+            # an edge inside a BFS layer closes an odd cycle
+            odd_cycle = any(set(g.neighbors(u)) & set(layer)
+                            for v in range(g.n)
+                            for layer in g.bfs_layers([v]) for u in layer)
+            shapes |= {("isolated", 0 in degrees),
+                       ("components", len(components) > 1),
+                       ("odd cycle", odd_cycle),
+                       ("dense", max(degrees, default=0) >= 5)}
+        assert {s for s, present in shapes if present} == {
+            "isolated", "components", "odd cycle", "dense"}
+
+    def test_more_than_2_pow_31_nodes_rejected_before_any_array(self):
+        # keys take 2b + 1 bits, 63 at n = 2**31; the stub is just a
+        # node count, so the guard must raise before the scheduler reads
+        # the graph's CSR arrays
+        with pytest.raises(ValueError, match="2147483648"):
+            FrontierScheduler(SimpleNamespace(n=2 ** 31 + 1), bytearray())
+        # n = 2**31 passes the guard and fails only at the stub's
+        # missing adjacency
+        with pytest.raises(AttributeError):
+            FrontierScheduler(SimpleNamespace(n=2 ** 31), bytearray())
 
     def test_committed_centers_stop_growing(self):
         g = path_graph(9)
@@ -106,8 +227,8 @@ class TestFrontierScheduler:
         committed[4] = 1
         sched.grow_to(4)
         # node 4's layers froze at radius 2; its neighbours kept growing
-        assert len(_cached_layers(atlas, 4)) == 3
-        assert len(_cached_layers(atlas, 3)) == 5
+        assert len(_cached_layers(atlas, 4, 9)) == 3
+        assert len(_cached_layers(atlas, 3, 9)) == 5
         assert int(sched.ball_size[4]) == 5
 
     def test_lazy_growth(self):
@@ -123,7 +244,7 @@ class TestFrontierScheduler:
         g = path_graph(50)
         sched = FrontierScheduler(g, bytearray(50))
         sched.grow_to(0)
-        assert sched._cur_c is None
+        assert sched._cur is None
         assert sched._complete is None and sched._ball_size is None
         assert int(sched.ball_size.sum()) == 50
         assert not sched.complete.any()
@@ -187,7 +308,7 @@ class TestLayerCache:
     ])
     def test_mixed_rounds_match_a_fresh_scheduler(self, family, n):
         (g,) = get_family(family).instances(n, seed=3, count=1)
-        full = [list(g.bfs_layers([v])) + [[]] for v in range(g.n)]
+        full = [_sorted_bfs_layers(g, v) + [[]] for v in range(g.n)]
         rng = random.Random(8)
         atlas = {}
         traces = []
@@ -199,7 +320,7 @@ class TestLayerCache:
             # the cache holds every centre's BFS layers, through the
             # radius this sample grew it to at least
             for v in range(g.n):
-                layers = _cached_layers(atlas, v)
+                layers = _cached_layers(atlas, v, g.n)
                 assert layers == full[v][:len(layers)], v
                 assert len(layers) > trace.rounds[v], v
         # a node is grown to radius r in a run iff it commits at round
@@ -229,7 +350,7 @@ class TestLayerCache:
             sizes.append(sum(arr.nbytes for entry in atlas["frontier"][1:]
                              for arr in entry))
         # the second sample re-reads node 0's layers without storing more
-        assert sizes[0] == sizes[1] <= 64 * g.n
+        assert sizes[0] == sizes[1] <= 16 * g.n
 
 
 def _filter_oracle(rounds, labels):

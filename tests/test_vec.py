@@ -374,7 +374,8 @@ class TestGenericPhasesParity:
     @pytest.mark.parametrize("variant", ["2.5", "3.5"])
     def test_full_trace(self, variant, monkeypatch):
         # at k = 2 some trees keep level-2 paths alive into phase k, so
-        # the oracle's entry check also covers phase k's labeled nodes
+        # the traces also compare which level-k nodes the E-propagation
+        # before phase k left for it to colour
         phase_k_coloured = 0
         for k, gammas in ((3, [3, 5]), (2, [3])):
             for family in ("path", "random_tree", "caterpillar",
