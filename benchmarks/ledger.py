@@ -8,11 +8,14 @@ Run from the root of a checkout::
     python benchmarks/ledger.py --ledger BENCH_27.json --compare BENCH_26.json
 
 ``--out`` runs ``perfbench/run.py --seconds 0`` for each workload that
-BENCHMARK.json lists, once at ``--trace 0`` (the end-to-end metrics) and
-once at ``--trace 1`` (the per-layer metrics), and writes the ledger with
-sorted keys: per workload and run, perfbench's host facts, its
-``correct``/``attempted``/``failed`` verdict and its metrics.
-``--ledger`` reads an existing ledger instead of running anything.
+BENCHMARK.json lists, three times at ``--trace 0`` (the end-to-end
+metrics) and once at ``--trace 1`` (the per-layer metrics), and writes
+the ledger with sorted keys: per workload and run, perfbench's host
+facts, its ``correct``/``attempted``/``failed`` verdict and its metrics.
+Each end-to-end metric is the median of its three runs, so one slow run
+of the host does not move it; the entry is correct only if all three
+runs are, and its ``failed`` is the largest of the three.  ``--ledger``
+reads an existing ledger instead of running anything.
 
 ``--compare OLD.json`` prints every metric's ratio (new / old) and flags
 each end-to-end metric that is worse than OLD by more than its
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from typing import Dict, List
@@ -33,6 +37,8 @@ from typing import Dict, List
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARK_JSON = os.path.join(ROOT, "BENCHMARK.json")
 RUNS = (("end_to_end", 0), ("per_layer", 1))
+#: ``--trace 0`` runs per workload, whose medians the ledger records
+END_TO_END_REPEATS = 3
 #: perfbench's workload seed; only the sweeps draw from it
 SEED = 0
 
@@ -59,14 +65,33 @@ def run_perfbench(workload: str, trace: int) -> Dict:
             "metrics": result["metrics"]}
 
 
+def median_run(runs: List[Dict]) -> Dict:
+    """One ledger entry from repeated runs of a workload: each metric's
+    median, correct only if every run is, the largest ``failed``, and
+    the first run's host facts and ``attempted``."""
+    first = runs[0]
+    return {"host": first["host"],
+            "correct": all(run["correct"] for run in runs),
+            "attempted": first["attempted"],
+            "failed": max(run["failed"] for run in runs),
+            "metrics": {
+                metric: {**spec, "value": statistics.median(
+                    run["metrics"][metric]["value"] for run in runs)}
+                for metric, spec in first["metrics"].items()}}
+
+
 def build_ledger(benchmark: Dict) -> Dict:
     workloads = {}
     for spec in benchmark["workloads"]:
         name = spec["name"]
         workloads[name] = {}
         for run, trace in RUNS:
-            print(f"ledger: {name} --trace {trace}", file=sys.stderr)
-            workloads[name][run] = run_perfbench(name, trace)
+            repeats = END_TO_END_REPEATS if run == "end_to_end" else 1
+            runs = []
+            for _ in range(repeats):
+                print(f"ledger: {name} --trace {trace}", file=sys.stderr)
+                runs.append(run_perfbench(name, trace))
+            workloads[name][run] = median_run(runs)
     return {"seed": SEED, "workloads": workloads}
 
 

@@ -86,11 +86,12 @@ class WaitForWholeGraph(LocalAlgorithm):
                 # same key min(view.nodes()) yields in the per-node path
                 for u in comp:
                     self._comp_of[u] = comp[0]
-        comp_of, ids = self._comp_of, views.ids
+        comp_of = self._comp_of
         labels = []
         for v in ready.tolist():
             key = comp_of[v]
             if key not in self._cache:
+                ids = views.ids.tolist()
                 masked = [ids[u] if comp_of[u] == key else 0 for u in range(n)]
                 self._cache[key] = self._solve(views.graph, masked)
             labels.append(self._cache[key][v])

@@ -126,7 +126,7 @@ class GenericPhaseColoring(MessageAlgorithm):
         observationally identical on the algorithm's full input
         domain."""
         if self._replay is None:
-            graph, ids = views.graph, views.ids
+            graph, ids = views.graph, views.ids.tolist()
             if graph.is_forest():
                 from .generic_phases import run_generic_fast_forward
 
@@ -139,7 +139,7 @@ class GenericPhaseColoring(MessageAlgorithm):
                 from ..local.message import run_message_dynamics
 
                 rounds, outs = run_message_dynamics(
-                    graph, self, list(ids), views.budget,
+                    graph, self, ids, views.budget,
                     neighbor_lists=views.neighbor_lists(),
                 )
             self._replay = CommitSchedule(rounds, outs)

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from ..local.algorithm import BatchedAlgorithm, CommitSchedule
 from ..local.graph import Graph
 from ..local.metrics import ExecutionTrace
@@ -54,7 +56,7 @@ class ScheduleReplay(BatchedAlgorithm):
     def __init__(self, name: str, fast_forward: FastForward) -> None:
         self.name = name
         self._fast_forward = fast_forward
-        self._ids: Optional[List[int]] = None
+        self._ids: Optional[np.ndarray] = None
         self._schedule: Optional[CommitSchedule] = None
 
     def setup(self, graph: Graph, n: int) -> None:
@@ -63,7 +65,7 @@ class ScheduleReplay(BatchedAlgorithm):
 
     def _ensure(self, views) -> CommitSchedule:
         if self._schedule is None or self._ids is not views.ids:
-            trace = self._fast_forward(views.graph, list(views.ids))
+            trace = self._fast_forward(views.graph, views.ids.tolist())
             self._schedule = CommitSchedule(trace.rounds, trace.outputs)
             self._ids = views.ids
         return self._schedule

@@ -21,14 +21,15 @@ parallel to 6 colours, shed to 3 colours per forest, and finally shed the
 from __future__ import annotations
 
 import math
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..local.algorithm import CONTINUE, CommitSchedule, LocalAlgorithm, View
+from ..local.algorithm import CONTINUE, LocalAlgorithm, View
 from ..local.graph import Graph
 from ..local.ids import id_space_size
-from ..local.message import MessageAlgorithm, NodeInfo, run_message_dynamics
+from ..local.message import MessageAlgorithm, NodeInfo
 
 __all__ = [
     "cv_iterations",
@@ -114,6 +115,7 @@ def three_color_path(ids: Sequence[int], space: int) -> Tuple[List[int], int]:
     m = len(ids)
     if m == 0:
         return [], 0
+    ids = list(map(operator.index, ids))  # cv_step calls int.bit_length
     if len(set(ids)) != m:
         raise ValueError("IDs on a path must be distinct")
     neighbors = [[j for j in (i - 1, i + 1) if 0 <= j < m] for i in range(m)]
@@ -203,7 +205,6 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         self._iters = 0
         self._total = 0
         self._bstate: Optional[dict] = None
-        self._replay: Optional[CommitSchedule] = None
 
     def setup(self, graph: Graph, n: int) -> None:
         if graph.max_degree() > 2:
@@ -212,7 +213,6 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         self._iters = cv_iterations(space)
         self._total = self._iters + _SHED_ROUNDS
         self._bstate = None  # per-execution batched state
-        self._replay = None
 
     def init_state(self, info: NodeInfo, n: int) -> _CVState:
         return _CVState(info.vid)
@@ -295,19 +295,8 @@ class ColeVishkin3Coloring(MessageAlgorithm):
         uint8 from the second iteration on, and a shedding round only
         touches the nodes holding its colour.  Never touches the
         frontier scheduler (the CV schedule needs no ball facts), so a
-        batched run does zero BFS work.
-
-        IDs beyond int64 (``views.id_array`` is None) have no array
-        form; then the schedule of one global run of the message
-        dynamics streams from a :class:`CommitSchedule`, as
-        ``GenericPhaseColoring`` does on graphs with cycles."""
-        if views.id_array is None:
-            if self._replay is None:
-                self._replay = CommitSchedule(*run_message_dynamics(
-                    views.graph, self, list(views.ids), views.budget,
-                    neighbor_lists=views.neighbor_lists(),
-                ))
-            return self._replay.due(t)
+        batched run does zero BFS work.  The first iteration reads the
+        run's int64 IDs, ``views.ids``, as they are."""
         if t >= self._total:
             return live, self._bstate["comp"][live]
         st = self._bstate
@@ -331,7 +320,7 @@ class ColeVishkin3Coloring(MessageAlgorithm):
     def _batch_init(views) -> dict:
         from ..local.vec import csr_arrays
 
-        ids = views.id_array
+        ids = views.ids
         # degree <= 2 (enforced by setup): a node's neighbours sit in CSR
         # slots indptr[v] and indptr[v] + 1; two -1 pad slots keep both
         # reads in range for the nodes of degree < 2 at the end
@@ -440,7 +429,7 @@ class CanonicalTwoColoring(LocalAlgorithm):
         if not len(ready):
             return (), ()
         if self._colors is None:
-            graph, ids = views.graph, views.ids
+            graph, ids = views.graph, views.ids.tolist()
             colors = [0] * views.n
             for _comp, _root, dist_root in _canonical_component_roots(
                 graph, ids

@@ -254,31 +254,30 @@ class BatchedViews:
     for array-level decisions, grown lazily, so algorithms that never
     ask for ball facts never pay for a single sweep.
 
-    ``ids`` is the run's ID list and ``id_array`` the same IDs as the
-    read-only int64 array :func:`~repro.local.ids.validate_ids` built
-    (None when the IDs exceed int64), so array-level algorithms need no
-    conversion of their own.  ``commit_round`` (int64, ``-1`` until a
-    node commits) and ``outputs`` (object) are read-only views of the
-    engine's commit state arrays (writes raise).
+    ``ids`` is the run's IDs as the read-only int64 array
+    :func:`~repro.local.ids.validate_ids` built, so array-level
+    algorithms need no conversion of their own; one that indexes IDs
+    node by node in Python converts it once with ``tolist()``.
+    ``commit_round`` (int64, ``-1`` until a node commits) and
+    ``outputs`` (object) are read-only views of the engine's commit
+    state arrays (writes raise).
     """
 
-    __slots__ = ("graph", "n", "ids", "id_array", "round", "budget",
+    __slots__ = ("graph", "n", "ids", "round", "budget",
                  "commit_round", "outputs", "_scheduler")
 
     def __init__(
         self,
         graph: Graph,
-        ids: List[int],
+        ids: np.ndarray,
         commit_round: np.ndarray,
         outputs: np.ndarray,
         scheduler: FrontierScheduler,
         budget: int = 0,
-        id_array: Optional[np.ndarray] = None,
     ) -> None:
         self.graph = graph
         self.n = graph.n
         self.ids = ids
-        self.id_array = id_array
         self.round = 0
         #: the engine's round budget for this execution — algorithms that
         #: run an inner simulation (schedule-replay fallbacks) must bound

@@ -13,9 +13,8 @@ assignment is part of the experiment design:
   draw: the assignment is the first ``n`` distinct values of that draw
   stream, in draw order.  One sort of the first ``n`` draws finds the
   usual case, no repeat, where that batch is the assignment; only a
-  repeat pays for ``np.unique``'s first-occurrence pass.  Spaces beyond
-  int64 (``n > 2 097 151`` at ``c = 3``), which numpy cannot draw from,
-  fall back to a sequential ``rng.randint`` rejection loop;
+  repeat pays for ``np.unique``'s first-occurrence pass.  A space beyond
+  int64 (``n > 2 097 151`` at ``c = 3``) raises ``ValueError``;
 * adversarial assignments — the node-averaged measure is a sup over ID
   assignments as well as topology, so sweeps probe structured worst cases:
   :func:`descending_ids` (IDs strictly decreasing in handle order — on
@@ -33,13 +32,19 @@ assignment is part of the experiment design:
   simulator entry point applies to caller-supplied assignments: one
   sorted integer-array pass accepts a valid assignment and returns it
   as a read-only int64 array, and the per-ID loop, its oracle, produces
-  every rejection.
+  every rejection but one, of IDs beyond int64.
+
+Every assignment is a read-only int64 array (:data:`IdAssignment`), the
+one form the IDs keep from the sampler to ``decide_batch``.  The
+paper's ID space ``{1..n^c}`` fits int64 for every ``n <= 2 097 151``
+at ``c = 3``; per-node code that indexes IDs one at a time converts the
+array once with ``tolist()``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +64,8 @@ __all__ = [
     "IdAssignment",
 ]
 
-IdAssignment = List[int]
+#: an ID assignment: a read-only int64 array, one ID per node handle
+IdAssignment = np.ndarray
 
 
 def id_space_size(n: int, c: int = 3) -> int:
@@ -71,13 +77,20 @@ def id_space_size(n: int, c: int = 3) -> int:
     return n**c
 
 
+#: the largest ID an assignment can hold
+_INT64_MAX = 2**63 - 1
+
+
+def _sealed(ids) -> IdAssignment:
+    """``ids`` as a read-only int64 array, the form of every assignment."""
+    arr = np.asarray(ids, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
 def sequential_ids(n: int) -> IdAssignment:
     """IDs ``1..n`` in node-handle order."""
-    return list(range(1, n + 1))
-
-
-#: the largest value numpy's int64 ``Generator.integers`` can draw
-_INT64_MAX = 2**63 - 1
+    return _sealed(np.arange(1, n + 1))
 
 
 def _topup_size(n: int, kept: int, space: int) -> int:
@@ -108,33 +121,25 @@ def random_ids(
     top-up is rare (expected collisions are about ``n^2 / 2n^c``), and
     so is any repeat: the first batch is sorted once, and when it holds
     no repeat it is returned as drawn, without ``np.unique``'s stable
-    argsort.
+    argsort.  The assignment is a read-only int64 array.
 
-    Spaces beyond int64 (``n^c >= 2^63``, i.e. ``n > 2 097 151`` at
-    ``c = 3``) cannot be drawn by numpy; there the same rule runs as a
-    sequential ``rng.randint`` loop on the caller's ``rng``.
+    A space beyond int64 (``n^c >= 2^63``, i.e. ``n > 2 097 151`` at
+    ``c = 3``) raises ``ValueError`` before any draw.
 
-    Only one draw is taken from ``rng`` (on the numpy path), so callers
-    can draw several assignments from one shared ``rng``.  Without an
-    explicit ``rng`` the assignment is a deterministic function of
-    ``(n, c)`` (DET001: unseeded entropy is banned in library code).
+    Only one draw is taken from ``rng``, so callers can draw several
+    assignments from one shared ``rng``.  Without an explicit ``rng``
+    the assignment is a deterministic function of ``(n, c)`` (DET001:
+    unseeded entropy is banned in library code).
     """
-    rng = rng or random.Random(stable_seed("repro.local.ids.random_ids", n, c))
     space = id_space_size(n, c)
     if space > _INT64_MAX:
-        chosen: set = set()
-        ids: List[int] = []
-        while len(ids) < n:
-            x = rng.randint(1, space)
-            if x not in chosen:
-                chosen.add(x)
-                ids.append(x)
-        return ids
+        raise ValueError(f"ID space {n}^{c} exceeds int64")
+    rng = rng or random.Random(stable_seed("repro.local.ids.random_ids", n, c))
     gen = np.random.default_rng(rng.getrandbits(128))
     batch = gen.integers(1, space, size=n, endpoint=True)
     ordered = np.sort(batch)
     if not (ordered[1:] == ordered[:-1]).any():
-        return batch.tolist()
+        return _sealed(batch)
     kept = np.empty(0, dtype=np.int64)
     while True:
         values, first = np.unique(batch, return_index=True)
@@ -143,14 +148,14 @@ def random_ids(
         first.sort()
         kept = np.concatenate((kept, batch[first[:n - kept.size]]))
         if kept.size == n:
-            return kept.tolist()
+            return _sealed(kept)
         batch = gen.integers(1, space, size=_topup_size(n, kept.size, space),
                              endpoint=True)
 
 
 def descending_ids(n: int) -> IdAssignment:
     """IDs ``n..1`` in node-handle order (strictly decreasing)."""
-    return list(range(n, 0, -1))
+    return _sealed(np.arange(n, 0, -1))
 
 
 def bit_reversal_ids(n: int) -> IdAssignment:
@@ -172,7 +177,7 @@ def bit_reversal_ids(n: int) -> IdAssignment:
     ids = [0] * n
     for rank, v in enumerate(order):
         ids[v] = rank + 1
-    return ids
+    return _sealed(ids)
 
 
 def boundary_clustered_ids(n: int) -> IdAssignment:
@@ -195,7 +200,7 @@ def boundary_clustered_ids(n: int) -> IdAssignment:
             ids[hi] = next_id
             next_id += 1
             hi -= 1
-    return ids
+    return _sealed(ids)
 
 
 class IdMode(NamedTuple):
@@ -258,7 +263,7 @@ def _accepted_as_array(ids, space: Optional[int]) -> Optional[np.ndarray]:
     ``dtype=np.int64`` would truncate floats and parse strings.  A
     uint64 ID beyond int64 either fails to convert or wraps to a
     negative value, so it never passes.  None means "ask the loop",
-    never "invalid"."""
+    which raises unless every ID is valid and one lies beyond int64."""
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
         if not all(issubclass(t, _INTEGER_TYPES) for t in set(map(type, ids))):
             return None
@@ -274,37 +279,37 @@ def _accepted_as_array(ids, space: Optional[int]) -> Optional[np.ndarray]:
                 and (space is None or int(ordered[-1]) <= space)
                 and not (ordered[1:] == ordered[:-1]).any()):
             return None
-    arr.flags.writeable = False
-    return arr
+    return _sealed(arr)
 
 
 def validate_ids(
-    ids: IdAssignment, space: Optional[int] = None
-) -> Optional[np.ndarray]:
-    """Raise ``ValueError`` unless ``ids`` are unique positive integers in
-    range.  Python and numpy integers are accepted.  Anything else
-    (floats, strings) is rejected up front, so every engine fails the
-    same way instead of the batched engine's int64 arrays silently
-    truncating a float ID.
+    ids: Sequence[int], space: Optional[int] = None
+) -> IdAssignment:
+    """The IDs as a read-only int64 array; ``ValueError`` unless they are
+    unique positive integers in range that fit int64.  Python and numpy
+    integers are accepted.  Anything else (floats, strings) is rejected
+    up front, so every engine fails the same way instead of an int64
+    conversion silently truncating a float ID.
 
-    A valid assignment of Python or numpy integers that fits int64 is
-    accepted by one sorted-array pass (:func:`_accepted_as_array`),
-    which returns the IDs as a read-only int64 array: always a copy,
-    never the caller's array, so a caller can hand it on (the batched
-    engine's ``views.id_array``) without converting the IDs again.
-    Every other input, and every rejection, runs the per-ID loop
+    A valid assignment is accepted by one sorted-array pass
+    (:func:`_accepted_as_array`), which returns the IDs as a read-only
+    int64 array: always a copy, never the caller's array, so a caller
+    can hand it on (the batched engine's ``views.ids``) without
+    converting the IDs again.  Every other input runs the per-ID loop
     :func:`_validate_ids_loop`, which is also the oracle the array path
-    is tested against: the accepted set, the exception type and its
-    message are the loop's.  An assignment only the loop accepts (IDs
-    beyond int64) returns None.
+    is tested against: every rejection's exception type and message are
+    the loop's.  An assignment the loop accepts but the array path does
+    not holds an ID beyond int64, and raises one ``ValueError`` naming
+    int64.
     """
     arr = _accepted_as_array(ids, space)
     if arr is None:
         _validate_ids_loop(ids, space)
+        raise ValueError(f"IDs must fit int64 (at most {_INT64_MAX})")
     return arr
 
 
-def _validate_ids_loop(ids: IdAssignment, space: Optional[int]) -> None:
+def _validate_ids_loop(ids: Sequence[int], space: Optional[int]) -> None:
     """The per-ID check behind every :func:`validate_ids` rejection."""
     if len(set(ids)) != len(ids):
         raise ValueError("IDs must be unique")

@@ -170,16 +170,16 @@ class LocalSimulator:
         n = graph.n
         if n == 0:
             raise ValueError("cannot run on the empty graph")
-        id_list: List[int] = list(ids) if ids is not None else sequential_ids(n)
-        if len(id_list) != n:
+        if ids is None:
+            ids = sequential_ids(n)
+        if len(ids) != n:
             raise ValueError("ids length must equal n")
-        # the one int64 conversion of the IDs in a run (None when only
-        # the per-ID loop accepts them, i.e. beyond int64)
-        id_array = validate_ids(id_list)
+        # the run's IDs from here on: one read-only int64 copy
+        ids = validate_ids(ids)
 
         batched = self.engine == "batched"
         if batched and _has_decide_batch(algorithm):
-            runner = partial(_run_batched, id_array=id_array, atlas=atlas)
+            runner = partial(_run_batched, atlas=atlas)
         elif isinstance(algorithm, MessageAlgorithm):
             # one shared global state machine is already the batched
             # execution of a message algorithm
@@ -203,12 +203,12 @@ class LocalSimulator:
         budget = self._max_rounds
         if budget is None:
             budget = algorithm.max_rounds_hint(n)
-        rounds, outputs = runner(graph, algorithm, id_list, budget)
+        rounds, outputs = runner(graph, algorithm, ids, budget)
         return ExecutionTrace(
             rounds=rounds,
             outputs=outputs,
             algorithm=algorithm.name,
-            meta={"ids": id_list, "engine": self.engine},
+            meta={"ids": ids, "engine": self.engine},
         )
 
 
@@ -313,12 +313,13 @@ def _apply_commits(decided, t, commit_round, outputs, live, committed):
     return _live_array(kept)
 
 
-def _run_view_reference(graph, algorithm, id_list, budget):
+def _run_view_reference(graph, algorithm, ids, budget):
     """Exact recompute-every-round semantics: every live node's ball is
     re-extracted from scratch each round.  The cross-check oracle, and
     the one loop for view algorithms without ``decide_batch`` on either
     engine."""
     n = graph.n
+    id_list = ids.tolist()  # View.id_of hands algorithms Python ints
     commit_round, outputs, committed, live = _commit_state(n)
 
     t = 0
@@ -338,21 +339,20 @@ def _run_view_reference(graph, algorithm, id_list, budget):
     return commit_round.tolist(), outputs.tolist()
 
 
-def _run_batched(graph, algorithm, id_list, budget, id_array, atlas):
+def _run_batched(graph, algorithm, ids, budget, atlas):
     """One ``decide_batch`` pass for *all* live nodes per round, with
     ball facts from a shared
     :class:`~repro.local.frontier.FrontierScheduler` (flat CSR sweeps
-    over the whole live frontier, grown only on demand).  ``id_array``
-    is :func:`~repro.local.ids.validate_ids`' int64 array (None beyond
-    int64), handed to ``decide_batch`` as ``views.id_array``."""
+    over the whole live frontier, grown only on demand).  ``ids`` is
+    :func:`~repro.local.ids.validate_ids`' read-only int64 array,
+    handed to ``decide_batch`` as ``views.ids``."""
     from .frontier import BatchedViews, FrontierScheduler
 
     n = graph.n
     commit_round, outputs, committed, live = _commit_state(n)
     scheduler = FrontierScheduler(graph, committed, atlas=atlas)
     views = BatchedViews(
-        graph, id_list, commit_round, outputs, scheduler, budget=budget,
-        id_array=id_array,
+        graph, ids, commit_round, outputs, scheduler, budget=budget,
     )
 
     t = 0
@@ -370,7 +370,7 @@ def _run_batched(graph, algorithm, id_list, budget, id_array, atlas):
 # ----------------------------------------------------------------------
 # message-passing engines
 # ----------------------------------------------------------------------
-def _run_message_global(graph, algorithm, id_list, budget, atlas):
+def _run_message_global(graph, algorithm, ids, budget, atlas):
     """One shared global execution of the message state machine — the
     full-information and message-passing formulations are equivalent, so
     the batched engine advances the global dynamics instead of
@@ -379,12 +379,12 @@ def _run_message_global(graph, algorithm, id_list, budget, atlas):
     from .message import run_message_dynamics
 
     return run_message_dynamics(
-        graph, algorithm, id_list, budget,
+        graph, algorithm, ids.tolist(), budget,
         neighbor_lists=_atlas_neighbor_lists(graph, atlas),
     )
 
 
-def _run_message_reference(graph, algorithm, id_list, budget):
+def _run_message_reference(graph, algorithm, ids, budget):
     """Full-information oracle for message algorithms: each round, each
     live node's state is re-derived from its radius-``t`` ball alone by
     simulating the message dynamics inside the ball, restricted to the
@@ -392,6 +392,7 @@ def _run_message_reference(graph, algorithm, id_list, budget):
     ``t - d``, exactly the prefix its messages can influence the centre
     by round ``t``)."""
     n = graph.n
+    id_list = ids.tolist()  # NodeInfo hands algorithms Python ints
     commit_round, outputs, committed, live = _commit_state(n)
 
     t = 0

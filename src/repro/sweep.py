@@ -207,13 +207,13 @@ def _weighted_problem(variant: str, delta: int, d: int, k: int):
 def _weighted25_fast_forward(graph: Graph, ids: List[int]) -> ExecutionTrace:
     from .algorithms import run_apoly
 
-    return run_apoly(graph, list(ids), 5, 2, 2)
+    return run_apoly(graph, ids, 5, 2, 2)
 
 
 def _weighted35_fast_forward(graph: Graph, ids: List[int]) -> ExecutionTrace:
     from .algorithms import run_weighted35
 
-    return run_weighted35(graph, list(ids), 6, 3, 2)
+    return run_weighted35(graph, ids, 6, 3, 2)
 
 
 def _make_weighted25_replay(n: int):
@@ -339,7 +339,7 @@ def _run_task(
     ]
     spec = get_algorithm(task.algorithm)
     if spec.fast_forward is not None:
-        traces = [spec.fast_forward(graph, ids) for ids in id_samples]
+        traces = [spec.fast_forward(graph, ids.tolist()) for ids in id_samples]
     else:
         engine = "batched" if task.engine == "auto" else task.engine
         traces = LocalSimulator(engine=engine).run_batch(

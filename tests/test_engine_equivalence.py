@@ -428,24 +428,6 @@ class TestBatchedEngine:
             g, lambda: GenericPhaseColoring(k, gammas, variant), ids
         )
 
-    @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5)],
-                             ids=["path4", "cycle5"])
-    def test_cole_vishkin_ids_beyond_int64(self, g):
-        # no int64 array of these IDs exists: decide_batch streams the
-        # global message dynamics, also between small-ID samples
-        big = [2**63, 5, 7, 2**64 + 3, 9][:g.n]
-        samples = [big, random_ids(g.n, rng=random.Random(3)), big]
-        ref = LocalSimulator(engine="reference").run_batch(
-            g, ColeVishkin3Coloring(), samples)
-        for engine in ENGINES:
-            tr = LocalSimulator(engine=engine).run(
-                g, ColeVishkin3Coloring(), big)
-            assert (tr.rounds, tr.outputs) == (ref[0].rounds, ref[0].outputs)
-            batch = LocalSimulator(engine=engine).run_batch(
-                g, ColeVishkin3Coloring(), samples)
-            assert [(t.rounds, t.outputs) for t in batch] == [
-                (t.rounds, t.outputs) for t in ref]
-
     def test_message_algorithm_without_decide_batch_falls_back(self):
         g = path_graph(11)
         ids = random_ids(11, rng=random.Random(2))
@@ -457,16 +439,20 @@ class TestBatchedEngine:
 
 class TestIdValidation:
     def test_non_integer_ids_raise_the_same_error_on_every_engine(self):
-        # the batched engine's int64 arrays would truncate these to
-        # [2, 2, 3, 3] and return an improper colouring
-        messages = set()
-        for engine in ENGINES:
-            with pytest.raises(ValueError) as err:
-                LocalSimulator(engine=engine).run(
-                    path_graph(4), ColeVishkin3Coloring(),
-                    [2.2, 2.7, 3.1, 3.9])
-            messages.add(str(err.value))
-        assert messages == {"IDs must be integers, got 2.2"}
+        # the batched engine's int64 arrays would truncate the floats to
+        # [2, 2, 3, 3] and return an improper colouring, and hold no ID
+        # beyond int64
+        for ids, expected in (
+            ([2.2, 2.7, 3.1, 3.9], "IDs must be integers, got 2.2"),
+            ([2**63, 5, 7], f"IDs must fit int64 (at most {2**63 - 1})"),
+        ):
+            messages = set()
+            for engine in ENGINES:
+                with pytest.raises(ValueError) as err:
+                    LocalSimulator(engine=engine).run(
+                        path_graph(len(ids)), ColeVishkin3Coloring(), ids)
+                messages.add(str(err.value))
+            assert messages == {expected}
 
 
 class TestRunBatch:

@@ -1,7 +1,9 @@
 """``random_ids``: the vectorized first-n-distinct sampler against its
-sequential oracle, the beyond-int64 fallback, and uniformity;
-``validate_ids``: the array accept path against the per-ID loop, and the
-read-only int64 array that path returns."""
+sequential oracle, the beyond-int64 rejection, and uniformity;
+``validate_ids``: the array accept path against the per-ID loop, the
+read-only int64 array that path returns, and the rejection of IDs
+beyond int64, the one input the loop accepts and the array path does
+not."""
 
 import random
 from collections import Counter
@@ -43,7 +45,7 @@ class TestRandomIdsOracle:
     def test_matches_sequential_first_distinct(self, n, c):
         for seed in range(4):
             ids = random_ids(n, c=c, rng=random.Random(seed))
-            assert ids == _sequential_first_distinct(n, c, seed)
+            assert ids.tolist() == _sequential_first_distinct(n, c, seed)
             validate_ids(ids, space=n**c)
 
     def test_takes_one_draw_from_shared_rng(self):
@@ -54,23 +56,15 @@ class TestRandomIdsOracle:
 
 
 class TestBeyondInt64:
-    def test_randint_loop_beyond_int64(self):
-        space = 50**12
-        assert space > 2**63 - 1
-        ids = random_ids(50, c=12, rng=random.Random(1))
-        assert len(ids) == 50
-        validate_ids(ids, space=space)
-        assert max(ids) > 2**63  # drawn from the whole space
-        assert ids == random_ids(50, c=12, rng=random.Random(1))
-        assert ids != random_ids(50, c=12, rng=random.Random(2))
-
     def test_int64_boundary(self):
-        # 2^62 is numpy-drawable, 2^63 is one past int64 and must not be
-        for c in (62, 63):
-            ids = random_ids(2, c=c, rng=random.Random(3))
-            validate_ids(ids, space=2**c)
-        assert random_ids(2, c=62, rng=random.Random(3)) == \
-            _sequential_first_distinct(2, 62, 3)
+        # 2^62 fits int64; 2^63 is one past it, and 50^12 far past it
+        for n, c in ((2, 63), (50, 12)):
+            assert n**c > 2**63 - 1
+            with pytest.raises(ValueError, match="int64"):
+                random_ids(n, c=c, rng=random.Random(3))
+        ids = random_ids(2, c=62, rng=random.Random(3))
+        validate_ids(ids, space=2**62)
+        assert ids.tolist() == _sequential_first_distinct(2, 62, 3)
 
 
 class TestUniformity:
@@ -110,14 +104,18 @@ def _outcome(check, ids, space):
     return None
 
 
-#: ``(ids, space, parent outcome)``: None for accepted, else the
-#: exception type and a fragment of its message
+#: the one outcome that is not the per-ID loop's: it accepts IDs beyond
+#: int64, which ``validate_ids`` rejects
+BEYOND_INT64 = (ValueError, "int64")
+
+#: ``(ids, space, outcome)``: None for accepted, else the exception type
+#: and a fragment of its message
 VALIDATE_CORPUS = [
     ([np.array(5), 3], None, (TypeError, "unhashable")),
     ([True, 2], None, None),
     ([True, 1], None, (ValueError, "unique")),
-    ([2**63, 5], None, None),
-    ([2**70, 5], None, None),
+    ([2**63, 5], None, BEYOND_INT64),
+    ([2**70, 5], None, BEYOND_INT64),
     ([-1, 2**63], None, (ValueError, ">= 1")),
     ([0, 1], None, (ValueError, ">= 1")),
     ([True, False], None, (ValueError, ">= 1")),
@@ -128,7 +126,7 @@ VALIDATE_CORPUS = [
     ([1, 9], 8, (ValueError, "exceeds ID space 8")),
     ([1, 8], 8, None),
     ([np.int32(4), np.uint16(2), 7], None, None),
-    ([np.uint64(2**64 - 1), 3], None, None),
+    ([np.uint64(2**64 - 1), 3], None, BEYOND_INT64),
     (np.array([3, 1, 2], dtype=np.uint8), None, None),
     (np.array([3, 1, 3]), None, (ValueError, "unique")),
     (np.array([[1, 2], [3, 4]]), None, (TypeError, "unhashable")),
@@ -137,17 +135,17 @@ VALIDATE_CORPUS = [
 ]
 
 
-#: the accepted corpus cases, each with whether only the per-ID loop
-#: accepts it (an ID beyond int64)
+#: the accepted corpus cases
 ACCEPTED_CORPUS = [
-    (ids, space, any(int(x) > 2**63 - 1 for x in ids))
-    for ids, space, expected in VALIDATE_CORPUS if expected is None
+    (ids, space) for ids, space, expected in VALIDATE_CORPUS
+    if expected is None
 ]
 
 
 class TestValidateIdsArrayPath:
     """The array accept path changes speed, never the outcome: every
-    input gets the per-ID loop's verdict, exception type and message."""
+    input but IDs beyond int64 gets the per-ID loop's verdict, exception
+    type and message."""
 
     @pytest.mark.parametrize(
         "ids,space,expected", VALIDATE_CORPUS,
@@ -155,7 +153,11 @@ class TestValidateIdsArrayPath:
     )
     def test_matches_loop(self, ids, space, expected):
         outcome = _outcome(validate_ids, ids, space)
-        assert outcome == _outcome(_validate_ids_loop, ids, space)
+        loop = _outcome(_validate_ids_loop, ids, space)
+        if expected == BEYOND_INT64:
+            assert loop is None
+        else:
+            assert outcome == loop
         if expected is None:
             assert outcome is None
         else:
@@ -174,34 +176,35 @@ class TestValidateIdsArrayPath:
         assert _accepted_as_array(np.array(ids), None) is not None
         assert _accepted_as_array([True, 2], None) is not None
         assert _accepted_as_array(ids, max(ids) - 1) is None
-        assert _accepted_as_array(ids + ids[:1], None) is None
+        assert _accepted_as_array(np.concatenate((ids, ids[:1])), None) is None
 
     @pytest.mark.parametrize(
-        "ids,space,loop_only", ACCEPTED_CORPUS,
+        "ids,space", ACCEPTED_CORPUS,
         ids=[repr(case[0]).replace(" ", "") for case in ACCEPTED_CORPUS],
     )
-    def test_returns_read_only_int64_array(self, ids, space, loop_only):
+    def test_returns_read_only_int64_array(self, ids, space):
         arr = validate_ids(ids, space)
-        if loop_only:
-            assert arr is None
-            return
-        assert arr is not None
         assert arr.dtype == np.int64 and not arr.flags.writeable
         expected = np.array(ids, dtype=np.int64)
         assert arr.shape == expected.shape
         assert np.array_equal(arr, expected)
 
-    def test_corpus_holds_both_accept_paths(self):
-        loop_only = [ids for ids, _space, only in ACCEPTED_CORPUS if only]
-        assert len(loop_only) == 3
-        assert len(ACCEPTED_CORPUS) > len(loop_only)
+    def test_corpus_holds_the_beyond_int64_rejections(self):
+        beyond = [ids for ids, _space, expected in VALIDATE_CORPUS
+                  if expected == BEYOND_INT64]
+        assert len(beyond) == 3
+        assert ACCEPTED_CORPUS
 
-    def test_ids_beyond_int64_return_none(self):
+    def test_ids_beyond_int64_raise(self):
         # a uint64 ID past int64 either fails the int64 conversion or
-        # wraps to a negative value; both leave it to the loop
-        assert validate_ids([np.uint64(2**64 - 1), 3]) is None
-        assert validate_ids(np.array([2**64 - 1, 3], dtype=np.uint64)) is None
-        assert validate_ids([2**63, 5]) is None
+        # wraps to a negative value; both leave it to the loop, which
+        # accepts it, and validate_ids then rejects it
+        for ids in ([np.uint64(2**64 - 1), 3],
+                    np.array([2**64 - 1, 3], dtype=np.uint64), [2**63, 5]):
+            assert _accepted_as_array(ids, None) is None
+            assert _outcome(_validate_ids_loop, ids, None) is None
+            with pytest.raises(ValueError, match="IDs must fit int64"):
+                validate_ids(ids)
 
     def test_caller_array_is_neither_aliased_nor_sealed(self):
         ids = np.array([3, 1, 2], dtype=np.int64)

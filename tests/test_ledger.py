@@ -1,4 +1,5 @@
-"""The performance ledger's ``--compare`` on two hand-written ledgers
+"""The performance ledger's ``--compare`` on two hand-written ledgers,
+and the entry ``--out`` records from repeated runs
 (``benchmarks/ledger.py``; nothing here runs perfbench)."""
 
 import importlib.util
@@ -75,3 +76,48 @@ class TestCompare:
         status, out = _compare(ledger, tmp_path, old, new, capsys)
         assert status == 1
         assert "not correct" in out.err
+
+
+def _run(wall, items, correct=True, failed=0):
+    return {"host": {"nproc": 2}, "correct": correct, "attempted": 10,
+            "failed": failed, "metrics": {
+                "wall_s": {"value": wall, "unit": "s"},
+                "items_per_s": {"value": items, "unit": "1/s"}}}
+
+
+class TestOut:
+    def _build(self, ledger, monkeypatch, end_to_end, per_layer):
+        calls = []
+        runs = {0: iter(end_to_end), 1: iter([per_layer])}
+
+        def run_perfbench(workload, trace):
+            calls.append((workload, trace))
+            return next(runs[trace])
+
+        monkeypatch.setattr(ledger, "run_perfbench", run_perfbench)
+        built = ledger.build_ledger({"workloads": [{"name": "sweep_path"}]})
+        return calls, built["workloads"]["sweep_path"]
+
+    def test_end_to_end_metrics_are_medians_of_three_runs(
+            self, ledger, monkeypatch):
+        # each metric takes its own median: wall from the third run,
+        # throughput from the first
+        per_layer = _run(wall=9.0, items=1.0)
+        calls, entry = self._build(ledger, monkeypatch, [
+            _run(wall=3.0, items=200.0), _run(wall=1.0, items=300.0),
+            _run(wall=2.0, items=100.0)], per_layer)
+        assert calls == [("sweep_path", 0)] * 3 + [("sweep_path", 1)]
+        assert entry["end_to_end"]["metrics"] == {
+            "wall_s": {"value": 2.0, "unit": "s"},
+            "items_per_s": {"value": 200.0, "unit": "1/s"}}
+        assert entry["end_to_end"]["correct"]
+        assert entry["per_layer"] == per_layer
+
+    def test_correct_only_if_every_run_is(self, ledger, monkeypatch):
+        _calls, entry = self._build(ledger, monkeypatch, [
+            _run(wall=1.0, items=1.0),
+            _run(wall=1.0, items=1.0, correct=False, failed=3),
+            _run(wall=1.0, items=1.0, correct=False, failed=1)],
+            _run(wall=1.0, items=1.0))
+        assert not entry["end_to_end"]["correct"]
+        assert entry["end_to_end"]["failed"] == 3

@@ -107,13 +107,12 @@ class TestDistributedCV:
 
 
 class _RoundViews:
-    """The four fields of ``BatchedViews`` that Cole–Vishkin's
-    ``decide_batch`` reads on int64 IDs, so a test can step it round by
-    round; ``id_array`` is the int64 array the engine hands it."""
+    """The fields of ``BatchedViews`` that Cole–Vishkin's
+    ``decide_batch`` reads, so a test can step it round by round;
+    ``ids`` is the sealed int64 array the engine hands it."""
 
     def __init__(self, graph, ids):
-        self.graph, self.ids, self.n = graph, ids, graph.n
-        self.id_array = validate_ids(ids)
+        self.graph, self.ids, self.n = graph, validate_ids(ids), graph.n
 
 
 class TestBatchedCVAtScale:

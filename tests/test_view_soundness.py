@@ -92,7 +92,7 @@ class TestMessageSimulatorDelegation:
             trace = LocalSimulator(engine=engine).run(
                 g, ColeVishkin3Coloring(), ids)
             assert trace.meta["engine"] == engine
-            assert trace.meta["ids"] == ids
+            assert trace.meta["ids"].tolist() == ids.tolist()
 
     def test_max_rounds_forwarded(self):
         from repro.local import MessageAlgorithm, SimulationError
