@@ -454,6 +454,23 @@ class TestIdValidation:
                 messages.add(str(err.value))
             assert messages == {expected}
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_trace_keeps_the_sealed_ids(self, engine):
+        # a list, a caller-owned writeable array and the default IDs all
+        # come back as one read-only int64 copy in the trace
+        g = path_graph(5)
+        caller = np.array([4, 9, 1, 7, 3], dtype=np.int64)
+        for ids, expected in (([5, 2, 8, 1, 6], [5, 2, 8, 1, 6]),
+                              (caller, [4, 9, 1, 7, 3]),
+                              (None, [1, 2, 3, 4, 5])):
+            kept = LocalSimulator(engine=engine).run(
+                g, ColeVishkin3Coloring(), ids).meta["ids"]
+            assert isinstance(kept, np.ndarray) and kept.dtype == np.int64
+            assert not kept.flags.writeable
+            assert kept.tolist() == expected
+        assert not np.shares_memory(kept, caller)
+        assert caller.flags.writeable
+
 
 class TestRunBatch:
     @pytest.mark.parametrize("engine", ENGINES)
@@ -475,6 +492,21 @@ class TestRunBatch:
             g, WaitForWholeGraph(_ids_as_outputs), samples)
         assert batch[0].outputs == samples[0]
         assert batch[1].outputs == samples[1]
+
+    @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5)],
+                             ids=["path4", "cycle5"])
+    def test_ids_beyond_int64_raise_the_same_error_on_every_engine(self, g):
+        # one sample beyond int64 between two valid ones fails the batch
+        big = [2**63, 5, 7, 2**64 + 3, 9][:g.n]
+        samples = [random_ids(g.n, rng=random.Random(3)), big,
+                   random_ids(g.n, rng=random.Random(4))]
+        messages = set()
+        for engine in ENGINES:
+            with pytest.raises(ValueError) as err:
+                LocalSimulator(engine=engine).run_batch(
+                    g, ColeVishkin3Coloring(), samples)
+            messages.add(str(err.value))
+        assert messages == {f"IDs must fit int64 (at most {2**63 - 1})"}
 
 
 def _ids_as_outputs(graph, ids):

@@ -195,16 +195,20 @@ class TestValidateIdsArrayPath:
         assert len(beyond) == 3
         assert ACCEPTED_CORPUS
 
-    def test_ids_beyond_int64_raise(self):
+    @pytest.mark.parametrize(
+        "ids",
+        [[np.uint64(2**64 - 1), 3],
+         np.array([2**64 - 1, 3], dtype=np.uint64), [2**63, 5]],
+        ids=["uint64-scalar", "uint64-array", "python-int"],
+    )
+    def test_ids_beyond_int64_raise(self, ids):
         # a uint64 ID past int64 either fails the int64 conversion or
         # wraps to a negative value; both leave it to the loop, which
         # accepts it, and validate_ids then rejects it
-        for ids in ([np.uint64(2**64 - 1), 3],
-                    np.array([2**64 - 1, 3], dtype=np.uint64), [2**63, 5]):
-            assert _accepted_as_array(ids, None) is None
-            assert _outcome(_validate_ids_loop, ids, None) is None
-            with pytest.raises(ValueError, match="IDs must fit int64"):
-                validate_ids(ids)
+        assert _accepted_as_array(ids, None) is None
+        assert _outcome(_validate_ids_loop, ids, None) is None
+        with pytest.raises(ValueError, match="IDs must fit int64"):
+            validate_ids(ids)
 
     def test_caller_array_is_neither_aliased_nor_sealed(self):
         ids = np.array([3, 1, 2], dtype=np.int64)
