@@ -58,7 +58,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..analysis.landscape import regions_for_verdict
 from ..lcl.blackwhite import BLACK, WHITE, BlackWhiteLCL
@@ -113,17 +115,29 @@ def _decode(encoding: Encoding) -> ProblemSpec:
                        frozenset(white), frozenset(black))
 
 
-def spec_name(encoding: Encoding) -> str:
-    """Deterministic digest name for a canonical problem."""
+def spec_name(encoding: Encoding, text: Optional[str] = None) -> str:
+    """Deterministic digest name for a canonical problem.  ``text`` is
+    ``str(encoding)`` when the caller has built it already: a ``str``
+    part digests as itself, so the name is the same either way."""
     n_in, n_out, delta = encoding[0], encoding[1], encoding[2]
-    return f"bw{n_in}x{n_out}d{delta}-{stable_digest(encoding, size=6)}"
+    digest = stable_digest(encoding if text is None else text, size=6)
+    return f"bw{n_in}x{n_out}d{delta}-{digest}"
 
 
-def spec_to_problem(spec: ProblemSpec) -> BlackWhiteLCL:
+def spec_to_problem(
+    spec: ProblemSpec, name: Optional[str] = None,
+) -> BlackWhiteLCL:
     """Materialize the spec as a :class:`BlackWhiteLCL` whose constraints
     are membership in the allowed multiset sets (degree > ``delta`` or an
     empty neighbourhood is disallowed — the census universe is trees of
-    maximum degree ``delta``)."""
+    maximum degree ``delta``), named ``name`` or else
+    :func:`spec_name` of the spec's encoding.
+
+    The problem carries its ``constraint_masks``, so its
+    :class:`~repro.gap.classes.GapCache` shares compiled tables with every
+    problem of the same alphabets, ``delta`` and allowed set.  A spec
+    that allows a multiset outside the ``1..delta`` universe has no masks
+    and compiles private tables."""
     in_index = {i: i for i in range(spec.n_in)}
     out_index = {o: o for o in range(spec.n_out)}
 
@@ -138,13 +152,19 @@ def spec_to_problem(spec: ProblemSpec) -> BlackWhiteLCL:
             return ms in allowed
         return check
 
-    return BlackWhiteLCL(
-        spec_name(spec.encode()),
+    problem = BlackWhiteLCL(
+        spec_name(spec.encode()) if name is None else name,
         tuple(range(spec.n_in)),
         tuple(range(spec.n_out)),
         predicate(spec.white),
         predicate(spec.black),
     )
+    try:
+        masks = get_context(spec.n_in, spec.n_out, spec.delta).spec_masks(spec)
+    except KeyError:
+        return problem  # a multiset outside the universe: no masks
+    problem.constraint_masks = (spec.delta, *masks)
+    return problem
 
 
 def spec_from_problem(problem: BlackWhiteLCL, delta: int = 2) -> ProblemSpec:
@@ -206,19 +226,22 @@ def decide_encoding(
     """Decide one canonical problem from its encoding: rebuild the
     problem and run the Theorem-7 procedure.  Shared by the census
     workers and :mod:`repro.serve` (``classify --build``)."""
-    problem = spec_to_problem(_decode(encoding))
+    problem = spec_to_problem(_decode(encoding), spec_name(encoding))
     return decide_node_averaged_class(
         problem, delta=encoding[2], ell=ell, max_functions=max_functions,
     )
 
 
 def verdict_key(
-    store: ResultStore, encoding: Encoding, ell: int, max_functions: int,
+    store: ResultStore, encoding: Union[Encoding, str], ell: int,
+    max_functions: int,
 ) -> StoreKey:
     """The content address of one census verdict — the canonical problem
     form plus every decider parameter the verdict depends on.  Shared
     with :mod:`repro.serve`, which must reconstruct exactly these keys
-    to answer classification queries."""
+    to answer classification queries.  ``str(encoding)`` may stand in for
+    the encoding: a ``str`` part digests as itself, so the key is the
+    same."""
     return store.key("census-verdict", encoding, ell, max_functions)
 
 
@@ -454,7 +477,7 @@ def _decide_space(
     store: Optional[ResultStore],
     stats_out: Optional[Dict[str, int]],
     reporter: _ProgressReporter,
-) -> Tuple[List[Encoding], Dict[Encoding, int], int, bool,
+) -> Tuple[List[Encoding], List[str], Dict[Encoding, int], int, bool,
            Dict[Encoding, Tuple[str, str]]]:
     """The shared enumerate→look up→decide pipeline behind
     :func:`run_census` and :func:`run_atlas`.
@@ -463,8 +486,8 @@ def _decide_space(
     canonical forms, the sorted prefix), reuses every verdict the store
     (if any) holds, and fans the rest over ``fork_map`` in contiguous
     chunks, four per worker as ``fork_map`` chunks its own tasks.
-    Returns ``(canonical encodings, orbit sizes, raw count, truncated,
-    verdict map)``.
+    Returns ``(canonical encodings, their spec names, orbit sizes, raw
+    count, truncated, verdict map)``.
     """
     if max_labels < 1 or max_inputs < 1:
         raise ValueError("max_labels and max_inputs must be >= 1")
@@ -492,9 +515,13 @@ def _decide_space(
 
     decided_map: Dict[Encoding, Tuple[str, str]] = {}
     keys: Dict[Encoding, StoreKey] = {}
-    if store is not None:
-        for enc in encodings:
-            key = keys[enc] = verdict_key(store, enc, ell, max_functions)
+    names: List[str] = []
+    for enc in encodings:
+        # one str per problem names it and addresses its verdict
+        text = str(enc)
+        names.append(spec_name(enc, text))
+        if store is not None:
+            key = keys[enc] = verdict_key(store, text, ell, max_functions)
             verdict = _decode_verdict(store.get(key))
             if verdict is not None:
                 decided_map[enc] = verdict
@@ -518,7 +545,7 @@ def _decide_space(
         decided_map.update(zip(chunk[0], verdicts))
     reporter.decided = len(pending)
     reporter.emit(force=True)
-    return encodings, orbit, raw, truncated, decided_map
+    return encodings, names, orbit, raw, truncated, decided_map
 
 
 def run_census(
@@ -553,7 +580,7 @@ def run_census(
     periodic stderr status line and is equally payload-invisible.
     """
     reporter = _ProgressReporter(progress)
-    encodings, orbit, raw, truncated, decided_map = _decide_space(
+    encodings, names, orbit, raw, truncated, decided_map = _decide_space(
         max_labels, delta, max_inputs, ell, max_functions, workers,
         max_problems, as_store(store), stats_out, reporter,
     )
@@ -561,12 +588,12 @@ def run_census(
     verdicts: Dict[Encoding, str] = {}
     problems: List[Dict] = []
     counts: Dict[str, int] = {}
-    for enc in encodings:
+    for enc, name in zip(encodings, names):
         klass, detail = decided_map[enc]
         verdicts[enc] = klass
         counts[klass] = counts.get(klass, 0) + 1
         problems.append({
-            "key": spec_name(enc),
+            "key": name,
             "inputs": enc[0],
             "outputs": enc[1],
             "allowed_white": len(enc[3]),
@@ -670,7 +697,7 @@ def run_atlas(
     """
     store = as_store(store)
     reporter = _ProgressReporter(progress)
-    encodings, orbit, raw, truncated, decided_map = _decide_space(
+    encodings, names, orbit, raw, truncated, decided_map = _decide_space(
         max_labels, delta, max_inputs, ell, max_functions, workers,
         max_problems, store, stats_out, reporter,
     )
@@ -678,12 +705,11 @@ def run_atlas(
     problems: Dict[str, Dict] = {}
     counts: Dict[str, int] = {}
     raw_counts: Dict[str, int] = {}
-    for enc in encodings:
+    for enc, key in zip(encodings, names):
         klass, _detail = decided_map[enc]
         counts[klass] = counts.get(klass, 0) + 1
         raw_counts[klass] = raw_counts.get(klass, 0) + orbit[enc]
         ctx = get_context(enc[0], enc[1], enc[2])
-        key = spec_name(enc)
         if key in problems:  # pragma: no cover - 48-bit digest collision
             raise RuntimeError(f"atlas key collision: {key}")
         problems[key] = {

@@ -21,19 +21,24 @@ predicates (``g`` and the path relation by a per-label DP over
 :func:`node_feasible`).  They are the oracle: :class:`GapCache` answers
 the same queries from compiled bitmask tables (a path relation is a
 composition of per-node transfer rows, the automaton view of a path),
-and the differential tests pin the two equal.
+and the differential tests pin the two equal.  Census problems with the
+same allowed multisets share one colour's tables through a bounded
+process-wide registry (see :class:`GapCache`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..lcl.blackwhite import BLACK, WHITE, BlackWhiteLCL
 
 __all__ = [
     "LabelSet",
     "GapCache",
+    "REGISTRY_LIMIT",
+    "clear_registry",
     "g_single_node",
     "leaf_label_sets",
     "node_feasible",
@@ -137,15 +142,76 @@ def path_relation(
     return frozenset(relation)
 
 
+#: the most entries a registry holds; a new entry past it first drops the
+#: oldest one
+REGISTRY_LIMIT = 4096
+
+#: the compiled tables that every problem with constraint masks reads, in
+#: one process-wide dict: alphabet tables under ``(Sigma_in, Sigma_out)``,
+#: constraint tables under ``(Sigma_in, Sigma_out, delta, mask)`` and
+#: maximal rectangles under their relation
+_REGISTRY: Dict[object, object] = {}
+
+
+def clear_registry() -> None:
+    """Empty the shared registry, so the next problem compiles cold."""
+    _REGISTRY.clear()
+
+
+def _lookup(registry: Dict, key, build):
+    """``registry[key]``, made by ``build()`` on a miss."""
+    hit = registry.get(key)
+    if hit is None:
+        if len(registry) >= REGISTRY_LIMIT:
+            del registry[next(iter(registry))]
+        hit = registry[key] = build()
+    return hit
+
+
+class _AlphabetTables:
+    """The compiled tables of one ``(Sigma_in, Sigma_out)`` pair: pair codes,
+    label bits, label-set masks and frozensets, and reach relations."""
+
+    __slots__ = ("n_out", "bit", "base", "pairs", "bits", "sets", "masks",
+                 "reach_relations", "start_reach")
+
+    def __init__(self, ins: Tuple, outs: Tuple) -> None:
+        n = len(outs)
+        self.n_out = n
+        self.bit = {lab: j for j, lab in enumerate(outs)}
+        self.base = {inp: k * n for k, inp in enumerate(ins)}
+        self.pairs = [(inp, lab) for inp in ins for lab in outs]
+        #: the output indices of each mask, ascending
+        self.bits = [tuple(j for j in range(n) if mask >> j & 1)
+                     for mask in range(1 << n)]
+        self.sets = [frozenset(outs[j] for j in js) for js in self.bits]
+        self.masks: Dict[LabelSet, int] = {}
+        self.reach_relations: Dict = {}
+        #: every left label reaches only itself on the left outgoing edge
+        self.start_reach = tuple(1 << j for j in range(n))
+
+
+class _ConstraintTables:
+    """The compiled tables of one colour's constraint: the ``allows``
+    memo, the ``g`` masks, the transfer rows and the leaf label-sets."""
+
+    __slots__ = ("allowed", "g_masks", "rows", "leaf")
+
+    def __init__(self) -> None:
+        self.allowed: Dict = {}
+        self.g_masks: Dict = {}
+        self.rows: Dict = {}
+        self.leaf: Optional[Mapping[object, LabelSet]] = None
+
+
 class GapCache:
-    """Per-problem compile cache for the Section-11 machinery.
+    """Compile cache for the Section-11 machinery.
 
     One Theorem-7 decision runs the testing procedure once per candidate
     function, and every run asks the same ``g``, feasibility and path
-    relation questions.  With ``memoize=True`` a ``GapCache`` compiles
-    the problem once — mirroring the per-graph compile cache of
-    :class:`repro.lcl.kernel.CompiledChecker` — and answers every query
-    from integer tables shared by all testing runs of the decision:
+    relation questions.  With ``memoize=True`` a ``GapCache`` answers
+    every query from compiled integer tables — mirroring the per-graph
+    compile cache of :class:`repro.lcl.kernel.CompiledChecker`:
 
     * each (input, output) pair gets an int code, ``input index *
       |Sigma_out| + output index``, and :meth:`BlackWhiteLCL.allows` runs
@@ -153,10 +219,10 @@ class GapCache:
     * a label-set is a ``Sigma_out`` bitmask (bit ``j`` is
       ``sigma_out[j]``) behind a memoized frozenset → mask translation,
       so the API still takes and returns frozensets;
-    * one table, ``g(colour, incoming (input, mask) multiset, out input)
-      → mask``, answers :meth:`g_single_node` and :meth:`node_feasible`
-      (which pulls one free edge out as the outgoing one) — the rake
-      steps 2a/2b and ``is_constant_good``;
+    * one table per colour, ``g(incoming (input, mask) multiset, out
+      input) → mask``, answers :meth:`g_single_node` and
+      :meth:`node_feasible` (which pulls one free edge out as the
+      outgoing one) — the rake steps 2a/2b and ``is_constant_good``;
     * the same table yields the *transfer rows* of compress paths:
       ``row(colour, pendant, fixed pair, next input)`` is the mask of
       labels a path node's next edge can take, kept per node type as one
@@ -165,10 +231,31 @@ class GapCache:
       propagation (the automaton view of a path), at every path length,
       1 included; the composed *reach tuple* becomes a frozenset once
       per distinct tuple (:meth:`reach_relation`);
-    * maximal rectangles are kept per canonical relation;
+    * maximal rectangles are kept per relation;
     * the testing procedure keeps two whole-step memos here, ``rake``
       (rake closures) and ``compress`` (compress plans, which walk the
       pendant product over shared prefixes of the same rows).
+
+    The tables are split by what they depend on.  The *alphabet tables*
+    (pair codes, label bits, masks, label-set frozensets, reach
+    relations) depend on ``Sigma_in`` and ``Sigma_out`` only; the
+    *constraint tables* of a colour (the ``allows`` memo, the ``g``
+    masks, the transfer rows, the leaf label-sets) on the alphabets and
+    that colour's allowed multisets; maximal rectangles on their relation
+    alone.  A problem that carries ``constraint_masks`` (every census
+    problem, see :func:`repro.gap.census.spec_to_problem`) reads all
+    three from one process-wide registry, so problems that share an
+    allowed set compile it once per process: constraint tables are keyed
+    by ``(Sigma_in, Sigma_out, delta, mask)``, alphabet tables by
+    ``(Sigma_in, Sigma_out)``.  The registry holds at most one entry per
+    key and at most :data:`REGISTRY_LIMIT` entries in all (the oldest
+    goes first); :func:`clear_registry` empties it.  A problem without
+    masks, such as a registry predicate problem, keeps the same tables in
+    a private registry, one per colour, and never touches the shared
+    one.  The ``rake`` and ``compress`` memos
+    read both colours, so they stay per cache.  Shared values are handed
+    out read-only: :meth:`leaf_label_sets` returns a mapping proxy and
+    :meth:`maximal_rectangles` a tuple.
 
     ``memoize=False`` keeps the same interface but answers every query
     with the module-level functions — the one oracle the compiled tables
@@ -180,7 +267,6 @@ class GapCache:
     def __init__(self, problem: BlackWhiteLCL, memoize: bool = True) -> None:
         self.problem = problem
         self.memoize = memoize
-        self._rectangles: Dict = {}
         #: whole-rake-closure memo, filled by the testing procedure: the
         #: closure is a pure function of (entries, delta) and identical
         #: across all DFS candidates that share a choice prefix
@@ -193,24 +279,31 @@ class GapCache:
             self._compile()
 
     def _compile(self) -> None:
-        outs, ins = self.problem.sigma_out, self.problem.sigma_in
-        n = len(outs)
-        self._n_out = n
-        self._bit = {lab: j for j, lab in enumerate(outs)}
-        self._base = {inp: k * n for k, inp in enumerate(ins)}
-        self._pairs = [(inp, lab) for inp in ins for lab in outs]
-        #: the output indices of each mask, ascending
-        self._bits = [tuple(j for j in range(n) if mask >> j & 1)
-                      for mask in range(1 << n)]
-        self._sets = [frozenset(outs[j] for j in js) for js in self._bits]
-        self._masks: Dict[LabelSet, int] = {}
-        self._allowed: Dict = {}
-        self._g_masks: Dict = {}
-        self._rows: Dict = {}
-        self._leaf: Dict = {}
-        self._reach_relations: Dict = {}
-        #: every left label reaches only itself on the left outgoing edge
-        self.start_reach = tuple(1 << j for j in range(n))
+        problem = self.problem
+        alphabet = (problem.sigma_in, problem.sigma_out)
+        if problem.constraint_masks is None:
+            # a private registry, with one constraint table per colour
+            registry: Dict = {}
+            keys = {WHITE: WHITE, BLACK: BLACK}
+        else:
+            delta, white_mask, black_mask = problem.constraint_masks
+            registry = _REGISTRY
+            keys = {WHITE: alphabet + (delta, white_mask),
+                    BLACK: alphabet + (delta, black_mask)}
+        self._registry = registry
+        self._tables = {color: _lookup(registry, key, _ConstraintTables)
+                        for color, key in keys.items()}
+        tables = _lookup(registry, alphabet,
+                         lambda: _AlphabetTables(*alphabet))
+        self._n_out = tables.n_out
+        self._bit = tables.bit
+        self._base = tables.base
+        self._pairs = tables.pairs
+        self._bits = tables.bits
+        self._sets = tables.sets
+        self._masks = tables.masks
+        self._reach_relations = tables.reach_relations
+        self.start_reach = tables.start_reach
 
     # -- compiled tables -----------------------------------------------
     def _mask(self, labels: LabelSet) -> int:
@@ -221,11 +314,11 @@ class GapCache:
         return mask
 
     def _allows(self, color: str, codes: Tuple[int, ...]) -> bool:
-        key = (color, codes)
-        hit = self._allowed.get(key)
+        allowed = self._tables[color].allowed
+        hit = allowed.get(codes)
         if hit is None:
             pairs = self._pairs
-            hit = self._allowed[key] = self.problem.allows(
+            hit = allowed[codes] = self.problem.allows(
                 color, [pairs[c] for c in codes])
         return hit
 
@@ -234,8 +327,9 @@ class GapCache:
         """``g`` as a mask: the labels the edge with input code base
         ``out`` can take while every incoming edge (a sorted tuple of
         (input code base, mask)) takes a label of its mask."""
-        key = (color, incoming, out)
-        hit = self._g_masks.get(key)
+        g_masks = self._tables[color].g_masks
+        key = (incoming, out)
+        hit = g_masks.get(key)
         if hit is None:
             hit = 0
             bits = self._bits
@@ -245,7 +339,7 @@ class GapCache:
                     if not hit >> j & 1 and self._allows(
                             color, tuple(sorted(combo + (out + j,)))):
                         hit |= 1 << j
-            self._g_masks[key] = hit
+            g_masks[key] = hit
         return hit
 
     def _incoming(self, pairs) -> List[Tuple[int, int]]:
@@ -266,8 +360,9 @@ class GapCache:
         each node maps it through its row, ``tuple(map(row.__getitem__,
         reach))``; :meth:`reach_relation` reads the relation off the
         result."""
-        key = (color, pendant, inp, nxt)
-        row = self._rows.get(key)
+        rows = self._tables[color].rows
+        key = (pendant, inp, nxt)
+        row = rows.get(key)
         if row is None:
             pend, a = self._incoming(pendant), self._base[inp]
             single = [
@@ -279,7 +374,7 @@ class GapCache:
             for reach, js in enumerate(self._bits):
                 for j in js:
                     table[reach] |= single[j]
-            row = self._rows[key] = tuple(table)
+            row = rows[key] = tuple(table)
         return row
 
     def reach_relation(
@@ -287,7 +382,8 @@ class GapCache:
     ) -> FrozenSet[Tuple[object, object]]:
         """The relation of a composed path's reach tuple: left label
         ``sigma_out[j]`` pairs with every right label of ``reach[j]``.
-        Each distinct reach tuple becomes a frozenset once per cache."""
+        Each distinct reach tuple becomes a frozenset once per alphabet
+        table."""
         hit = self._reach_relations.get(reach)
         if hit is None:
             outs, bits = self.problem.sigma_out, self._bits
@@ -317,16 +413,16 @@ class GapCache:
             color, tuple(sorted(self._incoming(incoming))),
             self._base[out_input])]
 
-    def leaf_label_sets(self, color) -> Dict[object, LabelSet]:
+    def leaf_label_sets(self, color) -> Mapping[object, LabelSet]:
         if not self.memoize:
             return leaf_label_sets(self.problem, color)
-        hit = self._leaf.get(color)
-        if hit is None:
-            hit = self._leaf[color] = {
+        tables = self._tables[color]
+        if tables.leaf is None:
+            tables.leaf = MappingProxyType({
                 inp: self.g_single_node(color, [], inp)
                 for inp in self.problem.sigma_in
-            }
-        return hit
+            })
+        return tables.leaf
 
     def path_relation(
         self, colors, edge_inputs, pendant, out_inputs
@@ -345,13 +441,13 @@ class GapCache:
             reach = tuple(map(row.__getitem__, reach))
         return self.reach_relation(reach)
 
-    def maximal_rectangles(self, relation) -> List[Tuple[LabelSet, LabelSet]]:
+    def maximal_rectangles(
+        self, relation
+    ) -> Sequence[Tuple[LabelSet, LabelSet]]:
         if not self.memoize:
             return maximal_rectangles(relation)
-        hit = self._rectangles.get(relation)
-        if hit is None:
-            hit = self._rectangles[relation] = maximal_rectangles(relation)
-        return hit
+        return _lookup(self._registry, relation,
+                       lambda: tuple(maximal_rectangles(relation)))
 
 
 def maximal_rectangles(

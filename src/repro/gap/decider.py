@@ -25,15 +25,18 @@ Performance
 The census (:mod:`repro.gap.census`) decides whole enumerated problem
 spaces, so the search is engineered like the verification kernel:
 
-* one :class:`~repro.gap.classes.GapCache` per decision compiles the
-  problem into bitmask tables — ``Sigma_out`` label-sets as masks, one
-  ``g`` table, and per-node transfer rows that a compress path's
-  relation composes by bit propagation — and shares them, the rake
-  closures and the maximal rectangles per canonical relation across
-  every testing run of the DFS.  ``memoize=False`` answers each query
-  with the module-level predicate functions of
-  :mod:`repro.gap.classes` instead: the one oracle the tables are tested
-  against, and the benchmark baseline;
+* one :class:`~repro.gap.classes.GapCache` per decision answers every
+  query from bitmask tables — ``Sigma_out`` label-sets as masks, one
+  ``g`` table per colour, and per-node transfer rows that a compress
+  path's relation composes by bit propagation — and shares them, the
+  rake closures and the maximal rectangles per relation across every
+  testing run of the DFS.  A census problem carries its constraint
+  masks, so its tables come from a process-wide registry that every
+  problem with the same alphabets, ``delta`` and allowed set reads: a
+  colour constraint is compiled once per process, not once per
+  problem.  ``memoize=False`` answers each query with the module-level
+  predicate functions of :mod:`repro.gap.classes` instead: the one
+  oracle the tables are tested against, and the benchmark baseline;
 * the compress step is a pure function of the rake-closed entry set,
   ``delta`` and ``ell``, so the cache keeps one *compress plan* per such
   state (:mod:`repro.gap.testing`): the step's distinct relations, built

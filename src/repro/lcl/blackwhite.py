@@ -15,7 +15,7 @@ classes and the testing procedure (:mod:`repro.gap`) all operate on
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..local.graph import Graph
 from .problem import LCLResult, Violation
@@ -62,6 +62,14 @@ class BlackWhiteLCL:
         self._pair_index: dict = {}
         self._pair_list: List[Pair] = []
         self._allow_memo: dict = {}
+        #: ``(delta, white mask, black mask)`` for an extensional problem
+        #: whose constraints are exactly the allowed multisets of sizes
+        #: ``1..delta`` named by the masks' bits
+        #: (:meth:`repro.gap.canonical.CanonicalContext.mask_from_multisets`);
+        #: :class:`repro.gap.classes.GapCache` shares compiled tables
+        #: between problems with equal masks.  ``None`` for a predicate
+        #: problem.
+        self.constraint_masks: Optional[Tuple[int, int, int]] = None
 
     def _canonical_indices(self, pairs: Sequence[Pair]) -> Tuple[int, ...]:
         """Sorted interned indices — a canonical multiset key such that

@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import pytest
 
+import repro.gap.classes as classes
+
 from repro.gap import (
     GapCache,
     RectangleChooser,
@@ -18,8 +20,9 @@ from repro.gap import (
     node_feasible,
     path_relation,
 )
-from repro.gap.canonical import iter_space
+from repro.gap.canonical import ProblemSpec, get_context, iter_space
 from repro.gap.census import _decode, spec_to_problem
+from repro.gap.classes import clear_registry
 from repro.gap.testing import UnseenRelation, run_testing_procedure
 from repro.gap.problems import all_equal, edge_2coloring, edge_3coloring, free_labeling
 from repro.lcl import BlackWhiteLCL, two_color_tree
@@ -179,22 +182,34 @@ class TestDeciderMemoization:
 
     def test_census_space_verdicts_identical(self):
         # same equivalence, witness choices included, over all of ml2/Δ2
-        # and evenly spaced slices of ml3/Δ2 and ml2/Δ3; at delta 3 the
-        # compiled transfer rows carry pendants
+        # and evenly spaced slices of ml3/Δ2 and ml2/Δ3 (at delta 3 the
+        # compiled transfer rows carry pendants), with the shared
+        # registry cold for every problem, warmed by the problems before
+        # it, warmed by the problems after it, and warmed by the whole
+        # slice: a table filled by one problem must serve every other
         for max_labels, delta, count in ((2, 2, None), (3, 2, 32),
                                          (2, 3, 96)):
-            for enc in _space_slice(max_labels, delta, count):
-                memo = decide_node_averaged_class(
-                    spec_to_problem(_decode(enc)), delta=delta, memoize=True)
-                cold = decide_node_averaged_class(
-                    spec_to_problem(_decode(enc)), delta=delta,
-                    memoize=False)
-                assert (memo.klass, memo.detail) == \
-                    (cold.klass, cold.detail), enc
-                if memo.witness is None:
-                    assert cold.witness is None
-                else:
-                    assert memo.witness.choices == cold.witness.choices, enc
+            encodings = _space_slice(max_labels, delta, count)
+            want = {enc: _verdict(enc, delta, memoize=False)
+                    for enc in encodings}
+            for enc in encodings:
+                clear_registry()
+                assert _verdict(enc, delta) == want[enc], enc
+            for order in (encodings, encodings[::-1]):
+                clear_registry()
+                for enc in order:
+                    assert _verdict(enc, delta) == want[enc], enc
+            for enc in encodings:  # warmed by the whole slice
+                assert _verdict(enc, delta) == want[enc], enc
+
+    def test_evicting_registry_keeps_verdicts(self, monkeypatch):
+        # a registry held to a few entries drops its oldest ones while
+        # live caches still read them; verdicts must not change
+        monkeypatch.setattr(classes, "REGISTRY_LIMIT", 5)
+        clear_registry()
+        for enc in _space_slice(3, 2, 32):
+            assert _verdict(enc, 2) == _verdict(enc, 2, memoize=False), enc
+            assert len(classes._REGISTRY) <= 5
 
     def test_find_good_function_accepts_shared_cache(self):
         from repro.gap import GapCache
@@ -242,6 +257,76 @@ class TestDeciderMemoization:
             problem, RectangleChooser({}), combo_budget=3, cache=cache)
         assert starved.reason == "combination budget exceeded"
         assert cache.rake == {}
+
+
+def _verdict(enc, delta, memoize=True):
+    """What the census keeps of one decision, witness choices included."""
+    v = decide_node_averaged_class(
+        spec_to_problem(_decode(enc)), delta=delta, memoize=memoize)
+    return v.klass, v.detail, v.witness and v.witness.choices
+
+
+def _masked_problem(n_out, delta, white, black):
+    """The census problem over one input label and ``n_out`` outputs whose
+    constraints are the masks ``white`` and ``black`` at ``delta``."""
+    enc = get_context(1, n_out, delta).encoding_from_masks(white, black)
+    return spec_to_problem(_decode(enc))
+
+
+class TestSharedRegistry:
+    """Census problems share compiled tables through one process-wide
+    registry, keyed by alphabets, delta and the allowed-multiset mask."""
+
+    def test_equal_masks_share_tables_only_on_one_alphabet_and_delta(self):
+        clear_registry()
+        base = GapCache(_masked_problem(2, 2, 0b10110, 0b01011))
+        same = GapCache(_masked_problem(2, 2, 0b10110, 0b10110))
+        assert same._tables[WHITE] is base._tables[WHITE]
+        assert same._tables[BLACK] is base._tables[WHITE]
+        assert base._tables[BLACK] is not base._tables[WHITE]
+        assert classes._REGISTRY[(0,), (0, 1), 2, 0b10110] is \
+            base._tables[WHITE]
+        for n_out, delta in ((3, 2), (2, 3)):
+            other = GapCache(_masked_problem(n_out, delta, 0b10110, 0b01011))
+            assert classes._REGISTRY[
+                (0,), tuple(range(n_out)), delta, 0b10110] is \
+                other._tables[WHITE]
+            for color in (WHITE, BLACK):
+                assert other._tables[color] is not base._tables[color]
+            # alphabet tables follow the alphabets alone
+            assert (other._bits is base._bits) == (n_out == 2)
+
+    def test_registry_problems_never_touch_the_registry(self):
+        clear_registry()
+        for factory in _REGISTRY:
+            assert factory().constraint_masks is None
+            for delta in (2, 3):
+                decide_node_averaged_class(factory(), delta=delta)
+        assert find_good_function(edge_3coloring()) is not None
+        assert classes._REGISTRY == {}
+
+    def test_a_spec_outside_its_universe_gets_no_masks(self):
+        spec = _decode(_space_slice(2, 2, None)[7])
+        assert spec_to_problem(spec).constraint_masks is not None
+        wide = ProblemSpec(spec.n_in, spec.n_out, spec.delta,
+                           spec.white | {((0, 0),) * 3}, spec.black)
+        assert spec_to_problem(wide).constraint_masks is None
+
+    def test_shared_values_are_read_only(self):
+        clear_registry()
+        for problem in (edge_3coloring(), _masked_problem(2, 2, 22, 11)):
+            cache = GapCache(problem)
+            leaves = cache.leaf_label_sets(WHITE)
+            with pytest.raises(TypeError):
+                leaves[problem.sigma_in[0]] = frozenset()
+            rel = frozenset({(a, b) for a in problem.sigma_out
+                             for b in problem.sigma_out})
+            rects = cache.maximal_rectangles(rel)
+            assert rects == tuple(maximal_rectangles(rel))
+            with pytest.raises(TypeError):
+                rects[0] = (frozenset(), frozenset())
+            with pytest.raises(AttributeError):
+                rects.append((frozenset(), frozenset()))
 
 
 class _OracleCache(GapCache):
@@ -492,14 +577,36 @@ class TestCompiledCache:
                 spec_to_problem(_decode(enc)), delta)
 
     def test_one_allows_call_per_code_multiset(self):
+        clear_registry()
         problem = edge_3coloring()
-        seen = []
-        allows = problem.allows
-
-        def counted(color, pairs):
-            seen.append((color, tuple(sorted(pairs))))
-            return allows(color, pairs)
-
-        problem.allows = counted
+        seen = _count_allows(problem)
         decide_node_averaged_class(problem, delta=3)
         assert seen and len(seen) == len(set(seen))
+
+    def test_one_allows_call_per_constraint_per_process(self):
+        # a census problem's constraint tables outlive it: the same
+        # problem rebuilt asks its predicates nothing
+        clear_registry()
+        enc = _space_slice(2, 3, 96)[40]
+        first = spec_to_problem(_decode(enc))
+        seen = _count_allows(first)
+        decide_node_averaged_class(first, delta=3)
+        assert seen and len(seen) == len(set(seen))
+        again = spec_to_problem(_decode(enc))
+        assert again is not first
+        seen = _count_allows(again)
+        decide_node_averaged_class(again, delta=3)
+        assert seen == []
+
+
+def _count_allows(problem):
+    """Record each ``problem.allows`` call as (colour, sorted pairs)."""
+    seen = []
+    allows = problem.allows
+
+    def counted(color, pairs):
+        seen.append((color, tuple(sorted(pairs))))
+        return allows(color, pairs)
+
+    problem.allows = counted
+    return seen
